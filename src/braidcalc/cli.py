@@ -33,6 +33,7 @@ from .enveloping import (
     validate_bracket,
 )
 from .errors import (
+    BadParams,
     InternalCheckError,
     ParseError,
     ValidationError,
@@ -214,11 +215,15 @@ def parse_spec(text: str) -> JobSpec:
                     field_order = int(val.strip())
                 except ValueError:
                     raise ParseError(lineno, "field order must be an integer")
+                field_line = lineno
     if field_order is None:
         raise ParseError(0, "missing [field] section with m = <order>")
     if field_order < 1:
-        raise ParseError(0, "field order must be >= 1")
-    field = field_make(field_order)
+        raise ParseError(field_line, "field order must be >= 1")
+    try:
+        field = field_make(field_order)
+    except BadParams as exc:
+        raise ValidationError(str(exc), line=field_line)
 
     section = None
     for lineno, stripped in raw:

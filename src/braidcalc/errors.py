@@ -97,7 +97,9 @@ class ParseError(WorkbenchError):
 
 
 class ValidationError(WorkbenchError):
-    pass
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(message if line is None else "line %d: %s" % (line, message))
 
 
 class InternalCheckError(WorkbenchError):

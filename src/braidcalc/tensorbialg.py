@@ -116,7 +116,7 @@ def matvec(columns, vec: dict) -> dict:
     return out
 
 
-def transpose_columns(columns, nrows=None):
+def transpose_columns(columns):
     rows: dict[int, dict] = {}
     for w, col in enumerate(columns):
         for r, val in col.items():

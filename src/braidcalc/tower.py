@@ -137,10 +137,6 @@ def reduce_bidegree(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
     return dict(vec)
 
 
-def in_bidegree_ideal(tower: IdealTower, vec: dict, a: int, b: int) -> bool:
-    return not reduce_bidegree(tower, vec, a, b)
-
-
 # ---------------------------------------------------------------------------
 # ideal closure
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from braidcalc.cli import main, parse_scalar, parse_spec, run
 from braidcalc.errors import ParseError, ValidationError
-from braidcalc.scalars import field_make
+from braidcalc.scalars import MAX_FIELD_ORDER, field_make
 
 F4 = field_make(4)
 F8 = field_make(8)
@@ -94,6 +94,29 @@ def test_parse_errors_carry_line_numbers():
         parse_spec("[field]\nm = 4\n[tasks]\nybe\n")  # no space section
     with pytest.raises(ParseError):
         parse_spec("[field]\nm = 4\n[space]\nkind = flip\nd = 2\n[tasks]\nwat\n")
+
+
+def field_order_job(m):
+    return "# field order probe\n[field]\n\nm = %s\n[space]\nkind = flip\nd = 2\n[tasks]\nybe\n" % m
+
+
+def test_field_order_errors_carry_line_numbers(tmp_path, capsys):
+    for m in (0, -3):
+        with pytest.raises(ParseError) as err:
+            parse_spec(field_order_job(m))
+        assert err.value.line == 4
+    for m in (MAX_FIELD_ORDER + 1, 100000):
+        with pytest.raises(ValidationError) as err:
+            parse_spec(field_order_job(m))
+        assert err.value.line == 4
+        assert str(err.value).startswith("line 4: ")
+        jobfile = tmp_path / "big.job"
+        jobfile.write_text(field_order_job(m))
+        assert main(["--input", str(jobfile), "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "line 4" in captured.err and "exceeds the limit" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+    assert parse_spec(field_order_job(MAX_FIELD_ORDER)).field_order == MAX_FIELD_ORDER
 
 
 def test_validation_rejects_incompatible_root_orders():

@@ -1,10 +1,18 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidcalc.errors import DivisionByZero, FieldMismatch, RootOrderMismatch
+from braidcalc.errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
 from braidcalc.scalars import (
+    MAX_FIELD_ORDER,
+    CycloField,
     Q,
+    _poly_divmod,
+    _poly_mul,
+    cyclotomic_polynomial,
     euler_phi,
     field_make,
     is_regular,
@@ -158,3 +166,119 @@ def test_primitive_roots_listing():
     assert f12.root_of_unity(2) == f12.from_rational(-1)
     f1 = field_make(1)
     assert f1.primitive_roots(2)[0] == f1.from_rational(-1)
+
+
+# ---------------------------------------------------------------------------
+# integer-first coefficients
+# ---------------------------------------------------------------------------
+
+ORDERS = (1, 2, 3, 4, 5, 8, 12)
+Q_TYPE = type(Q(1))
+
+coefficient = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Q, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def scalar_pairs(draw):
+    f = field_make(draw(st.sampled_from(ORDERS)))
+    a, b = (f.scalar(draw(st.lists(coefficient, min_size=f.degree,
+                                   max_size=f.degree)))
+            for _ in range(2))
+    return f, a, b
+
+
+def assert_exact(x):
+    assert len(x.coeffs) == x.field.degree
+    for c in x.coeffs:
+        assert type(c) is int or type(c) is Q_TYPE, (x, type(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs())
+def test_product_matches_division_route(pair):
+    f, a, b = pair
+    _, rem = _poly_divmod(_poly_mul(list(a.coeffs), list(b.coeffs)),
+                          list(f.cyclotomic_polynomial))
+    assert (a * b).coeffs == tuple(rem) + (0,) * (f.degree - len(rem))
+    if not a.is_zero():
+        assert a * a.inv() == f.one
+    if not b.is_zero():
+        assert (a / b) * b == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), st.integers(-3, 3))
+def test_no_coefficient_is_a_float(pair, k):
+    f, a, b = pair
+    results = [a + b, a - b, a * b, -a, 3 - a, a * 2, 2 * a, a + Q(1, 2)]
+    if not b.is_zero():
+        results += [b.inv(), a / b, 1 / b, a / 3, b ** k]
+    for x in results:
+        assert_exact(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+def test_integral_coefficients_stay_ints(m, xs, ys):
+    f = field_make(m)
+    a, b = f.scalar(xs), f.scalar(ys)
+    for x in (a, b, a + b, a - b, a * b, -a, a ** 3):
+        assert all(type(c) is int for c in x.coeffs), x
+
+
+def test_rational_inverse_and_representation():
+    for m in ORDERS:
+        f = field_make(m)
+        assert f.from_rational(3).inv() == f.from_fraction(1, 3)
+        # a division that lands back in the integers gives ints again
+        for x in (f.from_fraction(6, 3), f.scalar([Q(4, 2)] * f.degree),
+                  f.from_fraction(1, 3).inv(),
+                  f.gen.inv()):  # z^(m-1), via the extended Euclidean route
+            assert all(type(c) is int for c in x.coeffs), x
+        assert f.zero.coeffs == (0,) * f.degree
+        assert f.one.coeffs == (1,) + (0,) * (f.degree - 1)
+        # int and Q coefficients agree on equality, hashing and str
+        assert f.from_rational(Q(5)) == f.from_rational(5)
+        assert hash(f.scalar([Q(2)] * f.degree)) == hash(f.scalar([2] * f.degree))
+        assert str(f.scalar([Q(-2, 1)])) == str(f.from_rational(-2)) == "-2"
+
+
+def test_field_mismatch_is_still_checked():
+    a, b = field_make(3).gen, field_make(4).gen
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+               lambda: b + a, lambda: b * a):
+        with pytest.raises(FieldMismatch):
+            op()
+
+
+def test_separately_built_field_interoperates():
+    f3 = field_make(3)
+    other = CycloField(3)
+    assert other is not f3 and other == f3
+    z, w = other.gen, f3.gen
+    assert z == w and hash(z) == hash(w)
+    assert z * w == w * w and (z * w).field is other
+    assert z + w == w + w and z - w == f3.zero
+    assert (z / w).is_one()
+
+
+def test_field_order_cap():
+    with pytest.raises(BadParams):
+        CycloField(MAX_FIELD_ORDER + 1)
+    with pytest.raises(BadParams):
+        field_make(100000)
+    # the slowest order under the cap (the largest prime) still builds fast
+    start = time.perf_counter()
+    f = CycloField(997)
+    assert time.perf_counter() - start < 1.0
+    assert f.degree == 996 and (f.gen ** 997).is_one()
+
+
+def test_cyclotomic_polynomial_is_memoized():
+    assert cyclotomic_polynomial(12) is cyclotomic_polynomial(12)
+    assert field_make(12).cyclotomic_polynomial is cyclotomic_polynomial(12)
