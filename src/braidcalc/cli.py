@@ -42,7 +42,7 @@ from .errors import (
 from .fixtures import preset_bracket
 from .pareigis import check_pi_in_E, check_pi_su, verify_PL, zeta_space
 from .scalars import CycloField, field_make
-from .spaces import make_braiding, word_name
+from .spaces import REQUIRED_PARAMS, make_braiding, word_name
 from .tensorbialg import nichols_dims, primitive_space
 from .tower import is_quadratic, nichols_via_tower, sdeg
 
@@ -269,16 +269,31 @@ def parse_spec(text: str) -> JobSpec:
     kind_entry = space_lines.pop("kind", None)
     if kind_entry is None:
         raise ParseError(0, "the [space] section needs kind = ...")
-    kind = kind_entry[0]
+    kind, kind_line = kind_entry
+    if not isinstance(kind, str):
+        raise ValidationError("kind must be a name", line=kind_line)
     budget_entry = space_lines.pop("budget", None)
     degree_budget = None
     if budget_entry is not None:
-        degree_budget = int(budget_entry[0])
+        degree_budget, budget_line = budget_entry
+        if not isinstance(degree_budget, int) or degree_budget < 1:
+            raise ValidationError("budget must be a positive integer",
+                                  line=budget_line)
         if degree_budget > MAX_DEGREE:
             raise ValidationError(
                 "degree budget %d exceeds the global limit %d"
-                % (degree_budget, MAX_DEGREE))
+                % (degree_budget, MAX_DEGREE), line=budget_line)
     params = {k: v for k, (v, _ln) in space_lines.items()}
+    required = REQUIRED_PARAMS.get(kind, ())
+    if kind == "preset":
+        required += REQUIRED_PARAMS.get("preset:%s" % params.get("name"), ())
+    for key in required:
+        if key not in params:
+            raise ValidationError("kind = %s needs %s = ..." % (kind, key),
+                                  line=kind_line)
+    if "d" in params and (not isinstance(params["d"], int) or params["d"] < 1):
+        raise ValidationError("d must be a positive integer",
+                              line=space_lines["d"][1])
     space_decl = {"kind": kind, "params": params}
 
     bracket_decls = []
@@ -577,11 +592,15 @@ def run(job: JobSpec, cache_dir=None, use_cache=True, jobs=1,
         key = _task_cache_key(job, name, args, degree_override)
         path = os.path.join(cache_dir, key + ".json") if cache_dir else None
         if path and use_cache and os.path.exists(path):
-            with open(path, "rb") as fh:
-                entry["result"] = json.loads(fh.read().decode())
-            entry["status"] = "ok"
-            entry["cached"] = True
-            return idx, entry, None
+            try:
+                with open(path, "rb") as fh:
+                    entry["result"] = json.loads(fh.read().decode())
+            except ValueError:
+                pass  # an entry that does not parse is a miss, rewritten below
+            else:
+                entry["status"] = "ok"
+                entry["cached"] = True
+                return idx, entry, None
         start = time.monotonic()
         try:
             result = run_task(ctx, name, args)

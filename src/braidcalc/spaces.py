@@ -428,6 +428,14 @@ def _diagonal_pairs(field, qmatrix):
     return pairs
 
 
+# parameters make_braiding reads unconditionally, by kind and by preset name
+REQUIRED_PARAMS = {
+    "flip": ("d",), "scalar": ("d", "q"), "diagonal": ("q",),
+    "quantum_linear": ("q",), "explicit": ("matrix",), "preset": ("name",),
+    "preset:quantum_linear": ("q",), "preset:scalar": ("q",),
+}
+
+
 def make_braiding(kind: str, params: dict, field: CycloField,
                   degree_budget: int = DEFAULT_DEGREE_BUDGET) -> BraidedSpace:
     """Build and validate a braided vector space.

@@ -1,9 +1,11 @@
 """Graded structure of the braided tensor bialgebra.
 
-The coproduct component from degree a+b to bidegree (a, b) is the shuffle
-sum  sum_{sigma in (a|b)-shuffles} lift(sigma^(-1)),  acting in concatenated
-word coordinates (so the component is literally an endomorphism matrix of
-V^(x)(a+b)).  The quantum symmetrizer in degree n is built by the recursion
+The coproduct component from degree a+b to bidegree (a, b) acts in
+concatenated word coordinates (an endomorphism matrix of V^(x)(a+b)) and is
+computed by the multiplicative recursion Delta(w'x) = Delta(w') Delta(x), as
+Delta is an algebra map into T(V) (x)_c T(V); the shuffle sum
+sum_{sigma in (a|b)-shuffles} lift(sigma^(-1)) is the test reference.
+The quantum symmetrizer in degree n is built by the recursion
 
     Gamma_n = (Gamma_(n-1) (x) Id) . Delta^(n-1,1),      Gamma_0 = Gamma_1 = Id,
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from .errors import BadParams
 from .linalg import Echelon, Subspace, kernel_basis, left_kernel
-from .spaces import BraidedSpace, matsumoto_lift, perm_inverse, shuffles
+from .spaces import BraidedSpace, matsumoto_lift
 
 
 class DeltaComponent:
@@ -48,20 +50,11 @@ class Symmetrizer:
         return self._rank
 
 
-def _shuffle_lift_words(space: BraidedSpace, a: int, b: int):
-    key = ("shuffle_lifts", a, b)
-    lifts = space._memo.get(key)
-    if lifts is None:
-        lifts = tuple(
-            matsumoto_lift(perm_inverse(sigma)).letters
-            for sigma, _length in shuffles(a, b)
-        )
-        space._memo[key] = lifts
-    return lifts
-
-
 def delta_columns(space: BraidedSpace, a: int, b: int):
-    """Sparse columns of the (a, b) coproduct component; memoized."""
+    """Sparse columns of the (a, b) coproduct component; memoized.
+
+    Column w'x is column w' of Delta^(a,b-1) with x appended on the right,
+    plus column w' of Delta^(a-1,b) with x braided past the right factor."""
     if a < 0 or b < 0:
         raise BadParams("coproduct bidegree must be nonnegative")
     n = a + b
@@ -70,27 +63,33 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
     cols = space._memo.get(key)
     if cols is not None:
         return cols
-    one = space.field.one
-    size = space.power(n)
     if a == 0 or b == 0:
-        cols = [{w: one} for w in range(size)]
+        cols = [{w: space.field.one} for w in range(space.power(n))]
     else:
-        lifts = _shuffle_lift_words(space, a, b)
+        d = space.dim
+        dim_b = space.power(b)
+        dim_b1 = dim_b * d
+        appended = delta_columns(space, a, b - 1)
+        braided = delta_columns(space, a - 1, b)
+        block = space.braiding_block_matrix(b, 1)
         cols = []
-        for w in range(size):
-            acc: dict = {}
-            for letters in lifts:
-                img = space.apply_word(n, letters, {w: one})
-                for r, val in img.items():
-                    cur = acc.get(r)
+        for w in range(space.power(n)):
+            prefix, x = divmod(w, d)
+            acc = {t * d + x: s for t, s in appended[prefix].items()}
+            for t, s in braided[prefix].items():
+                u, v = divmod(t, dim_b)
+                base = u * dim_b1
+                for r, val in block[v * d + x].items():
+                    tgt = base + r
+                    cur = acc.get(tgt)
                     if cur is None:
-                        acc[r] = val
+                        acc[tgt] = s * val
                     else:
-                        new = cur + val
+                        new = cur + s * val
                         if new.is_zero():
-                            del acc[r]
+                            del acc[tgt]
                         else:
-                            acc[r] = new
+                            acc[tgt] = new
             cols.append(acc)
     space._memo[key] = cols
     return cols

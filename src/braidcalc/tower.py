@@ -362,24 +362,25 @@ def symmetric_step(qb: QuotientBialgebra, verify: str = "light",
 
 def tower_iterates(space: BraidedSpace, cutoff: int, verify: str = "light",
                    max_steps=None, check_ladder: bool = True):
-    """The sequence T, S(T), S(S(T)), ... up to the fixpoint at this cutoff."""
-    qb = QuotientBialgebra.tensor_algebra(space, cutoff)
-    iterates = [qb]
-    step = 0
-    while True:
-        if max_steps is not None and step >= max_steps:
-            break
+    """The sequence T, S(T), S(S(T)), ... up to the fixpoint at this cutoff.
+
+    Memoized per space as an immutable (iterates, at fixpoint) pair, which a
+    later call replaces when it resumes from the last stored iterate."""
+    key = ("tower", cutoff, verify, check_ladder)
+    iterates, done = space._memo.get(key) or (
+        (QuotientBialgebra.tensor_algebra(space, cutoff),), False)
+    while not done and (max_steps is None or len(iterates) <= max_steps):
+        qb = iterates[-1]
         nxt = symmetric_step(
             qb, verify=verify,
-            _assert_no_new_below=(step + 1) if check_ladder else 0)
-        if nxt is qb:
-            break
-        iterates.append(nxt)
-        qb = nxt
-        step += 1
-        if step > cutoff + 2:
-            raise InternalCheckError("tower failed to stabilise below the bound")
-    return iterates
+            _assert_no_new_below=len(iterates) if check_ladder else 0)
+        done = nxt is qb
+        if not done:
+            iterates += (nxt,)
+            if len(iterates) > cutoff + 3:
+                raise InternalCheckError("tower failed to stabilise below the bound")
+    space._memo[key] = (iterates, done)
+    return list(iterates if max_steps is None else iterates[:max_steps + 1])
 
 
 def sdeg(space: BraidedSpace, cutoff: int, verify: str = "light") -> SdegVerdict:

@@ -322,10 +322,71 @@ pareigis = 3, 1
     assert result["pi_image_in_primitives"] is True
 
 
-def test_shipped_job_files_run(capsys):
+def test_shipped_job_files_run(tmp_path, capsys):
+    # every shipped job's fresh JSON report is byte-identical to its golden copy
     import pathlib
 
-    jobs_dir = pathlib.Path(__file__).resolve().parent.parent / "jobs"
-    for jobfile in sorted(jobs_dir.glob("*.job")):
-        assert main(["--input", str(jobfile), "--format", "text"]) == 0, jobfile
+    here = pathlib.Path(__file__).resolve().parent
+    jobfiles = sorted((here.parent / "jobs").glob("*.job"))
+    assert jobfiles
+    for jobfile in jobfiles:
+        out = tmp_path / (jobfile.stem + ".json")
+        assert main(["--input", str(jobfile), "--no-cache",
+                     "--output", str(out)]) == 0, jobfile
         capsys.readouterr()
+        golden = here / "golden" / (jobfile.stem + ".json")
+        assert out.read_bytes() == golden.read_bytes(), jobfile.name
+
+
+def _assert_validation_exit(tmp_path, capsys, text, line, phrase):
+    with pytest.raises(ValidationError) as err:
+        parse_spec(text)
+    assert err.value.line == line
+    jobfile = tmp_path / "bad.job"
+    jobfile.write_text(text)
+    assert main(["--input", str(jobfile), "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert "line %d" % line in captured.err and phrase in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_missing_space_parameter_is_a_validation_error(tmp_path, capsys):
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\nkind = flip\n[tasks]\nybe\n", 4, "d = ")
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 4\n[space]\nkind = scalar\nd = 2\n[tasks]\nybe\n", 4, "q = ")
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\nkind = flip\nd = z\n[tasks]\nybe\n", 5, "d must")
+
+
+def test_bad_budget_is_a_validation_error(tmp_path, capsys):
+    for value in ("z", "0", "[3]"):
+        _assert_validation_exit(
+            tmp_path, capsys,
+            "[field]\nm = 1\n[space]\nkind = flip\nd = 2\nbudget = %s\n"
+            "[tasks]\nybe\n" % value, 6, "budget")
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\nkind = flip\nd = 2\nbudget = 13\n"
+        "[tasks]\nybe\n", 6, "global limit")
+
+
+def test_unparsable_cache_entry_is_recomputed(tmp_path):
+    job = parse_spec(TWODIM_JOB)
+    cache = tmp_path / "cache"
+    first = run(job, cache_dir=str(cache))
+    entries = sorted(cache.glob("*.json"))
+    assert len(entries) == 2
+    intact = entries[1].read_bytes()
+    entries[0].write_bytes(entries[0].read_bytes()[:5])
+    second = run(job, cache_dir=str(cache))
+    flags = {t["name"]: t["cached"] for t in second.tasks}
+    assert sorted(flags.values()) == [False, True]
+    assert [t["result"] for t in second.tasks] == [t["result"] for t in first.tasks]
+    assert entries[1].read_bytes() == intact
+    json.loads(entries[0].read_text())  # rewritten in full
+    third = run(job, cache_dir=str(cache))
+    assert [t["cached"] for t in third.tasks] == [True, True]

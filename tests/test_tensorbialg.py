@@ -5,7 +5,14 @@ import pytest
 from braidcalc.errors import DegreeBudgetExceeded
 from braidcalc.linalg import Subspace, rank_of_rows
 from braidcalc.scalars import field_make, q_factorial, q_int
-from braidcalc.spaces import make_braiding, make_preset, word_index
+from braidcalc.spaces import (
+    make_braiding,
+    make_preset,
+    matsumoto_lift,
+    perm_inverse,
+    shuffles,
+    word_index,
+)
 from braidcalc.tensorbialg import (
     delta_columns,
     delta_component,
@@ -18,6 +25,7 @@ from braidcalc.tensorbialg import (
 )
 
 F1 = field_make(1)
+F3 = field_make(3)
 F4 = field_make(4)
 
 
@@ -65,6 +73,34 @@ def test_delta_examples():
     assert all(cols[w] == {w: F1.one} for w in range(27))
     comp = delta_component(gu, 2, 1)
     assert comp.a == 2 and comp.b == 1 and comp.columns is delta_columns(gu, 2, 1)
+
+
+def shuffle_sum_columns(space, a, b):
+    """Delta^(a,b) as the sum of the lifts of the inverse (a, b)-shuffles."""
+    n = a + b
+    lifts = [matsumoto_lift(perm_inverse(sigma)).letters
+             for sigma, _length in shuffles(a, b)]
+    cols = []
+    for w in range(space.power(n)):
+        acc = {}
+        for letters in lifts:
+            for r, val in space.apply_word(n, letters, {w: space.field.one}).items():
+                acc[r] = acc[r] + val if r in acc else val
+        cols.append({r: v for r, v in acc.items() if not v.is_zero()})
+    return cols
+
+
+def test_delta_recursion_matches_shuffle_sum():
+    for space in (make_braiding("flip", {"d": 2}, F1),
+                  make_braiding("scalar", {"d": 2, "q": F4.gen}, F4),
+                  make_preset("cartan_An", F3, n=2, t=3),
+                  make_preset("d4_rack", F1),
+                  make_preset("gurevich", F1),
+                  make_preset("hecke_gl", F1, d=2)):
+        for n in range(6):
+            for a in range(n + 1):
+                assert delta_columns(space, a, n - a) == \
+                    shuffle_sum_columns(space, a, n - a), (space.kind, a, n - a)
 
 
 def test_coassociativity():

@@ -274,3 +274,51 @@ def test_sdeg_cutoff_honesty_for_higher_root_orders():
     ca4_deep = make_preset("cartan_An", F4, n=2, t=4, degree_budget=8)
     deeper = sdeg(ca4_deep, 8)
     assert deeper.value == 2
+
+
+def _counting_steps(monkeypatch):
+    import braidcalc.tower as tower_mod
+
+    calls = []
+    real = tower_mod.symmetric_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tower_mod, "symmetric_step", counted)
+    return calls
+
+
+def _verdict(v):
+    return v.value, v.status, v.tower_trace, v.certificate
+
+
+def test_tower_memo_serves_sdeg_after_nichols_via_tower(monkeypatch):
+    calls = _counting_steps(monkeypatch)
+    fresh = sdeg(make_preset("cartan_An", F3, n=2, t=3), 6)
+    fresh_steps = len(calls)
+    assert fresh_steps == fresh.value + 1
+    ca = make_preset("cartan_An", F3, n=2, t=3)
+    assert nichols_via_tower(ca, 6) == nichols_dims(ca, 6)
+    before = len(calls)
+    assert _verdict(sdeg(ca, 6)) == _verdict(fresh)
+    assert len(calls) == before
+
+
+def test_tower_memo_resumes_after_truncated_run(monkeypatch):
+    calls = _counting_steps(monkeypatch)
+    full = tower_iterates(make_preset("cartan_An", F3, n=2, t=3), 6)
+    del calls[:]
+    ca = make_preset("cartan_An", F3, n=2, t=3)
+    head = tower_iterates(ca, 6, max_steps=1)
+    assert len(head) == 2 and len(calls) == 1
+    head.append(None)  # the caller's list is its own, not the memo
+    resumed = tower_iterates(ca, 6)
+    assert len(calls) == len(full)
+    assert resumed == full
+    assert tower_iterates(ca, 6, max_steps=1) == resumed[:2]
+    assert tower_iterates(ca, 6, max_steps=1)[1] is resumed[1]
+    assert len(calls) == len(full)
+    assert _verdict(sdeg(ca, 6)) == _verdict(
+        sdeg(make_preset("cartan_An", F3, n=2, t=3), 6))
