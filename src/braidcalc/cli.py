@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .enveloping import (
@@ -260,6 +259,7 @@ def parse_spec(text: str) -> JobSpec:
                 name, args = stripped, ()
             if name not in TASK_NAMES:
                 raise ParseError(lineno, "unknown task %r" % name)
+            _check_task_args(name, args, field, lineno)
             tasks.append((name, args))
         elif section is None:
             raise ParseError(lineno, "content outside any section")
@@ -311,27 +311,36 @@ def parse_spec(text: str) -> JobSpec:
             raise ParseError(bl["values"][1], "bracket values must be a list of rows")
         bracket_decls.append({"degree": degree, "values": values})
 
-    job = JobSpec(field_order, space_decl, bracket_decls, tasks,
-                  degree_budget=degree_budget)
-    _validate_job(job, field)
-    return job
+    return JobSpec(field_order, space_decl, bracket_decls, tasks,
+                   degree_budget=degree_budget)
 
 
-def _validate_job(job: JobSpec, field: CycloField):
-    for name, args in job.tasks:
-        if name in ("pareigis", "pl_verify") and args:
-            n = args[0]
-            if not isinstance(n, int) or n < 2:
-                raise ValidationError("%s needs an arity >= 2" % name)
-            if n > 2 and field.order % n:
-                raise ValidationError(
-                    "task %s at arity %d needs %d | m (m = %d): no primitive "
-                    "root available" % (name, n, n, field.order))
-        for a in args:
-            if isinstance(a, int) and a > MAX_DEGREE:
-                raise ValidationError(
-                    "degree argument %d exceeds the global limit %d"
-                    % (a, MAX_DEGREE))
+def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
+    """Task arguments are integers in 0..MAX_DEGREE, except the root exponent
+    of pareigis, which may be negative; only e_spaces takes a range lo..hi,
+    as its first argument, and its bounds must not be inverted."""
+    values = list(args)
+    if name == "e_spaces" and args and isinstance(args[0], tuple):
+        values[:1] = args[0][1:]
+    for pos, a in enumerate(values, start=1):
+        signed = name == "pareigis" and pos == 2
+        if not isinstance(a, int) or (a < 0 and not signed):
+            raise ValidationError("task %s: argument %d must be %s integer" % (
+                name, pos, "an" if signed else "a non-negative"), line=line)
+        if a > MAX_DEGREE:
+            raise ValidationError("degree argument %d exceeds the global limit %d"
+                                  % (a, MAX_DEGREE), line=line)
+    if name == "e_spaces" and len(values) > 1 and values[0] > values[1]:
+        raise ValidationError("e_spaces range %d..%d is empty"
+                              % (values[0], values[1]), line=line)
+    if name in ("pareigis", "pl_verify") and args:
+        n = args[0]
+        if n < 2:
+            raise ValidationError("%s needs an arity >= 2" % name, line=line)
+        if n > 2 and field.order % n:
+            raise ValidationError(
+                "task %s at arity %d needs %d | m (m = %d): no primitive "
+                "root available" % (name, n, n, field.order), line=line)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +358,7 @@ def _subspace_payload(space, subspace, degree):
 
 
 def _int_arg(args, idx, default):
-    if len(args) > idx and isinstance(args[idx], int):
-        return args[idx]
-    return default
+    return args[idx] if len(args) > idx else default
 
 
 class _JobContext:
@@ -490,7 +497,7 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
         return payload
     if name == "pareigis":
         n = _int_arg(args, 0, 2)
-        exponent = args[1] if len(args) > 1 and isinstance(args[1], int) else 1
+        exponent = _int_arg(args, 1, 1)
         # at arity 2 the only primitive root is -1, whatever the exponent says
         zeta = ctx.field.root_of_unity(n, exponent if exponent > 0 else 1)
         zs = zeta_space(space, n, zeta)
@@ -575,71 +582,70 @@ def _render_text(result) -> str:
     return str(result)
 
 
-def run(job: JobSpec, cache_dir=None, use_cache=True, jobs=1,
+def _read_cache_entry(path: str):
+    """The result stored at path, or None when the entry is missing, is not
+    of the form ["<SHA-256 of body>",<body>], or its body no longer matches
+    the digest (a damaged or edited entry)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    body = data[68:-1]
+    if (data[:2], data[66:68], data[-1:]) != (b'["', b'",', b"]") or \
+            hashlib.sha256(body).hexdigest().encode() != data[2:66]:
+        return None
+    return json.loads(body)
+
+
+def _write_cache_entry(path: str, result) -> None:
+    body = _canonical_json(result).encode()
+    digest = hashlib.sha256(body).hexdigest().encode()
+    tmp = path + ".tmp.%d" % os.getpid()
+    with open(tmp, "wb") as fh:
+        fh.write(b'["' + digest + b'",' + body + b"]")
+    os.replace(tmp, path)
+
+
+def run(job: JobSpec, cache_dir=None, use_cache=True,
         task_filter=None, degree_override=None) -> Report:
+    """Run the selected tasks one after another, in job order."""
     input_hash = hashlib.sha256(
         _canonical_json(job.echo()).encode()).hexdigest()
     ctx = _JobContext(job, degree_override=degree_override)
     cache_dir = cache_dir or job.cache_dir
-    selected = [
-        (idx, name, args) for idx, (name, args) in enumerate(job.tasks)
-        if task_filter is None or name in task_filter
-    ]
-
-    def execute(item):
-        idx, name, args = item
+    if cache_dir and use_cache:
+        os.makedirs(cache_dir, exist_ok=True)
+    internal_failure = None
+    entries = []
+    for name, args in job.tasks:
+        if task_filter is not None and name not in task_filter:
+            continue
         entry = {"name": name, "args": _jsonable(list(args))}
-        key = _task_cache_key(job, name, args, degree_override)
-        path = os.path.join(cache_dir, key + ".json") if cache_dir else None
-        if path and use_cache and os.path.exists(path):
-            try:
-                with open(path, "rb") as fh:
-                    entry["result"] = json.loads(fh.read().decode())
-            except ValueError:
-                pass  # an entry that does not parse is a miss, rewritten below
-            else:
-                entry["status"] = "ok"
-                entry["cached"] = True
-                return idx, entry, None
+        entries.append(entry)
+        path = None
+        if cache_dir and use_cache:
+            key = _task_cache_key(job, name, args, degree_override)
+            path = os.path.join(cache_dir, key + ".json")
+            cached = _read_cache_entry(path)
+            if cached is not None:
+                entry.update(result=cached, status="ok", cached=True)
+                continue
         start = time.monotonic()
         try:
             result = run_task(ctx, name, args)
-        except InternalCheckError as exc:
-            entry["status"] = "error"
-            entry["error"] = {"type": "InternalCheckError", "message": str(exc)}
-            return idx, entry, exc
         except WorkbenchError as exc:
+            if isinstance(exc, InternalCheckError):
+                internal_failure = internal_failure or exc
             entry["status"] = "error"
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-            return idx, entry, None
-        seconds = time.monotonic() - start
-        print("braidcalc: task %s finished in %.2fs" % (name, seconds),
-              file=sys.stderr)
-        entry["result"] = _jsonable(result)
-        entry["status"] = "ok"
-        entry["cached"] = False
-        if path and use_cache:
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp = path + ".tmp.%d" % os.getpid()
-            with open(tmp, "wb") as fh:
-                fh.write(_canonical_json(entry["result"]).encode())
-            os.replace(tmp, path)
-        return idx, entry, None
-
-    internal_failure = None
-    results = {}
-    if jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for idx, entry, hard in pool.map(execute, selected):
-                results[idx] = entry
-                internal_failure = internal_failure or hard
-    else:
-        for item in selected:
-            idx, entry, hard = execute(item)
-            results[idx] = entry
-            internal_failure = internal_failure or hard
-    ordered = [results[idx] for idx in sorted(results)]
-    report = Report(job, ordered, input_hash)
+            continue
+        print("braidcalc: task %s finished in %.2fs"
+              % (name, time.monotonic() - start), file=sys.stderr)
+        entry.update(result=_jsonable(result), status="ok", cached=False)
+        if path:
+            _write_cache_entry(path, entry["result"])
+    report = Report(job, entries, input_hash)
     report.internal_failure = internal_failure
     return report
 
@@ -654,7 +660,8 @@ def main(argv=None) -> int:
                         help="override degree arguments of degree-driven tasks")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored: tasks run serially")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--output", default=None, help="write the report here")
     opts = parser.parse_args(argv)
@@ -667,12 +674,13 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print("braidcalc: %s" % exc, file=sys.stderr)
         return 1
-    if opts.degree is not None and opts.degree > MAX_DEGREE:
-        print("braidcalc: --degree beyond the global limit", file=sys.stderr)
+    if opts.degree is not None and not 1 <= opts.degree <= MAX_DEGREE:
+        print("braidcalc: --degree must lie in 1..%d" % MAX_DEGREE,
+              file=sys.stderr)
         return 1
     try:
         report = run(job, cache_dir=opts.cache_dir,
-                     use_cache=not opts.no_cache, jobs=opts.jobs,
+                     use_cache=not opts.no_cache,
                      task_filter=set(opts.task) if opts.task else None,
                      degree_override=opts.degree)
     except (ParseError, ValidationError, WorkbenchError) as exc:

@@ -27,7 +27,7 @@ from .errors import (
     IrregularMark,
     NotABracket,
 )
-from .linalg import Echelon, Subspace, kernel_basis
+from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, primitive_space
 from .tower import QuotientBialgebra, symmetric_step
@@ -67,34 +67,19 @@ class BracketTable:
     def is_zero(self) -> bool:
         return all(not v for vecs in self.entries.values() for v in vecs)
 
-    def value(self, n: int, coords) -> dict:
+    def value(self, n: int, coords: dict) -> dict:
         """b of an element of the degree-n primitive space given its
-        coordinates over the canonical basis."""
+        coordinates {k: coefficient} over the canonical basis."""
         vecs = self.entries.get(n)
-        out: dict = {}
-        if vecs is None:
-            return out
-        for k, coeff in coords:
-            for j, val in vecs[k].items():
-                cur = out.get(j)
-                if cur is None:
-                    out[j] = coeff * val
-                else:
-                    s = cur + coeff * val
-                    if s.is_zero():
-                        del out[j]
-                    else:
-                        out[j] = s
-        return out
+        return {} if vecs is None else matvec(vecs, coords)
 
 
 def _coords_in_primitives(prims: Subspace, vec: dict, degree: int):
-    """Coordinates of vec over the canonical RREF basis, or None."""
+    """Coordinates {k: coefficient} of vec over the canonical RREF basis,
+    or None."""
     if not prims.contains(vec):
         return None
-    return [
-        (k, vec[p]) for k, p in enumerate(prims.pivots) if p in vec
-    ]
+    return {k: vec[p] for k, p in enumerate(prims.pivots) if p in vec}
 
 
 def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
@@ -106,7 +91,6 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
     on all basis pairs, raising NotABracket with a witness otherwise.
     """
     d = space.dim
-    one = space.field.one
     entries = {}
     for n, vecs in table.entries.items():
         prims = primitive_space(space, n)
@@ -136,25 +120,12 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
                             "block braiding left the primitive space "
                             "(degree %d)" % n
                         )
-                    for j2, val in table.value(n, coords).items():
-                        tgt = lead * d + j2
-                        cur = rhs.get(tgt)
-                        s = val if cur is None else cur + val
-                        if s.is_zero():
-                            rhs.pop(tgt, None)
-                        else:
-                            rhs[tgt] = s
-                bu = table.value(n, [(k, one)])
-                lhs: dict = {}
-                for v_idx, val in bu.items():
-                    img = space.apply_word(2, (1,), {v_idx * d + j: val})
-                    for col, s in img.items():
-                        cur = lhs.get(col)
-                        s2 = s if cur is None else cur + s
-                        if s2.is_zero():
-                            lhs.pop(col, None)
-                        else:
-                            lhs[col] = s2
+                    # each slice has its own lead letter: disjoint keys
+                    rhs.update({lead * d + j2: val for j2, val
+                                in table.value(n, coords).items()})
+                # c is linear: braid b(u) (x) e_j in one call
+                lhs = space.apply_word(2, (1,), {v * d + j: val
+                                                 for v, val in vecs[k].items()})
                 if lhs != rhs:
                     raise NotABracket(n, (k, j), "left compatibility fails")
                 # mirrored law: c(V (x) b) = (b (x) V) c_{V,E} on e_j (x) u
@@ -172,24 +143,11 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
                             "block braiding left the primitive space "
                             "(degree %d, mirrored)" % n
                         )
-                    for j2, val in table.value(n, coords).items():
-                        tgt = j2 * d + tail
-                        cur = rhs.get(tgt)
-                        s = val if cur is None else cur + val
-                        if s.is_zero():
-                            rhs.pop(tgt, None)
-                        else:
-                            rhs[tgt] = s
-                lhs = {}
-                for v_idx, val in bu.items():
-                    img = space.apply_word(2, (1,), {j * d + v_idx: val})
-                    for col, s in img.items():
-                        cur = lhs.get(col)
-                        s2 = s if cur is None else cur + s
-                        if s2.is_zero():
-                            lhs.pop(col, None)
-                        else:
-                            lhs[col] = s2
+                    # each slice has its own tail letter: disjoint keys
+                    rhs.update({j2 * d + tail: val for j2, val
+                                in table.value(n, coords).items()})
+                lhs = space.apply_word(2, (1,), {j * d + v: val
+                                                 for v, val in vecs[k].items()})
                 if lhs != rhs:
                     raise NotABracket(n, (k, j), "right compatibility fails")
     return BracketTable(space, entries, validated=True)
@@ -340,26 +298,22 @@ class FilteredQuotient:
         d = space.dim
         self.echelon.back_substitute()
         for row in list(self.echelon.pivot_rows.values()):
+            by_degree: dict[int, dict] = {}
+            for col, val in row.items():
+                k = self._degree_of_col(col)
+                by_degree.setdefault(k, {})[col - self.offsets[k]] = val
             for j in range(d):
                 moved: dict[int, dict] = {}
-                for col, val in row.items():
-                    k = self._degree_of_col(col)
-                    w = col - self.offsets[k]
+                for k, part in by_degree.items():
+                    # the block braiding is linear: one call per degree
                     img = space.braiding_block_apply(
-                        k, 1, {w * d + j: val})
+                        k, 1, {w * d + j: val for w, val in part.items()})
                     for c2, v2 in img.items():
                         lead, rest = divmod(c2, space.power(k))
-                        tgt = moved.setdefault(lead, {})
-                        key = self.offsets[k] + rest
-                        cur = tgt.get(key)
-                        s = v2 if cur is None else cur + v2
-                        if s.is_zero():
-                            tgt.pop(key, None)
-                        else:
-                            tgt[key] = s
-                for lead, sl in moved.items():
-                    if self.reduce(sl):
-                        return False
+                        # degrees own disjoint column blocks
+                        moved.setdefault(lead, {})[self.offsets[k] + rest] = v2
+                if any(self.reduce(sl) for sl in moved.values()):
+                    return False
         return True
 
 
@@ -496,48 +450,28 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
             rho_cache[col] = red
         return red
 
-    # unknowns: basis vectors of degrees 1..cutoff
+    # unknowns: basis vectors of degrees 1..cutoff; the image of each is its
+    # inner coproduct components pushed into quotient (x) quotient
     unknowns = []
+    images = []
     for k in range(1, cutoff + 1):
         for w in range(space.power(k)):
             unknowns.append((k, w))
-    rows: dict[tuple, dict] = {}
-    for idx, (k, w) in enumerate(unknowns):
-        if k < 2:
-            continue
-        for a in range(1, k):
-            b = k - a
-            img = delta_columns(space, a, b)[w]
-            for col, val in img.items():
-                u, v = divmod(col, space.power(b))
-                ru = rho(a, u)
-                rv = rho(b, v)
-                for c1, s1 in ru.items():
-                    for c2, s2 in rv.items():
-                        key = (c1, c2)
-                        tgt = rows.setdefault(key, {})
-                        cur = tgt.get(idx)
-                        s = val * s1 * s2 if cur is None else cur + val * s1 * s2
-                        if s.is_zero():
-                            tgt.pop(idx, None)
-                        else:
-                            tgt[idx] = s
-    solutions = kernel_basis(rows.values(), len(unknowns), one=one)
+            img: dict = {}
+            for a in range(1, k):
+                b = k - a
+                for col, val in delta_columns(space, a, b)[w].items():
+                    u, v = divmod(col, space.power(b))
+                    rv = rho(b, v)
+                    vec_axpy(img, val, {(c1, c2): s1 * s2
+                                        for c1, s1 in rho(a, u).items()
+                                        for c2, s2 in rv.items()})
+            images.append(img)
+    solutions = left_kernel(images, one=one)
     # span of the solutions in the quotient
     img_ech = Echelon(ncols)
     for sol in solutions:
-        acc: dict = {}
-        for idx, coeff in sol.items():
-            k, w = unknowns[idx]
-            for c, v in rho(k, w).items():
-                cur = acc.get(c)
-                s = coeff * v if cur is None else cur + coeff * v
-                if s.is_zero():
-                    acc.pop(c, None)
-                else:
-                    acc[c] = s
-        if acc:
-            img_ech.add(acc)
+        img_ech.add(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol))
     v_ech = Echelon(ncols)
     for j in range(d):
         red = rho(1, j)
@@ -578,12 +512,7 @@ def hecke_presentation(bracket: BracketTable):
     size = d * d
     for z in range(size):
         img = space.apply_word(2, (1,), {z: one})
-        cur = img.get(z)
-        s = -q if cur is None else cur - q
-        if s.is_zero():
-            img.pop(z, None)
-        else:
-            img[z] = s
+        vec_axpy(img, -q, {z: one})
         image_rows.append(img)
     image = Subspace.from_rows(size, (r for r in image_rows if r))
     if not (image == prims):

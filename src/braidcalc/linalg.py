@@ -11,6 +11,16 @@ sparsity of the input rows is preserved as far as the fill-in pattern of the
 pivot graph allows, which for the monomial and diagonal braidings that
 dominate this workbench means eliminations never leave the orbit of words
 a row touches.
+
+This module is the one place that does sparse arithmetic.  Its kernels:
+
+* `vec_axpy` (target += c * source, dropping cancelled entries) and `vec_eq`;
+* `matvec`, a sparse matrix given by its columns applied to a vector, which
+  is also the linear combination sum_i c_i v_i of a family;
+* `reduce_by_pivots`, the canonical remainder modulo pivot rows, shared by
+  `Echelon.reduce` and `Subspace.reduce`;
+* `kernel_basis`, the canonical free-column kernel of a set of constraint
+  rows, and `left_kernel`, the same routine on a transposed family.
 """
 
 from __future__ import annotations
@@ -40,6 +50,37 @@ def vec_eq(a: dict, b: dict) -> bool:
     return True
 
 
+def matvec(columns, vec: dict) -> dict:
+    """sum_w vec[w] * columns[w]: the matrix with these sparse columns applied
+    to vec, or equally the combination of a family with coefficients vec."""
+    out: dict = {}
+    for w, s in vec.items():
+        vec_axpy(out, s, columns[w])
+    return out
+
+
+def _clear_pivots(row: dict, pivots: dict, keep) -> None:
+    """Eliminate from row every pivot column except keep, ascending."""
+    for col in sorted(c for c in row if c in pivots and c != keep):
+        val = row.get(col)
+        if val is not None:
+            vec_axpy(row, -val, pivots[col])
+
+
+def reduce_by_pivots(row: dict, pivots: dict) -> dict:
+    """Remainder of row after eliminating every column of {pivot: row}."""
+    row = dict(row)
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            # eliminate any later pivot columns too, for a canonical remainder
+            _clear_pivots(row, pivots, lead)
+            return row
+        vec_axpy(row, -row[lead], prow)
+    return row
+
+
 class Echelon:
     """Mutable row echelon accumulator over a fixed column count."""
 
@@ -54,20 +95,7 @@ class Echelon:
 
     def reduce(self, row: dict) -> dict:
         """Return the remainder of row after eliminating all pivot columns."""
-        row = dict(row)
-        pivots = self.pivot_rows
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                # eliminate any later pivot columns too, for a canonical remainder
-                for col in sorted(c for c in row if c in pivots and c != lead):
-                    val = row.get(col)
-                    if val is not None:
-                        vec_axpy(row, -val, pivots[col])
-                return row
-            vec_axpy(row, -row[lead], prow)
-        return row
+        return reduce_by_pivots(row, self.pivot_rows)
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True when the rank grew."""
@@ -101,11 +129,7 @@ class Echelon:
             return
         pivots = self.pivot_rows
         for pcol in sorted(pivots, reverse=True):
-            row = pivots[pcol]
-            for col in sorted(c for c in row if c != pcol and c in pivots):
-                val = row.get(col)
-                if val is not None:
-                    vec_axpy(row, -val, pivots[col])
+            _clear_pivots(pivots[pcol], pivots, pcol)
         self._reduced = True
 
     def rows(self) -> list[dict]:
@@ -154,21 +178,9 @@ class Subspace:
 
     def reduce(self, vector: dict) -> dict:
         """Canonical remainder of a vector modulo this subspace."""
-        row = dict(vector)
-        index = self._index
-        if index is None:
-            index = self._index = dict(zip(self.pivots, self.rows))
-        while row:
-            lead = min(row)
-            prow = index.get(lead)
-            if prow is None:
-                for col in sorted(c for c in row if c in index and c != lead):
-                    val = row.get(col)
-                    if val is not None:
-                        vec_axpy(row, -val, index[col])
-                return row
-            vec_axpy(row, -row[lead], prow)
-        return row
+        if self._index is None:
+            self._index = dict(zip(self.pivots, self.rows))
+        return reduce_by_pivots(vector, self._index)
 
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)
@@ -190,14 +202,8 @@ class Subspace:
         reduced = [other.reduce(r) for r in self.rows]
         unit = next(iter(self.rows[0].values())).field.one
         combos = left_kernel(reduced, one=unit)
-        rows = []
-        for combo in combos:
-            acc: dict = {}
-            for i, coeff in combo.items():
-                vec_axpy(acc, coeff, self.rows[i])
-            if acc:
-                rows.append(acc)
-        return Subspace.from_rows(self.ncols, rows)
+        return Subspace.from_rows(self.ncols,
+                                  (matvec(self.rows, c) for c in combos))
 
     def __eq__(self, other):
         return (
@@ -224,16 +230,10 @@ def kernel_basis(rows, ncols: int, one=None) -> list[dict]:
     """
     ech = Echelon(ncols)
     ech.add_rows(rows)
-    return kernel_from_echelon(ech, one=one)
-
-
-def kernel_from_echelon(ech: Echelon, one=None) -> list[dict]:
     ech.back_substitute()
     pivots = ech.pivot_rows
     for row in pivots.values():
-        for val in row.values():
-            one = val.field.one
-            break
+        one = next(iter(row.values())).field.one
         break
     if one is None:
         raise ValueError("kernel of an empty constraint set needs a unit hint")
@@ -244,7 +244,7 @@ def kernel_from_echelon(ech: Echelon, one=None) -> list[dict]:
             if col != pcol and col not in pivots:
                 free_entries.setdefault(col, {})[pcol] = -val
     basis = []
-    for f in range(ech.ncols):
+    for f in range(ncols):
         if f in pivots:
             continue
         vec = dict(free_entries.get(f, {}))
@@ -254,31 +254,13 @@ def kernel_from_echelon(ech: Echelon, one=None) -> list[dict]:
 
 
 def left_kernel(vectors: list[dict], one=None) -> list[dict]:
-    """Basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse vectors."""
-    transposed: dict[int, dict] = {}
+    """Basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse vectors:
+    the kernel of the transposed family.  Column keys may be any hashables."""
+    transposed: dict = {}
     for i, vec in enumerate(vectors):
         for col, val in vec.items():
             transposed.setdefault(col, {})[i] = val
-            if one is None:
-                one = val.field.one
-    n = len(vectors)
-    if one is None:
-        raise ValueError("left kernel of an all-zero family needs a unit hint")
-    ech = Echelon(n)
-    ech.add_rows(transposed.values())
-    ech.back_substitute()
-    pivots = ech.pivot_rows
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        vec = {f: one}
-        for pcol, row in pivots.items():
-            val = row.get(f)
-            if val is not None:
-                vec[pcol] = -val
-        basis.append(vec)
-    return basis
+    return kernel_basis(transposed.values(), len(vectors), one=one)
 
 
 def rank_of_rows(rows, ncols: int) -> int:

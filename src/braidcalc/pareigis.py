@@ -26,7 +26,7 @@ from .errors import (
     NotInZetaSpace,
     RootOrderMismatch,
 )
-from .linalg import Echelon, Subspace, kernel_basis, left_kernel
+from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
 from .scalars import root_order
 from .spaces import BraidedSpace, matsumoto_lift
 from .tensorbialg import primitive_space
@@ -78,21 +78,15 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
     if degree < 2:
         return Subspace.from_rows(size, ({w: one} for w in range(size))) \
             if z2.is_one() else Subspace.zero(size)
-    rows: dict[tuple, dict] = {}
+    images = [{} for _ in range(size)]
     for i in range(1, degree):
         for w in range(size):
             img = space.apply_generator(
                 degree, i, space.apply_generator(degree, i, {w: one}))
-            cur = img.get(w)
-            s = -z2 if cur is None else cur - z2
-            if s.is_zero():
-                img.pop(w, None)
-            else:
-                img[w] = s
-            for r, val in img.items():
-                rows.setdefault((i, r), {})[w] = val
-    basis = kernel_basis(rows.values(), size, one=one)
-    current = Subspace.from_rows(size, basis)
+            vec_axpy(img, -z2, {w: one})
+            # generator i owns the key block [i d^n, (i + 1) d^n)
+            images[w].update({i * size + r: val for r, val in img.items()})
+    current = Subspace.from_rows(size, left_kernel(images, one=one))
     while current.dim:
         reductions = []
         for row in current.rows:
@@ -106,20 +100,8 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
         if all(not r for r in reductions):
             break
         combos = left_kernel(reductions, one=one)
-        new_rows = []
-        for combo in combos:
-            acc = {}
-            for idx, coeff in combo.items():
-                for c, v in current.rows[idx].items():
-                    cur = acc.get(c)
-                    s = coeff * v if cur is None else cur + coeff * v
-                    if s.is_zero():
-                        acc.pop(c, None)
-                    else:
-                        acc[c] = s
-            if acc:
-                new_rows.append(acc)
-        shrunk = Subspace.from_rows(size, new_rows)
+        shrunk = Subspace.from_rows(
+            size, (matvec(current.rows, c) for c in combos))
         if shrunk.dim == current.dim:
             break
         current = shrunk
@@ -176,14 +158,7 @@ def pi_zeta(space: BraidedSpace, n: int, zeta, vec: dict,
                 "vector is outside the degree-%d zeta-eigenspace" % n)
     acc: dict = {}
     for word, scale in _action_terms(space, n, zeta):
-        img = space.apply_word(n, word, vec)
-        for c, v in img.items():
-            cur = acc.get(c)
-            s = scale * v if cur is None else cur + scale * v
-            if s.is_zero():
-                acc.pop(c, None)
-            else:
-                acc[c] = s
+        vec_axpy(acc, scale, space.apply_word(n, word, vec))
     return acc
 
 
@@ -251,36 +226,19 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
         conds.append((word_in, word_out, scale))
     for row in carrier.rows:
         acc = {}
+        minus_row = {c: -v for c, v in row.items()}
         for k, (word_in, word_out, scale) in enumerate(conds):
             img = space.apply_word(n + 1, word_in, row)
             img = space.apply_generator(n + 1, 1, space.apply_generator(n + 1, 1, img))
             img = space.apply_word(n + 1, word_out, img)
-            for c, v in img.items():
-                sv = scale * v
-                cur = row.get(c)
-                if cur is not None:
-                    sv = sv - cur
-                if not sv.is_zero():
-                    acc[k * size + c] = sv
-            for c, cur in row.items():
-                if c not in img:
-                    acc[k * size + c] = -cur
+            diff = dict(minus_row)
+            vec_axpy(diff, scale, img)
+            # condition k owns the key block [k d^(n+1), (k + 1) d^(n+1))
+            acc.update({k * size + c: v for c, v in diff.items()})
         reductions.append(acc)
     combos = left_kernel(reductions, one=one)
-    rows = []
-    for combo in combos:
-        acc = {}
-        for idx, coeff in combo.items():
-            for c, v in carrier.rows[idx].items():
-                curv = acc.get(c)
-                s = coeff * v if curv is None else curv + coeff * v
-                if s.is_zero():
-                    acc.pop(c, None)
-                else:
-                    acc[c] = s
-        if acc:
-            rows.append(acc)
-    return MixedZetaSpace(n, zeta, Subspace.from_rows(size, rows))
+    return MixedZetaSpace(n, zeta, Subspace.from_rows(
+        size, (matvec(carrier.rows, c) for c in combos)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +248,8 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
 def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     """[z] for z in V^(x)2 with c^2 z = z: b_2(z - c z)."""
     space = bracket.space
-    img = space.apply_word(2, (1,), vec)
     anti = dict(vec)
-    for c, v in img.items():
-        cur = anti.get(c)
-        s = -v if cur is None else cur - v
-        if s.is_zero():
-            anti.pop(c, None)
-        else:
-            anti[c] = s
+    vec_axpy(anti, -space.field.one, space.apply_word(2, (1,), vec))
     prims = primitive_space(space, 2)
     coords = _coords_in_primitives(prims, anti, 2)
     if coords is None:
@@ -322,15 +273,9 @@ def _apply_first_slice(space, bracket, n, zeta, vec, zs_check: Subspace):
             raise NotInZetaSpace(
                 "first-factor slice left the degree-%d zeta space; "
                 "the identity precondition fails" % n)
-        val = induced_bracket(bracket, n, zeta, sl)
-        for t, v in val.items():
-            key = j * d + t
-            cur = out.get(key)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+        # each slice has its own first letter j: disjoint keys
+        out.update({j * d + t: v for t, v
+                    in induced_bracket(bracket, n, zeta, sl).items()})
     return out
 
 
@@ -357,6 +302,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     _require_primitive_root(zeta, n)
     space.check_budget(n + 1)
     zs = zeta_space(space, n, zeta)
+    one = space.field.one
     results = {}
 
     # PL1: invariance of [x] under the twisted symmetric-group action
@@ -386,14 +332,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
                                            zs.subspace)
             if not inner_val:
                 continue
-            outer = _pair_bracket(bracket, inner_val)
-            for t, v in outer.items():
-                cur = total.get(t)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    total.pop(t, None)
-                else:
-                    total[t] = s
+            vec_axpy(total, one, _pair_bracket(bracket, inner_val))
         if total:
             ok = False
             break
@@ -421,28 +360,15 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
                 grouped.setdefault((head, tail), {})[pair] = val
             collapsed: dict = {}
             for (head, tail), pair_vec in grouped.items():
-                val = _pair_bracket(bracket, pair_vec)
-                for t, v in val.items():
-                    key = (head * d + t) * size_tail + tail
-                    cur = collapsed.get(key)
-                    s = v if cur is None else cur + v
-                    if s.is_zero():
-                        collapsed.pop(key, None)
-                    else:
-                        collapsed[key] = s
+                # each (head, tail) group fills its own keys
+                collapsed.update({(head * d + t) * size_tail + tail: v for t, v
+                                  in _pair_bracket(bracket, pair_vec).items()})
             if not collapsed:
                 continue
             if not zs.subspace.contains(collapsed):
                 raise NotInZetaSpace(
                     "middle-bracket image left the degree-%d zeta space" % n)
-            val = induced_bracket(bracket, n, zeta, collapsed)
-            for t, v in val.items():
-                cur = rhs.get(t)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    rhs.pop(t, None)
-                else:
-                    rhs[t] = s
+            vec_axpy(rhs, one, induced_bracket(bracket, n, zeta, collapsed))
         if lhs != rhs:
             ok = False
             break

@@ -22,7 +22,7 @@ from .errors import (
     SingularBraiding,
     YBENotSatisfied,
 )
-from .linalg import Echelon
+from .linalg import Echelon, vec_axpy, vec_eq
 from .scalars import CycloField, CycloScalar, Q, is_regular_exact
 
 DEFAULT_DEGREE_BUDGET = 8
@@ -172,16 +172,13 @@ class BraidedSpace:
         D = d * d
         one = self.field.one
         # rows of [C | I] in pair coordinates, then Gauss-Jordan
-        rows = {}
+        rows: dict[int, dict] = {}
         for (a, b), images in self.pairs.items():
-            col = a * d + b
             for (a2, b2), s in images:
-                rows.setdefault(a2 * d + b2, {})[col] = (
-                    rows.get(a2 * d + b2, {}).get(col, self.field.zero) + s
-                )
+                vec_axpy(rows.setdefault(a2 * d + b2, {}), s, {a * d + b: one})
         ech = Echelon(2 * D)
         for r in range(D):
-            row = {c: v for c, v in rows.get(r, {}).items() if not v.is_zero()}
+            row = rows.get(r, {})
             row[D + r] = one
             ech.add(row)
         if ech.rank < D or any(p >= D for p in ech.pivot_rows):
@@ -203,13 +200,8 @@ class BraidedSpace:
             for j in range(d):
                 for k in range(d):
                     start = {word_index((i, j, k), d): self.field.one}
-                    lhs = self.apply_word(3, (1, 2, 1), start)
-                    rhs = self.apply_word(3, (2, 1, 2), start)
-                    for col, val in rhs.items():
-                        cur = lhs.get(col)
-                        if cur is None or not (cur == val):
-                            raise YBENotSatisfied((i, j, k))
-                    if len(lhs) != len(rhs):
+                    if not vec_eq(self.apply_word(3, (1, 2, 1), start),
+                                  self.apply_word(3, (2, 1, 2), start)):
                         raise YBENotSatisfied((i, j, k))
 
     # -- basic structure -------------------------------------------------------
@@ -323,25 +315,9 @@ class BraidedSpace:
                     coeffs.append(rem.get(flat_cols + j, self.field.zero) / lead)
                 return tuple(coeffs)
             ech.add(flat)
-            # multiply by c: next power columns
-            new_power = {}
-            for col, colvec in power.items():
-                out: dict = {}
-                for mid, val in colvec.items():
-                    a, b = divmod(mid, d)
-                    for (a2, b2), s in self.pairs.get((a, b), ()):
-                        tgt = a2 * d + b2
-                        cur = out.get(tgt)
-                        if cur is None:
-                            out[tgt] = val * s
-                        else:
-                            new = cur + val * s
-                            if new.is_zero():
-                                del out[tgt]
-                            else:
-                                out[tgt] = new
-                new_power[col] = out
-            power = new_power
+            # multiply by c: pair coordinates are degree-2 word coordinates
+            power = {col: self.apply_generator(2, 1, colvec)
+                     for col, colvec in power.items()}
             k += 1
 
     def hecke_analysis(self):

@@ -12,13 +12,15 @@ The quantum symmetrizer in degree n is built by the recursion
 whose ranks are the graded dimensions of the Nichols algebra; the direct
 length-weighted sum over all of S_n is kept as an independent test oracle.
 Primitive spaces are the intersections of the kernels of all inner coproduct
-components.
+components; `coproduct_kernel` computes that kernel, optionally modulo a
+quotient, for the primitives, the quotient primitives of a tower and the
+injectivity ladder alike.
 """
 
 from __future__ import annotations
 
 from .errors import BadParams
-from .linalg import Echelon, Subspace, kernel_basis, left_kernel
+from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy, vec_eq
 from .spaces import BraidedSpace, matsumoto_lift
 
 
@@ -99,30 +101,6 @@ def delta_component(space: BraidedSpace, a: int, b: int) -> DeltaComponent:
     return DeltaComponent(a, b, delta_columns(space, a, b))
 
 
-def matvec(columns, vec: dict) -> dict:
-    out: dict = {}
-    for w, s in vec.items():
-        for r, t in columns[w].items():
-            cur = out.get(r)
-            if cur is None:
-                out[r] = s * t
-            else:
-                new = cur + s * t
-                if new.is_zero():
-                    del out[r]
-                else:
-                    out[r] = new
-    return out
-
-
-def transpose_columns(columns):
-    rows: dict[int, dict] = {}
-    for w, col in enumerate(columns):
-        for r, val in col.items():
-            rows.setdefault(r, {})[w] = val
-    return rows
-
-
 def symmetrizer(space: BraidedSpace, n: int) -> Symmetrizer:
     """The degree-n quantum symmetrizer, built by the (n-1, 1) recursion."""
     space.check_budget(n)
@@ -179,18 +157,7 @@ def symmetrizer_direct(space: BraidedSpace, n: int):
     for sigma in itertools.permutations(range(n)):
         letters = matsumoto_lift(sigma).letters
         for w in range(size):
-            img = space.apply_word(n, letters, {w: one})
-            col = cols[w]
-            for r, val in img.items():
-                cur = col.get(r)
-                if cur is None:
-                    col[r] = val
-                else:
-                    new = cur + val
-                    if new.is_zero():
-                        del col[r]
-                    else:
-                        col[r] = new
+            vec_axpy(cols[w], one, space.apply_word(n, letters, {w: one}))
     return cols
 
 
@@ -202,32 +169,46 @@ def symmetrizer_factorization_check(space: BraidedSpace, a: int, b: int) -> bool
     gb = symmetrizer(space, b).columns
     delta = delta_columns(space, a, b)
     dim_b = space.power(b)
-    for w in range(space.power(n)):
-        acc: dict = {}
-        for u, s in delta[w].items():
-            hi, lo = divmod(u, dim_b)
-            for r1, t1 in ga[hi].items():
-                base = r1 * dim_b
-                st1 = s * t1
-                for r2, t2 in gb[lo].items():
-                    tgt = base + r2
-                    cur = acc.get(tgt)
-                    if cur is None:
-                        acc[tgt] = st1 * t2
-                    else:
-                        new = cur + st1 * t2
-                        if new.is_zero():
-                            del acc[tgt]
-                        else:
-                            acc[tgt] = new
-        ref = whole[w]
-        if len(acc) != len(ref):
-            return False
-        for rkey, val in ref.items():
-            other = acc.get(rkey)
-            if other is None or not (other == val):
-                return False
-    return True
+    # columns of Gamma_a (x) Gamma_b, word u = (hi, lo)
+    kron = [{r1 * dim_b + r2: t1 * t2
+             for r1, t1 in ga[u // dim_b].items()
+             for r2, t2 in gb[u % dim_b].items()}
+            for u in range(space.power(n))]
+    return all(vec_eq(matvec(kron, delta[w]), whole[w])
+               for w in range(space.power(n)))
+
+
+def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
+                     reduce=None) -> list[dict]:
+    """Basis of {x in V^(x)n : reduce(Delta^(a, n-a) x, a, n-a) = 0, a in parts}.
+
+    dims[k] is the dimension of the degree-k target, which prices component a
+    at dims[a] * dims[n-a] constraint rows.  When all parts together cost at
+    most 2 d^n rows the stacked system is solved at once; otherwise the
+    kernel is shrunk one component at a time, the cheapest first.
+    """
+    size = space.power(n)
+    cost = {a: dims[a] * dims[n - a] for a in parts}
+    if sum(cost.values()) <= 2 * size:
+        groups = [list(parts)]
+    else:
+        groups = [[a] for a in sorted(parts, key=cost.get)]
+    basis = None  # the unit basis of V^(x)n, whose images are the columns
+    for group in groups:
+        stacked = [{} for _ in range(size if basis is None else len(basis))]
+        for a in group:
+            cols = delta_columns(space, a, n - a)
+            images = cols if basis is None else [matvec(cols, v) for v in basis]
+            for vec, img in zip(stacked, images):
+                if reduce is not None:
+                    img = reduce(img, a, n - a)
+                # component a owns the key block [a d^n, (a + 1) d^n)
+                vec.update({a * size + r: val for r, val in img.items()})
+        combos = left_kernel(stacked, one=space.field.one)
+        basis = combos if basis is None else [matvec(basis, c) for c in combos]
+        if not basis:
+            break
+    return basis
 
 
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
@@ -240,36 +221,8 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     cached = space._memo.get(key)
     if cached is not None:
         return cached
-    one = space.field.one
-    # the (1, n-1) kernel first: highest expected rank, smallest carrier after
-    rows = transpose_columns(delta_columns(space, 1, n - 1))
-    basis = kernel_basis(rows.values(), size, one=one)
-    for a in range(2, n - 1 + 1):
-        if not basis:
-            break
-        if a == n - a and n - a == 1:
-            continue
-        cols = delta_columns(space, a, n - a)
-        images = [matvec(cols, v) for v in basis]
-        combos = left_kernel(images, one=one)
-        new_basis = []
-        for combo in combos:
-            acc: dict = {}
-            for i, coeff in combo.items():
-                for c, v in basis[i].items():
-                    cur = acc.get(c)
-                    if cur is None:
-                        acc[c] = coeff * v
-                    else:
-                        new = cur + coeff * v
-                        if new.is_zero():
-                            del acc[c]
-                        else:
-                            acc[c] = new
-            if acc:
-                new_basis.append(acc)
-        basis = new_basis
-    result = Subspace.from_rows(size, basis)
+    dims = [space.power(k) for k in range(n + 1)]
+    result = Subspace.from_rows(size, coproduct_kernel(space, n, range(1, n), dims))
     space._memo[key] = result
     return result
 

@@ -17,17 +17,18 @@ exhaustive.  Otherwise the verdict is a lower bound at the cutoff.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
 from .linalg import (
     Echelon,
     Subspace,
-    kernel_basis,
-    left_kernel,
+    matvec,
     row_tensor_basis_left,
     row_tensor_basis_right,
 )
 from .spaces import BraidedSpace
-from .tensorbialg import delta_columns, matvec, primitive_space, symmetrizer
+from .tensorbialg import coproduct_kernel, delta_columns, primitive_space, symmetrizer
 
 
 class IdealTower:
@@ -275,55 +276,9 @@ def quotient_primitives(qb: QuotientBialgebra, n: int) -> Subspace:
         ech = tower.components[n].echelon()
         ech.add_rows(prims.rows)
         return Subspace.from_echelon(ech)
-    one = space.field.one
-    dims = qb.dims
-    # expected constraint rows if we stack all bidegrees at once
-    stacked_rows = sum(dims[a] * dims[n - a] for a in range(1, n))
-    if stacked_rows <= 2 * size:
-        rows: dict[tuple, dict] = {}
-        for a in range(1, n):
-            cols = delta_columns(space, a, n - a)
-            for w in range(size):
-                red = reduce_bidegree(tower, cols[w], a, n - a)
-                for r, val in red.items():
-                    rows.setdefault((a, r), {})[w] = val
-        basis = kernel_basis(rows.values(), size, one=one)
-        return Subspace.from_rows(size, basis)
-    # refinement route: cheapest bidegree first, then shrink
-    order = sorted(range(1, n), key=lambda a: dims[a] * dims[n - a])
-    basis = None
-    for a in order:
-        cols = delta_columns(space, a, n - a)
-        if basis is None:
-            rows = {}
-            for w in range(size):
-                red = reduce_bidegree(tower, cols[w], a, n - a)
-                for r, val in red.items():
-                    rows.setdefault(r, {})[w] = val
-            basis = kernel_basis(rows.values(), size, one=one)
-        else:
-            images = [reduce_bidegree(tower, matvec(cols, v), a, n - a) for v in basis]
-            combos = left_kernel(images, one=one)
-            new_basis = []
-            for combo in combos:
-                acc: dict = {}
-                for i, coeff in combo.items():
-                    for c, v in basis[i].items():
-                        cur = acc.get(c)
-                        if cur is None:
-                            acc[c] = coeff * v
-                        else:
-                            s = cur + coeff * v
-                            if s.is_zero():
-                                del acc[c]
-                            else:
-                                acc[c] = s
-                if acc:
-                    new_basis.append(acc)
-            basis = new_basis
-        if not basis:
-            break
-    return Subspace.from_rows(size, basis or [])
+    basis = coproduct_kernel(space, n, range(1, n), qb.dims,
+                             partial(reduce_bidegree, tower))
+    return Subspace.from_rows(size, basis)
 
 
 def symmetric_step(qb: QuotientBialgebra, verify: str = "light",
@@ -453,19 +408,12 @@ def delta_injectivity_ladder(qb: QuotientBialgebra, upto: int) -> dict:
     a + b <= k + 1.
     """
     tower = qb.tower
-    space = tower.space
+    dims = qb.dims
+    reduce = partial(reduce_bidegree, tower)
     out = {}
     for n in range(2, upto + 1):
+        J_n = tower.components[n]
         for a in range(1, n):
-            b = n - a
-            cols = delta_columns(space, a, b)
-            size = space.power(n)
-            rows: dict[int, dict] = {}
-            for w in range(size):
-                red = reduce_bidegree(tower, cols[w], a, b)
-                for r, val in red.items():
-                    rows.setdefault(r, {})[w] = val
-            kernel = kernel_basis(rows.values(), size, one=space.field.one)
-            J_n = tower.components[n]
-            out[(a, b)] = all(J_n.contains(v) for v in kernel)
+            kernel = coproduct_kernel(tower.space, n, [a], dims, reduce)
+            out[(a, n - a)] = all(J_n.contains(v) for v in kernel)
     return out

@@ -390,3 +390,97 @@ def test_unparsable_cache_entry_is_recomputed(tmp_path):
     json.loads(entries[0].read_text())  # rewritten in full
     third = run(job, cache_dir=str(cache))
     assert [t["cached"] for t in third.tasks] == [True, True]
+
+
+def test_jobs_flag_does_not_repeat_shared_work(tmp_path, capsys, monkeypatch):
+    # --jobs is accepted and ignored: tasks sharing a tower build it once
+    import pathlib
+
+    import braidcalc.tower as tower
+
+    calls = []
+    step = tower.symmetric_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(tower, "symmetric_step", counted)
+    jobfile = pathlib.Path(__file__).resolve().parent.parent / "jobs" / \
+        "root_of_unity_scalar.job"
+    counts = {}
+    for jobs in ("1", "2"):
+        del calls[:]
+        assert main(["--input", str(jobfile), "--no-cache", "--jobs", jobs,
+                     "--output", str(tmp_path / "report.json")]) == 0
+        capsys.readouterr()
+        counts[jobs] = len(calls)
+    assert 0 < counts["2"] <= counts["1"]
+
+
+@pytest.mark.parametrize("task, phrase", [
+    ("nichols = z", "non-negative integer"),
+    ("nichols = -3", "non-negative integer"),
+    ("e_spaces = 5..2", "is empty"),
+    ("sdeg = 1..3", "non-negative integer"),
+])
+def test_bad_task_argument_is_a_validation_error(tmp_path, capsys, task, phrase):
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\nkind = flip\nd = 2\n[tasks]\nybe\n%s\n"
+        % task, 8, phrase)
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_degree_override_below_one_is_rejected(tmp_path, capsys, degree):
+    jobfile = tmp_path / "job.txt"
+    jobfile.write_text(TWODIM_JOB)
+    assert main(["--input", str(jobfile), "--no-cache",
+                 "--degree", degree]) == 1
+    captured = capsys.readouterr()
+    assert "--degree" in captured.err and not captured.out
+
+
+def test_edited_cache_entry_is_recomputed(tmp_path):
+    job = parse_spec(TWODIM_JOB)
+    cache = tmp_path / "cache"
+    fresh = run(job, cache_dir=str(cache))
+    entry = next(p for p in cache.glob("*.json")
+                 if b'{"dims":[1,2,' in p.read_bytes())
+    edited = entry.read_bytes().replace(b'{"dims":[1,2,', b'{"dims":[1,3,')
+    assert edited != entry.read_bytes()
+    json.loads(edited)  # still valid JSON
+    entry.write_bytes(edited)
+    second = run(job, cache_dir=str(cache))
+    assert [t["result"] for t in second.tasks] == \
+        [t["result"] for t in fresh.tasks]
+    flags = {t["name"]: t["cached"] for t in second.tasks}
+    assert flags == {"sdeg": True, "nichols": False}
+    assert run(job, cache_dir=str(cache)).tasks[1]["cached"]
+
+
+def test_documented_task_arguments_parse():
+    # the [tasks] block of the README's job grammar, root exponent -1 included
+    job = parse_spec("""
+[field]
+m = 4
+[space]
+kind = scalar
+d = 2
+q = z
+[tasks]
+ybe
+min_poly
+e_spaces = 2..4
+nichols = 6
+nichols_tower = 6
+sdeg = 6
+quadratic = 4
+bracket
+lie_check = 4, 2
+pbw = 4, 2
+hecke
+pareigis = 2, -1
+pl_verify = 2
+""")
+    assert dict(job.tasks)["pareigis"] == (2, -1)

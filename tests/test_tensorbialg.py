@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidcalc.errors import DegreeBudgetExceeded
-from braidcalc.linalg import Subspace, rank_of_rows
+from braidcalc.linalg import Subspace, kernel_basis, rank_of_rows
 from braidcalc.scalars import field_make, q_factorial, q_int
 from braidcalc.spaces import (
     make_braiding,
@@ -319,3 +319,26 @@ def test_budget_guard():
         delta_columns(fl, 2, 2)
     with pytest.raises(DegreeBudgetExceeded):
         nichols_dims(fl, 4)
+
+
+def _component_kernel(space, a, n):
+    """ker Delta^(a, n-a) from its constraint rows, the transposed columns."""
+    rows = {}
+    for word, col in enumerate(delta_columns(space, a, n - a)):
+        for r, val in col.items():
+            rows.setdefault(r, {})[word] = val
+    size = space.power(n)
+    return Subspace.from_rows(
+        size, kernel_basis(rows.values(), size, one=space.field.one))
+
+
+def test_primitive_space_is_the_intersection_of_component_kernels():
+    for space in (make_braiding("flip", {"d": 2}, F1),
+                  make_preset("d4_rack", F1),
+                  make_preset("gurevich", F1),
+                  make_preset("cartan_An", F3, n=2, t=3)):
+        for n in range(2, 5):
+            expected = _component_kernel(space, 1, n)
+            for a in range(2, n):
+                expected = expected.intersection(_component_kernel(space, a, n))
+            assert primitive_space(space, n) == expected, (space.kind, n)

@@ -322,3 +322,24 @@ def test_tower_memo_resumes_after_truncated_run(monkeypatch):
     assert len(calls) == len(full)
     assert _verdict(sdeg(ca, 6)) == _verdict(
         sdeg(make_preset("cartan_An", F3, n=2, t=3), 6))
+
+
+def test_stacked_and_one_at_a_time_kernels_agree():
+    from functools import partial
+
+    from braidcalc.tensorbialg import coproduct_kernel
+
+    for space in (make_preset("d4_rack", F1),
+                  make_preset("cartan_An", F3, n=2, t=3)):
+        qb = tower_iterates(space, 4, max_steps=1)[1]
+        reduce = partial(reduce_bidegree, qb.tower)
+        for n in (3, 4):
+            size = space.power(n)
+            parts = range(1, n)
+            # zero cost keeps the stacked system under 2 d^n rows; d^n per
+            # degree prices every component at d^2n and forces one at a time
+            stacked = coproduct_kernel(space, n, parts, [0] * (n + 1), reduce)
+            shrunk = coproduct_kernel(space, n, parts, [size] * (n + 1), reduce)
+            assert Subspace.from_rows(size, stacked) == \
+                Subspace.from_rows(size, shrunk) == \
+                quotient_primitives(qb, n), (space.kind, n)
