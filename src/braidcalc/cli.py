@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -46,12 +47,22 @@ from .tensorbialg import nichols_dims, primitive_space
 from .tower import is_quadratic, nichols_via_tower, sdeg
 
 MAX_DEGREE = 12
+MAX_DIM = 16          # generators of a declared space
+MAX_WORDS = 1 << 16   # d^n, the words of the top degree a task works in
 
 TASK_NAMES = (
     "ybe", "min_poly", "e_spaces", "nichols", "nichols_tower", "sdeg",
     "quadratic", "bracket", "lie_check", "pbw", "hecke", "pareigis",
     "pl_verify",
 )
+
+# the arguments a task takes where its job line omits them
+_TASK_DEFAULTS = {"e_spaces": [2], "nichols": [4], "nichols_tower": [4],
+                  "sdeg": [4], "quadratic": [4], "lie_check": [4, 2],
+                  "pbw": [4, 2], "pareigis": [2, 1], "pl_verify": [2]}
+
+# generators of the presets that no parameter sizes
+_PRESET_DIMS = {"d4_rack": 4, "gurevich": 3, "twodim_sdeg2": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +202,7 @@ def parse_spec(text: str) -> JobSpec:
     brackets = []
     bracket_lines = None
     tasks = []
+    task_degrees = []  # (top tensor degree, line) per task
     section = None
 
     raw = []
@@ -259,7 +271,8 @@ def parse_spec(text: str) -> JobSpec:
                 name, args = stripped, ()
             if name not in TASK_NAMES:
                 raise ParseError(lineno, "unknown task %r" % name)
-            _check_task_args(name, args, field, lineno)
+            task_degrees.append(
+                (_check_task_args(name, args, field, lineno), lineno))
             tasks.append((name, args))
         elif section is None:
             raise ParseError(lineno, "content outside any section")
@@ -294,6 +307,15 @@ def parse_spec(text: str) -> JobSpec:
     if "d" in params and (not isinstance(params["d"], int) or params["d"] < 1):
         raise ValidationError("d must be a positive integer",
                               line=space_lines["d"][1])
+    dim, dim_key = _declared_dim(params)
+    if dim > MAX_DIM:
+        raise ValidationError("dimension %d exceeds the global limit %d" % (
+            dim, MAX_DIM), line=space_lines[dim_key][1] if dim_key else kind_line)
+    for degree, lineno in task_degrees:
+        if dim ** degree > MAX_WORDS:
+            raise ValidationError(
+                "degree %d on %d generators exceeds the global limit of %d "
+                "words" % (degree, dim, MAX_WORDS), line=lineno)
     space_decl = {"kind": kind, "params": params}
 
     bracket_decls = []
@@ -315,10 +337,28 @@ def parse_spec(text: str) -> JobSpec:
                    degree_budget=degree_budget)
 
 
+def _declared_dim(params):
+    """A space's dimension, read without building it, and the parameter it
+    comes from: n for cartan_An, else d, else the rows of q or of the d^2 x d^2
+    matrix; a fixed preset's size or the presets' default 2 come from none."""
+    name = params.get("name")
+    if name in _PRESET_DIMS:
+        return _PRESET_DIMS[name], None
+    key = "n" if name == "cartan_An" else "d"
+    if isinstance(params.get(key), int):
+        return params[key], key
+    for key in ("q", "matrix"):
+        if isinstance(params.get(key), list):
+            rows = len(params[key])
+            return (rows if key == "q" else math.isqrt(rows)), key
+    return 2, None
+
+
 def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
     """Task arguments are integers in 0..MAX_DEGREE, except the root exponent
-    of pareigis, which may be negative; only e_spaces takes a range lo..hi,
-    as its first argument, and its bounds must not be inverted."""
+    of pareigis, which may be negative and must be coprime to an arity >= 3;
+    only e_spaces takes a range lo..hi, as its first argument, and its bounds
+    must not be inverted.  Returns the top tensor degree the task works in."""
     values = list(args)
     if name == "e_spaces" and args and isinstance(args[0], tuple):
         values[:1] = args[0][1:]
@@ -341,6 +381,15 @@ def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
             raise ValidationError(
                 "task %s at arity %d needs %d | m (m = %d): no primitive "
                 "root available" % (name, n, n, field.order), line=line)
+        if name == "pareigis" and n > 2 and len(args) > 1 and \
+                math.gcd(args[1], n) != 1:
+            raise ValidationError(
+                "task pareigis: root exponent %d is not coprime to the arity "
+                "%d" % (args[1], n), line=line)
+    given = values + _TASK_DEFAULTS.get(name, [0])[len(values):]
+    if name in ("lie_check", "pbw"):
+        return given[0] + given[1]  # the filtration reaches cutoff + slack
+    return given[0] if name == "pareigis" else max(given)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +406,8 @@ def _subspace_payload(space, subspace, degree):
     return {"dim": subspace.dim, "basis": rows}
 
 
-def _int_arg(args, idx, default):
-    return args[idx] if len(args) > idx else default
+def _int_arg(name, args, idx):
+    return args[idx] if len(args) > idx else _TASK_DEFAULTS[name][idx]
 
 
 class _JobContext:
@@ -412,20 +461,20 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
         if args and isinstance(args[0], tuple) and args[0][0] == "range":
             lo, hi = args[0][1], args[0][2]
         else:
-            lo = _int_arg(args, 0, 2)
-            hi = _int_arg(args, 1, lo)
+            lo = _int_arg(name, args, 0)
+            hi = args[1] if len(args) > 1 else lo
         out = {}
         for n in range(lo, hi + 1):
             out[str(n)] = _subspace_payload(space, primitive_space(space, n), n)
         return {"primitives": out}
     if name == "nichols":
-        upto = ctx.degree(_int_arg(args, 0, 4))
+        upto = ctx.degree(_int_arg(name, args, 0))
         return {"dims": nichols_dims(space, upto)}
     if name == "nichols_tower":
-        upto = ctx.degree(_int_arg(args, 0, 4))
+        upto = ctx.degree(_int_arg(name, args, 0))
         return {"dims": nichols_via_tower(space, upto)}
     if name == "sdeg":
-        upto = ctx.degree(_int_arg(args, 0, 4))
+        upto = ctx.degree(_int_arg(name, args, 0))
         verdict = sdeg(space, upto)
         return {
             "value": verdict.value,
@@ -438,7 +487,7 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
             ],
         }
     if name == "quadratic":
-        upto = ctx.degree(_int_arg(args, 0, 4))
+        upto = ctx.degree(_int_arg(name, args, 0))
         return {"quadratic": is_quadratic(space, upto)}
     if name == "bracket":
         if ctx.bracket is None:
@@ -451,8 +500,8 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
     if name in ("lie_check", "pbw"):
         if ctx.bracket is None:
             raise ValidationError("task %s needs a [bracket] section" % name)
-        cutoff = _int_arg(args, 0, 4)
-        slack = _int_arg(args, 1, 2)
+        cutoff = _int_arg(name, args, 0)
+        slack = _int_arg(name, args, 1)
         fq = enveloping_filtration(ctx.bracket, cutoff, slack)
         if name == "lie_check":
             verdict = lie_check(ctx.bracket, cutoff, slack, filtration=fq)
@@ -496,10 +545,10 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
             payload["induced_bracket_zero"] = pres.induced_bracket_zero
         return payload
     if name == "pareigis":
-        n = _int_arg(args, 0, 2)
-        exponent = _int_arg(args, 1, 1)
+        n = _int_arg(name, args, 0)
+        exponent = _int_arg(name, args, 1)
         # at arity 2 the only primitive root is -1, whatever the exponent says
-        zeta = ctx.field.root_of_unity(n, exponent if exponent > 0 else 1)
+        zeta = ctx.field.root_of_unity(n, exponent % n)
         zs = zeta_space(space, n, zeta)
         return {
             "arity": n,
@@ -509,7 +558,7 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
             "pi_images_span_primitives": check_pi_su(space, n),
         }
     if name == "pl_verify":
-        n = _int_arg(args, 0, 2)
+        n = _int_arg(name, args, 0)
         bracket = ctx.bracket or BracketTable.zero(space, min(4, space.degree_budget))
         return {"arity": n, **verify_PL(bracket, n)}
     raise ValidationError("unknown task %r" % name)
@@ -674,8 +723,11 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print("braidcalc: %s" % exc, file=sys.stderr)
         return 1
-    if opts.degree is not None and not 1 <= opts.degree <= MAX_DEGREE:
-        print("braidcalc: --degree must lie in 1..%d" % MAX_DEGREE,
+    dim = _declared_dim(job.space_decl["params"])[0]
+    if opts.degree is not None and not (1 <= opts.degree <= MAX_DEGREE and
+                                        dim ** opts.degree <= MAX_WORDS):
+        print("braidcalc: --degree must lie in 1..%d and give at most %d "
+              "words on %d generators" % (MAX_DEGREE, MAX_WORDS, dim),
               file=sys.stderr)
         return 1
     try:

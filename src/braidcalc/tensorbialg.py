@@ -5,12 +5,16 @@ concatenated word coordinates (an endomorphism matrix of V^(x)(a+b)) and is
 computed by the multiplicative recursion Delta(w'x) = Delta(w') Delta(x), as
 Delta is an algebra map into T(V) (x)_c T(V); the shuffle sum
 sum_{sigma in (a|b)-shuffles} lift(sigma^(-1)) is the test reference.
-The quantum symmetrizer in degree n is built by the recursion
+The quantum symmetrizer in degree n satisfies the recursion
 
     Gamma_n = (Gamma_(n-1) (x) Id) . Delta^(n-1,1),      Gamma_0 = Gamma_1 = Id,
 
-whose ranks are the graded dimensions of the Nichols algebra; the direct
-length-weighted sum over all of S_n is kept as an independent test oracle.
+and its rank is dim B^n, a graded dimension of the Nichols algebra.  The
+ranks come without Gamma_n, by the derivation recursion: if ker pi_(n-1) =
+ker Gamma_(n-1), then ker Gamma_n = ker (pi_(n-1) (x) Id) . Delta^(n-1,1),
+whose images have dim B^(n-1) * d coordinates; their echelon's pivot
+coordinates are injective on their span and give pi_n.  Gamma_n and the
+direct length-weighted sum over S_n are built only as independent oracles.
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
 quotient, for the primitives, the quotient primitives of a tower and the
@@ -227,7 +231,35 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     return result
 
 
+def _nichols_images(space: BraidedSpace, n: int):
+    """(r_n, images): r_n = dim B^n and, per degree-n word w, a vector
+    pi_n(e_w) in r_n coordinates with ker pi_n = ker Gamma_n; memoized."""
+    key = ("nichols", n)
+    cached = space._memo.get(key)
+    if cached is not None:
+        return cached
+    if n == 0:
+        result = (1, [{0: space.field.one}])
+    else:
+        d = space.dim
+        rank, prev = _nichols_images(space, n - 1)
+        # pi_(n-1) (x) Id: key k * d + last letter
+        lifted = [{k * d + u % d: t for k, t in prev[u // d].items()}
+                  for u in range(space.power(n))]
+        images = [matvec(lifted, col) for col in delta_columns(space, n - 1, 1)]
+        ech = Echelon(rank * d)
+        ech.add_rows(m for m in images if m)
+        # the leads of an echelon are the RREF pivot columns of the span, so
+        # keeping only those coordinates is injective on it
+        renumber = {p: i for i, p in enumerate(sorted(ech.pivot_rows))}
+        result = (ech.rank, [{renumber[k]: v for k, v in m.items()
+                              if k in renumber} for m in images])
+    space._memo[key] = result
+    return result
+
+
 def nichols_dims(space: BraidedSpace, upto: int):
-    """Graded dimensions of the Nichols algebra: ranks of the symmetrizers."""
+    """Graded dimensions of the Nichols algebra: the ranks r_n of the
+    derivation recursion, which equal the ranks of the symmetrizers."""
     space.check_budget(upto)
-    return [symmetrizer(space, n).rank for n in range(upto + 1)]
+    return [_nichols_images(space, n)[0] for n in range(upto + 1)]

@@ -28,7 +28,8 @@ from .linalg import (
     row_tensor_basis_right,
 )
 from .spaces import BraidedSpace
-from .tensorbialg import coproduct_kernel, delta_columns, primitive_space, symmetrizer
+from .tensorbialg import (coproduct_kernel, delta_columns, nichols_dims,
+                          primitive_space)
 
 
 class IdealTower:
@@ -390,15 +391,15 @@ def nichols_via_tower(space: BraidedSpace, cutoff: int, verify: str = "light"):
 
 def is_quadratic(space: BraidedSpace, cutoff: int) -> bool:
     """Whether the degree-2 primitives already generate the Nichols ideal up
-    to the cutoff (ranks of the symmetrizers against the quadratic closure)."""
+    to the cutoff (the Nichols dims against the quadratic closure)."""
     if cutoff < 3:
         raise BadParams("quadraticity needs a cutoff >= 3")
     e2 = primitive_space(space, 2)
     tower = ideal_closure(space, {2: e2}, cutoff, verify="off")
-    for n in range(2, cutoff + 1):
-        if tower.components[n].dim != space.power(n) - symmetrizer(space, n).rank:
-            return False
-    return True
+    # stops at the first degree that differs; each dims list is memoized
+    return all(tower.components[n].dim ==
+               space.power(n) - nichols_dims(space, n)[n]
+               for n in range(2, cutoff + 1))
 
 
 def delta_injectivity_ladder(qb: QuotientBialgebra, upto: int) -> dict:

@@ -484,3 +484,92 @@ pareigis = 2, -1
 pl_verify = 2
 """)
     assert dict(job.tasks)["pareigis"] == (2, -1)
+
+
+PAREIGIS_JOB = "[field]\nm = 4\n[space]\nkind = scalar\nd = 2\nq = z\n" \
+    "[tasks]\npareigis = %s\n"
+
+
+def test_pareigis_root_exponent_is_taken_mod_the_arity():
+    # z^-1 and z^3 are the same primitive fourth root
+    reports = [run(parse_spec(PAREIGIS_JOB % args)).tasks[0]["result"]
+               for args in ("4, -1", "4, 3")]
+    assert reports[0] == reports[1]
+    assert reports[0]["zeta"] == "-z"
+
+
+def test_pareigis_exponent_not_coprime_to_the_arity(tmp_path, capsys):
+    _assert_validation_exit(tmp_path, capsys, PAREIGIS_JOB % "4, 2", 8,
+                            "not coprime")
+
+
+def test_huge_dimension_is_rejected_before_any_space_is_built(
+        tmp_path, capsys, monkeypatch):
+    import braidcalc.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_braiding reached")
+
+    monkeypatch.setattr(cli, "make_braiding", refuse)
+    for kind in ("flip", "scalar\nq = 2"):
+        _assert_validation_exit(
+            tmp_path, capsys,
+            "[field]\nm = 1\n[space]\nkind = %s\nd = 1000000000\n[tasks]\n"
+            "ybe\n" % kind, 4 + kind.count("\n") + 1, "global limit")
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\nkind = flip\nd = %d\n[tasks]\nybe\n"
+        % (cli.MAX_DIM + 1), 5, "global limit")
+
+
+@pytest.mark.parametrize("space, task, line", [
+    ("kind = flip\nd = 16", "nichols = 5", 8),
+    ("kind = flip\nd = 3", "e_spaces = 2..11", 8),
+    ("kind = preset\nname = d4_rack\nbudget = 12", "sdeg = 9", 9),
+    ("kind = preset\nname = cartan_An\nn = 16", "nichols_tower = 5", 9),
+    ("kind = diagonal\nq = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]",
+     "pbw = 9, 2", 8),
+])
+def test_task_degree_is_capped_by_the_word_count(tmp_path, capsys, space,
+                                                  task, line):
+    _assert_validation_exit(
+        tmp_path, capsys,
+        "[field]\nm = 1\n[space]\n%s\n[tasks]\nybe\n%s\n" % (space, task),
+        line, "words")
+
+
+def test_word_cap_admits_the_largest_degrees_in_use():
+    for space, task in (("flip\nd = 2", "sdeg = 12"),
+                        ("preset\nname = d4_rack", "nichols = 8"),
+                        ("flip\nd = 16", "nichols = 4"),
+                        ("preset\nname = twodim_sdeg2\nbudget = 12",
+                         "nichols = 12"),
+                        ("preset\nname = gurevich", "nichols = 10"),
+                        ("preset\nname = cartan_An", "sdeg = 12"),
+                        ("preset\nname = hecke_gl", "nichols = 12"),
+                        ("preset\nname = flip", "nichols = 12")):
+        parse_spec("[field]\nm = 1\n[space]\nkind = %s\n[tasks]\n%s\n"
+                   % (space, task))
+
+
+def test_too_many_cartan_generators_are_reported_on_the_n_line(
+        tmp_path, capsys):
+    _assert_validation_exit(
+        tmp_path, capsys, "[field]\nm = 3\n[space]\nkind = preset\n"
+        "name = cartan_An\nn = 17\n[tasks]\nybe\n", 6, "global limit")
+
+
+def test_degree_override_is_capped_by_the_word_count(tmp_path, capsys):
+    jobfile = tmp_path / "job.txt"
+    jobfile.write_text("[field]\nm = 1\n[space]\nkind = preset\n"
+                       "name = d4_rack\n[tasks]\nnichols = 3\n")
+    assert main(["--input", str(jobfile), "--no-cache", "--degree", "9"]) == 1
+    captured = capsys.readouterr()
+    assert "--degree" in captured.err and not captured.out
+    # a two-generator preset without d takes the default d = 2
+    jobfile.write_text("[field]\nm = 1\n[space]\nkind = preset\n"
+                       "name = twodim_sdeg2\n[tasks]\nnichols = 3\n")
+    assert main(["--input", str(jobfile), "--no-cache", "--degree", "9"]) == 0
+    # Hilbert series (1 + t)^2 (1 + t^2), zero above degree 4
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["dims"] \
+        == [1, 2, 2, 2, 1, 0, 0, 0, 0, 0]

@@ -273,6 +273,64 @@ def test_nichols_dims_oracle_direct_rank():
     assert rank_of_rows((c for c in direct if c), 64) == dims[3]
 
 
+def _nichols_test_spaces():
+    z = F4.gen
+    return [
+        make_braiding("flip", {"d": 2}, F1),
+        make_braiding("scalar", {"d": 2, "q": z}, F4),
+        make_preset("cartan_An", F3),
+        make_preset("d4_rack", F1),
+        make_preset("gurevich", F1),
+        make_preset("hecke_gl", F1),
+        make_preset("quantum_linear", F4,
+                    q=[[z, 2], [F4.from_fraction(1, 2), -1]]),
+    ]
+
+
+def test_nichols_dims_equal_symmetrizer_ranks():
+    for space in _nichols_test_spaces():
+        top = 4 if space.dim >= 4 else 5
+        assert nichols_dims(space, top) == \
+            [symmetrizer(space, n).rank for n in range(top + 1)], space.kind
+
+
+def test_nichols_dims_equal_direct_symmetrizer_ranks():
+    for space in _nichols_test_spaces():
+        direct = [rank_of_rows((c for c in symmetrizer_direct(space, n) if c),
+                               space.power(n)) for n in range(5)]
+        assert nichols_dims(space, 4) == direct, space.kind
+
+
+def test_nichols_dims_d4_rack_hilbert_series():
+    # Hilbert series of B(d4_rack): (1 + t)^4 (1 + t^2)^2, top degree 8
+    series = [1]
+    for factor in [[1, 1]] * 4 + [[1, 0, 1]] * 2:
+        out = [0] * (len(series) + len(factor) - 1)
+        for i, a in enumerate(series):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        series = out
+    assert series == [1, 4, 8, 12, 14, 12, 8, 4, 1]
+    d4 = make_preset("d4_rack", F1, degree_budget=8)
+    assert nichols_dims(d4, 8) == series
+
+
+def test_nichols_dims_build_no_symmetrizer(monkeypatch):
+    import braidcalc.tensorbialg as tb
+
+    calls = []
+    build = tb.symmetrizer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(tb, "symmetrizer", counted)
+    d4 = make_preset("d4_rack", F1)
+    assert nichols_dims(d4, 6) == [1, 4, 8, 12, 14, 12, 8]
+    assert calls == []
+
+
 def test_delta_multiplicativity_spot_check(seed=17):
     # Delta^{a,b} of a concatenation agrees with the multiplicative rule,
     # checked through the braided product on T (x) T for random words
