@@ -389,6 +389,8 @@ def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
     given = values + _TASK_DEFAULTS.get(name, [0])[len(values):]
     if name in ("lie_check", "pbw"):
         return given[0] + given[1]  # the filtration reaches cutoff + slack
+    if name == "pl_verify":
+        return given[0] + 1  # the identities act on V^(x)(n+1)
     return given[0] if name == "pareigis" else max(given)
 
 
@@ -661,7 +663,8 @@ def run(job: JobSpec, cache_dir=None, use_cache=True,
     """Run the selected tasks one after another, in job order."""
     input_hash = hashlib.sha256(
         _canonical_json(job.echo()).encode()).hexdigest()
-    ctx = _JobContext(job, degree_override=degree_override)
+    # built at the first miss, or at once for a bracket: some cache keys omit it
+    ctx = _JobContext(job, degree_override) if job.brackets else None
     cache_dir = cache_dir or job.cache_dir
     if cache_dir and use_cache:
         os.makedirs(cache_dir, exist_ok=True)
@@ -680,6 +683,7 @@ def run(job: JobSpec, cache_dir=None, use_cache=True,
             if cached is not None:
                 entry.update(result=cached, status="ok", cached=True)
                 continue
+        ctx = ctx or _JobContext(job, degree_override)
         start = time.monotonic()
         try:
             result = run_task(ctx, name, args)

@@ -13,6 +13,12 @@ A bracket then induces partial n-ary operations [x] = b_n(Pi(x)); the three
 Pareigis identities for them are verified exactly on the computed bases.
 Permutation enumeration caps the degree at 6 by default (7! times d^7 blows
 past desk scale).
+
+Pi and x |-> b_n(Pi(x)) are linear, so both are computed once per (n, zeta)
+on the canonical RREF rows r_k of the zeta space and memoized on the space:
+the vectors Pi(r_k) and their coordinates over the canonical basis of E_n.
+A zeta-space vector is x = sum_k x[p_k] r_k (p_k the pivot columns), so Pi(x)
+and [x] are exact combinations of these, and no S_n sum is formed per vector.
 """
 
 from __future__ import annotations
@@ -48,17 +54,9 @@ class ZetaSpace:
         return self.subspace.dim
 
 
-class MixedZetaSpace:
-    __slots__ = ("n", "zeta", "subspace")
-
-    def __init__(self, n, zeta, subspace):
-        self.n = n
-        self.zeta = zeta
-        self.subspace = subspace
-
-    @property
-    def dim(self):
-        return self.subspace.dim
+class MixedZetaSpace(ZetaSpace):
+    """The same record for a subspace of V (x) V^(x)n(zeta)."""
+    __slots__ = ()
 
 
 def _require_primitive_root(zeta, n):
@@ -125,48 +123,79 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
 
 
 def _action_terms(space: BraidedSpace, n: int, zeta):
-    """(letters, zeta^(-length)) for every permutation of n strands."""
+    """{sigma: (letters, zeta^(-length))} for each permutation of n strands."""
     key = ("pi_terms", n, zeta.coeffs)
     terms = space._memo.get(key)
     if terms is None:
-        if n > FACTORIAL_CAP:
-            raise DegreeBudgetExceeded(n, FACTORIAL_CAP)
+        if n > FACTORIAL_CAP + 1:  # the identities act one degree above arity
+            raise DegreeBudgetExceeded(n, FACTORIAL_CAP + 1)
         zinv = zeta.inv()
-        terms = []
+        terms = {}
         for sigma in itertools.permutations(range(n)):
             word = matsumoto_lift(sigma).letters
-            terms.append((word, zinv ** len(word)))
-        space._memo[key] = tuple(terms)
+            terms[sigma] = (word, zinv ** len(word))
+        space._memo[key] = terms
     return terms
 
 
 def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:
     """sigma |> x = zeta^(-l(sigma)) lift(sigma) x."""
-    word = matsumoto_lift(tuple(sigma)).letters
-    out = space.apply_word(n, word, vec)
-    scale = zeta.inv() ** len(word)
-    return {c: scale * v for c, v in out.items()}
+    word, scale = _action_terms(space, n, zeta)[tuple(sigma)]
+    return {c: scale * v for c, v in space.apply_word(n, word, vec).items()}
 
 
-def pi_zeta(space: BraidedSpace, n: int, zeta, vec: dict,
-            check_membership: bool = True) -> dict:
-    """The full symmetrization sum over S_n applied to a zeta-space vector."""
-    if check_membership:
+def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
+    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF."""
+    zs = zeta_space(space, n, zeta, require_primitive=False)
+    coords = _coords_in_primitives(zs.subspace, vec, n)
+    if coords is None:
+        raise NotInZetaSpace(
+            "vector is outside the degree-%d zeta-eigenspace" % n)
+    return matvec(table(space, n, zeta), coords)
+
+
+def _pi_rows(space: BraidedSpace, n: int, zeta) -> list:
+    """Pi(r_k) for each RREF row r_k of the zeta space, once per (n, zeta)."""
+    key = ("pi_rows", n, zeta.coeffs)
+    images = space._memo.get(key)
+    if images is None:
+        if n > FACTORIAL_CAP:
+            raise DegreeBudgetExceeded(n, FACTORIAL_CAP)
+        terms = _action_terms(space, n, zeta).values()
         zs = zeta_space(space, n, zeta, require_primitive=False)
-        if not zs.subspace.contains(vec):
-            raise NotInZetaSpace(
-                "vector is outside the degree-%d zeta-eigenspace" % n)
-    acc: dict = {}
-    for word, scale in _action_terms(space, n, zeta):
-        vec_axpy(acc, scale, space.apply_word(n, word, vec))
-    return acc
+        images = []
+        for row in zs.subspace.rows:
+            acc: dict = {}
+            for word, scale in terms:
+                vec_axpy(acc, scale, space.apply_word(n, word, row))
+            images.append(acc)
+        space._memo[key] = images
+    return images
+
+
+def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
+    """The coordinates of each Pi(r_k) over the canonical basis of E_n."""
+    key = ("pi_coords", n, zeta.coeffs)
+    coords = space._memo.get(key)
+    if coords is None:
+        prims = primitive_space(space, n)
+        coords = [_coords_in_primitives(prims, image, n)
+                  for image in _pi_rows(space, n, zeta)]
+        if None in coords:
+            raise InternalCheckError(
+                "symmetrized vector escaped the primitive space (degree %d)" % n)
+        space._memo[key] = coords
+    return coords
+
+
+def pi_zeta(space: BraidedSpace, n: int, zeta, vec: dict) -> dict:
+    """The full symmetrization sum over S_n applied to a zeta-space vector."""
+    return _combine(space, n, zeta, vec, _pi_rows)
 
 
 def pi_image(space: BraidedSpace, n: int, zeta) -> Subspace:
-    zs = zeta_space(space, n, zeta)
-    rows = [pi_zeta(space, n, zeta, r, check_membership=False)
-            for r in zs.subspace.rows]
-    return Subspace.from_rows(space.power(n), rows)
+    zeta_space(space, n, zeta)  # zeta must be a primitive n-th root here
+    return Subspace.from_rows(space.power(n), _pi_rows(space, n, zeta))
 
 
 def check_pi_in_E(space: BraidedSpace, n: int, zeta) -> bool:
@@ -188,14 +217,7 @@ def check_pi_su(space: BraidedSpace, n: int) -> bool:
 
 def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict) -> dict:
     """[x] = b_n(Pi(x)), a vector in V."""
-    space = bracket.space
-    image = pi_zeta(space, n, zeta, vec)
-    prims = primitive_space(space, n)
-    coords = _coords_in_primitives(prims, image, n)
-    if coords is None:
-        raise InternalCheckError(
-            "symmetrized vector escaped the primitive space (degree %d)" % n)
-    return bracket.value(n, coords)
+    return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords))
 
 
 def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
@@ -216,14 +238,13 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
     if carrier.dim == 0:
         return MixedZetaSpace(n, zeta, carrier)
     reductions = []
+    terms = _action_terms(space, n + 1, zeta)
     conds = []
     for phi in itertools.permutations(range(n)):
         lifted = tuple([0] + [p + 1 for p in phi])
-        word_in = matsumoto_lift(lifted).letters
-        word_out = matsumoto_lift(tuple(
-            lifted.index(k) for k in range(n + 1))).letters
-        scale = (zeta.inv() ** len(word_in)) ** 2
-        conds.append((word_in, word_out, scale))
+        word_in, scale = terms[lifted]
+        inverse = tuple(lifted.index(k) for k in range(n + 1))
+        conds.append((word_in, terms[inverse][0], scale * scale))
     for row in carrier.rows:
         acc = {}
         minus_row = {c: -v for c, v in row.items()}

@@ -573,3 +573,47 @@ def test_degree_override_is_capped_by_the_word_count(tmp_path, capsys):
     # Hilbert series (1 + t)^2 (1 + t^2), zero above degree 4
     assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["dims"] \
         == [1, 2, 2, 2, 1, 0, 0, 0, 0, 0]
+
+
+def test_pl_verify_is_capped_at_the_degree_above_its_arity(tmp_path, capsys):
+    # the identities at arity 4 act on 16^5 words, above MAX_WORDS = 16^4
+    _assert_validation_exit(
+        tmp_path, capsys, "[field]\nm = 4\n[space]\nkind = flip\nd = 16\n"
+        "[tasks]\nybe\npl_verify = 4\n", 8, "degree 5 on 16 generators")
+    # arity 3 works in 16^4 words, at the cap
+    parse_spec("[field]\nm = 12\n[space]\nkind = flip\nd = 16\n[tasks]\n"
+               "pl_verify = 3\n")
+
+
+def test_warm_pass_builds_no_space(tmp_path, capsys, monkeypatch):
+    import braidcalc.cli as cli
+
+    jobfile = tmp_path / "job.txt"
+    jobfile.write_text(TWODIM_JOB)
+    argv = ["--input", str(jobfile), "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_braiding reached")
+
+    monkeypatch.setattr(cli, "make_braiding", refuse)
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert '"cached": false' in cold
+    assert warm == cold.replace('"cached": false', '"cached": true')
+
+
+def test_invalid_bracket_fails_even_when_its_other_tasks_are_cached(
+        tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    jobfile = tmp_path / "job.txt"
+    jobfile.write_text(TWODIM_JOB)
+    assert main(["--input", str(jobfile), "--cache-dir", cache]) == 0
+    # two-column values on a three-dimensional E_2: not a bracket
+    jobfile.write_text(TWODIM_JOB.replace(
+        "[tasks]", "[bracket]\ndegree = 2\nvalues = [[1, 0]]\n\n[tasks]"))
+    capsys.readouterr()
+    assert main(["--input", str(jobfile), "--cache-dir", cache]) == 1
+    captured = capsys.readouterr()
+    assert "columns" in captured.err and not captured.out

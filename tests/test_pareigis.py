@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.enveloping import BracketTable
 from braidcalc.errors import RootOrderMismatch
@@ -18,7 +20,9 @@ from braidcalc.pareigis import (
     zeta_space,
 )
 from braidcalc.scalars import field_make, q_binomial
-from braidcalc.spaces import make_braiding, make_preset, word_index
+from braidcalc.linalg import Subspace, vec_axpy
+from braidcalc.spaces import (BraidedSpace, make_braiding, make_preset,
+                              matsumoto_lift, word_index)
 from braidcalc.tensorbialg import delta_columns, matvec, primitive_space
 
 F1 = field_make(1)
@@ -239,3 +243,92 @@ def test_pi_image_subspace_shape():
     d4 = make_preset("d4_rack", F1)
     img = pi_image(d4, 2, minus_one(F1))
     assert img == primitive_space(d4, 2)
+
+
+# ---------------------------------------------------------------------------
+# Pi and [x] from the per-(n, zeta) tables against the direct S_n sum
+# ---------------------------------------------------------------------------
+
+def _pi_cases():
+    """(space, arity, zeta, bracket): the scalar braiding by z over Q(zeta_4)
+    at both primitive fourth roots, gurevich at -1, cartan_An over Q(zeta_3)."""
+    sc = make_braiding("scalar", {"d": 2, "q": F4.gen}, F4)
+    gu = make_preset("gurevich", F1)
+    ca = make_preset("cartan_An", F3)
+    return ([(sc, 4, z, BracketTable.zero(sc, 4)) for z in F4.primitive_roots(4)]
+            + [(gu, 2, minus_one(F1), preset_bracket(gu, "gurevich"))]
+            + [(ca, 3, z, BracketTable.zero(ca, 4))
+               for z in F3.primitive_roots(3)])
+
+
+PI_CASES = _pi_cases()
+
+
+def _direct_pi(space, n, zeta, vec):
+    """sum_sigma zeta^(-l(sigma)) lift(sigma) vec, one braid word at a time."""
+    acc = {}
+    for sigma in itertools.permutations(range(n)):
+        word = matsumoto_lift(sigma).letters
+        vec_axpy(acc, zeta.inv() ** len(word), space.apply_word(n, word, vec))
+    return acc
+
+
+@pytest.mark.parametrize("case", range(len(PI_CASES)))
+def test_pi_equals_the_direct_symmetrization_sum(case):
+    space, n, zeta, _ = PI_CASES[case]
+    rows = zeta_space(space, n, zeta, require_primitive=False).subspace.rows
+    direct = [_direct_pi(space, n, zeta, r) for r in rows]
+    assert [pi_zeta(space, n, zeta, r) for r in rows] == direct
+    assert pi_image(space, n, zeta) == Subspace.from_rows(space.power(n), direct)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=st.integers(0, len(PI_CASES) - 1),
+       coeffs=st.lists(st.integers(-3, 3), min_size=32, max_size=32))
+def test_pi_is_linear_on_zeta_space_combinations(case, coeffs):
+    space, n, zeta, _ = PI_CASES[case]
+    rows = zeta_space(space, n, zeta, require_primitive=False).subspace.rows
+    x = {}
+    for c, row in zip(coeffs, rows):
+        if c:
+            vec_axpy(x, space.field.from_rational(c), row)
+    assert pi_zeta(space, n, zeta, x) == _direct_pi(space, n, zeta, x)
+
+
+def test_pareigis_operators_reuse_their_tables(monkeypatch):
+    calls = []
+    apply_word = BraidedSpace.apply_word
+
+    def counted(self, n, letters, vec):
+        calls.append(n)
+        return apply_word(self, n, letters, vec)
+
+    monkeypatch.setattr(BraidedSpace, "apply_word", counted)
+    for space, n, zeta, bracket in _pi_cases():
+        rows = zeta_space(space, n, zeta, require_primitive=False).subspace.rows
+        if not rows:
+            continue
+        induced_bracket(bracket, n, zeta, rows[0])  # warms the tables
+        calls.clear()
+        x = {}
+        for row in rows:
+            vec_axpy(x, space.field.from_rational(2), row)
+            pi_zeta(space, n, zeta, row)
+            induced_bracket(bracket, n, zeta, row)
+        pi_zeta(space, n, zeta, x)
+        induced_bracket(bracket, n, zeta, x)
+        pi_image(space, n, zeta)
+        assert calls == []
+
+
+def test_verify_pl_results_on_the_differential_cases():
+    for space, n, zeta, bracket in PI_CASES:
+        assert verify_PL(bracket, n, zeta) == {
+            "pl1": True, "pl2": True, "pl3": True}
+    fl = make_braiding("flip", {"d": 3}, F1)
+    one = F1.one
+    from braidcalc.enveloping import validate_bracket
+
+    bad = validate_bracket(
+        fl, BracketTable(fl, {2: [{2: one}, {0: -one}, {0: one}]}))
+    assert verify_PL(bad, 2) == {"pl1": True, "pl2": False, "pl3": False}
