@@ -28,23 +28,17 @@ from .linalg import Echelon, Subspace
 from .spaces import (
     BraidedSpace,
     BraidWord,
-    braid_apply,
-    braiding_block,
-    hecke_analysis,
     make_braiding,
     make_preset,
     matsumoto_lift,
-    minimal_polynomial,
     shuffles,
     word_index,
     word_letters,
 )
 from .tensorbialg import (
-    delta_component,
     nichols_dims,
     primitive_space,
     symmetrizer,
-    symmetrizer_block,
     symmetrizer_factorization_check,
 )
 from .tower import (

@@ -21,6 +21,7 @@ import os
 import re
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .enveloping import (
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .fixtures import preset_bracket
 from .pareigis import check_pi_in_E, check_pi_su, verify_PL, zeta_space
-from .scalars import CycloField, field_make
+from .scalars import CycloField, CycloScalar, field_make
 from .spaces import REQUIRED_PARAMS, make_braiding, word_name
 from .tensorbialg import nichols_dims, primitive_space
 from .tower import is_quadratic, nichols_via_tower, sdeg
@@ -49,17 +50,6 @@ from .tower import is_quadratic, nichols_via_tower, sdeg
 MAX_DEGREE = 12
 MAX_DIM = 16          # generators of a declared space
 MAX_WORDS = 1 << 16   # d^n, the words of the top degree a task works in
-
-TASK_NAMES = (
-    "ybe", "min_poly", "e_spaces", "nichols", "nichols_tower", "sdeg",
-    "quadratic", "bracket", "lie_check", "pbw", "hecke", "pareigis",
-    "pl_verify",
-)
-
-# the arguments a task takes where its job line omits them
-_TASK_DEFAULTS = {"e_spaces": [2], "nichols": [4], "nichols_tower": [4],
-                  "sdeg": [4], "quadratic": [4], "lie_check": [4, 2],
-                  "pbw": [4, 2], "pareigis": [2, 1], "pl_verify": [2]}
 
 # generators of the presets that no parameter sizes
 _PRESET_DIMS = {"d4_rack": 4, "gurevich": 3, "twodim_sdeg2": 2}
@@ -156,13 +146,11 @@ def parse_value(field: CycloField, text: str, line: int):
 
 class JobSpec:
     def __init__(self, field_order, space_decl, brackets, tasks,
-                 output_format="json", cache_dir=None, degree_budget=None):
+                 degree_budget=None):
         self.field_order = field_order
         self.space_decl = space_decl      # {"kind": ..., "params": {...}}
         self.brackets = brackets          # list of {"degree": n, "values": rows} | {"preset": name}
         self.tasks = tasks                # list of (name, args tuple)
-        self.output_format = output_format
-        self.cache_dir = cache_dir
         self.degree_budget = degree_budget
 
     def echo(self):
@@ -179,8 +167,6 @@ class JobSpec:
 
 
 def _jsonable(value):
-    from .scalars import CycloScalar
-
     if isinstance(value, CycloScalar):
         return str(value)
     if isinstance(value, dict):
@@ -196,8 +182,6 @@ def _jsonable(value):
 def parse_spec(text: str) -> JobSpec:
     """Parse the documented job grammar into a validated JobSpec."""
     field_order = None
-    field = None
-    space_decl = None
     space_lines = {}
     brackets = []
     bracket_lines = None
@@ -249,16 +233,12 @@ def parse_spec(text: str) -> JobSpec:
             raise ParseError(lineno, "unknown section %s" % stripped)
         if section == "field":
             continue
-        if section == "space":
+        if section in ("space", "bracket"):
             if "=" not in stripped:
                 raise ParseError(lineno, "expected key = value")
             key, _, val = stripped.partition("=")
-            space_lines[key.strip()] = (parse_value(field, val, lineno), lineno)
-        elif section == "bracket":
-            if "=" not in stripped:
-                raise ParseError(lineno, "expected key = value")
-            key, _, val = stripped.partition("=")
-            bracket_lines[key.strip()] = (parse_value(field, val, lineno), lineno)
+            lines = space_lines if section == "space" else bracket_lines
+            lines[key.strip()] = (parse_value(field, val, lineno), lineno)
         elif section == "tasks":
             if "=" in stripped:
                 name, _, val = stripped.partition("=")
@@ -269,7 +249,7 @@ def parse_spec(text: str) -> JobSpec:
                 )
             else:
                 name, args = stripped, ()
-            if name not in TASK_NAMES:
+            if name not in TASKS:
                 raise ParseError(lineno, "unknown task %r" % name)
             task_degrees.append(
                 (_check_task_args(name, args, field, lineno), lineno))
@@ -354,44 +334,54 @@ def _declared_dim(params):
     return 2, None
 
 
-def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
-    """Task arguments are integers in 0..MAX_DEGREE, except the root exponent
-    of pareigis, which may be negative and must be coprime to an arity >= 3;
-    only e_spaces takes a range lo..hi, as its first argument, and its bounds
-    must not be inverted.  Returns the top tensor degree the task works in."""
+def _task_values(task, args: tuple) -> list:
+    """The arguments of a task line, a leading range lo..hi read as lo, hi."""
     values = list(args)
-    if name == "e_spaces" and args and isinstance(args[0], tuple):
+    if task.ranged and args and isinstance(args[0], tuple):
         values[:1] = args[0][1:]
+    return values
+
+
+def _check_task_args(name: str, args: tuple, field: CycloField, line: int):
+    """A task takes at most as many arguments as it has defaults, each an
+    integer in 0..MAX_DEGREE (negative only at a signed position), and its
+    own rules must hold.  Returns the top tensor degree the task works in."""
+    task = TASKS[name]
+    values = _task_values(task, args)
+    if len(values) > len(task.defaults):
+        raise ValidationError("task %s takes at most %d arguments, not %d" % (
+            name, len(task.defaults), len(values)), line=line)
     for pos, a in enumerate(values, start=1):
-        signed = name == "pareigis" and pos == 2
+        signed = pos in task.signed
         if not isinstance(a, int) or (a < 0 and not signed):
             raise ValidationError("task %s: argument %d must be %s integer" % (
                 name, pos, "an" if signed else "a non-negative"), line=line)
         if a > MAX_DEGREE:
             raise ValidationError("degree argument %d exceeds the global limit %d"
                                   % (a, MAX_DEGREE), line=line)
-    if name == "e_spaces" and len(values) > 1 and values[0] > values[1]:
-        raise ValidationError("e_spaces range %d..%d is empty"
-                              % (values[0], values[1]), line=line)
-    if name in ("pareigis", "pl_verify") and args:
-        n = args[0]
-        if n < 2:
-            raise ValidationError("%s needs an arity >= 2" % name, line=line)
-        if n > 2 and field.order % n:
-            raise ValidationError(
-                "task %s at arity %d needs %d | m (m = %d): no primitive "
-                "root available" % (name, n, n, field.order), line=line)
-        if name == "pareigis" and n > 2 and len(args) > 1 and \
-                math.gcd(args[1], n) != 1:
-            raise ValidationError(
-                "task pareigis: root exponent %d is not coprime to the arity "
-                "%d" % (args[1], n), line=line)
-    given = values + _TASK_DEFAULTS.get(name, [0])[len(values):]
-    if name in ("lie_check", "pbw"):
-        return given[0] + given[1]  # the filtration reaches cutoff + slack
-    if name == "pl_verify":
-        return given[0] + 1  # the identities act on V^(x)(n+1)
-    return given[0] if name == "pareigis" else max(given)
+    given = values + list(task.defaults[len(values):])
+    problem = task.check and task.check(field, *given)
+    if problem:
+        raise ValidationError("task %s: %s" % (name, problem), line=line)
+    return task.reach(*given)
+
+
+def _range_rule(field, lo, hi):
+    """A range lo..hi (or lo, hi) must not be inverted."""
+    if hi is not None and lo > hi:
+        return "range %d..%d is empty" % (lo, hi)
+
+
+def _arity_rule(field, n, exponent=1):
+    """The arity is at least 2, its primitive roots live in the field, and
+    from arity 3 on the root exponent is coprime to it."""
+    if n < 2:
+        return "needs an arity >= 2"
+    if n > 2 and field.order % n:
+        return "arity %d needs %d | m (m = %d): no primitive root available" \
+            % (n, n, field.order)
+    if n > 2 and math.gcd(exponent, n) != 1:
+        return "root exponent %d is not coprime to the arity %d" % (exponent, n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +398,17 @@ def _subspace_payload(space, subspace, degree):
     return {"dim": subspace.dim, "basis": rows}
 
 
-def _int_arg(name, args, idx):
-    return args[idx] if len(args) > idx else _TASK_DEFAULTS[name][idx]
-
-
 class _JobContext:
     def __init__(self, job: JobSpec, degree_override=None):
-        self.job = job
         self.field = field_make(job.field_order)
-        params = dict(job.space_decl["params"])
         budget = job.degree_budget or 8
         if degree_override:
             budget = max(budget, degree_override)
         self.degree_override = degree_override
         self.space = make_braiding(
-            job.space_decl["kind"], params, self.field, degree_budget=budget)
+            job.space_decl["kind"], job.space_decl["params"], self.field,
+            degree_budget=budget)
         self.bracket = None
-        self.bracket_report = None
         if job.brackets:
             self.bracket = self._build_bracket(job.brackets)
 
@@ -432,9 +416,7 @@ class _JobContext:
         entries = {}
         for decl in decls:
             if "preset" in decl:
-                table = preset_bracket(self.space, decl["preset"])
-                for n, vecs in table.entries.items():
-                    entries[n] = vecs
+                entries.update(preset_bracket(self.space, decl["preset"]).entries)
                 continue
             degree = decl["degree"]
             rows = []
@@ -449,121 +431,150 @@ class _JobContext:
             entries[degree] = rows
         return validate_bracket(self.space, BracketTable(self.space, entries))
 
-    def degree(self, requested):
-        return self.degree_override or requested
+
+def _primitives_payload(ctx, lo, hi):
+    space = ctx.space
+    out = {}
+    for n in range(lo, (lo if hi is None else hi) + 1):
+        out[str(n)] = _subspace_payload(space, primitive_space(space, n), n)
+    return {"primitives": out}
+
+
+def _sdeg_payload(ctx, upto):
+    verdict = sdeg(ctx.space, ctx.degree_override or upto)
+    return {
+        "value": verdict.value,
+        "status": verdict.status,
+        "certificate": verdict.certificate,
+        "trace": [
+            {"dims": t["dims"],
+             "added": {str(k): v for k, v in t["added"].items()}}
+            for t in verdict.tower_trace
+        ],
+    }
+
+
+def _lie_payload(ctx, cutoff, slack):
+    verdict = lie_check(ctx.bracket, cutoff, slack)
+    payload = {"status": verdict.status, "cutoff": cutoff, "slack": slack}
+    if verdict.witness is not None:
+        payload["witness"] = {
+            word_name(c, 1, ctx.space.dim): str(v)
+            for c, v in sorted(verdict.witness.items())
+        }
+    return payload
+
+
+def _pbw_payload(ctx, cutoff, slack):
+    fq = enveloping_filtration(ctx.bracket, cutoff, slack)
+    verdict = pbw_check(ctx.bracket, cutoff, slack, filtration=fq)
+    return {
+        "status": verdict.status,
+        "cutoff": cutoff,
+        "slack": slack,
+        "gr_dims": verdict.gr_dims,
+        "s_dims": verdict.s_dims,
+        "theta_bound_ok": verdict.theta_bound_ok,
+        "failure_degree": verdict.failure_degree,
+        "primitives_match": primitive_check(
+            ctx.bracket, cutoff, slack, filtration=fq),
+        "unconstrained_degrees": fq.unconstrained,
+    }
+
+
+def _hecke_payload(ctx):
+    space = ctx.space
+    info = space.hecke_analysis()
+    if info is None:
+        return {"hecke": False}
+    payload = {"hecke": True, "mark": str(info["mark"]),
+               "regular": info["regular"]}
+    if ctx.bracket is not None and info["regular"]:
+        pres = hecke_presentation(ctx.bracket)
+        payload["relations"] = [
+            {
+                "quadratic": {word_name(c, 2, space.dim): str(v)
+                              for c, v in sorted(rel["quadratic"].items())},
+                "linear": {word_name(c, 1, space.dim): str(v)
+                           for c, v in sorted(rel["linear"].items())},
+            }
+            for rel in pres.relations
+        ]
+        payload["induced_bracket_zero"] = pres.induced_bracket_zero
+    return payload
+
+
+def _pareigis_payload(ctx, n, exponent):
+    space = ctx.space
+    # at arity 2 the only primitive root is -1, whatever the exponent says
+    zeta = ctx.field.root_of_unity(n, exponent % n)
+    return {
+        "arity": n,
+        "zeta": str(zeta),
+        "zeta_space_dim": zeta_space(space, n, zeta).dim,
+        "pi_image_in_primitives": check_pi_in_E(space, n, zeta),
+        "pi_images_span_primitives": check_pi_su(space, n),
+    }
+
+
+def _pl_payload(ctx, n):
+    space = ctx.space
+    bracket = ctx.bracket or BracketTable.zero(space, min(4, space.degree_budget))
+    return {"arity": n, **verify_PL(bracket, n)}
+
+
+class Task(NamedTuple):
+    """Everything the CLI knows of one task.  A builder that honours --degree
+    reads ctx.degree_override in place of its degree argument."""
+    defaults: tuple  # values of omitted trailing arguments, one per argument
+    build: Callable  # build(ctx, *arguments) -> the task's result
+    reach: Callable = lambda *args: max(args, default=0)  # top tensor degree
+    bracket: str = ""  # "reads" or "needs" the [bracket]; both key the cache
+    check: Callable = None  # check(field, *arguments) -> what is wrong, or None
+    signed: tuple = ()  # positions of the arguments that may be negative
+    ranged: bool = False  # the first argument may be a range lo..hi
+
+
+TASKS = {
+    "ybe": Task((), lambda ctx: {
+        "valid": True, "dim": ctx.space.dim, "kind": ctx.space.kind}),
+    "min_poly": Task((), lambda ctx: {
+        "coefficients": [str(c) for c in ctx.space.min_poly]}),
+    "e_spaces": Task((2, None), _primitives_payload,
+                     reach=lambda lo, hi: lo if hi is None else hi,
+                     check=_range_rule, ranged=True),
+    "nichols": Task((4,), lambda ctx, upto: {
+        "dims": nichols_dims(ctx.space, ctx.degree_override or upto)}),
+    "nichols_tower": Task((4,), lambda ctx, upto: {
+        "dims": nichols_via_tower(ctx.space, ctx.degree_override or upto)}),
+    "sdeg": Task((4,), _sdeg_payload),
+    "quadratic": Task((4,), lambda ctx, upto: {
+        "quadratic": is_quadratic(ctx.space, ctx.degree_override or upto)}),
+    "bracket": Task((), lambda ctx: {
+        "validated": True,
+        "degrees": sorted(ctx.bracket.entries),
+        "zero": ctx.bracket.is_zero(),
+    }, bracket="needs"),
+    # the filtration of these two reaches cutoff + slack
+    "lie_check": Task((4, 2), _lie_payload, reach=lambda cutoff, slack:
+                      cutoff + slack, bracket="needs"),
+    "pbw": Task((4, 2), _pbw_payload, reach=lambda cutoff, slack:
+                cutoff + slack, bracket="needs"),
+    "hecke": Task((), _hecke_payload, bracket="reads"),
+    "pareigis": Task((2, 1), _pareigis_payload, reach=lambda n, exponent: n,
+                     check=_arity_rule, signed=(2,)),
+    # the identities act on V^(x)(n+1)
+    "pl_verify": Task((2,), _pl_payload, reach=lambda n: n + 1,
+                      bracket="reads", check=_arity_rule),
+}
 
 
 def run_task(ctx: _JobContext, name: str, args: tuple):
-    space = ctx.space
-    if name == "ybe":
-        return {"valid": True, "dim": space.dim, "kind": space.kind}
-    if name == "min_poly":
-        return {"coefficients": [str(c) for c in space.min_poly]}
-    if name == "e_spaces":
-        if args and isinstance(args[0], tuple) and args[0][0] == "range":
-            lo, hi = args[0][1], args[0][2]
-        else:
-            lo = _int_arg(name, args, 0)
-            hi = args[1] if len(args) > 1 else lo
-        out = {}
-        for n in range(lo, hi + 1):
-            out[str(n)] = _subspace_payload(space, primitive_space(space, n), n)
-        return {"primitives": out}
-    if name == "nichols":
-        upto = ctx.degree(_int_arg(name, args, 0))
-        return {"dims": nichols_dims(space, upto)}
-    if name == "nichols_tower":
-        upto = ctx.degree(_int_arg(name, args, 0))
-        return {"dims": nichols_via_tower(space, upto)}
-    if name == "sdeg":
-        upto = ctx.degree(_int_arg(name, args, 0))
-        verdict = sdeg(space, upto)
-        return {
-            "value": verdict.value,
-            "status": verdict.status,
-            "certificate": verdict.certificate,
-            "trace": [
-                {"dims": t["dims"],
-                 "added": {str(k): v for k, v in t["added"].items()}}
-                for t in verdict.tower_trace
-            ],
-        }
-    if name == "quadratic":
-        upto = ctx.degree(_int_arg(name, args, 0))
-        return {"quadratic": is_quadratic(space, upto)}
-    if name == "bracket":
-        if ctx.bracket is None:
-            raise ValidationError("task bracket needs a [bracket] section")
-        return {
-            "validated": True,
-            "degrees": sorted(ctx.bracket.entries),
-            "zero": ctx.bracket.is_zero(),
-        }
-    if name in ("lie_check", "pbw"):
-        if ctx.bracket is None:
-            raise ValidationError("task %s needs a [bracket] section" % name)
-        cutoff = _int_arg(name, args, 0)
-        slack = _int_arg(name, args, 1)
-        fq = enveloping_filtration(ctx.bracket, cutoff, slack)
-        if name == "lie_check":
-            verdict = lie_check(ctx.bracket, cutoff, slack, filtration=fq)
-            payload = {"status": verdict.status, "cutoff": cutoff, "slack": slack}
-            if verdict.witness is not None:
-                payload["witness"] = {
-                    word_name(c, 1, space.dim): str(v)
-                    for c, v in sorted(verdict.witness.items())
-                }
-            return payload
-        verdict = pbw_check(ctx.bracket, cutoff, slack, filtration=fq)
-        return {
-            "status": verdict.status,
-            "cutoff": cutoff,
-            "slack": slack,
-            "gr_dims": verdict.gr_dims,
-            "s_dims": verdict.s_dims,
-            "theta_bound_ok": verdict.theta_bound_ok,
-            "failure_degree": verdict.failure_degree,
-            "primitives_match": primitive_check(
-                ctx.bracket, cutoff, slack, filtration=fq),
-            "unconstrained_degrees": fq.unconstrained,
-        }
-    if name == "hecke":
-        info = space.hecke_analysis()
-        if info is None:
-            return {"hecke": False}
-        payload = {"hecke": True, "mark": str(info["mark"]),
-                   "regular": info["regular"]}
-        if ctx.bracket is not None and info["regular"]:
-            pres = hecke_presentation(ctx.bracket)
-            payload["relations"] = [
-                {
-                    "quadratic": {word_name(c, 2, space.dim): str(v)
-                                  for c, v in sorted(rel["quadratic"].items())},
-                    "linear": {word_name(c, 1, space.dim): str(v)
-                               for c, v in sorted(rel["linear"].items())},
-                }
-                for rel in pres.relations
-            ]
-            payload["induced_bracket_zero"] = pres.induced_bracket_zero
-        return payload
-    if name == "pareigis":
-        n = _int_arg(name, args, 0)
-        exponent = _int_arg(name, args, 1)
-        # at arity 2 the only primitive root is -1, whatever the exponent says
-        zeta = ctx.field.root_of_unity(n, exponent % n)
-        zs = zeta_space(space, n, zeta)
-        return {
-            "arity": n,
-            "zeta": str(zeta),
-            "zeta_space_dim": zs.dim,
-            "pi_image_in_primitives": check_pi_in_E(space, n, zeta),
-            "pi_images_span_primitives": check_pi_su(space, n),
-        }
-    if name == "pl_verify":
-        n = _int_arg(name, args, 0)
-        bracket = ctx.bracket or BracketTable.zero(space, min(4, space.degree_budget))
-        return {"arity": n, **verify_PL(bracket, n)}
-    raise ValidationError("unknown task %r" % name)
+    task = TASKS[name]
+    if task.bracket == "needs" and ctx.bracket is None:
+        raise ValidationError("task %s needs a [bracket] section" % name)
+    values = _task_values(task, args)
+    return task.build(ctx, *values, *task.defaults[len(values):])
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +587,6 @@ def _canonical_json(payload) -> str:
 
 def _task_cache_key(job: JobSpec, name: str, args: tuple,
                     degree_override) -> str:
-    needs_bracket = name in ("bracket", "lie_check", "pbw", "hecke", "pl_verify")
     basis = {
         "version": __version__,
         "field": job.field_order,
@@ -585,7 +595,7 @@ def _task_cache_key(job: JobSpec, name: str, args: tuple,
         "override": degree_override,
         "task": name,
         "args": _jsonable(list(args)),
-        "bracket": _jsonable(job.brackets) if needs_bracket else None,
+        "bracket": _jsonable(job.brackets) if TASKS[name].bracket else None,
     }
     return hashlib.sha256(_canonical_json(basis).encode()).hexdigest()
 
@@ -665,7 +675,6 @@ def run(job: JobSpec, cache_dir=None, use_cache=True,
         _canonical_json(job.echo()).encode()).hexdigest()
     # built at the first miss, or at once for a bracket: some cache keys omit it
     ctx = _JobContext(job, degree_override) if job.brackets else None
-    cache_dir = cache_dir or job.cache_dir
     if cache_dir and use_cache:
         os.makedirs(cache_dir, exist_ok=True)
     internal_failure = None
@@ -739,7 +748,7 @@ def main(argv=None) -> int:
                      use_cache=not opts.no_cache,
                      task_filter=set(opts.task) if opts.task else None,
                      degree_override=opts.degree)
-    except (ParseError, ValidationError, WorkbenchError) as exc:
+    except WorkbenchError as exc:
         if isinstance(exc, InternalCheckError):
             print("braidcalc: internal invariant failure: %s" % exc,
                   file=sys.stderr)

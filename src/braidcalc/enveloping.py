@@ -186,10 +186,6 @@ class FilteredQuotient:
 
     # -- construction ----------------------------------------------------------
 
-    def _mixed(self, degree: int, vec: dict) -> dict:
-        off = self.offsets[degree]
-        return {off + c: v for c, v in vec.items()}
-
     def _build(self):
         space = self.bracket.space
         d = space.dim

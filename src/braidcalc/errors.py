@@ -81,10 +81,6 @@ class NotInZetaSpace(WorkbenchError):
     pass
 
 
-class NotHecke(WorkbenchError):
-    pass
-
-
 class IrregularMark(WorkbenchError):
     pass
 

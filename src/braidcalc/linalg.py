@@ -28,6 +28,8 @@ from __future__ import annotations
 
 def vec_axpy(target: dict, coeff, source: dict) -> None:
     """target += coeff * source, dropping entries that cancel to zero."""
+    if coeff.is_zero():
+        return
     for col, val in source.items():
         cur = target.get(col)
         if cur is None:
@@ -212,9 +214,6 @@ class Subspace:
             and self.pivots == other.pivots
             and all(vec_eq(a, b) for a, b in zip(self.rows, other.rows))
         )
-
-    def __hash__(self):  # pragma: no cover - subspaces are not dict keys today
-        return hash((self.ncols, self.pivots))
 
     def __repr__(self):
         return "Subspace(dim=%d, ncols=%d)" % (self.dim, self.ncols)

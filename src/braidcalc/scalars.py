@@ -271,11 +271,6 @@ class CycloScalar:
     def is_rational(self):
         return not any(self.coeffs[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise BadParams("scalar %s is not rational" % (self,))
-        return self.coeffs[0]
-
     def __bool__(self):
         return not self.is_zero()
 

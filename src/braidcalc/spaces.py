@@ -67,12 +67,6 @@ class BraidWord:
         self.strand_count = strand_count
         self.letters = letters
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strand_count, [-l for l in reversed(self.letters)])
-
-    def __len__(self):
-        return len(self.letters)
-
     def __repr__(self):
         return "BraidWord(n=%d, %r)" % (self.strand_count, list(self.letters))
 
@@ -142,8 +136,7 @@ class BraidedSpace:
     """Dimension, validated braiding, and lazily computed metadata."""
 
     def __init__(self, field: CycloField, dim: int, pairs, kind: str,
-                 qmatrix=None, degree_budget: int = DEFAULT_DEGREE_BUDGET,
-                 _skip_checks: bool = False):
+                 qmatrix=None, degree_budget: int = DEFAULT_DEGREE_BUDGET):
         if dim < 1:
             raise BadParams("dimension must be positive")
         self.field = field
@@ -160,8 +153,7 @@ class BraidedSpace:
         self._power_cache = [1]
         self._memo: dict = {}
         self.inv_pairs = self._invert_pairs()
-        if not _skip_checks:
-            self._check_ybe()
+        self._check_ybe()
         self._min_poly = None
         self._hecke = None
 
@@ -249,9 +241,6 @@ class BraidedSpace:
                 return {}
             vec = self.apply_generator(n, abs(ell), vec, inverse=ell < 0)
         return dict(vec)
-
-    def apply_braid(self, word: BraidWord, vec: dict) -> dict:
-        return self.apply_word(word.strand_count, word.letters, vec)
 
     def braiding_block_apply(self, p: int, q: int, vec: dict) -> dict:
         """c_T^{p,q}: V^(x)p (x) V^(x)q -> V^(x)q (x) V^(x)p on a sparse vector."""
@@ -344,35 +333,10 @@ class BraidedSpace:
                 return {"mark": q, "regular": is_regular_exact(q)}
         return "none"
 
-    @property
-    def hecke_mark(self):
-        info = self.hecke_analysis()
-        return info["mark"] if info else None
-
     def __repr__(self):
         return "BraidedSpace(kind=%s, d=%d, m=%d)" % (
             self.kind, self.dim, self.field.order,
         )
-
-
-def braid_apply(space: BraidedSpace, word: BraidWord, vec: dict, degree=None) -> dict:
-    """Module-level wrapper matching the operation surface."""
-    n = word.strand_count
-    if degree is not None and degree != n:
-        raise DegreeMismatch("vector degree %d vs %d strands" % (degree, n))
-    return space.apply_braid(word, vec)
-
-
-def minimal_polynomial(space: BraidedSpace):
-    return space.min_poly
-
-
-def hecke_analysis(space: BraidedSpace):
-    return space.hecke_analysis()
-
-
-def braiding_block(space: BraidedSpace, p: int, q: int):
-    return space.braiding_block_matrix(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,6 @@ from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy, vec_eq
 from .spaces import BraidedSpace, matsumoto_lift
 
 
-class DeltaComponent:
-    __slots__ = ("a", "b", "columns")
-
-    def __init__(self, a, b, columns):
-        self.a = a
-        self.b = b
-        self.columns = columns
-
-
 class Symmetrizer:
     __slots__ = ("n", "columns", "_rank")
 
@@ -101,10 +92,6 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
     return cols
 
 
-def delta_component(space: BraidedSpace, a: int, b: int) -> DeltaComponent:
-    return DeltaComponent(a, b, delta_columns(space, a, b))
-
-
 def symmetrizer(space: BraidedSpace, n: int) -> Symmetrizer:
     """The degree-n quantum symmetrizer, built by the (n-1, 1) recursion."""
     space.check_budget(n)
@@ -140,15 +127,6 @@ def symmetrizer(space: BraidedSpace, n: int) -> Symmetrizer:
         sym = Symmetrizer(n, cols)
     space._memo[key] = sym
     return sym
-
-
-def symmetrizer_block(space: BraidedSpace, a: int, b: int):
-    """Concatenation after the (a, b) coproduct component.
-
-    In concatenated word coordinates the product map is the identity
-    reindexing, so the block symmetrizer is the coproduct matrix itself.
-    """
-    return delta_columns(space, a, b)
 
 
 def symmetrizer_direct(space: BraidedSpace, n: int):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from braidcalc.cli import main, parse_scalar, parse_spec, run
+from braidcalc.cli import TASKS, main, parse_scalar, parse_spec, run
 from braidcalc.errors import ParseError, ValidationError
 from braidcalc.scalars import MAX_FIELD_ORDER, field_make
 
@@ -423,6 +423,10 @@ def test_jobs_flag_does_not_repeat_shared_work(tmp_path, capsys, monkeypatch):
     ("nichols = -3", "non-negative integer"),
     ("e_spaces = 5..2", "is empty"),
     ("sdeg = 1..3", "non-negative integer"),
+    ("ybe = 3", "at most 0 arguments"),
+    ("e_spaces = 2, 2, 7", "at most 2 arguments"),
+    ("e_spaces = 2..4, 5", "at most 2 arguments"),
+    ("nichols = 3, 9", "at most 1 arguments"),
 ])
 def test_bad_task_argument_is_a_validation_error(tmp_path, capsys, task, phrase):
     _assert_validation_exit(
@@ -461,29 +465,36 @@ def test_edited_cache_entry_is_recomputed(tmp_path):
 
 def test_documented_task_arguments_parse():
     # the [tasks] block of the README's job grammar, root exponent -1 included
-    job = parse_spec("""
-[field]
-m = 4
-[space]
-kind = scalar
-d = 2
-q = z
-[tasks]
-ybe
-min_poly
-e_spaces = 2..4
-nichols = 6
-nichols_tower = 6
-sdeg = 6
-quadratic = 4
-bracket
-lie_check = 4, 2
-pbw = 4, 2
-hecke
-pareigis = 2, -1
-pl_verify = 2
-""")
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent /
+              "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n[tasks]\n", 1)[1].split("```", 1)[0]
+    job = parse_spec("[field]\nm = 4\n[space]\nkind = scalar\nd = 2\nq = z\n"
+                     "[tasks]\n" + block)
     assert dict(job.tasks)["pareigis"] == (2, -1)
+    assert {name for name, _ in job.tasks} == set(TASKS)
+
+
+def test_no_cli_code_branches_on_a_task_name():
+    # a task's rules live in its TASKS entry: no `name == "..."` or
+    # `name in (...)` test elsewhere, and one entry per task
+    import ast
+
+    import braidcalc.cli as cli
+
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "TASKS")
+    assert [key.value for key in table.keys] == list(TASKS)
+    named = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and getattr(node.left, "id", None) == "name"
+             and any(isinstance(c, ast.Constant) and c.value in TASKS
+                     for comp in node.comparators for c in ast.walk(comp))]
+    assert named == []
 
 
 PAREIGIS_JOB = "[field]\nm = 4\n[space]\nkind = scalar\nd = 2\nq = z\n" \

@@ -1,15 +1,11 @@
 import pytest
 
 from braidcalc.enveloping import lie_check, pbw_check
-from braidcalc.errors import (
-    BadParams,
-    DegreeMismatch,
-    NotInZetaSpace,
-)
+from braidcalc.errors import BadParams, NotInZetaSpace
 from braidcalc.fixtures import CATALOG, preset_bracket
 from braidcalc.pareigis import pi_zeta, zeta_space
 from braidcalc.scalars import field_make, is_regular_exact
-from braidcalc.spaces import BraidWord, braid_apply, make_braiding, make_preset
+from braidcalc.spaces import make_braiding, make_preset
 from braidcalc.tensorbialg import nichols_dims, primitive_space
 from braidcalc.tower import is_quadratic, sdeg, symmetric_step, QuotientBialgebra
 
@@ -57,12 +53,6 @@ def test_preset_bracket_rejects_wrong_space():
         preset_bracket(fl, "sl2_flip")  # needs dimension 3
     with pytest.raises(BadParams):
         preset_bracket(fl, "nonsense")
-
-
-def test_braid_apply_degree_mismatch():
-    fl = make_braiding("flip", {"d": 2}, F1)
-    with pytest.raises(DegreeMismatch):
-        braid_apply(fl, BraidWord(3, [1]), {0: F1.one}, degree=2)
 
 
 def test_pi_zeta_rejects_vectors_outside_the_eigenspace():

@@ -1,4 +1,5 @@
-"""Every name a braidcalc module imports is used in that module.
+"""Every name a braidcalc module imports is used in that module, and every
+private name a module defines is referenced somewhere in the package.
 
 The package __init__ is exempt: its imports are the public re-exports.
 """
@@ -36,3 +37,45 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "from .linalg import Echelon, matvec\nimport os\n\nEchelon(1)\n"
     assert unused_imports(source) == ["matvec (line 1)", "os (line 2)"]
+
+
+def private_definitions(source: str) -> list[str]:
+    """The `_x` names a module binds: functions, classes, methods and
+    assigned names or attributes (dunder names excepted)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                elif isinstance(target, ast.Attribute):
+                    names.add(target.attr)
+    return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def references(source: str) -> set[str]:
+    """The names and attributes a module reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_are_referenced(path):
+    read = set().union(*(references(p.read_text(encoding="utf-8"))
+                         for p in PACKAGE.glob("*.py")))
+    names = private_definitions(path.read_text(encoding="utf-8"))
+    assert [n for n in names if n not in read] == []
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    source = ("class _Box:\n    def _unread(self):\n        self._kept = 1\n"
+              "        return self._kept\n\n\ndef _orphan():\n    _Box()\n")
+    names = private_definitions(source)
+    assert names == ["_Box", "_kept", "_orphan", "_unread"]
+    assert [n for n in names if n not in references(source)] == \
+        ["_orphan", "_unread"]

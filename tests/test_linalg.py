@@ -8,6 +8,7 @@ from braidcalc.linalg import (
     rank_of_rows,
     row_tensor_basis_left,
     row_tensor_basis_right,
+    vec_axpy,
 )
 from braidcalc.scalars import Q, field_make
 
@@ -136,3 +137,11 @@ def test_echelon_incremental_rank():
     assert ech.rank == 2
     rows = ech.rows()
     assert rows[0] == {0: F.one} and rows[1] == {1: F.one}
+
+
+def test_axpy_by_zero_stores_no_zero_entries():
+    F4 = field_make(4)
+    target = {0: F4.one}
+    vec_axpy(target, F4.zero, {1: F4.gen, 2: F4.one})
+    assert target == {0: F4.one}
+    assert all(not v.is_zero() for v in target.values())

@@ -332,3 +332,28 @@ def test_verify_pl_results_on_the_differential_cases():
     bad = validate_bracket(
         fl, BracketTable(fl, {2: [{2: one}, {0: -one}, {0: one}]}))
     assert verify_PL(bad, 2) == {"pl1": True, "pl2": False, "pl3": False}
+
+
+def test_verify_pl_reduces_each_bracketed_vector_once(monkeypatch):
+    # the membership check rides on the reduction that finds the coordinates
+    import braidcalc.pareigis as pareigis
+
+    space, n, zeta, bracket = PI_CASES[0]
+    verify_PL(bracket, n, zeta)  # warms the tables
+    zs = zeta_space(space, n, zeta).subspace
+    reductions, brackets = [], []
+    reduce, bracket_of = Subspace.reduce, pareigis.induced_bracket
+
+    def counted_reduce(self, vec):
+        if self is zs:
+            reductions.append(1)
+        return reduce(self, vec)
+
+    def counted_bracket(*args):
+        brackets.append(1)
+        return bracket_of(*args)
+
+    monkeypatch.setattr(Subspace, "reduce", counted_reduce)
+    monkeypatch.setattr(pareigis, "induced_bracket", counted_bracket)
+    assert verify_PL(bracket, n, zeta) == {"pl1": True, "pl2": True, "pl3": True}
+    assert len(reductions) == len(brackets) == 560

@@ -11,7 +11,6 @@ from braidcalc.errors import (
 from braidcalc.scalars import field_make, q_binomial
 from braidcalc.spaces import (
     BraidWord,
-    braid_apply,
     make_braiding,
     make_preset,
     matsumoto_lift,
@@ -69,7 +68,6 @@ def test_d4_preset_formula_and_no_hecke():
 def test_gurevich_preset_not_hecke():
     gu = make_preset("gurevich", F1)
     assert gu.hecke_analysis() is None
-    assert gu.hecke_mark is None
     with pytest.raises(BadParams):
         make_preset("gurevich", F1, q=3, alpha_over_beta=2)
 
@@ -164,7 +162,7 @@ def test_braid_relations_on_random_words(seed=31):
 def test_braid_apply_interface():
     fl = make_braiding("flip", {"d": 2}, F1)
     word = BraidWord(2, [1])
-    out = braid_apply(fl, word, basis(fl, 0, 1))
+    out = fl.apply_word(word.strand_count, word.letters, basis(fl, 0, 1))
     assert out == basis(fl, 1, 0)
     # negative letters invert
     gu = make_preset("gurevich", F1)

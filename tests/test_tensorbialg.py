@@ -15,11 +15,9 @@ from braidcalc.spaces import (
 )
 from braidcalc.tensorbialg import (
     delta_columns,
-    delta_component,
     nichols_dims,
     primitive_space,
     symmetrizer,
-    symmetrizer_block,
     symmetrizer_direct,
     symmetrizer_factorization_check,
 )
@@ -71,8 +69,6 @@ def test_delta_examples():
     gu = make_preset("gurevich", F1)
     cols = delta_columns(gu, 0, 3)
     assert all(cols[w] == {w: F1.one} for w in range(27))
-    comp = delta_component(gu, 2, 1)
-    assert comp.a == 2 and comp.b == 1 and comp.columns is delta_columns(gu, 2, 1)
 
 
 def shuffle_sum_columns(space, a, b):
@@ -153,7 +149,7 @@ def test_gamma_block_for_scalar_is_qint():
     q = F4.gen
     sc = make_braiding("scalar", {"d": 2, "q": q}, F4)
     for n in (1, 2, 3):
-        block = symmetrizer_block(sc, n, 1)
+        block = delta_columns(sc, n, 1)
         # the block symmetrizer is concatenation after the coproduct component;
         # for the scalar braiding every shuffle lift scales by q^length
         coeff = q_int(n + 1, q)
