@@ -43,7 +43,6 @@ from .tensorbialg import (
 )
 from .tower import (
     IdealTower,
-    QuotientBialgebra,
     SdegVerdict,
     ideal_closure,
     is_quadratic,
@@ -66,8 +65,6 @@ from .enveloping import (
     validate_bracket,
 )
 from .pareigis import (
-    MixedZetaSpace,
-    ZetaSpace,
     check_pi_in_E,
     check_pi_su,
     induced_bracket,

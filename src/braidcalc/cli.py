@@ -4,7 +4,8 @@ A job file is line-oriented with [field], [space], [bracket] and [tasks]
 sections.  Scalars are written as sums of terms `a/b * z^k` where z is the
 generator of the configured cyclotomic field.  Reports are deterministic:
 identical job + tool version give byte-identical output, so timings are
-logged to stderr rather than embedded (a cached and a fresh run must agree).
+logged to stderr rather than embedded.  A cached and a fresh run agree in
+every task result and differ only in each task's "cached" flag.
 
 Exit codes: 0 when every requested task ran (mathematical negative verdicts
 are results, not errors), 1 for parse or validation problems, 2 when a
@@ -411,6 +412,7 @@ class _JobContext:
         self.bracket = None
         if job.brackets:
             self.bracket = self._build_bracket(job.brackets)
+        self._filtrations = {}  # (cutoff, slack) -> FilteredQuotient
 
     def _build_bracket(self, decls):
         entries = {}
@@ -430,6 +432,14 @@ class _JobContext:
                 rows.append(vec)
             entries[degree] = rows
         return validate_bracket(self.space, BracketTable(self.space, entries))
+
+    def filtration(self, cutoff, slack):
+        """The bracket's enveloping filtration, built once per (cutoff, slack)
+        and shared by the tasks that read it."""
+        key = (cutoff, slack)
+        if key not in self._filtrations:
+            self._filtrations[key] = enveloping_filtration(self.bracket, cutoff, slack)
+        return self._filtrations[key]
 
 
 def _primitives_payload(ctx, lo, hi):
@@ -455,7 +465,8 @@ def _sdeg_payload(ctx, upto):
 
 
 def _lie_payload(ctx, cutoff, slack):
-    verdict = lie_check(ctx.bracket, cutoff, slack)
+    verdict = lie_check(ctx.bracket, cutoff, slack,
+                        filtration=ctx.filtration(cutoff, slack))
     payload = {"status": verdict.status, "cutoff": cutoff, "slack": slack}
     if verdict.witness is not None:
         payload["witness"] = {
@@ -466,7 +477,7 @@ def _lie_payload(ctx, cutoff, slack):
 
 
 def _pbw_payload(ctx, cutoff, slack):
-    fq = enveloping_filtration(ctx.bracket, cutoff, slack)
+    fq = ctx.filtration(cutoff, slack)
     verdict = pbw_check(ctx.bracket, cutoff, slack, filtration=fq)
     return {
         "status": verdict.status,

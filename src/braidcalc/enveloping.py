@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, primitive_space
-from .tower import QuotientBialgebra, symmetric_step
+from .tower import tower_iterates
 
 
 class BracketTable:
@@ -74,7 +74,7 @@ class BracketTable:
         return {} if vecs is None else matvec(vecs, coords)
 
 
-def _coords_in_primitives(prims: Subspace, vec: dict, degree: int):
+def _coords_in_primitives(prims: Subspace, vec: dict):
     """Coordinates {k: coefficient} of vec over the canonical RREF basis,
     or None."""
     if not prims.contains(vec):
@@ -114,7 +114,7 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
                     slices.setdefault(lead, {})[rest] = val
                 rhs: dict = {}
                 for lead, sl in slices.items():
-                    coords = _coords_in_primitives(prims, sl, n)
+                    coords = _coords_in_primitives(prims, sl)
                     if coords is None:
                         raise InternalCheckError(
                             "block braiding left the primitive space "
@@ -137,7 +137,7 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
                     slices.setdefault(tail, {})[rest] = val
                 rhs = {}
                 for tail, sl in slices.items():
-                    coords = _coords_in_primitives(prims, sl, n)
+                    coords = _coords_in_primitives(prims, sl)
                     if coords is None:
                         raise InternalCheckError(
                             "block braiding left the primitive space "
@@ -357,14 +357,9 @@ class LieVerdict:
 
 
 def symmetric_algebra_dims(space: BraidedSpace, cutoff: int):
-    """Graded dimensions of the quotient by all primitives of degree >= 2."""
-    key = ("sym_dims", cutoff)
-    dims = space._memo.get(key)
-    if dims is None:
-        qb = QuotientBialgebra.tensor_algebra(space, cutoff)
-        dims = symmetric_step(qb).dims
-        space._memo[key] = dims
-    return dims
+    """Graded dimensions of the quotient by all primitives of degree >= 2:
+    the first step of the tower, shared with sdeg and nichols_via_tower."""
+    return tower_iterates(space, cutoff, max_steps=1)[-1].dims
 
 
 def pbw_check(bracket: BracketTable, cutoff: int, slack: int = 2,
@@ -518,7 +513,7 @@ def hecke_presentation(bracket: BracketTable):
     induced_zero = True
     for z in range(size):
         rel_top = image_rows[z]
-        coords = _coords_in_primitives(prims, rel_top, 2)
+        coords = _coords_in_primitives(prims, rel_top)
         b_val = bracket.value(2, coords)
         if b_val:
             induced_zero = False

@@ -41,24 +41,6 @@ from .enveloping import BracketTable, _coords_in_primitives
 FACTORIAL_CAP = 6
 
 
-class ZetaSpace:
-    __slots__ = ("n", "zeta", "subspace")
-
-    def __init__(self, n, zeta, subspace):
-        self.n = n
-        self.zeta = zeta
-        self.subspace = subspace
-
-    @property
-    def dim(self):
-        return self.subspace.dim
-
-
-class MixedZetaSpace(ZetaSpace):
-    """The same record for a subspace of V (x) V^(x)n(zeta)."""
-    __slots__ = ()
-
-
 def _require_primitive_root(zeta, n):
     order = root_order(zeta)
     if order != n:
@@ -107,7 +89,7 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
 
 
 def zeta_space(space: BraidedSpace, n: int, zeta,
-               require_primitive: bool = True) -> ZetaSpace:
+               require_primitive: bool = True) -> Subspace:
     """V^(x)n(zeta) as a fixpoint of the eigenspace-shrink iteration."""
     space.check_budget(n)
     if n < 2:
@@ -117,7 +99,7 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
     key = ("zeta_space", n, zeta.coeffs)
     cached = space._memo.get(key)
     if cached is None:
-        cached = ZetaSpace(n, zeta, _eigen_fixpoint(space, n, zeta))
+        cached = _eigen_fixpoint(space, n, zeta)
         space._memo[key] = cached
     return cached
 
@@ -147,7 +129,7 @@ def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:
 def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
     """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF."""
     zs = zeta_space(space, n, zeta, require_primitive=False)
-    coords = _coords_in_primitives(zs.subspace, vec, n)
+    coords = _coords_in_primitives(zs, vec)
     if coords is None:
         raise NotInZetaSpace(
             "vector is outside the degree-%d zeta-eigenspace" % n)
@@ -164,7 +146,7 @@ def _pi_rows(space: BraidedSpace, n: int, zeta) -> list:
         terms = _action_terms(space, n, zeta).values()
         zs = zeta_space(space, n, zeta, require_primitive=False)
         images = []
-        for row in zs.subspace.rows:
+        for row in zs.rows:
             acc: dict = {}
             for word, scale in terms:
                 vec_axpy(acc, scale, space.apply_word(n, word, row))
@@ -179,7 +161,7 @@ def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
     coords = space._memo.get(key)
     if coords is None:
         prims = primitive_space(space, n)
-        coords = [_coords_in_primitives(prims, image, n)
+        coords = [_coords_in_primitives(prims, image)
                   for image in _pi_rows(space, n, zeta)]
         if None in coords:
             raise InternalCheckError(
@@ -220,7 +202,7 @@ def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict) -> dict:
     return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords))
 
 
-def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
+def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     """{x in V (x) V^(x)n(zeta) fixed by the twisted tau_1^2 conjugates}."""
     space.check_budget(n + 1)
     if n > FACTORIAL_CAP:
@@ -232,11 +214,11 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
     inner = zeta_space(space, n, zeta, require_primitive=False)
     carrier_rows = []
     for j in range(d):
-        for row in inner.subspace.rows:
+        for row in inner.rows:
             carrier_rows.append({j * size_n + c: v for c, v in row.items()})
     carrier = Subspace.from_rows(size, carrier_rows)
     if carrier.dim == 0:
-        return MixedZetaSpace(n, zeta, carrier)
+        return carrier
     reductions = []
     terms = _action_terms(space, n + 1, zeta)
     conds = []
@@ -258,8 +240,7 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> MixedZetaSpace:
             acc.update({k * size + c: v for c, v in diff.items()})
         reductions.append(acc)
     combos = left_kernel(reductions, one=one)
-    return MixedZetaSpace(n, zeta, Subspace.from_rows(
-        size, (matvec(carrier.rows, c) for c in combos)))
+    return Subspace.from_rows(size, (matvec(carrier.rows, c) for c in combos))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +253,7 @@ def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     anti = dict(vec)
     vec_axpy(anti, -space.field.one, space.apply_word(2, (1,), vec))
     prims = primitive_space(space, 2)
-    coords = _coords_in_primitives(prims, anti, 2)
+    coords = _coords_in_primitives(prims, anti)
     if coords is None:
         raise NotInZetaSpace(
             "pair outside the squared-braiding fixed space: the binary "
@@ -329,7 +310,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
 
     # PL1: invariance of [x] under the twisted symmetric-group action
     ok = True
-    for row in zs.subspace.rows:
+    for row in zs.rows:
         base = induced_bracket(bracket, n, zeta, row)
         for sigma in itertools.permutations(range(n)):
             moved = perm_act(space, n, zeta, sigma, row)
@@ -348,7 +329,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     # PL2: the cyclic sum of [ - , [ - ] ] vanishes on V^(x)(n+1)(zeta)
     upper = zeta_space(space, n + 1, zeta, require_primitive=False)
     ok = True
-    for row in upper.subspace.rows:
+    for row in upper.rows:
         total: dict = {}
         for i in range(1, n + 2):
             moved = perm_act(space, n + 1, zeta, _cycle_one_line(i, n + 1), row)
@@ -365,7 +346,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     mixed = mixed_zeta_space(space, n, zeta)
     d = space.dim
     ok = True
-    for row in mixed.subspace.rows:
+    for row in mixed.rows:
         inner_val = _apply_first_slice(space, bracket, n, zeta, row)
         lhs = _pair_bracket(bracket, inner_val) if inner_val else {}
         rhs: dict = {}

@@ -1,9 +1,10 @@
 """Graded bialgebra quotients of the tensor algebra as ideal towers.
 
-A quotient is presented by its per-degree ideal components J_n inside V^(x)n,
-each a canonical Subspace.  The symmetric-algebra step adjoins the quotient's
-primitives of degree >= 2 and re-closes the ideal; iterating the step yields
-the tower whose stabilisation count is the strongness degree (combinatorial
+A quotient T(V,c)/I is its IdealTower: the per-degree ideal components J_n
+inside V^(x)n, each a canonical Subspace, and the quotient dimensions they
+leave.  The symmetric-algebra step adjoins the quotient's primitives of
+degree >= 2 and re-closes the ideal; iterating the step yields the sequence
+of towers whose stabilisation count is the strongness degree (combinatorial
 rank).  Every degree-n component of the limit is exact after n-1 steps, so
 the limit itself is never materialised.
 
@@ -33,15 +34,22 @@ from .tensorbialg import (coproduct_kernel, delta_columns, nichols_dims,
 
 
 class IdealTower:
-    """Per-degree components of a graded ideal presenting T(V,c)/I."""
+    """Per-degree components of a graded ideal I, presenting the quotient
+    bialgebra T(V,c)/I."""
 
-    __slots__ = ("space", "cutoff", "components", "generator_log")
+    __slots__ = ("space", "cutoff", "components", "added")
 
-    def __init__(self, space: BraidedSpace, cutoff: int, components, generator_log):
+    def __init__(self, space: BraidedSpace, cutoff: int, components):
         self.space = space
         self.cutoff = cutoff
         self.components = components  # list[Subspace], degrees 0..cutoff
-        self.generator_log = generator_log  # list of {degree: rows adjoined}
+        self.added = {}  # {degree: dimension adjoined by the step that built it}
+
+    @classmethod
+    def tensor_algebra(cls, space: BraidedSpace, cutoff: int) -> "IdealTower":
+        space.check_budget(cutoff)
+        return cls(space, cutoff,
+                   [Subspace.zero(space.power(n)) for n in range(cutoff + 1)])
 
     @property
     def dims(self):
@@ -60,36 +68,6 @@ class IdealTower:
 
     def __repr__(self):
         return "IdealTower(cutoff=%d, dims=%r)" % (self.cutoff, self.dims)
-
-
-class QuotientBialgebra:
-    """A tower together with its quotient dimensions."""
-
-    __slots__ = ("tower",)
-
-    def __init__(self, tower: IdealTower):
-        self.tower = tower
-
-    @property
-    def space(self):
-        return self.tower.space
-
-    @property
-    def cutoff(self):
-        return self.tower.cutoff
-
-    @property
-    def dims(self):
-        return self.tower.dims
-
-    @classmethod
-    def tensor_algebra(cls, space: BraidedSpace, cutoff: int) -> "QuotientBialgebra":
-        space.check_budget(cutoff)
-        comps = [Subspace.zero(space.power(n)) for n in range(cutoff + 1)]
-        return cls(IdealTower(space, cutoff, comps, []))
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientBialgebra) and self.tower == other.tower
 
 
 class SdegVerdict:
@@ -162,7 +140,7 @@ def _close_components(space, generators, cutoff):
 
 
 def _verify_coideal(space, comps, check_rows, cutoff, internal):
-    tower = IdealTower(space, cutoff, comps, [])
+    tower = IdealTower(space, cutoff, comps)
     for n, rows in check_rows.items():
         for a in range(1, n):
             b = n - a
@@ -179,10 +157,10 @@ def _verify_coideal(space, comps, check_rows, cutoff, internal):
                     raise NotACoideal(n, row)
 
 
-def _verify_braiding_stability(space, comps, check_rows, cutoff, internal, max_pad=None):
-    """c^{u,t}(V^u (x) J_t) inside J_t (x) V^u and the mirror inclusion."""
-    for t, rows in check_rows.items():
-        J_t = Subspace.from_rows(space.power(t), rows) if not isinstance(rows, Subspace) else rows
+def _verify_braiding_stability(space, check, cutoff, internal, max_pad=None):
+    """c^{u,t}(V^u (x) J_t) inside J_t (x) V^u and the mirror inclusion, for
+    each Subspace J_t of check = {t: J_t}."""
+    for t, J_t in check.items():
         pads = range(1, cutoff - t + 1) if max_pad is None else range(1, min(max_pad, cutoff - t) + 1)
         for u in pads:
             dim_u = space.power(u)
@@ -215,8 +193,7 @@ def _verify_braiding_stability(space, comps, check_rows, cutoff, internal, max_p
 
 
 def ideal_closure(space: BraidedSpace, generators, cutoff: int,
-                  verify: str = "light", internal: bool = False,
-                  log=None) -> IdealTower:
+                  verify: str = "light", internal: bool = False) -> IdealTower:
     """Smallest per-degree tower containing the generators and closed under
     left/right concatenation, with the coideal and braiding-stability
     properties checked on the generators (verify="light"), on everything
@@ -244,24 +221,21 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
             check = gen_rows
         _verify_coideal(space, comps, check, cutoff, internal)
         _verify_braiding_stability(
-            space, comps,
+            space,
             {n: comps[n] if verify == "full" else Subspace.from_rows(space.power(n), rows)
              for n, rows in check.items()},
             cutoff, internal,
             max_pad=None if verify == "full" else 1)
-    return IdealTower(space, cutoff, comps,
-                      list(log) if log else
-                      [{n: len(rows) for n, rows in gen_rows.items()}])
+    return IdealTower(space, cutoff, comps)
 
 
 # ---------------------------------------------------------------------------
 # quotient primitives and the symmetric-algebra step
 # ---------------------------------------------------------------------------
 
-def quotient_primitives(qb: QuotientBialgebra, n: int) -> Subspace:
+def quotient_primitives(tower: IdealTower, n: int) -> Subspace:
     """Lifted degree-n primitives of the quotient: all x in V^(x)n whose
     inner coproduct components land in J (x) V + V (x) J.  Contains J_n."""
-    tower = qb.tower
     space = tower.space
     space.check_budget(n)
     if n > tower.cutoff:
@@ -277,22 +251,20 @@ def quotient_primitives(qb: QuotientBialgebra, n: int) -> Subspace:
         ech = tower.components[n].echelon()
         ech.add_rows(prims.rows)
         return Subspace.from_echelon(ech)
-    basis = coproduct_kernel(space, n, range(1, n), qb.dims,
+    basis = coproduct_kernel(space, n, range(1, n), tower.dims,
                              partial(reduce_bidegree, tower))
     return Subspace.from_rows(size, basis)
 
 
-def symmetric_step(qb: QuotientBialgebra, verify: str = "light",
-                   _assert_no_new_below: int = 0) -> QuotientBialgebra:
+def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTower:
     """Adjoin all quotient primitives of degree >= 2 and re-close the tower.
 
-    Returns qb itself when the tower is already a fixpoint at this cutoff.
+    Returns the tower itself when it is already a fixpoint at this cutoff.
     """
-    tower = qb.tower
     new_gens = {}
     added = {}
     for n in range(2, tower.cutoff + 1):
-        prims = quotient_primitives(qb, n)
+        prims = quotient_primitives(tower, n)
         extra = prims.dim - tower.components[n].dim
         if extra < 0:
             raise InternalCheckError("primitive space lost ideal vectors")
@@ -308,29 +280,24 @@ def symmetric_step(qb: QuotientBialgebra, verify: str = "light",
         if extra:
             added[n] = extra
     if not added:
-        return qb
-    log = list(tower.generator_log)
-    log.append(added)
-    new_tower = ideal_closure(tower.space, new_gens, tower.cutoff,
-                              verify=verify, internal=True, log=log)
-    return QuotientBialgebra(new_tower)
+        return tower
+    closed = ideal_closure(tower.space, new_gens, tower.cutoff, internal=True)
+    closed.added = added
+    return closed
 
 
-def tower_iterates(space: BraidedSpace, cutoff: int, verify: str = "light",
-                   max_steps=None, check_ladder: bool = True):
+def tower_iterates(space: BraidedSpace, cutoff: int, max_steps=None):
     """The sequence T, S(T), S(S(T)), ... up to the fixpoint at this cutoff.
 
     Memoized per space as an immutable (iterates, at fixpoint) pair, which a
     later call replaces when it resumes from the last stored iterate."""
-    key = ("tower", cutoff, verify, check_ladder)
+    key = ("tower", cutoff)
     iterates, done = space._memo.get(key) or (
-        (QuotientBialgebra.tensor_algebra(space, cutoff),), False)
+        (IdealTower.tensor_algebra(space, cutoff),), False)
     while not done and (max_steps is None or len(iterates) <= max_steps):
-        qb = iterates[-1]
-        nxt = symmetric_step(
-            qb, verify=verify,
-            _assert_no_new_below=len(iterates) if check_ladder else 0)
-        done = nxt is qb
+        tower = iterates[-1]
+        nxt = symmetric_step(tower, _assert_no_new_below=len(iterates))
+        done = nxt is tower
         if not done:
             iterates += (nxt,)
             if len(iterates) > cutoff + 3:
@@ -339,18 +306,14 @@ def tower_iterates(space: BraidedSpace, cutoff: int, verify: str = "light",
     return list(iterates if max_steps is None else iterates[:max_steps + 1])
 
 
-def sdeg(space: BraidedSpace, cutoff: int, verify: str = "light") -> SdegVerdict:
+def sdeg(space: BraidedSpace, cutoff: int) -> SdegVerdict:
     """Strongness degree at the given cutoff, with a soundness certificate
     when one of the exhaustive criteria applies."""
     if cutoff < 2:
         raise BadParams("strongness degree needs a cutoff >= 2")
-    iterates = tower_iterates(space, cutoff, verify=verify)
+    iterates = tower_iterates(space, cutoff)
     value = len(iterates) - 1
-    trace = [
-        {"dims": it.dims,
-         "added": dict(it.tower.generator_log[-1]) if k else {}}
-        for k, it in enumerate(iterates)
-    ]
+    trace = [{"dims": it.dims, "added": dict(it.added)} for it in iterates]
     hecke = space.hecke_analysis()
     certificate = None
     scalar_like = len(space.min_poly) == 2
@@ -377,11 +340,10 @@ def sdeg(space: BraidedSpace, cutoff: int, verify: str = "light") -> SdegVerdict
     return SdegVerdict(value, status, trace, certificate)
 
 
-def nichols_via_tower(space: BraidedSpace, cutoff: int, verify: str = "light"):
+def nichols_via_tower(space: BraidedSpace, cutoff: int):
     """Graded dimensions of the stabilised tower: degree n is exact after
     n - 1 steps, so the cutoff run reads each dimension off the right iterate."""
-    iterates = tower_iterates(space, cutoff, verify=verify,
-                              max_steps=max(cutoff - 1, 0))
+    iterates = tower_iterates(space, cutoff, max_steps=max(cutoff - 1, 0))
     out = [1]
     for n in range(1, cutoff + 1):
         idx = min(n - 1, len(iterates) - 1)
@@ -402,14 +364,13 @@ def is_quadratic(space: BraidedSpace, cutoff: int) -> bool:
                for n in range(2, cutoff + 1))
 
 
-def delta_injectivity_ladder(qb: QuotientBialgebra, upto: int) -> dict:
+def delta_injectivity_ladder(tower: IdealTower, upto: int) -> dict:
     """Injectivity of the quotient coproduct components, bidegree by bidegree.
 
     Returns {(a, b): bool}; the k-th tower iterate must be injective for all
     a + b <= k + 1.
     """
-    tower = qb.tower
-    dims = qb.dims
+    dims = tower.dims
     reduce = partial(reduce_bidegree, tower)
     out = {}
     for n in range(2, upto + 1):

@@ -218,7 +218,7 @@ def test_criterion_8_pareigis_suite():
             space = catalog_space(entry)
             m1 = space.field.from_rational(-1)
             zs = zeta_space(space, 2, m1)
-            for row in zs.subspace.rows:
+            for row in zs.rows:
                 pi = pi_zeta(space, 2, m1, row)
                 expected = dict(row)
                 for c, v in space.apply_word(2, (1,), row).items():

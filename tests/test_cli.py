@@ -338,6 +338,28 @@ def test_shipped_job_files_run(tmp_path, capsys):
         assert out.read_bytes() == golden.read_bytes(), jobfile.name
 
 
+def test_tasks_sharing_a_filtration_build_it_once(tmp_path, capsys, monkeypatch):
+    # lie_check = 4, 2 and pbw = 4, 2 read the same (cutoff, slack) filtration
+    import pathlib
+
+    from braidcalc.enveloping import FilteredQuotient
+
+    builds = []
+    init = FilteredQuotient.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[1:])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FilteredQuotient, "__init__", counted)
+    jobfile = pathlib.Path(__file__).resolve().parent.parent / "jobs" / \
+        "quadratic_enveloping.job"
+    assert main(["--input", str(jobfile), "--no-cache",
+                 "--output", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert builds == [(4, 2)]
+
+
 def _assert_validation_exit(tmp_path, capsys, text, line, phrase):
     with pytest.raises(ValidationError) as err:
         parse_spec(text)

@@ -72,6 +72,25 @@ def test_zero_bracket_reproduces_symmetric_algebra():
         assert not fq.unconstrained
 
 
+def test_symmetric_dims_reuse_the_first_tower_step(monkeypatch):
+    # the symmetric algebra is the tower's first iterate, which sdeg built
+    import braidcalc.tower as tower_mod
+    from braidcalc.tower import sdeg
+
+    gu = make_preset("gurevich", F1)
+    sdeg(gu, 4)
+    calls = []
+    real = tower_mod.quotient_primitives
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tower_mod, "quotient_primitives", counted)
+    assert symmetric_algebra_dims(gu, 4) == [1, 3, 6, 10, 15]
+    assert calls == []
+
+
 def test_gurevich_enveloping_dims():
     gu, table = gurevich_with_bracket()
     fq = enveloping_filtration(table, 4, 2)

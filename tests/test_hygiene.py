@@ -1,5 +1,6 @@
-"""Every name a braidcalc module imports is used in that module, and every
-private name a module defines is referenced somewhere in the package.
+"""Every name a braidcalc module imports is used in that module, every
+private name a module defines is referenced somewhere in the package, and
+every parameter of a function is read in its body.
 
 The package __init__ is exempt: its imports are the public re-exports.
 """
@@ -79,3 +80,37 @@ def test_checker_flags_an_unreferenced_private_name():
     assert names == ["_Box", "_kept", "_orphan", "_unread"]
     assert [n for n in names if n not in references(source)] == \
         ["_orphan", "_unread"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter its function body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += ["%s.%s" % (node.name, p.arg) for p in params
+                    if p.arg not in read]
+    return sorted(out)
+
+
+# Every Task.check rule is called as check(field, *arguments); the range rule
+# is the one that has no use for the field.
+UNREAD_ALLOWED = {"cli.py": ["_range_rule.field"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == \
+        UNREAD_ALLOWED.get(path.name, [])
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def used(a, *rest, key=0, **extra):\n    return a, rest, key, extra\n"
+              "\n\ndef padded(space, comps, cutoff=None):\n"
+              "    comps = []  # overwritten, never read as passed\n"
+              "    return space\n")
+    assert unread_parameters(source) == ["padded.comps", "padded.cutoff"]
