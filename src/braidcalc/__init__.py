@@ -31,7 +31,6 @@ from .spaces import (
     make_braiding,
     make_preset,
     matsumoto_lift,
-    shuffles,
     word_index,
     word_letters,
 )

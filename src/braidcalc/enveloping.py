@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
-from .tensorbialg import delta_columns, primitive_space
+from .tensorbialg import delta_columns, has_primitives, primitive_space
 from .tower import tower_iterates
 
 
@@ -191,12 +191,11 @@ class FilteredQuotient:
         d = space.dim
         gens = []  # (degree t, top part, bracket part dict over V)
         for t in range(2, self.top + 1):
-            prims = primitive_space(space, t)
-            if prims.dim == 0:
-                continue
             if t > self.bracket.cutoff:
-                self.unconstrained.append(t)
+                if has_primitives(space, t):
+                    self.unconstrained.append(t)
                 continue
+            prims = primitive_space(space, t)
             vecs = self.bracket.entries.get(t) or [{}] * prims.dim
             for k, row in enumerate(prims.rows):
                 gens.append((t, row, vecs[k] if k < len(vecs) else {}))

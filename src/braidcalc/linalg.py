@@ -262,12 +262,6 @@ def left_kernel(vectors: list[dict], one=None) -> list[dict]:
     return kernel_basis(transposed.values(), len(vectors), one=one)
 
 
-def rank_of_rows(rows, ncols: int) -> int:
-    ech = Echelon(ncols)
-    ech.add_rows(rows)
-    return ech.rank
-
-
 # -- tensor-shaped reindexing helpers ----------------------------------------
 
 def row_tensor_basis_right(row: dict, d: int, letter: int) -> dict:

@@ -13,8 +13,6 @@ examples.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     BadParams,
     DegreeBudgetExceeded,
@@ -29,28 +27,8 @@ DEFAULT_DEGREE_BUDGET = 8
 
 
 # ---------------------------------------------------------------------------
-# permutations, lengths, Matsumoto lifts, shuffles
+# braid words and Matsumoto lifts
 # ---------------------------------------------------------------------------
-
-def perm_length(sigma) -> int:
-    """Number of inversions."""
-    n = len(sigma)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-    )
-
-
-def perm_inverse(sigma):
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(inv)
-
-
-def perm_compose(sigma, tau):
-    """(sigma tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t] for t in tau)
-
 
 class BraidWord:
     """A word in the Artin generators; letters are signed 1-based indices."""
@@ -88,23 +66,6 @@ def matsumoto_lift(sigma) -> BraidWord:
             swaps.append(j + 1)
     # the swaps compose right-to-left to rebuild sigma
     return BraidWord(max(n, 1), list(reversed(swaps)))
-
-
-def shuffles(p: int, q: int):
-    """All (p,q)-shuffles with their lengths, ordered by the chosen p-subset.
-
-    A shuffle is sigma with sigma(1) < ... < sigma(p) and
-    sigma(p+1) < ... < sigma(p+q); there are binom(p+q, p) of them and the
-    length is sum(S[i] - i) over the image subset S of the first block.
-    """
-    n = p + q
-    out = []
-    for subset in itertools.combinations(range(n), p):
-        complement = [x for x in range(n) if x not in subset]
-        sigma = tuple(list(subset) + complement)
-        length = sum(s - i for i, s in enumerate(subset))
-        out.append((sigma, length))
-    return out
 
 
 def word_index(letters, d: int) -> int:

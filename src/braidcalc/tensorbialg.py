@@ -17,8 +17,13 @@ coordinates are injective on their span and give pi_n.  Gamma_n and the
 direct length-weighted sum over S_n are built only as independent oracles.
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
-quotient, for the primitives, the quotient primitives of a tower and the
-injectivity ladder alike.
+quotient or inside a given span, for the primitives, the quotient primitives
+of a tower and the injectivity ladder alike.  `has_primitives` decides
+E_n != 0 by a block scan: the words that the columns of the components join
+fall into connected blocks, each mapped into itself by every component.
+The stacked system is therefore block-diagonal by construction, whatever the
+braiding, and E_n is the direct sum of the block kernels, so the first
+nonzero block kernel settles the question exactly.
 """
 
 from __future__ import annotations
@@ -161,21 +166,23 @@ def symmetrizer_factorization_check(space: BraidedSpace, a: int, b: int) -> bool
 
 
 def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
-                     reduce=None) -> list[dict]:
-    """Basis of {x in V^(x)n : reduce(Delta^(a, n-a) x, a, n-a) = 0, a in parts}.
+                     reduce=None, basis=None) -> list[dict]:
+    """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
+    a in parts}, where basis defaults to the unit basis of V^(x)n.
 
     dims[k] is the dimension of the degree-k target, which prices component a
     at dims[a] * dims[n-a] constraint rows.  When all parts together cost at
-    most 2 d^n rows the stacked system is solved at once; otherwise the
-    kernel is shrunk one component at a time, the cheapest first.
+    most twice as many rows as there are unknowns (d^n, or len(basis)) the
+    stacked system is solved at once; otherwise the kernel is shrunk one
+    component at a time, the cheapest first.
     """
     size = space.power(n)
     cost = {a: dims[a] * dims[n - a] for a in parts}
-    if sum(cost.values()) <= 2 * size:
+    if sum(cost.values()) <= 2 * (size if basis is None else len(basis)):
         groups = [list(parts)]
     else:
         groups = [[a] for a in sorted(parts, key=cost.get)]
-    basis = None  # the unit basis of V^(x)n, whose images are the columns
+    # with no basis, the images of the unit vectors are the columns themselves
     for group in groups:
         stacked = [{} for _ in range(size if basis is None else len(basis))]
         for a in group:
@@ -207,6 +214,37 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     result = Subspace.from_rows(size, coproduct_kernel(space, n, range(1, n), dims))
     space._memo[key] = result
     return result
+
+
+def has_primitives(space: BraidedSpace, n: int) -> bool:
+    """Whether E_n is nonzero, without a basis of E_n unless one is memoized.
+
+    Each degree-n word w is joined to every word in the support of its
+    columns of Delta^(a, n-a), a = 1..n-1, by union-find; the blocks are
+    solved smallest first, up to the first nonzero kernel."""
+    space.check_budget(n)
+    if n <= 1:
+        return False
+    cached = space._memo.get(("primitives", n))
+    if cached is not None:
+        return cached.dim > 0
+    parent = list(range(space.power(n)))
+
+    def root(w):
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    for a in range(1, n):
+        for w, col in enumerate(delta_columns(space, a, n - a)):
+            for r in col:
+                parent[root(r)] = root(w)
+    blocks: dict[int, list] = {}
+    for w in range(len(parent)):
+        blocks.setdefault(root(w), []).append({w: space.field.one})
+    dims = [space.power(k) for k in range(n + 1)]
+    return any(coproduct_kernel(space, n, range(1, n), dims, basis=block)
+               for block in sorted(blocks.values(), key=len))
 
 
 def _nichols_images(space: BraidedSpace, n: int):

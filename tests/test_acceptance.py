@@ -32,7 +32,6 @@ from braidcalc.scalars import field_make, q_binomial
 from braidcalc.spaces import (
     make_braiding,
     make_preset,
-    shuffles,
     word_index,
 )
 from braidcalc.tensorbialg import (
@@ -49,6 +48,7 @@ from braidcalc.tower import (
     sdeg,
     tower_iterates,
 )
+from oracles import shuffles
 
 F1 = field_make(1)
 F2 = field_make(2)

@@ -97,12 +97,27 @@ def test_gurevich_enveloping_dims():
     # monomials e0^a e1^b e2^c of total degree <= n
     assert fq.dims_U == [1, 4, 10, 20, 35]
     assert fq.unconstrained == [3, 4, 5, 6]
+    # degrees above the bracket's cutoff are decided without a basis of E_t
+    assert ("primitives", 5) not in gu._memo
+    assert ("primitives", 6) not in gu._memo
     verdict = pbw_check(table, 4, 2, filtration=fq)
     assert verdict.status == "pbw_consistent"
     assert verdict.gr_dims == [1, 3, 6, 10, 15]
     assert verdict.theta_bound_ok
     assert lie_check(table, 4, 2, filtration=fq).status == "is_lie_up_to"
     assert primitive_check(table, 4, 2, filtration=fq)
+
+
+def test_unconstrained_degrees_skip_vanishing_primitives():
+    # cartan_An n = 2 at t = 3: E_2 = E_5 = 0 while E_3, E_4, E_6 are not
+    def space():
+        return make_preset("cartan_An", field_make(3), n=2, t=3)
+
+    fresh = space()
+    assert [primitive_space(fresh, t).dim > 0 for t in range(2, 7)] == \
+        [False, True, True, False, True]
+    fq = enveloping_filtration(BracketTable.zero(space(), 2), 4, 2)
+    assert fq.unconstrained == [3, 4, 6]
 
 
 def test_classical_sl2_pbw():

@@ -1,26 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.errors import DegreeBudgetExceeded
-from braidcalc.linalg import Subspace, kernel_basis, rank_of_rows
+from braidcalc.linalg import Subspace, kernel_basis
 from braidcalc.scalars import field_make, q_factorial, q_int
 from braidcalc.spaces import (
     make_braiding,
     make_preset,
     matsumoto_lift,
-    perm_inverse,
-    shuffles,
     word_index,
 )
 from braidcalc.tensorbialg import (
     delta_columns,
+    has_primitives,
     nichols_dims,
     primitive_space,
     symmetrizer,
     symmetrizer_direct,
     symmetrizer_factorization_check,
 )
+from oracles import perm_inverse, rank_of_rows, shuffles
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -396,3 +398,41 @@ def test_primitive_space_is_the_intersection_of_component_kernels():
             for a in range(2, n):
                 expected = expected.intersection(_component_kernel(space, a, n))
             assert primitive_space(space, n) == expected, (space.kind, n)
+
+
+ROOT_ORDERS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def property_spaces(draw):
+    """A diagonal braiding with root-of-unity entries (d <= 3), d4_rack, or
+    hecke_gl with a root of unity or a small integer as its mark."""
+    kind = draw(st.sampled_from(("diagonal", "d4_rack", "hecke_gl")))
+    if kind == "d4_rack":
+        return make_preset("d4_rack", F1)
+    field = field_make(draw(st.sampled_from(ROOT_ORDERS)))
+    if kind == "hecke_gl":
+        q = draw(st.one_of(st.integers(0, field.order - 1).map(field.gen.__pow__),
+                           st.sampled_from((2, 3, -2))))
+        return make_preset("hecke_gl", field, d=2, q=q)
+    d = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.integers(0, field.order - 1),
+                         min_size=d * d, max_size=d * d))
+    q = [[field.gen ** exps[i * d + j] for j in range(d)] for i in range(d)]
+    return make_braiding("diagonal", {"q": q}, field)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(property_spaces())
+def test_has_primitives_decides_the_primitive_space(space):
+    for n in range(2, 6):
+        fresh = has_primitives(space, n)
+        nonzero = primitive_space(space, n).dim > 0
+        # the second call reads the memoized E_n
+        assert fresh == nonzero == has_primitives(space, n), (space.kind, n)
+    if space.kind == "diagonal":
+        q, d, one = space.qmatrix, space.dim, space.field.one
+        expected = sum(q[i][i] == -one for i in range(d)) + \
+            sum(q[i][j] * q[j][i] == one
+                for i in range(d) for j in range(i + 1, d))
+        assert primitive_space(space, 2).dim == expected
