@@ -2,8 +2,8 @@
 
 Computes, over a cyclotomic coefficient field and without any floating
 point: primitive spaces of the braided tensor bialgebra, Nichols-algebra
-dimensions by quantum-symmetrizer rank, symmetric-algebra towers and the
-strongness degree (combinatorial rank), universal enveloping algebras of
+dimensions and quadraticity by normal words, symmetric-algebra towers and
+the strongness degree (combinatorial rank), universal enveloping algebras of
 braided Lie algebras with PBW verification, Hecke-type specializations, and
 the root-of-unity symmetrization operators with their partial-bracket
 identities.
@@ -17,11 +17,7 @@ from .scalars import (
     CycloScalar,
     Q,
     field_make,
-    is_regular,
     is_regular_exact,
-    q_binomial,
-    q_factorial,
-    q_int,
     root_order,
 )
 from .linalg import Echelon, Subspace
@@ -34,12 +30,7 @@ from .spaces import (
     word_index,
     word_letters,
 )
-from .tensorbialg import (
-    nichols_dims,
-    primitive_space,
-    symmetrizer,
-    symmetrizer_factorization_check,
-)
+from .tensorbialg import nichols_dims, primitive_space
 from .tower import (
     IdealTower,
     SdegVerdict,

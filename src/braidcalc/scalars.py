@@ -429,48 +429,6 @@ class CycloScalar:
         return out
 
 
-# ---------------------------------------------------------------------------
-# q-combinatorics
-# ---------------------------------------------------------------------------
-
-def q_int(n: int, q: CycloScalar) -> CycloScalar:
-    """(n)_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise BadParams("q-integer needs n >= 0")
-    acc = q.field.zero
-    power = q.field.one
-    for _ in range(n):
-        acc = acc + power
-        power = power * q
-    return acc
-
-
-def q_factorial(n: int, q: CycloScalar) -> CycloScalar:
-    acc = q.field.one
-    for k in range(1, n + 1):
-        acc = acc * q_int(k, q)
-    return acc
-
-
-def q_binomial(n: int, i: int, q: CycloScalar) -> CycloScalar:
-    """Gaussian binomial via the division-free q-Pascal recurrence.
-
-    binom(n, i)_q = binom(n-1, i-1)_q + q^i binom(n-1, i)_q stays defined at
-    roots of unity where the factorial quotient would divide by zero.
-    """
-    if not (0 <= i <= n):
-        raise BadParams("q-binomial needs 0 <= i <= n")
-    field = q.field
-    row = [field.one]  # row for n = 0
-    for _ in range(n):
-        new = [field.one]
-        for j in range(1, len(row)):
-            new.append(row[j - 1] + (q ** j) * row[j])
-        new.append(field.one)
-        row = new
-    return row[i]
-
-
 def root_order(q: CycloScalar):
     """Least n with q^n = 1, or None.  In Q(zeta_m) torsion has order lcm(2, m)."""
     if q.is_zero():
@@ -482,20 +440,6 @@ def root_order(q: CycloScalar):
             return n
         power = power * q
     return None
-
-
-def is_regular(q: CycloScalar, upto: int) -> bool:
-    """(n)_q != 0 for 2 <= n <= upto."""
-    if q.is_zero():
-        raise BadParams("regularity is about nonzero scalars")
-    acc = q.field.one + q
-    power = q
-    for _ in range(2, upto + 1):
-        if acc.is_zero():
-            return False
-        power = power * q
-        acc = acc + power
-    return True
 
 
 def is_regular_exact(q: CycloScalar) -> bool:

@@ -5,16 +5,23 @@ concatenated word coordinates (an endomorphism matrix of V^(x)(a+b)) and is
 computed by the multiplicative recursion Delta(w'x) = Delta(w') Delta(x), as
 Delta is an algebra map into T(V) (x)_c T(V); the shuffle sum
 sum_{sigma in (a|b)-shuffles} lift(sigma^(-1)) is the test reference.
-The quantum symmetrizer in degree n satisfies the recursion
 
-    Gamma_n = (Gamma_(n-1) (x) Id) . Delta^(n-1,1),      Gamma_0 = Gamma_1 = Id,
+The Nichols algebra B = T(V)/I is computed by normal words, in coordinates
+of size dim B^n * d and never d^n.  Degree n keeps a basis N_n of B^n made
+of words, the right-multiplication tables R_x: B^(n-1) -> B^n in those
+bases, and for each u in N_n its D-image D_n(u) = (pi_(n-1) (x) Id)
+Delta^(n-1,1)(u), where pi_k: T^k -> B^k is the quotient map.  The
+products u x, u in N_n, span B^(n+1) because I V lies in I, and their
+D-images follow from Delta(u x) = Delta(u) Delta(x): the term u (x) x,
+plus R_x'(p) (x) y' for each term p (x) y of D_n(u) and each term
+x' (x) y' of c(y (x) x).  The map y -> (pi_n (x) Id) Delta^(n,1)(y) has
+kernel exactly I_(n+1): by induction ker pi_n is the kernel of the quantum
+symmetrizer Gamma_n, and Gamma_(n+1) = (Gamma_n (x) Id) Delta^(n,1).  So one
+echelon of the D-images, each tagged with its product, gives r_(n+1) =
+dim B^(n+1) from its pivots, picks N_(n+1), and leaves each other product
+as its coordinates in N_(n+1): the tables R of the next degree.  Gamma_n
+and the direct sum over S_n are built only by the test oracles.
 
-and its rank is dim B^n, a graded dimension of the Nichols algebra.  The
-ranks come without Gamma_n, by the derivation recursion: if ker pi_(n-1) =
-ker Gamma_(n-1), then ker Gamma_n = ker (pi_(n-1) (x) Id) . Delta^(n-1,1),
-whose images have dim B^(n-1) * d coordinates; their echelon's pivot
-coordinates are injective on their span and give pi_n.  Gamma_n and the
-direct length-weighted sum over S_n are built only as independent oracles.
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
 quotient or inside a given span, for the primitives, the quotient primitives
@@ -28,28 +35,9 @@ nonzero block kernel settles the question exactly.
 
 from __future__ import annotations
 
-from .errors import BadParams
-from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy, vec_eq
-from .spaces import BraidedSpace, matsumoto_lift
-
-
-class Symmetrizer:
-    __slots__ = ("n", "columns", "_rank")
-
-    def __init__(self, n, columns):
-        self.n = n
-        self.columns = columns
-        self._rank = None
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            ncols = len(self.columns)
-            ech = Echelon(ncols)
-            # rank(M) = rank(M^T): feed the sparse columns directly
-            ech.add_rows(col for col in self.columns if col)
-            self._rank = ech.rank
-        return self._rank
+from .errors import BadParams, InternalCheckError
+from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
+from .spaces import BraidedSpace
 
 
 def delta_columns(space: BraidedSpace, a: int, b: int):
@@ -95,74 +83,6 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
             cols.append(acc)
     space._memo[key] = cols
     return cols
-
-
-def symmetrizer(space: BraidedSpace, n: int) -> Symmetrizer:
-    """The degree-n quantum symmetrizer, built by the (n-1, 1) recursion."""
-    space.check_budget(n)
-    key = ("gamma", n)
-    sym = space._memo.get(key)
-    if sym is not None:
-        return sym
-    one = space.field.one
-    if n <= 1:
-        cols = [{w: one} for w in range(space.power(n))]
-        sym = Symmetrizer(n, cols)
-    else:
-        prev = symmetrizer(space, n - 1).columns
-        d = space.dim
-        delta = delta_columns(space, n - 1, 1)
-        cols = []
-        for w in range(space.power(n)):
-            acc: dict = {}
-            for u, s in delta[w].items():
-                prefix, last = divmod(u, d)
-                for r, t in prev[prefix].items():
-                    tgt = r * d + last
-                    cur = acc.get(tgt)
-                    if cur is None:
-                        acc[tgt] = s * t
-                    else:
-                        new = cur + s * t
-                        if new.is_zero():
-                            del acc[tgt]
-                        else:
-                            acc[tgt] = new
-            cols.append(acc)
-        sym = Symmetrizer(n, cols)
-    space._memo[key] = sym
-    return sym
-
-
-def symmetrizer_direct(space: BraidedSpace, n: int):
-    """Independent oracle: the length-weighted sum over all of S_n."""
-    import itertools
-
-    one = space.field.one
-    size = space.power(n)
-    cols = [dict() for _ in range(size)]
-    for sigma in itertools.permutations(range(n)):
-        letters = matsumoto_lift(sigma).letters
-        for w in range(size):
-            vec_axpy(cols[w], one, space.apply_word(n, letters, {w: one}))
-    return cols
-
-
-def symmetrizer_factorization_check(space: BraidedSpace, a: int, b: int) -> bool:
-    """Gamma_(a+b) = (Gamma_a (x) Gamma_b) . Delta^(a,b), exactly."""
-    n = a + b
-    whole = symmetrizer(space, n).columns
-    ga = symmetrizer(space, a).columns
-    gb = symmetrizer(space, b).columns
-    delta = delta_columns(space, a, b)
-    dim_b = space.power(b)
-    # columns of Gamma_a (x) Gamma_b, word u = (hi, lo)
-    kron = [{r1 * dim_b + r2: t1 * t2
-             for r1, t1 in ga[u // dim_b].items()
-             for r2, t2 in gb[u % dim_b].items()}
-            for u in range(space.power(n))]
-    return all(vec_eq(matvec(kron, delta[w]), whole[w])
-               for w in range(space.power(n)))
 
 
 def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
@@ -247,35 +167,86 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
                for block in sorted(blocks.values(), key=len))
 
 
-def _nichols_images(space: BraidedSpace, n: int):
-    """(r_n, images): r_n = dim B^n and, per degree-n word w, a vector
-    pi_n(e_w) in r_n coordinates with ker pi_n = ker Gamma_n; memoized."""
-    key = ("nichols", n)
-    cached = space._memo.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = (1, [{0: space.field.one}])
-    else:
-        d = space.dim
-        rank, prev = _nichols_images(space, n - 1)
-        # pi_(n-1) (x) Id: key k * d + last letter
-        lifted = [{k * d + u % d: t for k, t in prev[u // d].items()}
-                  for u in range(space.power(n))]
-        images = [matvec(lifted, col) for col in delta_columns(space, n - 1, 1)]
-        ech = Echelon(rank * d)
-        ech.add_rows(m for m in images if m)
-        # the leads of an echelon are the RREF pivot columns of the span, so
-        # keeping only those coordinates is injective on it
-        renumber = {p: i for i, p in enumerate(sorted(ech.pivot_rows))}
-        result = (ech.rank, [{renumber[k]: v for k, v in m.items()
-                              if k in renumber} for m in images])
-    space._memo[key] = result
-    return result
+
+
+def times_letter(coords, d: int) -> list[dict]:
+    """Columns of R (x) Id_V on B^(n-1) (x) V (x) V, given the tables
+    coords[k * d + x] = R_x(e_k): column (k * d + x) * d + y is R_x(e_k) (x) y,
+    in dim B^n * d coordinates."""
+    return [{j * d + y: v for j, v in col.items()} for col in coords for y in range(d)]
+
+
+def _nichols_levels(space: BraidedSpace, upto: int) -> list:
+    """Degrees 0..upto of B(V) by normal words, memoized as one growing list.
+
+    Degree n is (images, coords): images[i] = D_n(u_i) for the i-th normal
+    word, in dim B^(n-1) * d coordinates, and coords[k * d + x] = R_x(e_k),
+    the degree-n coordinates of the k-th degree-(n-1) normal word times x."""
+    levels = space._memo.setdefault("nichols", [([{}], [])])
+    d, dd, one = space.dim, space.dim * space.dim, space.field.one
+    block = space.braiding_block_matrix(1, 1)
+    while len(levels) <= upto:
+        images, coords = levels[-1]
+        width = len(images) * d
+        lifted = times_letter(coords, d)
+        # one augmented echelon: D-image coordinates, then a tag per product;
+        # taken in descending order the products keep its scalars smaller
+        # (about 2x faster than ascending on Aff(5, 2) and cartan_An n = 3)
+        ech = Echelon(2 * width)
+        normal, rems = {}, {}
+        for c in reversed(range(width)):
+            i, x = divmod(c, d)
+            braided: dict = {}
+            for key, s in images[i].items():
+                k, y = divmod(key, d)
+                vec_axpy(braided, s, {k * dd + t: v for t, v in block[y * d + x].items()})
+            # Delta(u x) = Delta(u) Delta(x): e_u (x) x, plus p x' (x) y' for
+            # each term p (x) y of D_n(u) and c(y (x) x) = x' (x) y'
+            img = matvec(lifted, braided)
+            vec_axpy(img, one, {c: one})
+            rem = ech.reduce({**img, width + c: one})
+            if min(rem) < width:
+                ech.add(rem)
+                normal[c] = img
+            else:
+                rems[c] = rem
+        index = {c: j for j, c in enumerate(sorted(normal))}
+        # a remainder holds only tags: c = sum of normal words mod I_(n+1)
+        coords = [{index[c]: one} if c in index else
+                  {index[t - width]: -v for t, v in rems[c].items() if t != width + c}
+                  for c in range(width)]
+        levels.append(([normal[c] for c in sorted(normal)], coords))
+    return levels
+
+
+def _rigid(space: BraidedSpace) -> bool:
+    """Whether c^flat: V* (x) V -> V (x) V*, f_i (x) x_j -> sum over m of
+    c(x_j (x) x_m)_(i, l) x_l (x) f_m, is invertible."""
+    d = space.dim
+    flat: dict = {}
+    for (j, m), images in space.pairs.items():
+        for (i, l), s in images:
+            flat.setdefault(i * d + j, {})[l * d + m] = s
+    return Echelon(d * d).add_rows(flat.values()) == d * d
 
 
 def nichols_dims(space: BraidedSpace, upto: int):
-    """Graded dimensions of the Nichols algebra: the ranks r_n of the
-    derivation recursion, which equal the ranks of the symmetrizers."""
+    """Graded dimensions r_n of the Nichols algebra, by normal words.
+
+    A zero r_n proves B^m = 0 for all m >= n, as B is generated in degree 1,
+    so the degrees above it are filled in.  The Hilbert series of a
+    finite-dimensional Nichols algebra of a rigid braiding is palindromic
+    (Andruskiewitsch-Schneider, "Pointed Hopf algebras", 2002), which is
+    checked; c = q Id with d >= 2 is not rigid, and its series is not."""
     space.check_budget(upto)
-    return [_nichols_images(space, n)[0] for n in range(upto + 1)]
+    dims = []
+    for n in range(upto + 1):
+        dims.append(len(_nichols_levels(space, n)[n][0]))
+        if not dims[-1]:
+            series = dims[:-1]
+            if series != series[::-1] and _rigid(space):
+                raise InternalCheckError(
+                    "the Hilbert series %r of a finite-dimensional Nichols "
+                    "algebra is not palindromic" % series)
+            return dims + [0] * (upto - n)
+    return dims

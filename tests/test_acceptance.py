@@ -28,7 +28,7 @@ from braidcalc.errors import NotABracket, YBENotSatisfied
 from braidcalc.fixtures import CATALOG, preset_bracket
 from braidcalc.linalg import Subspace
 from braidcalc.pareigis import check_pi_in_E, check_pi_su, pi_zeta, zeta_space
-from braidcalc.scalars import field_make, q_binomial
+from braidcalc.scalars import field_make
 from braidcalc.spaces import (
     make_braiding,
     make_preset,
@@ -38,7 +38,6 @@ from braidcalc.tensorbialg import (
     delta_columns,
     nichols_dims,
     primitive_space,
-    symmetrizer_factorization_check,
 )
 from braidcalc.tower import (
     delta_injectivity_ladder,
@@ -48,7 +47,7 @@ from braidcalc.tower import (
     sdeg,
     tower_iterates,
 )
-from oracles import shuffles
+from oracles import q_binomial, shuffles, symmetrizer_factorization_check
 
 F1 = field_make(1)
 F2 = field_make(2)

@@ -19,11 +19,12 @@ from braidcalc.pareigis import (
     verify_PL,
     zeta_space,
 )
-from braidcalc.scalars import field_make, q_binomial
+from braidcalc.scalars import field_make
 from braidcalc.linalg import Subspace, vec_axpy
 from braidcalc.spaces import (BraidedSpace, make_braiding, make_preset,
                               matsumoto_lift, word_index)
 from braidcalc.tensorbialg import delta_columns, matvec, primitive_space
+from oracles import q_binomial
 
 F1 = field_make(1)
 F3 = field_make(3)

@@ -15,13 +15,10 @@ from braidcalc.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     field_make,
-    is_regular,
     is_regular_exact,
-    q_binomial,
-    q_factorial,
-    q_int,
     root_order,
 )
+from oracles import is_regular, q_binomial, q_factorial, q_int
 
 
 def test_field_construction_examples():

@@ -8,7 +8,7 @@ from braidcalc.errors import (
     SingularBraiding,
     YBENotSatisfied,
 )
-from braidcalc.scalars import field_make, q_binomial
+from braidcalc.scalars import field_make
 from braidcalc.spaces import (
     BraidWord,
     make_braiding,
@@ -17,7 +17,8 @@ from braidcalc.spaces import (
     word_index,
     word_letters,
 )
-from oracles import perm_compose, perm_inverse, perm_length, rank_of_rows, shuffles
+from oracles import (perm_compose, perm_inverse, perm_length, q_binomial,
+                     rank_of_rows, shuffles)
 
 F1 = field_make(1)
 F4 = field_make(4)

@@ -1,13 +1,18 @@
+import itertools
 import random
+import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.errors import DegreeBudgetExceeded
+from braidcalc.errors import DegreeBudgetExceeded, InternalCheckError
+from braidcalc.fixtures import CATALOG
 from braidcalc.linalg import Subspace, kernel_basis
-from braidcalc.scalars import field_make, q_factorial, q_int
+from braidcalc.scalars import field_make
 from braidcalc.spaces import (
+    BraidedSpace,
     make_braiding,
     make_preset,
     matsumoto_lift,
@@ -18,15 +23,32 @@ from braidcalc.tensorbialg import (
     has_primitives,
     nichols_dims,
     primitive_space,
+)
+from braidcalc.tower import is_quadratic
+from oracles import (
+    is_quadratic_by_closure,
+    nichols_dims_dn,
+    perm_inverse,
+    q_factorial,
+    q_int,
+    rank_of_rows,
+    shuffles,
     symmetrizer,
     symmetrizer_direct,
     symmetrizer_factorization_check,
+    symmetrizer_rank,
 )
-from oracles import perm_inverse, rank_of_rows, shuffles
 
 F1 = field_make(1)
 F3 = field_make(3)
 F4 = field_make(4)
+
+
+def rack_space(d, act, budget):
+    """The rack braiding c(x_i (x) x_j) = -x_(i |> j) (x) x_i, cocycle -1."""
+    minus = -F1.one
+    pairs = {(i, j): (((act(i, j), i), minus),) for i in range(d) for j in range(d)}
+    return BraidedSpace(F1, d, pairs, "rack", degree_budget=budget)
 
 
 def vec(space, coeffs):
@@ -126,7 +148,7 @@ def test_coassociativity():
 
 def test_gamma_examples():
     fl = make_braiding("flip", {"d": 2}, F1)
-    g2 = symmetrizer(fl, 2).columns
+    g2 = symmetrizer(fl, 2)
     for w in range(4):
         expected = {w: F1.one}
         img = fl.apply_word(2, (1,), {w: F1.one})
@@ -142,7 +164,7 @@ def test_gamma_examples():
     sc = make_braiding("scalar", {"d": 2, "q": 3}, F1)
     for n in (2, 3, 4):
         fact = q_factorial(n, q)
-        cols = symmetrizer(sc, n).columns
+        cols = symmetrizer(sc, n)
         assert all(cols[w] == {w: fact} for w in range(sc.power(n)))
 
 
@@ -167,7 +189,7 @@ def test_direct_symmetrizer_oracle():
                   make_preset("gurevich", F1),
                   make_preset("d4_rack", F1)):
         for n in (2, 3):
-            rec = symmetrizer(space, n).columns
+            rec = symmetrizer(space, n)
             direct = symmetrizer_direct(space, n)
             assert all(a == b for a, b in zip(rec, direct))
 
@@ -289,7 +311,7 @@ def test_nichols_dims_equal_symmetrizer_ranks():
     for space in _nichols_test_spaces():
         top = 4 if space.dim >= 4 else 5
         assert nichols_dims(space, top) == \
-            [symmetrizer(space, n).rank for n in range(top + 1)], space.kind
+            [symmetrizer_rank(space, n) for n in range(top + 1)], space.kind
 
 
 def test_nichols_dims_equal_direct_symmetrizer_ranks():
@@ -313,20 +335,56 @@ def test_nichols_dims_d4_rack_hilbert_series():
     assert nichols_dims(d4, 8) == series
 
 
-def test_nichols_dims_build_no_symmetrizer(monkeypatch):
+def test_nichols_dims_build_no_coproduct_columns(monkeypatch):
     import braidcalc.tensorbialg as tb
 
     calls = []
-    build = tb.symmetrizer
+    build = tb.delta_columns
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(tb, "symmetrizer", counted)
+    monkeypatch.setattr(tb, "delta_columns", counted)
     d4 = make_preset("d4_rack", F1)
     assert nichols_dims(d4, 6) == [1, 4, 8, 12, 14, 12, 8]
     assert calls == []
+
+
+def test_nichols_dims_fill_zeros_above_the_top_degree():
+    d3 = rack_space(3, lambda i, j: (2 * i - j) % 3, budget=8)
+    assert nichols_dims(d3, 8) == [1, 3, 4, 3, 1, 0, 0, 0, 0]
+    # B is generated in degree 1: nothing above the first zero is computed
+    assert len(d3._memo["nichols"]) == 6
+
+
+def test_nichols_dims_check_the_hilbert_series_is_palindromic(monkeypatch):
+    import braidcalc.tensorbialg as tb
+
+    levels = tb._nichols_levels
+
+    def one_rank_too_many(space, n):
+        out = list(levels(space, n))
+        if n == 3:
+            images, coords = out[3]
+            out[3] = (images + [{}], coords)
+        return out
+
+    d4 = make_preset("d4_rack", F1, degree_budget=9)
+    monkeypatch.setattr(tb, "_nichols_levels", one_rank_too_many)
+    with pytest.raises(InternalCheckError, match="palindromic"):
+        nichols_dims(d4, 9)
+    # below the first zero nothing is known about the series, so no check
+    assert nichols_dims(d4, 6)[3] == 13
+
+
+def test_nichols_dims_skip_the_palindrome_check_without_rigidity():
+    # c = q Id with q of order 4 is not rigid for d = 2 (c^flat has rank 1):
+    # B = k + V + V^2 + V^3, finite and not palindromic
+    scz = make_braiding("scalar", {"d": 2, "q": F4.gen}, F4)
+    assert nichols_dims(scz, 5) == [1, 2, 4, 8, 0, 0]
+    one = make_braiding("scalar", {"d": 1, "q": F4.gen}, F4)
+    assert nichols_dims(one, 5) == [1, 1, 1, 1, 0, 0]
 
 
 def test_delta_multiplicativity_spot_check(seed=17):
@@ -436,3 +494,154 @@ def test_has_primitives_decides_the_primitive_space(space):
             sum(q[i][j] * q[j][i] == one
                 for i in range(d) for j in range(i + 1, d))
         assert primitive_space(space, 2).dim == expected
+
+
+# -- literature dimensions of finite-dimensional Nichols algebras ---------------
+
+def series_product(factors):
+    """Coefficients of a product of polynomials given as coefficient lists."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+    return reduce(mul, factors, [1])
+
+
+def q_number(n, step=1):
+    """[n]_(t^step) = 1 + t^step + ... + t^((n - 1) step), as coefficients."""
+    return [int(k % step == 0) for k in range((n - 1) * step + 1)]
+
+
+def f4_times_omega(a):
+    """a * omega in F_4 = F_2[omega], a = a0 + a1 omega encoded as a0 + 2 a1."""
+    lo, hi = a & 1, a >> 1
+    return hi | ((lo ^ hi) << 1)
+
+
+def tetrahedron(i, j):
+    """Aff(F_4, omega): i |> j = omega j + (1 - omega) i, and 1 - omega = omega^2."""
+    return f4_times_omega(j) ^ f4_times_omega(f4_times_omega(i))
+
+
+TRANSPOSITIONS = list(itertools.combinations(range(4), 2))
+
+
+def conjugate(s, t):
+    """s |> t = s t s^-1 on the transpositions of S_4."""
+    a, b = TRANSPOSITIONS[s]
+    swap = {a: b, b: a}
+    image = sorted(swap.get(k, k) for k in TRANSPOSITIONS[t])
+    return TRANSPOSITIONS.index(tuple(image))
+
+
+def assert_finite_nichols(space, series, budget_s):
+    """B(V) has exactly this Hilbert series, and the run fits its budget."""
+    top = len(series) - 1
+    start = time.perf_counter()
+    dims = nichols_dims(space, top + 1)
+    elapsed = time.perf_counter() - start
+    assert dims == series + [0]
+    assert elapsed < budget_s, elapsed
+    return elapsed
+
+
+@pytest.mark.parametrize("name, d, act, series, total", [
+    # Fomin-Kirillov; Milinski-Schneider
+    ("dihedral D_3", 3, lambda i, j: (2 * i - j) % 3,
+     series_product([q_number(2)] * 2 + [q_number(3)]), 12),
+    ("transpositions of S_4", 6, conjugate,
+     series_product([q_number(2)] * 2 + [q_number(3)] * 2 + [q_number(4)] * 2), 576),
+    # Grana; Andruskiewitsch-Grana
+    ("tetrahedron Aff(F_4, omega)", 4, tetrahedron,
+     series_product([q_number(2)] * 2 + [q_number(3), q_number(6)]), 72),
+])
+def test_nichols_dims_of_racks_from_the_literature(name, d, act, series, total):
+    assert sum(series) == total
+    assert_finite_nichols(rack_space(d, act, len(series)), series, 3.0)
+
+
+def test_nichols_dims_of_the_affine_racks_of_order_5():
+    # Grana; Andruskiewitsch-Grana: dim 1280 = 4^4 * 5 for Aff(5, 2), Aff(5, 3)
+    series = series_product([q_number(4)] * 4 + [q_number(5)])
+    assert sum(series) == 1280
+    elapsed = sum(assert_finite_nichols(
+        rack_space(5, lambda i, j, w=w: (w * j + (1 - w) * i) % 5, len(series)),
+        series, 10.0) for w in (2, 3))
+    assert elapsed < 10.0, elapsed
+
+
+def cartan_a_series(rank, order):
+    """prod over the positive roots beta of A_rank of [order]_(t^ht(beta)):
+    rank + 1 - h roots of each height h (Andruskiewitsch-Schneider)."""
+    return series_product([q_number(order, h)
+                           for h in range(1, rank + 1) for _ in range(rank + 1 - h)])
+
+
+def test_nichols_dims_of_cartan_type_a_at_a_cube_root():
+    F3 = field_make(3)
+    a2 = make_preset("cartan_An", F3, n=2, t=3, degree_budget=9)
+    series = cartan_a_series(2, 3)
+    assert sum(series) == 27
+    assert_finite_nichols(a2, series, 3.0)
+    series = cartan_a_series(3, 3)
+    assert sum(series) == 729
+    a3 = make_preset("cartan_An", F3, n=3, t=3, degree_budget=12)
+    start = time.perf_counter()
+    assert nichols_dims(a3, 12) == series[:13]
+    assert time.perf_counter() - start < 3.0
+
+
+# -- the normal-word routes against the d^n routes --------------------------------
+
+def catalog_space(entry):
+    return make_preset(entry["preset"], field_make(entry["field_order"]),
+                       **entry["params"])
+
+
+@st.composite
+def nichols_spaces(draw):
+    """A diagonal braiding with root-of-unity entries (d <= 3), a rack with
+    cocycle -1 (D_3, D_4 or trivial), gurevich, hecke_gl, or a catalog entry."""
+    kind = draw(st.sampled_from(("diagonal", "rack", "gurevich", "hecke_gl",
+                                 "catalog")))
+    if kind == "rack":
+        d, act = draw(st.sampled_from((
+            (3, lambda i, j: (2 * i - j) % 3),
+            (4, lambda i, j: (2 * i - j) % 4),
+            (draw(st.integers(1, 3)), lambda i, j: j))))
+        return rack_space(d, act, 5)
+    if kind == "gurevich":
+        return make_preset("gurevich", F1)
+    if kind == "catalog":
+        return catalog_space(draw(st.sampled_from(CATALOG)))
+    field = field_make(draw(st.sampled_from(ROOT_ORDERS)))
+    if kind == "hecke_gl":
+        q = draw(st.one_of(st.integers(0, field.order - 1).map(field.gen.__pow__),
+                           st.sampled_from((2, 3, -2))))
+        return make_preset("hecke_gl", field, d=2, q=q)
+    d = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.integers(0, field.order - 1),
+                         min_size=d * d, max_size=d * d))
+    q = [[field.gen ** exps[i * d + j] for j in range(d)] for i in range(d)]
+    return make_braiding("diagonal", {"q": q}, field)
+
+
+def assert_word_routes_agree(space):
+    top = 4 if space.dim >= 4 else 5
+    assert nichols_dims(space, top) == nichols_dims_dn(space, top), space.kind
+    assert is_quadratic(space, top) == is_quadratic_by_closure(space, top), \
+        space.kind
+
+
+def test_normal_words_agree_with_the_word_routes_on_presets_and_catalog():
+    for space in _nichols_test_spaces() + [catalog_space(e) for e in CATALOG] + \
+            [make_preset("twodim_sdeg2", F1)]:
+        assert_word_routes_agree(space)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(nichols_spaces())
+def test_normal_words_agree_with_the_word_routes(space):
+    assert_word_routes_agree(space)
