@@ -261,15 +261,3 @@ def left_kernel(vectors: list[dict], one=None) -> list[dict]:
             transposed.setdefault(col, {})[i] = val
     return kernel_basis(transposed.values(), len(vectors), one=one)
 
-
-# -- tensor-shaped reindexing helpers ----------------------------------------
-
-def row_tensor_basis_right(row: dict, d: int, letter: int) -> dict:
-    """row (x) e_letter, for a row living in degree-n word coordinates."""
-    return {col * d + letter: val for col, val in row.items()}
-
-
-def row_tensor_basis_left(row: dict, d: int, letter: int, deg: int) -> dict:
-    """e_letter (x) row, row in degree-`deg` coordinates."""
-    shift = letter * d**deg
-    return {shift + col: val for col, val in row.items()}

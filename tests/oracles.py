@@ -7,15 +7,24 @@ the (n-1, 1) recursion and by the direct sum over S_n, the derivation
 recursion over all degree-n words, and the quadratic closure of E_2 in
 d^n.  The library computes Nichols dimensions and quadraticity by normal
 words, so these stay here as plain oracles.
+
+The d^n route to the symmetric-algebra tower is here too: a DnTower holds
+its ideal components J_n as Subspaces of V^(x)n, reduces modulo
+J_a (x) V^b + V^a (x) J_b factor by factor, closes generators by
+concatenation in d^n and checks the coideal and braiding-stability
+properties there.  The library holds each tower as its quotient by normal
+words; its on-demand components must equal these.
 """
 
 import itertools
 
-from braidcalc.errors import BadParams
-from braidcalc.linalg import Echelon, matvec, vec_axpy, vec_eq
+from functools import partial
+
+from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
+                              InternalCheckError, NotACoideal)
+from braidcalc.linalg import Echelon, Subspace, matvec, vec_axpy, vec_eq
 from braidcalc.spaces import matsumoto_lift
-from braidcalc.tensorbialg import delta_columns, primitive_space
-from braidcalc.tower import ideal_closure
+from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
 
 
 def perm_length(sigma) -> int:
@@ -188,8 +197,197 @@ def nichols_dims_dn(space, upto: int) -> list[int]:
 
 def is_quadratic_by_closure(space, cutoff: int) -> bool:
     """The ideal generated by E_2, closed in d^n, against I_n = d^n - dim B^n."""
-    tower = ideal_closure(space, {2: primitive_space(space, 2)}, cutoff,
-                          verify="off")
+    tower = ideal_closure_dn(space, {2: primitive_space(space, 2)}, cutoff,
+                             verify="off")
     dims = nichols_dims_dn(space, cutoff)
     return all(tower.components[n].dim == space.power(n) - dims[n]
                for n in range(2, cutoff + 1))
+
+
+# -- the d^n route to the symmetric-algebra tower ------------------------------
+
+class DnTower:
+    """A graded ideal held by its components J_n, Subspaces of V^(x)n."""
+
+    def __init__(self, space, cutoff: int, components):
+        self.space = space
+        self.cutoff = cutoff
+        self.components = components
+        self.added = {}
+
+    @classmethod
+    def tensor_algebra(cls, space, cutoff: int) -> "DnTower":
+        return cls(space, cutoff,
+                   [Subspace.zero(space.power(n)) for n in range(cutoff + 1)])
+
+    @property
+    def dims(self):
+        return [self.space.power(n) - c.dim for n, c in enumerate(self.components)]
+
+
+def reduce_bidegree(tower, vec: dict, a: int, b: int) -> dict:
+    """Canonical remainder of a degree-(a+b) vector modulo
+    J_a (x) V^b + V^a (x) J_b, via the two quotient maps factor by factor.
+    Reads only tower.components and tower.space, so it takes library towers
+    too."""
+    J_a = tower.components[a]
+    J_b = tower.components[b]
+    dim_b = tower.space.power(b)
+    if J_b.dim:
+        by_prefix: dict[int, dict] = {}
+        for col, val in vec.items():
+            u, s = divmod(col, dim_b)
+            by_prefix.setdefault(u, {})[s] = val
+        vec = {}
+        for u, slice_vec in by_prefix.items():
+            for s, val in J_b.reduce(slice_vec).items():
+                vec[u * dim_b + s] = val
+    if J_a.dim:
+        by_suffix: dict[int, dict] = {}
+        for col, val in vec.items():
+            u, s = divmod(col, dim_b)
+            by_suffix.setdefault(s, {})[u] = val
+        vec = {}
+        for s, slice_vec in by_suffix.items():
+            for u, val in J_a.reduce(slice_vec).items():
+                vec[u * dim_b + s] = val
+    return dict(vec)
+
+
+def row_tensor_basis_right(row: dict, d: int, letter: int) -> dict:
+    """row (x) e_letter, for a row living in degree-n word coordinates."""
+    return {col * d + letter: val for col, val in row.items()}
+
+
+def row_tensor_basis_left(row: dict, d: int, letter: int, deg: int) -> dict:
+    """e_letter (x) row, row in degree-`deg` coordinates."""
+    shift = letter * d**deg
+    return {shift + col: val for col, val in row.items()}
+
+
+def _close_dn(space, generators, cutoff):
+    comps = [Subspace.zero(space.power(n)) for n in range(min(2, cutoff + 1))]
+    d = space.dim
+    for n in range(2, cutoff + 1):
+        ech = Echelon(space.power(n))
+        prev = comps[n - 1]
+        for row in prev.rows:
+            for k in range(d):
+                ech.add(row_tensor_basis_left(row, d, k, n - 1))
+                ech.add(row_tensor_basis_right(row, d, k))
+        ech.add_rows(generators.get(n, ()))
+        comps.append(Subspace.from_echelon(ech))
+    return comps
+
+
+def _verify_coideal_dn(tower, check_rows, internal):
+    for n, rows in check_rows.items():
+        for a in range(1, n):
+            cols = delta_columns(tower.space, a, n - a)
+            for row in rows:
+                if reduce_bidegree(tower, matvec(cols, row), a, n - a):
+                    if internal:
+                        raise InternalCheckError("not a coideal (degree %d)" % n)
+                    raise NotACoideal(n, row)
+
+
+def _verify_braiding_stability_dn(space, check, cutoff, internal, max_pad):
+    """c^{u,t}(V^u (x) J_t) inside J_t (x) V^u and the mirror inclusion, for
+    each Subspace J_t of check = {t: J_t} and pad u <= max_pad."""
+    for t, J_t in check.items():
+        dim_t = space.power(t)
+        for u in range(1, min(max_pad, cutoff - t) + 1):
+            dim_u = space.power(u)
+            for w in range(dim_u):
+                for row in J_t.rows:
+                    left = space.braiding_block_apply(
+                        u, t, {w * dim_t + c: v for c, v in row.items()})
+                    right = space.braiding_block_apply(
+                        t, u, {c * dim_u + w: v for c, v in row.items()})
+                    slices: dict = {}
+                    for col, val in left.items():
+                        hi, lo = divmod(col, dim_u)
+                        slices.setdefault(("l", lo), {})[hi] = val
+                    for col, val in right.items():
+                        hi, lo = divmod(col, dim_t)
+                        slices.setdefault(("r", hi), {})[lo] = val
+                    if not all(J_t.contains(s) for s in slices.values()):
+                        if internal:
+                            raise InternalCheckError(
+                                "braiding does not stabilise the ideal")
+                        raise NotACoideal(t, row)
+
+
+def ideal_closure_dn(space, generators, cutoff, verify="light", internal=False):
+    """The closure in d^n, checked on the generators (verify="light", braiding
+    pad 1), on every row of every component (verify="full", every pad), or
+    not at all (verify="off")."""
+    space.check_budget(cutoff)
+    gen_rows = {}
+    for n, gen in (generators or {}).items():
+        if n < 2:
+            raise BadParams("ideal generators must have degree >= 2")
+        if n > cutoff:
+            raise DegreeBudgetExceeded(n, cutoff)
+        rows = gen.rows if isinstance(gen, Subspace) else list(gen)
+        if rows:
+            gen_rows[n] = rows
+    tower = DnTower(space, cutoff, _close_dn(space, gen_rows, cutoff))
+    if verify == "full":
+        check = {n: c for n, c in enumerate(tower.components) if c.dim}
+        _verify_coideal_dn(tower, {n: c.rows for n, c in check.items()}, internal)
+        _verify_braiding_stability_dn(space, check, cutoff, internal, cutoff)
+    elif verify == "light":
+        _verify_coideal_dn(tower, gen_rows, internal)
+        _verify_braiding_stability_dn(
+            space, {n: Subspace.from_rows(space.power(n), rows)
+                    for n, rows in gen_rows.items()}, cutoff, internal, 1)
+    return tower
+
+
+def quotient_primitives_dn(tower, n):
+    """Lifted degree-n primitives of the quotient, containing J_n."""
+    space = tower.space
+    if n <= 1:
+        return Subspace.zero(space.power(n))
+    if all(tower.components[k].dim == 0 for k in range(2, n)):
+        ech = tower.components[n].echelon()
+        ech.add_rows(primitive_space(space, n).rows)
+        return Subspace.from_echelon(ech)
+    return Subspace.from_rows(space.power(n), coproduct_kernel(
+        space, n, range(1, n), tower.dims, partial(reduce_bidegree, tower)))
+
+
+def tower_iterates_dn(space, cutoff):
+    """T, S(T), ... up to the fixpoint, each step closing the full lifted
+    quotient primitives of every degree in d^n."""
+    iterates = [DnTower.tensor_algebra(space, cutoff)]
+    while True:
+        tower = iterates[-1]
+        gens, added = {}, {}
+        for n in range(2, cutoff + 1):
+            prims = quotient_primitives_dn(tower, n)
+            if prims.dim:
+                gens[n] = prims
+            if prims.dim > tower.components[n].dim:
+                added[n] = prims.dim - tower.components[n].dim
+        if not added:
+            return iterates
+        nxt = ideal_closure_dn(space, gens, cutoff, internal=True)
+        nxt.added = added
+        iterates.append(nxt)
+
+
+def delta_injectivity_ladder(tower, upto: int) -> dict:
+    """Injectivity of the quotient coproduct components, bidegree by bidegree.
+
+    Returns {(a, b): bool}; the k-th tower iterate must be injective for all
+    a + b <= k + 1."""
+    reduce = partial(reduce_bidegree, tower)
+    out = {}
+    for n in range(2, upto + 1):
+        J_n = tower.components[n]
+        for a in range(1, n):
+            kernel = coproduct_kernel(tower.space, n, [a], tower.dims, reduce)
+            out[(a, n - a)] = all(J_n.contains(v) for v in kernel)
+    return out

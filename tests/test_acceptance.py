@@ -40,14 +40,18 @@ from braidcalc.tensorbialg import (
     primitive_space,
 )
 from braidcalc.tower import (
-    delta_injectivity_ladder,
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
     sdeg,
     tower_iterates,
 )
-from oracles import q_binomial, shuffles, symmetrizer_factorization_check
+from oracles import (
+    delta_injectivity_ladder,
+    q_binomial,
+    shuffles,
+    symmetrizer_factorization_check,
+)
 
 F1 = field_make(1)
 F2 = field_make(2)

@@ -86,7 +86,8 @@ def test_quotient_primitives_vanish_on_strongly_graded_quotient():
 def test_fixpoint_iff_quotient_components_injective():
     # a tower iterate is a fixpoint at the cutoff exactly when all inner
     # quotient coproduct components are injective there
-    from braidcalc.tower import delta_injectivity_ladder, tower_iterates
+    from braidcalc.tower import tower_iterates
+    from oracles import delta_injectivity_ladder
 
     tw = make_preset("twodim_sdeg2", F1)
     iterates = tower_iterates(tw, 5)

@@ -5,12 +5,10 @@ from braidcalc.linalg import (
     Subspace,
     kernel_basis,
     left_kernel,
-    row_tensor_basis_left,
-    row_tensor_basis_right,
     vec_axpy,
 )
 from braidcalc.scalars import Q, field_make
-from oracles import rank_of_rows
+from oracles import rank_of_rows, row_tensor_basis_left, row_tensor_basis_right
 
 F = field_make(1)
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from braidcalc.errors import BadParams, NotACoideal
+from braidcalc.errors import BadParams, InternalCheckError, NotACoideal
 from braidcalc.linalg import Subspace
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
@@ -13,17 +14,22 @@ from braidcalc.tensorbialg import (
 )
 from braidcalc.tower import (
     IdealTower,
-    delta_injectivity_ladder,
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
     quotient_primitives,
-    reduce_bidegree,
     sdeg,
     symmetric_step,
     tower_iterates,
 )
-from oracles import symmetrizer_rank
+from oracles import (
+    delta_injectivity_ladder,
+    ideal_closure_dn,
+    reduce_bidegree,
+    symmetrizer_rank,
+    tower_iterates_dn,
+)
+from test_tensorbialg import nichols_spaces
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -76,8 +82,18 @@ def test_quotient_primitives_match_plain_primitives_on_t():
         assert quotient_primitives(qb, n) == primitive_space(d4, n)
 
 
-def test_d4_quartic_classes_are_quotient_primitives():
+@pytest.fixture(scope="module")
+def d4_six():
+    """d4_rack with the primitives of T(V) memoized up to degree 6: step 1 of
+    its degree-6 tower, shared by the tests that need it."""
     d4 = make_preset("d4_rack", F1)
+    for n in range(2, 7):
+        primitive_space(d4, n)
+    return d4
+
+
+def test_d4_quartic_classes_are_quotient_primitives(d4_six):
+    d4 = d4_six
     iterates = tower_iterates(d4, 6)
     s_one = iterates[1]
     prims4 = quotient_primitives(s_one, 4)
@@ -260,8 +276,9 @@ def test_is_quadratic_examples():
 def test_coideal_verification_full_mode():
     gu = make_preset("gurevich", F1)
     e2 = primitive_space(gu, 2)
-    tower = ideal_closure(gu, {2: e2}, 4, verify="full")
+    tower = ideal_closure_dn(gu, {2: e2}, 4, verify="full")
     assert tower.dims == [1, 3, 6, 10, 15]
+    assert ideal_closure(gu, {2: e2}, 4).components == tower.components
 
 
 def test_sdeg_cutoff_honesty_for_higher_root_orders():
@@ -343,3 +360,104 @@ def test_stacked_and_one_at_a_time_kernels_agree():
             assert Subspace.from_rows(size, stacked) == \
                 Subspace.from_rows(size, shrunk) == \
                 quotient_primitives(qb, n), (space.kind, n)
+
+
+def test_closure_rejects_generators_that_are_not_braiding_stable():
+    # one degree-2 primitive of the rack: the coideal half holds, but c moves
+    # it to primitives outside the ideal it generates
+    d4 = make_preset("d4_rack", F1)
+    e2 = primitive_space(d4, 2)
+    row = e2.rows[0]
+    assert e2.contains(row)
+    with pytest.raises(NotACoideal):
+        ideal_closure(d4, {2: [row]}, 3)
+    with pytest.raises(NotACoideal):
+        ideal_closure_dn(d4, {2: [row]}, 3)
+    assert ideal_closure(d4, {2: [row]}, 3, verify="off").dims == \
+        ideal_closure_dn(d4, {2: [row]}, 3, verify="off").dims
+    with pytest.raises(BadParams):
+        ideal_closure(d4, {2: [row]}, 3, verify="full")
+
+
+def _mutation_cases():
+    return ((make_preset("d4_rack", F1), 4),
+            (make_preset("cartan_An", F3, n=2, t=3), 6))
+
+
+def test_light_check_catches_a_non_primitive_word(monkeypatch):
+    import braidcalc.tower as tower_mod
+
+    real = tower_mod._lifted_primitives
+
+    def mutated(tower, n):
+        prims = real(tower, n)
+        if prims and tower.generators:
+            # add to the first primitive a normal word it lacks
+            extra = next(w for w in tower.levels[n][0] if w not in prims[0])
+            prims = [{**prims[0], extra: tower.space.field.one}] + prims[1:]
+        return prims
+
+    for space, cutoff in _mutation_cases():
+        first = symmetric_step(IdealTower.tensor_algebra(space, cutoff))
+        monkeypatch.setattr(tower_mod, "_lifted_primitives", mutated)
+        with pytest.raises(InternalCheckError, match="not a coideal"):
+            symmetric_step(first)
+        monkeypatch.undo()
+        assert symmetric_step(first).added, space.kind
+
+
+def test_light_check_catches_a_dropped_lower_generator():
+    # the step's new generators are primitive modulo J; without J's
+    # lower-degree generators their coproducts leave J' (x) T + T (x) J'
+    tw = make_preset("twodim_sdeg2", F1)
+    for space, cutoff in _mutation_cases() + ((tw, 6),):
+        first = symmetric_step(IdealTower.tensor_algebra(space, cutoff))
+        lowest = min(first.generators)
+        kept = first.generators[lowest]
+        first.generators[lowest] = []
+        with pytest.raises(InternalCheckError, match="not a coideal"):
+            symmetric_step(first)
+        # on twodim_sdeg2 each of the two quadratic generators is needed
+        for j in range(len(kept) if space is tw else 0):
+            first.generators[lowest] = kept[:j] + kept[j + 1:]
+            with pytest.raises(InternalCheckError, match="not a coideal"):
+                symmetric_step(first)
+
+
+def test_tower_after_step_one_builds_no_word_space(d4_six, monkeypatch):
+    # with step 1 memoized, every later iterate lives in quotient
+    # coordinates: no Subspace of V^(x)n, n >= 3, is built
+    d4_six._memo.pop(("tower", 6), None)
+    ambient = []
+    real = Subspace.__init__
+
+    def counted(self, ncols, rows, pivots):
+        ambient.append(ncols)
+        real(self, ncols, rows, pivots)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    word_spaces = {d4_six.power(n) for n in range(3, 7)}
+    verdict = sdeg(d4_six, 6)
+    assert verdict.tower_trace[-1]["dims"] == [1, 4, 8, 12, 14, 12, 8]
+    assert [c for c in ambient if c in word_spaces] == []
+    # reading the components is what builds them
+    assert tower_iterates(d4_six, 6)[2].components[3].dim == 64 - 12
+    assert sorted(c for c in ambient if c in word_spaces) == sorted(word_spaces)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(nichols_spaces())
+def test_quotient_towers_agree_with_the_word_route(space):
+    cutoff = 4 if space.dim >= 4 else 5
+    iterates = tower_iterates(space, cutoff)
+    oracle = tower_iterates_dn(space, cutoff)
+    assert [(it.dims, it.added) for it in iterates] == \
+        [(it.dims, it.added) for it in oracle], space.kind
+    for it, dn in zip(iterates, oracle):
+        assert it.components == dn.components, space.kind
+    for prev, nxt in zip(iterates, iterates[1:]):
+        for n in range(cutoff + 1):
+            assert nxt.components[n].contains_subspace(prev.components[n])
+            assert nxt.dims[n] <= prev.dims[n]
+    if sdeg(space, cutoff).status == "certified":
+        assert nichols_via_tower(space, cutoff) == nichols_dims(space, cutoff)
