@@ -38,23 +38,22 @@ from .errors import (
     BadParams,
     InternalCheckError,
     ParseError,
+    RootOrderMismatch,
+    SingularBraiding,
     ValidationError,
     WorkbenchError,
+    YBENotSatisfied,
 )
 from .fixtures import preset_bracket
 from .pareigis import check_pi_in_E, check_pi_su, verify_PL, zeta_space
 from .scalars import CycloField, CycloScalar, field_make
-from .spaces import REQUIRED_PARAMS, make_braiding, word_name
+from .spaces import KINDS, make_braiding, param_problems, word_name
 from .tensorbialg import nichols_dims, primitive_space
 from .tower import is_quadratic, nichols_via_tower, sdeg
 
 MAX_DEGREE = 12
 MAX_DIM = 16          # generators of a declared space
-MAX_WORDS = 1 << 16   # d^n, the words of the top degree a task works in
-
-# generators of the presets that no parameter sizes
-_PRESET_DIMS = {"d4_rack": 4, "gurevich": 3, "twodim_sdeg2": 2}
-
+MAX_WORDS = 1 << 16   # d^n, the words of the top degree a task or bracket reaches
 
 # ---------------------------------------------------------------------------
 # scalar and value parsing
@@ -146,6 +145,10 @@ def parse_value(field: CycloField, text: str, line: int):
 
 
 class JobSpec:
+    # set by parse_spec: the line of the [space] kind, which errors building
+    # the space name, and the space's generator count, read without building
+    kind_line = dim = None
+
     def __init__(self, field_order, space_decl, brackets, tasks,
                  degree_budget=None):
         self.field_order = field_order
@@ -180,159 +183,137 @@ def _jsonable(value):
     return value
 
 
-def parse_spec(text: str) -> JobSpec:
-    """Parse the documented job grammar into a validated JobSpec."""
-    field_order = None
-    space_lines = {}
-    brackets = []
-    bracket_lines = None
-    tasks = []
-    task_degrees = []  # (top tensor degree, line) per task
-    section = None
+# what each [bracket] key holds: (test, what a value must be)
+_BRACKET_KEYS = {
+    "preset": (lambda value: isinstance(value, str), "a name"),
+    "degree": (lambda value: isinstance(value, int) and
+               2 <= value <= MAX_DEGREE, "an integer from 2 to %d" % MAX_DEGREE),
+    "values": (lambda value: isinstance(value, list) and all(
+        isinstance(row, list) and
+        all(isinstance(c, (int, CycloScalar)) for c in row) for row in value),
+        "a list of rows of scalars"),
+}
 
-    raw = []
+
+def parse_spec(text: str) -> JobSpec:
+    """Parse the documented job grammar into a validated JobSpec.  One pass
+    over the lines sorts them into sections; then the field is built and
+    each section is checked against its table: m for [field], kind, name,
+    budget and the KINDS entry named for [space], _BRACKET_KEYS for
+    [bracket] and TASKS for [tasks]."""
+    sections = {}  # header -> (its line, {key: (value text, line)} or task lines)
+    brackets = []  # the sections[...] value of each [bracket]
+    section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            raw.append((lineno, stripped))
-
-    # the field section must be interpreted first so scalars can parse
-    for lineno, stripped in raw:
-        if stripped.lower() == "[field]":
-            section = "field"
+        if not stripped:
             continue
         if stripped.startswith("["):
-            section = None
+            section = stripped.lower()
+            if section not in ("[field]", "[space]", "[bracket]", "[tasks]"):
+                raise ParseError(lineno, "unknown section %s" % stripped)
+            if section in sections and section != "[bracket]":
+                raise ParseError(lineno, "second %s section" % section)
+            sections[section] = (lineno, [] if section == "[tasks]" else {})
+            if section == "[bracket]":
+                brackets.append(sections[section])
             continue
-        if section == "field" and "=" in stripped:
-            key, _, val = stripped.partition("=")
-            if key.strip() == "m":
-                try:
-                    field_order = int(val.strip())
-                except ValueError:
-                    raise ParseError(lineno, "field order must be an integer")
-                field_line = lineno
-    if field_order is None:
-        raise ParseError(0, "missing [field] section with m = <order>")
-    if field_order < 1:
-        raise ParseError(field_line, "field order must be >= 1")
+        if section is None:
+            raise ParseError(lineno, "content outside any section")
+        table = sections[section][1]
+        if section == "[tasks]":
+            table.append((lineno, stripped))
+            continue
+        key, eq, val = stripped.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ParseError(lineno, "expected key = value")
+        if key in table:
+            raise ParseError(lineno, "%s is already set on line %d"
+                             % (key, table[key][1]))
+        table[key] = (val, lineno)
+
+    field_header, field_keys = sections.get("[field]", (0, {}))
+    for key, (_, line) in field_keys.items():
+        if key != "m":
+            raise ValidationError("[field] takes only m = <order>", line=line)
+    if "m" not in field_keys:
+        raise ParseError(field_header, "missing [field] section with m = <order>")
+    text_m, field_line = field_keys["m"]
+    if not re.fullmatch(r"\s*\d+\s*", text_m) or int(text_m) < 1:
+        raise ParseError(field_line, "field order must be an integer >= 1")
+    field_order = int(text_m)
     try:
         field = field_make(field_order)
     except BadParams as exc:
         raise ValidationError(str(exc), line=field_line)
 
-    section = None
-    for lineno, stripped in raw:
-        low = stripped.lower()
-        if low in ("[field]", "[space]", "[bracket]", "[tasks]"):
-            if low == "[bracket]":
-                bracket_lines = {}
-                brackets.append(bracket_lines)
-            section = low[1:-1]
-            continue
-        if stripped.startswith("["):
-            raise ParseError(lineno, "unknown section %s" % stripped)
-        if section == "field":
-            continue
-        if section in ("space", "bracket"):
-            if "=" not in stripped:
-                raise ParseError(lineno, "expected key = value")
-            key, _, val = stripped.partition("=")
-            lines = space_lines if section == "space" else bracket_lines
-            lines[key.strip()] = (parse_value(field, val, lineno), lineno)
-        elif section == "tasks":
-            if "=" in stripped:
-                name, _, val = stripped.partition("=")
-                name = name.strip()
-                args = tuple(
-                    parse_value(field, part, lineno)
-                    for part in val.split(",")
-                )
-            else:
-                name, args = stripped, ()
-            if name not in TASKS:
-                raise ParseError(lineno, "unknown task %r" % name)
-            task_degrees.append(
-                (_check_task_args(name, args, field, lineno), lineno))
-            tasks.append((name, args))
-        elif section is None:
-            raise ParseError(lineno, "content outside any section")
-
-    if not space_lines:
-        raise ParseError(0, "missing [space] section")
-    kind_entry = space_lines.pop("kind", None)
-    if kind_entry is None:
-        raise ParseError(0, "the [space] section needs kind = ...")
-    kind, kind_line = kind_entry
-    if not isinstance(kind, str):
-        raise ValidationError("kind must be a name", line=kind_line)
-    budget_entry = space_lines.pop("budget", None)
-    degree_budget = None
-    if budget_entry is not None:
-        degree_budget, budget_line = budget_entry
-        if not isinstance(degree_budget, int) or degree_budget < 1:
-            raise ValidationError("budget must be a positive integer",
-                                  line=budget_line)
-        if degree_budget > MAX_DEGREE:
-            raise ValidationError(
-                "degree budget %d exceeds the global limit %d"
-                % (degree_budget, MAX_DEGREE), line=budget_line)
-    params = {k: v for k, (v, _ln) in space_lines.items()}
-    required = REQUIRED_PARAMS.get(kind, ())
-    if kind == "preset":
-        required += REQUIRED_PARAMS.get("preset:%s" % params.get("name"), ())
-    for key in required:
-        if key not in params:
-            raise ValidationError("kind = %s needs %s = ..." % (kind, key),
-                                  line=kind_line)
-    if "d" in params and (not isinstance(params["d"], int) or params["d"] < 1):
-        raise ValidationError("d must be a positive integer",
-                              line=space_lines["d"][1])
-    dim, dim_key = _declared_dim(params)
-    if dim > MAX_DIM:
+    space_header, space = sections.get("[space]", (0, {}))
+    if "kind" not in space:
+        raise ParseError(space_header, "missing [space] section with kind = ...")
+    params = {key: parse_value(field, val, line)
+              for key, (val, line) in space.items()}
+    kind, kind_line = params.pop("kind"), space["kind"][1]
+    degree_budget = params.pop("budget", None)
+    if degree_budget is not None and (not isinstance(degree_budget, int) or
+                                      not 1 <= degree_budget <= MAX_DEGREE):
+        raise ValidationError("budget must be an integer from 1 to the global "
+                              "limit %d" % MAX_DEGREE, line=space["budget"][1])
+    given = dict(params)
+    label = "name" if kind == "preset" else "kind"
+    if label not in space:
+        raise ValidationError("kind = preset needs name = ...", line=kind_line)
+    entry_key = "preset:%s" % given.pop("name") if label == "name" else kind
+    if not isinstance(kind, str) or ":" in kind or entry_key not in KINDS:
+        raise ValidationError("%s = %s names no space kind or preset" % (
+            label, space[label][0].strip()), line=space[label][1])
+    for key, problem in param_problems(entry_key, given):
+        raise ValidationError(problem, line=space[key][1] if key else kind_line)
+    entry = KINDS[entry_key]
+    dim = entry.dim(entry.complete(given))
+    if dim > MAX_DIM:  # reported where the dimension is read: see Kind
         raise ValidationError("dimension %d exceeds the global limit %d" % (
-            dim, MAX_DIM), line=space_lines[dim_key][1] if dim_key else kind_line)
-    for degree, lineno in task_degrees:
+            dim, MAX_DIM), line=space.get(next(iter(entry.params), "kind"),
+                                          space["kind"])[1])
+
+    bracket_decls = []
+    degrees = []  # (top tensor degree, line) of each bracket and task
+    for header, bkeys in brackets:
+        decl = {}
+        for key, (val, line) in bkeys.items():
+            if key not in _BRACKET_KEYS:
+                raise ValidationError("[bracket] takes no key %s" % key, line=line)
+            decl[key] = parse_value(field, val, line)
+            holds, shape = _BRACKET_KEYS[key]
+            if not holds(decl[key]):
+                raise ParseError(line, "bracket %s must be %s" % (key, shape))
+        if set(decl) not in ({"preset"}, {"degree", "values"}):
+            raise ParseError(header, "[bracket] needs preset = name alone, or "
+                             "degree = n with values = [...]")
+        if "degree" in decl:
+            degrees.append((decl["degree"], bkeys["degree"][1]))
+        bracket_decls.append(decl)
+
+    tasks = []
+    for lineno, stripped in sections.get("[tasks]", (0, []))[1]:
+        name, eq, val = stripped.partition("=")
+        name = name.strip()
+        args = tuple(parse_value(field, part, lineno)
+                     for part in val.split(",")) if eq else ()
+        if name not in TASKS:
+            raise ParseError(lineno, "unknown task %r" % name)
+        degrees.append((_check_task_args(name, args, field, lineno), lineno))
+        tasks.append((name, args))
+    for degree, lineno in degrees:
         if dim ** degree > MAX_WORDS:
             raise ValidationError(
                 "degree %d on %d generators exceeds the global limit of %d "
                 "words" % (degree, dim, MAX_WORDS), line=lineno)
-    space_decl = {"kind": kind, "params": params}
 
-    bracket_decls = []
-    for bl in brackets:
-        if "preset" in bl:
-            bracket_decls.append({"preset": bl["preset"][0]})
-            continue
-        if "degree" not in bl or "values" not in bl:
-            raise ParseError(0, "[bracket] needs degree = n and values = [...] or preset = name")
-        degree = bl["degree"][0]
-        values = bl["values"][0]
-        if not isinstance(degree, int) or degree < 2:
-            raise ParseError(bl["degree"][1], "bracket degree must be an integer >= 2")
-        if not isinstance(values, list):
-            raise ParseError(bl["values"][1], "bracket values must be a list of rows")
-        bracket_decls.append({"degree": degree, "values": values})
-
-    return JobSpec(field_order, space_decl, bracket_decls, tasks,
-                   degree_budget=degree_budget)
-
-
-def _declared_dim(params):
-    """A space's dimension, read without building it, and the parameter it
-    comes from: n for cartan_An, else d, else the rows of q or of the d^2 x d^2
-    matrix; a fixed preset's size or the presets' default 2 come from none."""
-    name = params.get("name")
-    if name in _PRESET_DIMS:
-        return _PRESET_DIMS[name], None
-    key = "n" if name == "cartan_An" else "d"
-    if isinstance(params.get(key), int):
-        return params[key], key
-    for key in ("q", "matrix"):
-        if isinstance(params.get(key), list):
-            rows = len(params[key])
-            return (rows if key == "q" else math.isqrt(rows)), key
-    return 2, None
+    job = JobSpec(field_order, {"kind": kind, "params": params},
+                  bracket_decls, tasks, degree_budget=degree_budget)
+    job.kind_line, job.dim = kind_line, dim
+    return job
 
 
 def _task_values(task, args: tuple) -> list:
@@ -406,9 +387,13 @@ class _JobContext:
         if degree_override:
             budget = max(budget, degree_override)
         self.degree_override = degree_override
-        self.space = make_braiding(
-            job.space_decl["kind"], job.space_decl["params"], self.field,
-            degree_budget=budget)
+        try:
+            self.space = make_braiding(
+                job.space_decl["kind"], job.space_decl["params"], self.field,
+                degree_budget=budget)
+        except (BadParams, RootOrderMismatch, SingularBraiding,
+                YBENotSatisfied) as exc:
+            raise ValidationError(str(exc), line=job.kind_line)
         self.bracket = None
         if job.brackets:
             self.bracket = self._build_bracket(job.brackets)
@@ -747,11 +732,10 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print("braidcalc: %s" % exc, file=sys.stderr)
         return 1
-    dim = _declared_dim(job.space_decl["params"])[0]
     if opts.degree is not None and not (1 <= opts.degree <= MAX_DEGREE and
-                                        dim ** opts.degree <= MAX_WORDS):
+                                        job.dim ** opts.degree <= MAX_WORDS):
         print("braidcalc: --degree must lie in 1..%d and give at most %d "
-              "words on %d generators" % (MAX_DEGREE, MAX_WORDS, dim),
+              "words on %d generators" % (MAX_DEGREE, MAX_WORDS, job.dim),
               file=sys.stderr)
         return 1
     try:

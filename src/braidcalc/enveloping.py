@@ -157,16 +157,6 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
 # the filtered enveloping quotient
 # ---------------------------------------------------------------------------
 
-def filtration_offsets(space: BraidedSpace, top: int):
-    """Column offsets for T_(top) with blocks ordered degree-descending."""
-    offsets = [0] * (top + 1)
-    pos = 0
-    for k in range(top, -1, -1):
-        offsets[k] = pos
-        pos += space.power(k)
-    return offsets, pos
-
-
 class FilteredQuotient:
     """Span of the explicit ideal products inside T_(N + slack)."""
 
@@ -178,7 +168,12 @@ class FilteredQuotient:
         self.cutoff = cutoff
         self.slack = slack
         self.top = top
-        self.offsets, self.ncols = filtration_offsets(space, top)
+        # column offsets of T_(top), blocks ordered degree-descending
+        self.offsets = [0] * (top + 1)
+        self.ncols = 0
+        for k in range(top, -1, -1):
+            self.offsets[k] = self.ncols
+            self.ncols += space.power(k)
         self.echelon = Echelon(self.ncols)
         self.unconstrained = []
         self.history = {n: [] for n in range(0, cutoff + 1)}
@@ -418,25 +413,18 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     space = bracket.space
     d = space.dim
     one = space.field.one
-    # quotient reduction of T_(cutoff) basis vectors modulo the span
-    offsets, ncols = filtration_offsets(space, cutoff)
-    span_rows = fq.span_rows_in(cutoff)
-    # remap the span rows from the (top)-filtration columns into (cutoff) ones
-    remap = {}
-    for k in range(cutoff + 1):
-        for w in range(space.power(k)):
-            remap[fq.offsets[k] + w] = offsets[k] + w
-    ech = Echelon(ncols)
-    for row in span_rows:
-        ech.add({remap[c]: v for c, v in row.items()})
-    ech.back_substitute()
+    # quotient reduction of T_(cutoff) basis vectors modulo the span: T_(cutoff)
+    # is a suffix of the degree-descending columns, and an RREF row pivoting
+    # in that suffix has no entries before its pivot, so the full echelon
+    # reduces these vectors exactly as the span rows inside T_(cutoff) do
+    fq.echelon.back_substitute()
     rho_cache: dict[int, dict] = {}
 
     def rho(k, w):
-        col = offsets[k] + w
+        col = fq.offsets[k] + w
         red = rho_cache.get(col)
         if red is None:
-            red = ech.reduce({col: one})
+            red = fq.reduce({col: one})
             rho_cache[col] = red
         return red
 
@@ -459,10 +447,10 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
             images.append(img)
     solutions = left_kernel(images, one=one)
     # span of the solutions in the quotient
-    img_ech = Echelon(ncols)
+    img_ech = Echelon(fq.ncols)
     for sol in solutions:
         img_ech.add(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol))
-    v_ech = Echelon(ncols)
+    v_ech = Echelon(fq.ncols)
     for j in range(d):
         red = rho(1, j)
         if red:

@@ -13,6 +13,9 @@ examples.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 from .errors import (
     BadParams,
     DegreeBudgetExceeded,
@@ -315,161 +318,184 @@ def _as_scalar(field, value):
         raise BadParams("cannot interpret %r as a scalar: %s" % (value, exc))
 
 
-def _diagonal_pairs(field, qmatrix):
-    d = len(qmatrix)
+def _unit(field, value):
+    q = _as_scalar(field, value)
+    if q.is_zero():
+        raise BadParams("a braiding needs nonzero scalars, not 0")
+    return q
+
+
+def _diagonal(field, rows):
+    """The pair map of c(e_i (x) e_j) = q_ij e_j (x) e_i, and its q matrix."""
+    qmat = [[_unit(field, v) for v in row] for row in rows]
+    return {(i, j): (((j, i), qij),) for i, row in enumerate(qmat)
+            for j, qij in enumerate(row)}, qmat
+
+
+def _scalar_pairs(field, p):
+    q, d = _unit(field, p["q"]), p["d"]
+    return {(i, j): (((i, j), q),) for i in range(d) for j in range(d)}, None
+
+
+def _explicit_pairs(field, p):
+    matrix = p["matrix"]
+    d = math.isqrt(len(matrix))
+    if d * d != len(matrix) or p["d"] not in (None, d):
+        raise BadParams("explicit braiding needs a d^2 x d^2 matrix")
+    # columns are input pairs; BraidedSpace drops the zero entries
+    return {divmod(col, d): tuple((divmod(row, d), _as_scalar(field, line[col]))
+                                  for row, line in enumerate(matrix))
+            for col in range(d * d)}, None
+
+
+def _gurevich_pairs(field, p):
+    q = _as_scalar(field, p["q"])
+    ab = _as_scalar(field, p["alpha_over_beta"])
+    if not (ab * ab == q):
+        raise BadParams("gurevich preset needs (alpha/beta)^2 = q")
+    if q.is_zero() or q.is_one() or not is_regular_exact(q):
+        raise BadParams("gurevich preset needs a regular q != 1")
+    m, one = -ab, field.one
+    pairs = {(0, j): (((j, 0), one),) for j in range(3)}
+    for i in (1, 2):
+        pairs[(i, 0)] = (((0, i), one),)
+        pairs[(i, i)] = (((i, i), q),)
+    pairs[(2, 1)] = (((1, 2), m), ((2, 1), q - one))
+    pairs[(1, 2)] = (((2, 1), q * m.inv()),)
+    return pairs, None
+
+
+def _cartan_pairs(field, p):
+    n, one = p["n"], field.one
+    q = field.root_of_unity(p["t"]) if p["q"] is None else \
+        _unit(field, p["q"])
+    qinv = q.inv()
+    return _diagonal(field, [[q if i == j else qinv if j == i + 1 else one
+                              for j in range(n)] for i in range(n)])
+
+
+def _hecke_pairs(field, p):
+    q, d, one = _unit(field, p["q"]), p["d"], field.one
     pairs = {}
     for i in range(d):
-        if len(qmatrix[i]) != d:
-            raise BadParams("q matrix must be square")
-        for j in range(d):
-            qij = _as_scalar(field, qmatrix[i][j])
-            if qij.is_zero():
-                raise BadParams("diagonal braidings need all q_ij nonzero")
-            pairs[(i, j)] = (((j, i), qij),)
-    return pairs
+        pairs[(i, i)] = (((i, i), q),)
+        for j in range(i + 1, d):
+            pairs[(i, j)] = (((j, i), q),)
+            pairs[(j, i)] = (((i, j), one), ((j, i), q - one))
+    return pairs, None
 
 
-# parameters make_braiding reads unconditionally, by kind and by preset name
-REQUIRED_PARAMS = {
-    "flip": ("d",), "scalar": ("d", "q"), "diagonal": ("q",),
-    "quantum_linear": ("q",), "explicit": ("matrix",), "preset": ("name",),
-    "preset:quantum_linear": ("q",), "preset:scalar": ("q",),
+# -- the kinds table -----------------------------------------------------------
+
+def _count(value):
+    if not isinstance(value, int) or value < 1:
+        return "a positive integer"
+
+
+def _scalar(value):
+    if isinstance(value, (str, list, tuple)):
+        return "a scalar"
+
+
+def _square(value):
+    if not (isinstance(value, list) and value and all(
+            isinstance(row, list) and len(row) == len(value) and
+            not any(_scalar(v) for v in row) for row in value)):
+        return "a square matrix of scalars"
+
+
+REQUIRED = object()  # the default of a parameter a job must give
+
+
+class Param(NamedTuple):
+    shape: Callable  # shape(value) -> what the value must be, or None
+    default: object = REQUIRED  # None: optional, and absent when omitted
+
+
+class Kind(NamedTuple):
+    """One braided-space kind or preset.  A dimension that depends on a
+    parameter is read from the first one."""
+    label: str  # space.kind of what it builds
+    params: dict  # name -> Param
+    dim: Callable  # dim(params) -> generator count, read without building
+    pairs: Callable  # pairs(field, params) -> (pair map, q matrix or None)
+
+    def complete(self, params: dict) -> dict:
+        """params with every omitted parameter at its default."""
+        return {key: params.get(key, spec.default)
+                for key, spec in self.params.items()}
+
+
+# keyed by kind, and by "preset:<name>" for kind = preset
+KINDS = {
+    "flip": Kind("flip", {"d": Param(_count)}, lambda p: p["d"],
+                 lambda field, p: _diagonal(field, [[1] * p["d"]] * p["d"])),
+    "scalar": Kind("scalar", {"d": Param(_count), "q": Param(_scalar)},
+                   lambda p: p["d"], _scalar_pairs),
+    "diagonal": Kind("diagonal", {"q": Param(_square)}, lambda p: len(p["q"]),
+                     lambda field, p: _diagonal(field, p["q"])),
+    "explicit": Kind("explicit", {"matrix": Param(_square),
+                                  "d": Param(_count, None)},
+                     lambda p: math.isqrt(len(p["matrix"])), _explicit_pairs),
+    "preset:d4_rack": Kind("preset:d4_rack", {}, lambda p: 4, lambda field, p: (
+        {(i, j): ((((2 * i - j) % 4, i), -field.one),)
+         for i in range(4) for j in range(4)}, None)),
+    "preset:gurevich": Kind(
+        "preset:gurevich", {"q": Param(_scalar, 4),
+                            "alpha_over_beta": Param(_scalar, 2)},
+        lambda p: 3, _gurevich_pairs),
+    "preset:twodim_sdeg2": Kind(
+        "preset:twodim_sdeg2", {}, lambda p: 2,
+        lambda field, p: _diagonal(field, [[-1, 1], [-1, -1]])),
+    "preset:cartan_An": Kind(
+        "preset:cartan_An", {"n": Param(_count, 2), "t": Param(_count, 3),
+                             "q": Param(_scalar, None)},
+        lambda p: p["n"], _cartan_pairs),
+    "preset:hecke_gl": Kind(
+        "preset:hecke_gl", {"d": Param(_count, 2), "q": Param(_scalar, 4)},
+        lambda p: p["d"], _hecke_pairs),
 }
+# the aliases: quantum_linear is diagonal, and the flip and scalar presets
+# default to d = 2
+KINDS["quantum_linear"] = KINDS["preset:quantum_linear"] = KINDS["diagonal"]
+KINDS["preset:flip"] = KINDS["flip"]._replace(params={"d": Param(_count, 2)})
+KINDS["preset:scalar"] = KINDS["scalar"]._replace(
+    params={"d": Param(_count, 2), "q": Param(_scalar)})
+
+
+def param_problems(key: str, params: dict):
+    """(parameter or None, message) for each parameter KINDS[key] does not
+    take or whose value fails its shape, then for each required one missing."""
+    entry = KINDS[key]
+    for name, value in params.items():
+        spec = entry.params.get(name)
+        if spec is None:
+            yield name, "%s takes no parameter %s" % (key, name)
+        elif spec.shape(value):
+            yield name, "%s must be %s" % (name, spec.shape(value))
+    for name, spec in entry.params.items():
+        if spec.default is REQUIRED and name not in params:
+            yield None, "%s needs %s = ..." % (key, name)
 
 
 def make_braiding(kind: str, params: dict, field: CycloField,
                   degree_budget: int = DEFAULT_DEGREE_BUDGET) -> BraidedSpace:
-    """Build and validate a braided vector space.
-
-    kinds: explicit, diagonal, scalar, flip, preset (params["name"] one of
-    d4_rack, gurevich, twodim_sdeg2, cartan_An, quantum_linear, hecke_gl).
-    """
+    """Build and validate a braided vector space: kind is a key of KINDS,
+    or preset with params["name"] naming a "preset:<name>" key."""
     params = dict(params or {})
     if kind == "preset":
-        name = params.pop("name", None)
-        if name is None:
-            raise BadParams("preset requires a name")
-        return make_preset(name, field, degree_budget=degree_budget, **params)
-    if kind == "flip":
-        d = int(params["d"])
-        qmat = [[field.one] * d for _ in range(d)]
-        return BraidedSpace(field, d, _diagonal_pairs(field, qmat), "flip",
-                            qmatrix=qmat, degree_budget=degree_budget)
-    if kind == "scalar":
-        d = int(params["d"])
-        q = _as_scalar(field, params["q"])
-        if q.is_zero():
-            raise BadParams("scalar braiding needs q != 0")
-        pairs = {
-            (i, j): (((i, j), q),) for i in range(d) for j in range(d)
-        }
-        return BraidedSpace(field, d, pairs, "scalar",
-                            degree_budget=degree_budget)
-    if kind in ("diagonal", "quantum_linear"):
-        qmat = params["q"]
-        qmat = [[_as_scalar(field, v) for v in row] for row in qmat]
-        return BraidedSpace(field, len(qmat), _diagonal_pairs(field, qmat),
-                            "diagonal", qmatrix=qmat,
-                            degree_budget=degree_budget)
-    if kind == "explicit":
-        matrix = params["matrix"]
-        d = int(params.get("d", round(len(matrix) ** 0.5)))
-        if d * d != len(matrix):
-            raise BadParams("explicit braiding needs a d^2 x d^2 matrix")
-        pairs = {}
-        for col in range(d * d):
-            images = []
-            for row in range(d * d):
-                s = _as_scalar(field, matrix[row][col])
-                if not s.is_zero():
-                    images.append((divmod(row, d), s))
-            pairs[divmod(col, d)] = tuple(images)
-        return BraidedSpace(field, d, pairs, "explicit",
-                            degree_budget=degree_budget)
-    raise BadParams("unknown braiding kind %r" % kind)
+        kind = "preset:%s" % params.pop("name", "")
+    if kind not in KINDS:
+        raise BadParams("unknown braiding kind %r" % kind)
+    for _, problem in param_problems(kind, params):
+        raise BadParams(problem)
+    entry = KINDS[kind]
+    params = entry.complete(params)
+    pairs, qmatrix = entry.pairs(field, params)
+    return BraidedSpace(field, entry.dim(params), pairs, entry.label,
+                        qmatrix=qmatrix, degree_budget=degree_budget)
 
 
 def make_preset(name: str, field: CycloField,
                 degree_budget: int = DEFAULT_DEGREE_BUDGET, **params) -> BraidedSpace:
-    if name == "d4_rack":
-        d = 4
-        minus = -field.one
-        pairs = {
-            (i, j): ((((2 * i - j) % 4, i), minus),)
-            for i in range(d) for j in range(d)
-        }
-        return BraidedSpace(field, d, pairs, "preset:d4_rack",
-                            degree_budget=degree_budget)
-    if name == "gurevich":
-        q = _as_scalar(field, params.get("q", 4))
-        ab = _as_scalar(field, params.get("alpha_over_beta", 2))
-        if not (ab * ab == q):
-            raise BadParams("gurevich preset needs (alpha/beta)^2 = q")
-        if q.is_zero() or q.is_one() or not is_regular_exact(q):
-            raise BadParams("gurevich preset needs a regular q != 1")
-        m = -ab
-        one = field.one
-        pairs = {}
-        for j in range(3):
-            pairs[(0, j)] = (((j, 0), one),)
-        for i in (1, 2):
-            pairs[(i, 0)] = (((0, i), one),)
-            pairs[(i, i)] = (((i, i), q),)
-        pairs[(2, 1)] = (((1, 2), m), ((2, 1), q - one))
-        pairs[(1, 2)] = (((2, 1), q * m.inv()),)
-        return BraidedSpace(field, 3, pairs, "preset:gurevich",
-                            degree_budget=degree_budget)
-    if name == "twodim_sdeg2":
-        minus = -field.one
-        qmat = [[minus, field.one], [minus, minus]]
-        space = make_braiding("diagonal", {"q": qmat}, field,
-                              degree_budget=degree_budget)
-        space.kind = "preset:twodim_sdeg2"
-        return space
-    if name == "cartan_An":
-        n = int(params.get("n", 2))
-        if "q" in params:
-            q = _as_scalar(field, params["q"])
-        else:
-            t = int(params.get("t", 3))
-            q = field.root_of_unity(t)
-        if q.is_zero():
-            raise BadParams("cartan preset needs q != 0")
-        qinv = q.inv()
-        one = field.one
-        qmat = [[one] * n for _ in range(n)]
-        for i in range(n):
-            qmat[i][i] = q
-            if i + 1 < n:
-                qmat[i][i + 1] = qinv
-                qmat[i + 1][i] = one
-        space = make_braiding("diagonal", {"q": qmat}, field,
-                              degree_budget=degree_budget)
-        space.kind = "preset:cartan_An"
-        return space
-    if name == "quantum_linear":
-        return make_braiding("diagonal", {"q": params["q"]}, field,
-                             degree_budget=degree_budget)
-    if name == "hecke_gl":
-        d = int(params.get("d", 2))
-        q = _as_scalar(field, params.get("q", 4))
-        if q.is_zero():
-            raise BadParams("hecke_gl needs q != 0")
-        one = field.one
-        pairs = {}
-        for i in range(d):
-            pairs[(i, i)] = (((i, i), q),)
-            for j in range(i + 1, d):
-                pairs[(i, j)] = (((j, i), q),)
-                pairs[(j, i)] = (((i, j), one), ((j, i), q - one))
-        space = BraidedSpace(field, d, pairs, "preset:hecke_gl",
-                             degree_budget=degree_budget)
-        return space
-    if name == "flip":
-        return make_braiding("flip", {"d": params.get("d", 2)}, field,
-                             degree_budget=degree_budget)
-    if name == "scalar":
-        return make_braiding(
-            "scalar", {"d": params.get("d", 2), "q": params["q"]}, field,
-            degree_budget=degree_budget)
-    raise BadParams("unknown preset %r" % name)
+    return make_braiding("preset:%s" % name, params, field, degree_budget)

@@ -24,8 +24,8 @@ and the direct sum over S_n are built only by the test oracles.
 
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
-quotient or inside a given span, for the primitives, the quotient primitives
-of a tower and the injectivity ladder alike.  `has_primitives` decides
+quotient or inside a given span, for the primitives, their block scan and
+the quotient primitives of a tower alike.  `has_primitives` decides
 E_n != 0 by a block scan: the words that the columns of the components join
 fall into connected blocks, each mapped into itself by every component.
 The stacked system is therefore block-diagonal by construction, whatever the

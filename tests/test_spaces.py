@@ -9,7 +9,10 @@ from braidcalc.errors import (
     YBENotSatisfied,
 )
 from braidcalc.scalars import field_make
+from braidcalc.cli import parse_spec, parse_value, run
 from braidcalc.spaces import (
+    KINDS,
+    REQUIRED,
     BraidWord,
     make_braiding,
     make_preset,
@@ -267,3 +270,42 @@ def test_word_coding_roundtrip():
             for idx in range(d ** n):
                 assert word_index(word_letters(idx, n, d), d) == idx
     assert perm_inverse((1, 2, 0)) == (2, 0, 1)
+
+
+# space.kind of what each KINDS entry builds, as the ybe report prints it
+LABELS = {
+    "flip": "flip", "scalar": "scalar", "diagonal": "diagonal",
+    "quantum_linear": "diagonal", "explicit": "explicit",
+    "preset:d4_rack": "preset:d4_rack", "preset:gurevich": "preset:gurevich",
+    "preset:twodim_sdeg2": "preset:twodim_sdeg2",
+    "preset:cartan_An": "preset:cartan_An", "preset:quantum_linear": "diagonal",
+    "preset:hecke_gl": "preset:hecke_gl", "preset:flip": "flip",
+    "preset:scalar": "scalar",
+}
+# values for the required parameters: the first of each list that fits
+SAMPLES = {"d": ["3"], "q": ["2", "[[-1, 1], [-1, -1]]"],
+           "matrix": ["[[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]"]}
+
+
+def test_every_kind_has_a_pinned_label():
+    assert sorted(KINDS) == sorted(LABELS)
+
+
+@pytest.mark.parametrize("key", sorted(LABELS))
+def test_size_rule_matches_the_builder(key):
+    # defaults plus sample required values: the dimension the parser reads
+    # is the one the built space has, and the label is today's
+    entry = KINDS[key]
+    kind, _, name = key.partition(":")
+    lines = ["kind = " + kind] + (["name = " + name] if name else [])
+    for param, spec in entry.params.items():
+        if spec.default is REQUIRED:
+            lines.append("%s = %s" % (param, next(
+                text for text in SAMPLES[param]
+                if spec.shape(parse_value(F4, text, 0)) is None)))
+    job = parse_spec("[field]\nm = 3\n[space]\n%s\n[tasks]\nybe\n"
+                     % "\n".join(lines))
+    assert run(job).tasks[0]["result"] == {
+        "valid": True, "dim": job.dim, "kind": LABELS[key]}
+    assert job.dim == make_braiding(
+        job.space_decl["kind"], job.space_decl["params"], field_make(3)).dim
