@@ -36,7 +36,10 @@ from .enveloping import (
 )
 from .errors import (
     BadParams,
+    DegreeBudgetExceeded,
+    DomainMismatch,
     InternalCheckError,
+    NotABracket,
     ParseError,
     RootOrderMismatch,
     SingularBraiding,
@@ -63,6 +66,14 @@ _TERM = re.compile(
     r"^\s*(?P<num>\d+)?(?:\s*/\s*(?P<den>\d+))?\s*(?:(?(num)\*\s*)?"
     r"(?P<z>z)(?:\^(?P<pow>\d+))?)?\s*$"
 )
+
+
+def _int(text: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on the digits of an int string
+        raise ParseError(line, "numeral longer than %d digits"
+                         % sys.get_int_max_str_digits())
 
 
 def parse_scalar(field: CycloField, text: str, line: int = 0):
@@ -93,13 +104,13 @@ def parse_scalar(field: CycloField, text: str, line: int = 0):
         m = _TERM.match(chunk)
         if not m or (m.group("num") is None and m.group("z") is None):
             raise ParseError(line, "bad scalar term %r" % chunk)
-        num = int(m.group("num")) if m.group("num") else 1
-        den = int(m.group("den")) if m.group("den") else 1
+        num = _int(m.group("num"), line) if m.group("num") else 1
+        den = _int(m.group("den"), line) if m.group("den") else 1
         if den == 0:
             raise ParseError(line, "zero denominator in %r" % chunk)
         coeff = field.from_fraction(sgn * num, den)
         if m.group("z"):
-            power = int(m.group("pow")) if m.group("pow") else 1
+            power = _int(m.group("pow"), line) if m.group("pow") else 1
             coeff = coeff * field.gen ** power
         total = total + coeff
     return total
@@ -135,9 +146,9 @@ def parse_value(field: CycloField, text: str, line: int):
         return [parse_value(field, p, line) for p in _split_top(text[1:-1], line)]
     if re.fullmatch(r"-?\d+\s*\.\.\s*-?\d+", text):
         lo, hi = re.split(r"\.\.", text)
-        return ("range", int(lo), int(hi))
+        return ("range", _int(lo, line), _int(hi, line))
     if re.fullmatch(r"-?\d+", text):
-        return int(text)
+        return _int(text, line)
     if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9:]*", text) and \
             not re.fullmatch(r"z(\^\d+)?", text):
         return text
@@ -145,9 +156,9 @@ def parse_value(field: CycloField, text: str, line: int):
 
 
 class JobSpec:
-    # set by parse_spec: the line of the [space] kind, which errors building
-    # the space name, and the space's generator count, read without building
-    kind_line = dim = None
+    # set by parse_spec: the lines that errors building the space and each
+    # bracket name, and the space's generator count, read without building
+    kind_line, bracket_lines, dim = None, (), None
 
     def __init__(self, field_order, space_decl, brackets, tasks,
                  degree_budget=None):
@@ -240,7 +251,7 @@ def parse_spec(text: str) -> JobSpec:
     if "m" not in field_keys:
         raise ParseError(field_header, "missing [field] section with m = <order>")
     text_m, field_line = field_keys["m"]
-    if not re.fullmatch(r"\s*\d+\s*", text_m) or int(text_m) < 1:
+    if not re.fullmatch(r"\s*\d+\s*", text_m) or _int(text_m, field_line) < 1:
         raise ParseError(field_line, "field order must be an integer >= 1")
     field_order = int(text_m)
     try:
@@ -276,7 +287,7 @@ def parse_spec(text: str) -> JobSpec:
             dim, MAX_DIM), line=space.get(next(iter(entry.params), "kind"),
                                           space["kind"])[1])
 
-    bracket_decls = []
+    bracket_decls, bracket_lines = [], []
     degrees = []  # (top tensor degree, line) of each bracket and task
     for header, bkeys in brackets:
         decl = {}
@@ -293,6 +304,7 @@ def parse_spec(text: str) -> JobSpec:
         if "degree" in decl:
             degrees.append((decl["degree"], bkeys["degree"][1]))
         bracket_decls.append(decl)
+        bracket_lines.append(bkeys["preset" if "preset" in decl else "values"][1])
 
     tasks = []
     for lineno, stripped in sections.get("[tasks]", (0, []))[1]:
@@ -312,7 +324,7 @@ def parse_spec(text: str) -> JobSpec:
 
     job = JobSpec(field_order, {"kind": kind, "params": params},
                   bracket_decls, tasks, degree_budget=degree_budget)
-    job.kind_line, job.dim = kind_line, dim
+    job.kind_line, job.dim, job.bracket_lines = kind_line, dim, bracket_lines
     return job
 
 
@@ -396,27 +408,26 @@ class _JobContext:
             raise ValidationError(str(exc), line=job.kind_line)
         self.bracket = None
         if job.brackets:
-            self.bracket = self._build_bracket(job.brackets)
+            self.bracket = self._build_bracket(job.brackets, job.bracket_lines)
         self._filtrations = {}  # (cutoff, slack) -> FilteredQuotient
 
-    def _build_bracket(self, decls):
-        entries = {}
-        for decl in decls:
-            if "preset" in decl:
-                entries.update(preset_bracket(self.space, decl["preset"]).entries)
-                continue
-            degree = decl["degree"]
-            rows = []
-            for row in decl["values"]:
-                vec = {}
-                for j, coeff in enumerate(row):
-                    scal = coeff if not isinstance(coeff, int) else \
-                        self.field.from_rational(coeff)
-                    if not scal.is_zero():
-                        vec[j] = scal
-                rows.append(vec)
-            entries[degree] = rows
-        return validate_bracket(self.space, BracketTable(self.space, entries))
+    def _build_bracket(self, decls, lines):
+        """Validate each declaration on its own: the law holds degree by degree."""
+        entries, zero = {}, self.field.zero
+        for i, decl in enumerate(decls):
+            try:
+                if "preset" in decl:
+                    table = preset_bracket(self.space, decl["preset"])
+                else:
+                    rows = [{j: zero + c for j, c in enumerate(row) if c != 0}
+                            for row in decl["values"]]
+                    table = validate_bracket(self.space, BracketTable(
+                        self.space, {decl["degree"]: rows}))
+            except (BadParams, DegreeBudgetExceeded, DomainMismatch,
+                    NotABracket) as exc:
+                raise ValidationError(str(exc), line=lines[i] if lines else None)
+            entries.update(table.entries)
+        return BracketTable(self.space, entries, validated=True)
 
     def filtration(self, cutoff, slack):
         """The bracket's enveloping filtration, built once per (cutoff, slack)

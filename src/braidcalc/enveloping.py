@@ -20,6 +20,8 @@ its associated graded fall out by counting pivots.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import (
     BadParams,
     DomainMismatch,
@@ -27,7 +29,7 @@ from .errors import (
     IrregularMark,
     NotABracket,
 )
-from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
+from .linalg import Echelon, Subspace, apply_slot, matvec, stacked_kernel, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, has_primitives, primitive_space
 from .tower import tower_iterates
@@ -74,14 +76,6 @@ class BracketTable:
         return {} if vecs is None else matvec(vecs, coords)
 
 
-def _coords_in_primitives(prims: Subspace, vec: dict):
-    """Coordinates {k: coefficient} of vec over the canonical RREF basis,
-    or None."""
-    if not prims.contains(vec):
-        return None
-    return {k: vec[p] for k, p in enumerate(prims.pivots) if p in vec}
-
-
 def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
     """Check the braiding-compatibility law on every degree of the table.
 
@@ -103,49 +97,30 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
         if prims.dim == 0:
             continue
         dim_n = space.power(n)
+
+        def bracket_of(where, sl):
+            coords = prims.coordinates(sl)
+            if coords is None:
+                raise InternalCheckError(
+                    "block braiding left the primitive space (degree %d%s)"
+                    % (n, where))
+            return table.value(n, coords)
+
         for k, row in enumerate(prims.rows):
             for j in range(d):
-                # c_{E,V}: block (n,1) on u (x) e_j, sliced by the new first letter
-                vec = {c * d + j: v for c, v in row.items()}
-                image = space.braiding_block_apply(n, 1, vec)
-                slices: dict[int, dict] = {}
-                for col, val in image.items():
-                    lead, rest = divmod(col, dim_n)
-                    slices.setdefault(lead, {})[rest] = val
-                rhs: dict = {}
-                for lead, sl in slices.items():
-                    coords = _coords_in_primitives(prims, sl)
-                    if coords is None:
-                        raise InternalCheckError(
-                            "block braiding left the primitive space "
-                            "(degree %d)" % n
-                        )
-                    # each slice has its own lead letter: disjoint keys
-                    rhs.update({lead * d + j2: val for j2, val
-                                in table.value(n, coords).items()})
-                # c is linear: braid b(u) (x) e_j in one call
+                # (V (x) b) c_{E,V} (u (x) e_j) against c(b(u) (x) e_j)
+                image = space.braiding_block_apply(
+                    n, 1, {c * d + j: v for c, v in row.items()})
+                rhs = apply_slot(image, dim_n, 1, partial(bracket_of, ""), d)
                 lhs = space.apply_word(2, (1,), {v * d + j: val
                                                  for v, val in vecs[k].items()})
                 if lhs != rhs:
                     raise NotABracket(n, (k, j), "left compatibility fails")
                 # mirrored law: c(V (x) b) = (b (x) V) c_{V,E} on e_j (x) u
-                vec = {j * dim_n + c: v for c, v in row.items()}
-                image = space.braiding_block_apply(1, n, vec)
-                slices = {}
-                for col, val in image.items():
-                    rest, tail = divmod(col, d)
-                    slices.setdefault(tail, {})[rest] = val
-                rhs = {}
-                for tail, sl in slices.items():
-                    coords = _coords_in_primitives(prims, sl)
-                    if coords is None:
-                        raise InternalCheckError(
-                            "block braiding left the primitive space "
-                            "(degree %d, mirrored)" % n
-                        )
-                    # each slice has its own tail letter: disjoint keys
-                    rhs.update({j2 * d + tail: val for j2, val
-                                in table.value(n, coords).items()})
+                image = space.braiding_block_apply(
+                    1, n, {j * dim_n + c: v for c, v in row.items()})
+                rhs = apply_slot(image, dim_n, d,
+                                 partial(bracket_of, ", mirrored"), d)
                 lhs = space.apply_word(2, (1,), {j * d + v: val
                                                  for v, val in vecs[k].items()})
                 if lhs != rhs:
@@ -281,6 +256,10 @@ class FilteredQuotient:
                 return vec
         return None
 
+    def _embed(self, k: int, vec: dict) -> dict:
+        """A vector of V^(x)k as one of T_(top)."""
+        return {self.offsets[k] + c: v for c, v in vec.items()}
+
     def check_braiding_stability(self) -> bool:
         """The braiding carries (span (x) V) into (V (x) span): theorem-level,
         checked row by row on the computed echelon."""
@@ -293,16 +272,14 @@ class FilteredQuotient:
                 k = self._degree_of_col(col)
                 by_degree.setdefault(k, {})[col - self.offsets[k]] = val
             for j in range(d):
-                moved: dict[int, dict] = {}
+                # c(row (x) e_j) in V (x) T_(top), one block braiding per degree
+                moved: dict = {}
                 for k, part in by_degree.items():
-                    # the block braiding is linear: one call per degree
                     img = space.braiding_block_apply(
                         k, 1, {w * d + j: val for w, val in part.items()})
-                    for c2, v2 in img.items():
-                        lead, rest = divmod(c2, space.power(k))
-                        # degrees own disjoint column blocks
-                        moved.setdefault(lead, {})[self.offsets[k] + rest] = v2
-                if any(self.reduce(sl) for sl in moved.values()):
+                    moved.update(apply_slot(img, space.power(k), 1,
+                                            partial(self._embed, k), self.ncols))
+                if apply_slot(moved, self.ncols, 1, self.reduce, self.ncols):
                     return False
         return True
 
@@ -422,40 +399,31 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
 
     def rho(k, w):
         col = fq.offsets[k] + w
-        red = rho_cache.get(col)
-        if red is None:
-            red = fq.reduce({col: one})
-            rho_cache[col] = red
-        return red
+        if col not in rho_cache:
+            rho_cache[col] = fq.reduce({col: one})
+        return rho_cache[col]
 
     # unknowns: basis vectors of degrees 1..cutoff; the image of each is its
     # inner coproduct components pushed into quotient (x) quotient
-    unknowns = []
+    unknowns = [(k, w) for k in range(1, cutoff + 1) for w in range(space.power(k))]
     images = []
-    for k in range(1, cutoff + 1):
-        for w in range(space.power(k)):
-            unknowns.append((k, w))
-            img: dict = {}
-            for a in range(1, k):
-                b = k - a
-                for col, val in delta_columns(space, a, b)[w].items():
-                    u, v = divmod(col, space.power(b))
-                    rv = rho(b, v)
-                    vec_axpy(img, val, {(c1, c2): s1 * s2
-                                        for c1, s1 in rho(a, u).items()
-                                        for c2, s2 in rv.items()})
-            images.append(img)
-    solutions = left_kernel(images, one=one)
+    for k, w in unknowns:
+        img: dict = {}
+        for a in range(1, k):
+            b = k - a
+            for col, val in delta_columns(space, a, b)[w].items():
+                u, v = divmod(col, space.power(b))
+                rv = rho(b, v)
+                vec_axpy(img, val, {c1 * fq.ncols + c2: s1 * s2
+                                    for c1, s1 in rho(a, u).items()
+                                    for c2, s2 in rv.items()})
+        images.append(img)
+    solutions = stacked_kernel(None, [images], fq.ncols ** 2, one)
     # span of the solutions in the quotient
-    img_ech = Echelon(fq.ncols)
-    for sol in solutions:
-        img_ech.add(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol))
-    v_ech = Echelon(fq.ncols)
-    for j in range(d):
-        red = rho(1, j)
-        if red:
-            v_ech.add(dict(red))
-    return img_ech.rank == d and v_ech.rank == d
+    img_ech, v_ech = Echelon(fq.ncols), Echelon(fq.ncols)
+    img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol)
+                     for sol in solutions)
+    return img_ech.rank == d and v_ech.add_rows(rho(1, j) for j in range(d)) == d
 
 
 class HeckePresentation:
@@ -497,13 +465,9 @@ def hecke_presentation(bracket: BracketTable):
         raise InternalCheckError(
             "image of (c - q Id) differs from the degree-2 primitives")
     relations = []
-    induced_zero = True
-    for z in range(size):
-        rel_top = image_rows[z]
-        coords = _coords_in_primitives(prims, rel_top)
-        b_val = bracket.value(2, coords)
-        if b_val:
-            induced_zero = False
+    for rel_top in image_rows:
+        b_val = bracket.value(2, prims.coordinates(rel_top))
         relations.append({"quadratic": dict(rel_top),
                           "linear": {j: -v for j, v in b_val.items()}})
-    return HeckePresentation(q, relations, induced_zero)
+    return HeckePresentation(q, relations,
+                             not any(rel["linear"] for rel in relations))

@@ -17,10 +17,14 @@ This module is the one place that does sparse arithmetic.  Its kernels:
 * `vec_axpy` (target += c * source, dropping cancelled entries) and `vec_eq`;
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
+* `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
 * `reduce_by_pivots`, the canonical remainder modulo pivot rows, shared by
   `Echelon.reduce` and `Subspace.reduce`;
 * `kernel_basis`, the canonical free-column kernel of a set of constraint
-  rows, and `left_kernel`, the same routine on a transposed family.
+  rows, and `left_kernel`, the same routine on a transposed family;
+* `stacked_kernel`, the common kernel of a family of maps on a subspace,
+  their values stacked into one constraint system;
+* `Subspace.coordinates`, a member's coordinates over the canonical basis.
 """
 
 from __future__ import annotations
@@ -59,6 +63,17 @@ def matvec(columns, vec: dict) -> dict:
     for w, s in vec.items():
         vec_axpy(out, s, columns[w])
     return out
+
+
+def apply_slot(vec: dict, mid: int, right: int, f, width: int) -> dict:
+    """(Id (x) f (x) Id) vec for keys (l * mid + m) * right + r: f takes each
+    (l, r) slice, a vector over range(mid), to a vector over range(width)."""
+    slices: dict = {}
+    for col, val in vec.items():
+        head, r = divmod(col, right)
+        slices.setdefault((head // mid, r), {})[head % mid] = val
+    return {(l * width + m) * right + r: v
+            for (l, r), sl in slices.items() for m, v in f(sl).items()}
 
 
 def _clear_pivots(row: dict, pivots: dict, keep) -> None:
@@ -184,6 +199,12 @@ class Subspace:
             self._index = dict(zip(self.pivots, self.rows))
         return reduce_by_pivots(vector, self._index)
 
+    def coordinates(self, vector: dict):
+        """{k: coefficient} over the canonical rows, or None outside."""
+        if not self.contains(vector):
+            return None
+        return {k: vector[p] for k, p in enumerate(self.pivots) if p in vector}
+
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)
 
@@ -261,3 +282,19 @@ def left_kernel(vectors: list[dict], one=None) -> list[dict]:
             transposed.setdefault(col, {})[i] = val
     return kernel_basis(transposed.values(), len(vectors), one=one)
 
+
+def stacked_kernel(basis, images, width: int, one) -> list[dict]:
+    """Basis of {x in span(basis) : f_k(x) = 0 for every k}, basis None
+    meaning the unit vectors.  images yields, map by map and at least one
+    map, [f_k(b) for b in basis]; map k takes the keys [k * width,
+    (k + 1) * width) of the stacked rows, built as the images arrive, so a
+    one-map family reaches `left_kernel` as it is."""
+    images = iter(images)
+    stacked = list(next(images))
+    for k, imgs in enumerate(images, 1):
+        if k == 1:  # map 0's images may be shared: stack onto copies
+            stacked = [dict(row) for row in stacked]
+        for row, img in zip(stacked, imgs):
+            row.update({k * width + c: v for c, v in img.items()})
+    combos = left_kernel(stacked, one=one)
+    return combos if basis is None else [matvec(basis, c) for c in combos]

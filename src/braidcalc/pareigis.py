@@ -32,11 +32,11 @@ from .errors import (
     NotInZetaSpace,
     RootOrderMismatch,
 )
-from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
+from .linalg import Subspace, apply_slot, matvec, stacked_kernel, vec_axpy
 from .scalars import root_order
 from .spaces import BraidedSpace, matsumoto_lift
 from .tensorbialg import primitive_space
-from .enveloping import BracketTable, _coords_in_primitives
+from .enveloping import BracketTable
 
 FACTORIAL_CAP = 6
 
@@ -55,36 +55,24 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
     size = space.power(degree)
     one = space.field.one
     z2 = zeta * zeta
-    if degree < 2:
-        return Subspace.from_rows(size, ({w: one} for w in range(size))) \
-            if z2.is_one() else Subspace.zero(size)
-    images = [{} for _ in range(size)]
-    for i in range(1, degree):
-        for w in range(size):
-            img = space.apply_generator(
-                degree, i, space.apply_generator(degree, i, {w: one}))
-            vec_axpy(img, -z2, {w: one})
-            # generator i owns the key block [i d^n, (i + 1) d^n)
-            images[w].update({i * size + r: val for r, val in img.items()})
-    current = Subspace.from_rows(size, left_kernel(images, one=one))
+
+    def squared_minus_z2(i, w):
+        img = space.apply_word(degree, (i, i), {w: one})
+        vec_axpy(img, -z2, {w: one})
+        return img
+
+    current = Subspace.from_rows(size, stacked_kernel(
+        None, ([squared_minus_z2(i, w) for w in range(size)]
+               for i in range(1, degree)), size, one))
     while current.dim:
-        reductions = []
-        for row in current.rows:
-            acc = {}
-            for i in range(1, degree):
-                img = space.apply_generator(degree, i, row)
-                red = current.reduce(img)
-                for c, v in red.items():
-                    acc[i * size + c] = v
-            reductions.append(acc)
-        if all(not r for r in reductions):
+        # the rows are independent, so the kernel keeps one vector per dimension
+        kept = stacked_kernel(
+            current.rows,
+            ([current.reduce(space.apply_generator(degree, i, row))
+              for row in current.rows] for i in range(1, degree)), size, one)
+        if len(kept) == current.dim:
             break
-        combos = left_kernel(reductions, one=one)
-        shrunk = Subspace.from_rows(
-            size, (matvec(current.rows, c) for c in combos))
-        if shrunk.dim == current.dim:
-            break
-        current = shrunk
+        current = Subspace.from_rows(size, kept)
     return current
 
 
@@ -129,7 +117,7 @@ def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:
 def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
     """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF."""
     zs = zeta_space(space, n, zeta, require_primitive=False)
-    coords = _coords_in_primitives(zs, vec)
+    coords = zs.coordinates(vec)
     if coords is None:
         raise NotInZetaSpace(
             "vector is outside the degree-%d zeta-eigenspace" % n)
@@ -161,7 +149,7 @@ def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
     coords = space._memo.get(key)
     if coords is None:
         prims = primitive_space(space, n)
-        coords = [_coords_in_primitives(prims, image)
+        coords = [prims.coordinates(image)
                   for image in _pi_rows(space, n, zeta)]
         if None in coords:
             raise InternalCheckError(
@@ -190,11 +178,9 @@ def check_pi_su(space: BraidedSpace, n: int) -> bool:
     """Whether the images of Pi over all primitive n-th roots sum to the
     whole degree-n primitive space."""
     roots = space.field.primitive_roots(n)
-    ech = Echelon(space.power(n))
-    for zeta in roots:
-        for row in pi_image(space, n, zeta).rows:
-            ech.add(row)
-    return Subspace.from_echelon(ech) == primitive_space(space, n)
+    return Subspace.from_rows(space.power(n), (
+        row for zeta in roots for row in pi_image(space, n, zeta).rows)) == \
+        primitive_space(space, n)
 
 
 def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict) -> dict:
@@ -212,35 +198,27 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     size = space.power(n + 1)
     one = space.field.one
     inner = zeta_space(space, n, zeta, require_primitive=False)
-    carrier_rows = []
-    for j in range(d):
-        for row in inner.rows:
-            carrier_rows.append({j * size_n + c: v for c, v in row.items()})
-    carrier = Subspace.from_rows(size, carrier_rows)
+    carrier = Subspace.from_rows(size, ({j * size_n + c: v for c, v in row.items()}
+                                        for j in range(d) for row in inner.rows))
     if carrier.dim == 0:
         return carrier
-    reductions = []
     terms = _action_terms(space, n + 1, zeta)
     conds = []
     for phi in itertools.permutations(range(n)):
         lifted = tuple([0] + [p + 1 for p in phi])
         word_in, scale = terms[lifted]
         inverse = tuple(lifted.index(k) for k in range(n + 1))
-        conds.append((word_in, terms[inverse][0], scale * scale))
-    for row in carrier.rows:
-        acc = {}
-        minus_row = {c: -v for c, v in row.items()}
-        for k, (word_in, word_out, scale) in enumerate(conds):
-            img = space.apply_word(n + 1, word_in, row)
-            img = space.apply_generator(n + 1, 1, space.apply_generator(n + 1, 1, img))
-            img = space.apply_word(n + 1, word_out, img)
-            diff = dict(minus_row)
-            vec_axpy(diff, scale, img)
-            # condition k owns the key block [k d^(n+1), (k + 1) d^(n+1))
-            acc.update({k * size + c: v for c, v in diff.items()})
-        reductions.append(acc)
-    combos = left_kernel(reductions, one=one)
-    return Subspace.from_rows(size, (matvec(carrier.rows, c) for c in combos))
+        # the conjugate of tau_1^2 by the lift, rightmost letter first
+        conds.append((terms[inverse][0] + (1, 1) + word_in, scale * scale))
+
+    def condition(row, word, scale):
+        diff = {c: -v for c, v in row.items()}
+        vec_axpy(diff, scale, space.apply_word(n + 1, word, row))
+        return diff
+
+    return Subspace.from_rows(size, stacked_kernel(
+        carrier.rows, ([condition(row, *cond) for row in carrier.rows]
+                       for cond in conds), size, one))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +231,7 @@ def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     anti = dict(vec)
     vec_axpy(anti, -space.field.one, space.apply_word(2, (1,), vec))
     prims = primitive_space(space, 2)
-    coords = _coords_in_primitives(prims, anti)
+    coords = prims.coordinates(anti)
     if coords is None:
         raise NotInZetaSpace(
             "pair outside the squared-braiding fixed space: the binary "
@@ -263,23 +241,14 @@ def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
 
 def _apply_first_slice(space, bracket, n, zeta, vec):
     """(V (x) [-]) on a vector of V^(x)(n+1): slice off the first letter."""
-    size_n = space.power(n)
-    d = space.dim
-    slices: dict[int, dict] = {}
-    for col, val in vec.items():
-        j, rest = divmod(col, size_n)
-        slices.setdefault(j, {})[rest] = val
-    out: dict = {}
-    for j, sl in slices.items():
+    def inner(sl):
         try:
-            value = induced_bracket(bracket, n, zeta, sl)
+            return induced_bracket(bracket, n, zeta, sl)
         except NotInZetaSpace:
             raise NotInZetaSpace(
                 "first-factor slice left the degree-%d zeta space; "
                 "the identity precondition fails" % n)
-        # each slice has its own first letter j: disjoint keys
-        out.update({j * d + t: v for t, v in value.items()})
-    return out
+    return apply_slot(vec, space.power(n), 1, inner, space.dim)
 
 
 def _cycle_one_line(i: int, n: int):
@@ -351,21 +320,10 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
         lhs = _pair_bracket(bracket, inner_val) if inner_val else {}
         rhs: dict = {}
         for i in range(1, n + 1):
-            letters = tuple(range(i - 1, 0, -1))
-            moved = space.apply_word(n + 1, letters, row) if letters else dict(row)
+            moved = space.apply_word(n + 1, tuple(range(i - 1, 0, -1)), row)
             # apply the binary bracket to tensor positions i, i+1
-            size_tail = space.power(n - i)
-            pair_block = space.power(2) * size_tail
-            grouped: dict[tuple, dict] = {}
-            for col, val in moved.items():
-                head, rest = divmod(col, pair_block)
-                pair, tail = divmod(rest, size_tail)
-                grouped.setdefault((head, tail), {})[pair] = val
-            collapsed: dict = {}
-            for (head, tail), pair_vec in grouped.items():
-                # each (head, tail) group fills its own keys
-                collapsed.update({(head * d + t) * size_tail + tail: v for t, v
-                                  in _pair_bracket(bracket, pair_vec).items()})
+            collapsed = apply_slot(moved, d * d, space.power(n - i),
+                                   lambda pair: _pair_bracket(bracket, pair), d)
             if not collapsed:
                 continue
             try:

@@ -36,7 +36,7 @@ nonzero block kernel settles the question exactly.
 from __future__ import annotations
 
 from .errors import BadParams, InternalCheckError
-from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
+from .linalg import Echelon, Subspace, matvec, stacked_kernel, vec_axpy
 from .spaces import BraidedSpace
 
 
@@ -102,22 +102,21 @@ def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
         groups = [list(parts)]
     else:
         groups = [[a] for a in sorted(parts, key=cost.get)]
-    # with no basis, the images of the unit vectors are the columns themselves
     for group in groups:
-        stacked = [{} for _ in range(size if basis is None else len(basis))]
-        for a in group:
-            cols = delta_columns(space, a, n - a)
-            images = cols if basis is None else [matvec(cols, v) for v in basis]
-            for vec, img in zip(stacked, images):
-                if reduce is not None:
-                    img = reduce(img, a, n - a)
-                # component a owns the key block [a d^n, (a + 1) d^n)
-                vec.update({a * size + r: val for r, val in img.items()})
-        combos = left_kernel(stacked, one=space.field.one)
-        basis = combos if basis is None else [matvec(basis, c) for c in combos]
+        images = [_component_images(space, a, n - a, basis, reduce)
+                  for a in group]
+        basis = stacked_kernel(basis, images, size, space.field.one)
         if not basis:
             break
     return basis
+
+
+def _component_images(space: BraidedSpace, a: int, b: int, basis, reduce):
+    """reduce(Delta^(a, b) x, a, b) for x in basis; with no basis, the images
+    of the unit vectors are the columns themselves."""
+    cols = delta_columns(space, a, b)
+    images = cols if basis is None else (matvec(cols, v) for v in basis)
+    return images if reduce is None else (reduce(img, a, b) for img in images)
 
 
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:

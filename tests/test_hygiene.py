@@ -1,6 +1,7 @@
 """Every name a braidcalc module imports is used in that module, every
-private name a module defines is referenced somewhere in the package, and
-every parameter of a function is read in its body.
+private name a module defines is referenced somewhere in the package, no
+module imports another's private name, and every parameter of a function is
+read in its body.
 
 The package __init__ is exempt: its imports are the public re-exports.
 """
@@ -80,6 +81,32 @@ def test_checker_flags_an_unreferenced_private_name():
     assert names == ["_Box", "_kept", "_orphan", "_unread"]
     assert [n for n in names if n not in references(source)] == \
         ["_orphan", "_unread"]
+
+
+def private_imports(source: str) -> list[str]:
+    """`module.name` for each underscore name imported from within the
+    package (dunder names such as __version__ excepted)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("braidcalc")):
+            module = (node.module or "").removeprefix("braidcalc.")
+            out += ["%s.%s" % (module, alias.name)
+                    for alias in node.names if alias.name.startswith("_")
+                    and not alias.name.startswith("__")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_private_import():
+    source = ("from . import __version__\nfrom .enveloping import _coords, value\n"
+              "from braidcalc.linalg import _clear_pivots\nfrom os import _exit\n")
+    assert private_imports(source) == ["enveloping._coords",
+                                       "linalg._clear_pivots"]
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -3,8 +3,10 @@ import random
 from braidcalc.linalg import (
     Echelon,
     Subspace,
+    apply_slot,
     kernel_basis,
     left_kernel,
+    stacked_kernel,
     vec_axpy,
 )
 from braidcalc.scalars import Q, field_make
@@ -143,3 +145,94 @@ def test_axpy_by_zero_stores_no_zero_entries():
     vec_axpy(target, F4.zero, {1: F4.gen, 2: F4.one})
     assert target == {0: F4.one}
     assert all(not v.is_zero() for v in target.values())
+
+
+def random_dense(rng, nrows, ncols, density=0.6):
+    return [[rng.randint(-2, 2) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_apply(mat, vec):
+    """The dense matrix mat applied to a sparse vector, as a sparse vector."""
+    out = {}
+    for i, row in enumerate(mat):
+        acc = F.zero
+        for j, v in vec.items():
+            if row[j]:
+                acc = acc + s(row[j]) * v
+        if not acc.is_zero():
+            out[i] = acc
+    return out
+
+
+def test_apply_slot_against_dense_kronecker(seed=31):
+    rng = random.Random(seed)
+    for _ in range(40):
+        left, mid, right, width = (rng.randint(1, 3) for _ in range(4))
+        f = random_dense(rng, width, mid)
+        ncols = left * mid * right
+        dense = [rng.randint(-2, 2) if rng.random() < 0.5 else 0
+                 for _ in range(ncols)]
+        vec = {c: s(v) for c, v in enumerate(dense) if v}
+        # Id_left (x) f (x) Id_right as one dense matrix, entry by entry
+        kron = [[0] * ncols for _ in range(left * width * right)]
+        for l in range(left):
+            for w in range(width):
+                for m in range(mid):
+                    for r in range(right):
+                        kron[(l * width + w) * right + r][(l * mid + m) * right + r] = \
+                            f[w][m]
+        got = apply_slot(vec, mid, right, lambda sl: sparse_apply(f, sl), width)
+        assert got == sparse_apply(kron, vec)
+
+
+def constraint_oracle(basis, maps, ncols):
+    """{x in span(basis) : M x = 0 for every M in maps} from kernel_basis of
+    every map's rows at once, over the coordinates of basis (unit vectors
+    when basis is None)."""
+    if basis is None:
+        rows = rows_from_dense([row for mat in maps for row in mat])
+        return Subspace.from_rows(ncols, kernel_basis(rows, ncols, one=F.one))
+    # the rows of M B, one constraint per row of M, on the coefficients c
+    rows = []
+    for mat in maps:
+        cols = [sparse_apply(mat, b) for b in basis]
+        rows += [{i: col[w] for i, col in enumerate(cols) if w in col}
+                 for w in range(len(mat))]
+    combos = kernel_basis(rows, len(basis), one=F.one)
+    vecs = []
+    for c in combos:
+        acc = {}
+        for i, coeff in c.items():
+            vec_axpy(acc, coeff, basis[i])
+        vecs.append(acc)
+    return Subspace.from_rows(ncols, vecs)
+
+
+def test_stacked_kernel_against_all_constraint_rows(seed=37):
+    rng = random.Random(seed)
+    for trial in range(60):
+        ncols = rng.randint(1, 6)
+        width = rng.randint(1, 4)
+        # every third family has a single map
+        maps = [random_dense(rng, rng.randint(1, width), ncols)
+                for _ in range(1 if trial % 3 == 0 else rng.randint(2, 4))]
+        basis = None
+        if trial % 2:
+            basis = [v for v in rows_from_dense(random_dense(
+                rng, rng.randint(1, ncols + 1), ncols)) if v] or [{0: F.one}]
+        units = [{j: F.one} for j in range(ncols)]
+        images = [[sparse_apply(mat, b) for b in (units if basis is None else basis)]
+                  for mat in maps]
+        before = [[dict(img) for img in imgs] for imgs in images]
+        # the family arrives lazily, map by map
+        got = stacked_kernel(basis, (iter(imgs) for imgs in images), width, F.one)
+        assert Subspace.from_rows(ncols, got) == \
+            constraint_oracle(basis, maps, ncols), trial
+        assert images == before  # the images themselves are left as they were
+
+
+def test_one_map_family_reaches_left_kernel_unchanged():
+    images = [{(0, 1): s(1)}, {(0, 1): s(-1), "x": s(2)}, {}]
+    assert stacked_kernel(None, [images], 0, F.one) == \
+        left_kernel(images, one=F.one)

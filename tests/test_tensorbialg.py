@@ -496,6 +496,22 @@ def test_has_primitives_decides_the_primitive_space(space):
         assert primitive_space(space, 2).dim == expected
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(property_spaces())
+def test_primitive_space_is_the_common_kernel_of_all_components(space):
+    # the oracle solves every component's constraint rows in one system
+    for n in range(2, 5):
+        rows = {}
+        for a in range(1, n):
+            for word, col in enumerate(delta_columns(space, a, n - a)):
+                for r, val in col.items():
+                    rows.setdefault((a, r), {})[word] = val
+        size = space.power(n)
+        expected = Subspace.from_rows(
+            size, kernel_basis(rows.values(), size, one=space.field.one))
+        assert primitive_space(space, n) == expected, (space.kind, n)
+
+
 # -- literature dimensions of finite-dimensional Nichols algebras ---------------
 
 def series_product(factors):
