@@ -419,6 +419,12 @@ class _JobContext:
                 if "preset" in decl:
                     table = preset_bracket(self.space, decl["preset"])
                 else:
+                    for k, row in enumerate(decl["values"]):
+                        if len(row) > self.space.dim:
+                            raise BadParams(
+                                "bracket row %d of degree %d has %d entries, but "
+                                "dim V = %d" % (k, decl["degree"], len(row),
+                                                self.space.dim))
                     rows = [{j: zero + c for j, c in enumerate(row) if c != 0}
                             for row in decl["values"]]
                     table = validate_bracket(self.space, BracketTable(

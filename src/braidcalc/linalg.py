@@ -24,7 +24,9 @@ This module is the one place that does sparse arithmetic.  Its kernels:
   rows, and `left_kernel`, the same routine on a transposed family;
 * `stacked_kernel`, the common kernel of a family of maps on a subspace,
   their values stacked into one constraint system;
-* `Subspace.coordinates`, a member's coordinates over the canonical basis.
+* `Subspace.coordinates`, a member's coordinates over the canonical basis;
+* `kernel_mod`, the same common kernel with raw ints modulo a prime p, for
+  a modular route that lifts and certifies its result exactly.
 """
 
 from __future__ import annotations
@@ -211,23 +213,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ncols != other.ncols:
-            raise ValueError("subspace dimensions differ")
-        ech = self.echelon()
-        ech.add_rows(other.rows)
-        return Subspace.from_echelon(ech)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Combinations of self's rows that reduce to zero modulo other."""
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ncols)
-        reduced = [other.reduce(r) for r in self.rows]
-        unit = next(iter(self.rows[0].values())).field.one
-        combos = left_kernel(reduced, one=unit)
-        return Subspace.from_rows(self.ncols,
-                                  (matvec(self.rows, c) for c in combos))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -298,3 +283,70 @@ def stacked_kernel(basis, images, width: int, one) -> list[dict]:
             row.update({k * width + c: v for c, v in img.items()})
     combos = left_kernel(stacked, one=one)
     return combos if basis is None else [matvec(basis, c) for c in combos]
+
+
+def _axpy_mod(target: dict, coeff: int, source: dict, p: int) -> None:
+    """target += coeff * source mod p, dropping entries that vanish."""
+    for col, val in source.items():
+        new = (target.get(col, 0) + coeff * val) % p
+        if new:
+            target[col] = new
+        else:
+            del target[col]
+
+
+def _rref_mod(rows, p: int) -> dict:
+    """{pivot: row} of the reduced row echelon form mod p; consumes rows."""
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            _axpy_mod(row, p - row[lead], prow, p)
+    for pcol in sorted(pivots, reverse=True):
+        row = pivots[pcol]
+        for col in sorted(c for c in row if c in pivots and c != pcol):
+            if col in row:
+                _axpy_mod(row, p - row[col], pivots[col], p)
+    return pivots
+
+
+def kernel_mod(maps, p: int, basis=None) -> list[dict]:
+    """RREF basis, mod the prime p, of {x in span(basis) : M x = 0 for every
+    M in maps}, each map given by its columns (dicts of ints) on the unit
+    vectors; basis None means the unit vectors, and a given basis must be
+    in RREF.
+
+    The unknowns are eliminated from the last down, so each free unknown f
+    leads its canonical free-column vector, which is then the RREF row of
+    the kernel with pivot f; over an RREF basis the combinations keep that
+    shape."""
+    count = len(maps[0]) if basis is None else len(basis)
+    last = count - 1
+    rows: dict = {}
+    for k, cols in enumerate(maps):
+        images = cols if basis is None else (_combine_mod(cols, v, p) for v in basis)
+        for i, img in enumerate(images):
+            for r, v in img.items():
+                rows.setdefault((k, r), {})[last - i] = v
+    pivots = _rref_mod(rows.values(), p)
+    free_entries: dict[int, dict] = {}
+    for pcol, row in pivots.items():
+        for col, val in row.items():
+            if col != pcol:
+                free_entries.setdefault(col, {})[last - pcol] = p - val
+    kernel = [{**free_entries.get(f, {}), last - f: 1}
+              for f in reversed(range(count)) if f not in pivots]
+    return kernel if basis is None else [_combine_mod(basis, c, p) for c in kernel]
+
+
+def _combine_mod(columns, vec: dict, p: int) -> dict:
+    """sum_w vec[w] * columns[w] mod p."""
+    out: dict = {}
+    for w, s in vec.items():
+        _axpy_mod(out, s, columns[w], p)
+    return out

@@ -18,6 +18,12 @@ shows in a report or a cache key.
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
 stays well under a second.
+
+For exact linear algebra done modulo a prime first, `Reduction` maps a
+scalar to F_p under each of the phi(m) embeddings zeta -> omega_j, p = 1
+(mod m), and interpolates phi(m) residues back to power-basis coefficients
+mod p; `crt` and `rational_lift` (Monagan's maximal-quotient rational
+reconstruction, ISSAC 2004) take those coefficients back to Q.
 """
 
 from __future__ import annotations
@@ -450,3 +456,146 @@ def is_regular_exact(q: CycloScalar) -> bool:
         raise BadParams("regularity is about nonzero scalars")
     order = root_order(q)
     return order is None or order == 1
+
+
+# ---------------------------------------------------------------------------
+# reduction modulo primes p = 1 (mod m), and the way back
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5, 7, exact below 3215031751."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# {m: the primes p = 1 (mod m) below 2^30 found so far, descending}
+_PRIMES: dict[int, list] = {}
+
+
+def _prime(m: int, index: int) -> int:
+    """The index-th prime p = 1 (mod m) below 2^30, descending, so that every
+    residue mod p is a one-digit Python int."""
+    primes = _PRIMES.setdefault(m, [])
+    step = m if m % 2 == 0 else 2 * m  # p = 1 (mod step) is odd
+    p = primes[-1] if primes else ((1 << 30) - 2) // step * step + 1 + step
+    while len(primes) <= index:
+        p -= step
+        while not _is_prime(p):
+            p -= step
+        primes.append(p)
+    return primes[index]
+
+
+class Reduction:
+    """The phi(m) embeddings of Q(zeta_m) into F_p, zeta -> omega_j, for the
+    index-th prime p = 1 (mod m) below 2^30; omega_j = omega^k runs over the
+    primitive m-th roots mod p, k coprime to m ascending.  Residues are
+    memoized per scalar for the life of the object."""
+
+    __slots__ = ("p", "_roots", "_inverse", "_memo")
+
+    def __init__(self, field: CycloField, index: int):
+        m, deg = field.order, field.degree
+        p = self.p = _prime(m, index)
+        factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+        h = 2
+        while any(pow(h, (p - 1) // q, p) == 1 for q in factors):
+            h += 1
+        # omega = h^((p-1)/m) has order m; the omega^k with gcd(k, m) = 1 are
+        # the primitive m-th roots, the roots of Phi_m mod p
+        omega = pow(h, (p - 1) // m, p)
+        self._roots = [pow(omega, k, p) for k in range(1, m + 1) if gcd(k, m) == 1]
+        # inverse Vandermonde matrix, [k][j] = coefficient k of the Lagrange
+        # polynomial Phi_m / ((X - omega_j) Phi_m'(omega_j)) mod p
+        phi = [c % p for c in field.cyclotomic_polynomial]
+        lagrange = []
+        for r in self._roots:
+            quot, acc = [0] * deg, 0  # synthetic division Phi_m / (X - r)
+            for k in range(deg, 0, -1):
+                acc = (phi[k] + r * acc) % p
+                quot[k - 1] = acc
+            scale = pow(_horner(quot, r, p), -1, p)  # quot(r) = Phi_m'(r)
+            lagrange.append([q * scale % p for q in quot])
+        self._inverse = list(zip(*lagrange))
+        self._memo: dict = {}
+
+    def __call__(self, s: CycloScalar):
+        """The tuple of s under each embedding, or None when p divides a
+        denominator of s."""
+        coeffs = s.coeffs
+        try:
+            return self._memo[coeffs]
+        except KeyError:
+            pass
+        p, res = self.p, []
+        for c in coeffs:
+            if type(c) is int:
+                res.append(c % p)
+            elif c.denominator % p:
+                res.append(int(c.numerator) * pow(int(c.denominator), -1, p) % p)
+            else:
+                res = None
+                break
+        if res is not None:
+            res = tuple(_horner(res, r, p) for r in self._roots)
+        self._memo[coeffs] = res
+        return res
+
+    def coefficients(self, values) -> tuple:
+        """The power-basis coefficients mod p of the scalar whose images
+        under the embeddings are values."""
+        p = self.p
+        return tuple(sum(map(int.__mul__, row, values)) % p for row in self._inverse)
+
+
+def _horner(coeffs, r: int, p: int) -> int:
+    """The polynomial with these coefficients, low to high, at r mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % p
+    return acc
+
+
+def crt(residue: int, modulus: int, other: int, p: int) -> int:
+    """The x mod modulus * p with x = residue (mod modulus), x = other (mod p)."""
+    return residue + modulus * ((other - residue) * pow(modulus, -1, p) % p)
+
+
+def rational_lift(u: int, modulus: int):
+    """The a/b = u (mod modulus) of Monagan's maximal-quotient rational
+    reconstruction: the Euclidean remainder whose next quotient is the
+    largest, once that quotient passes 2^10 times the modulus's bit length,
+    else None.  An int when b = 1."""
+    if not u:
+        return 0
+    top = modulus.bit_length() << 10
+    num = den = 0
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 and r0 > top:
+        q = r0 // r1
+        if q > top:
+            num, den, top = r1, t1, q
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not den or gcd(num, den) != 1:
+        return None
+    if den < 0:
+        num, den = -num, -den
+    return num if den == 1 else Q(num, den)

@@ -31,12 +31,28 @@ fall into connected blocks, each mapped into itself by every component.
 The stacked system is therefore block-diagonal by construction, whatever the
 braiding, and E_n is the direct sum of the block kernels, so the first
 nonzero block kernel settles the question exactly.
+
+`primitive_space` of T(V) solves modulo primes first.  For a prime
+p = 1 (mod m) that divides no denominator of the coproduct columns, each of
+the phi(m) embeddings zeta -> omega_j of Q(zeta_m) into F_p gives a kernel
+mod p, in `coproduct_kernel`'s component order, as an RREF basis.  Rank
+mod p is at most the rank over Q(zeta_m), so an empty kernel mod p proves
+E_n = 0.  Otherwise every embedding must give the same pivots; the entries
+are interpolated back to power-basis coefficients mod p, combined over the
+primes so far by CRT, and rationally reconstructed.  The lifted rows are
+certified exactly: each satisfies Delta^(a, n-a) x = 0 for all 0 < a < n,
+they lead at distinct pivots, so they are independent, and their number is
+the nullity mod p, which bounds dim E_n from above.  They are therefore
+the RREF of E_n, the very Subspace the exact route gives.  When
+MODULAR_PRIMES primes bring no certified lift, the exact route runs.
+Quotient primitives and `has_primitives` stay exact.
 """
 
 from __future__ import annotations
 
 from .errors import BadParams, InternalCheckError
-from .linalg import Echelon, Subspace, matvec, stacked_kernel, vec_axpy
+from .linalg import Echelon, Subspace, kernel_mod, matvec, stacked_kernel, vec_axpy
+from .scalars import Reduction, crt, rational_lift
 from .spaces import BraidedSpace
 
 
@@ -88,27 +104,29 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
 def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
                      reduce=None, basis=None) -> list[dict]:
     """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
-    a in parts}, where basis defaults to the unit basis of V^(x)n.
-
-    dims[k] is the dimension of the degree-k target, which prices component a
-    at dims[a] * dims[n-a] constraint rows.  When all parts together cost at
-    most twice as many rows as there are unknowns (d^n, or len(basis)) the
-    stacked system is solved at once; otherwise the kernel is shrunk one
-    component at a time, the cheapest first.
-    """
+    a in parts}, where basis defaults to the unit basis of V^(x)n; the
+    components are taken in the order of `_component_groups`."""
     size = space.power(n)
-    cost = {a: dims[a] * dims[n - a] for a in parts}
-    if sum(cost.values()) <= 2 * (size if basis is None else len(basis)):
-        groups = [list(parts)]
-    else:
-        groups = [[a] for a in sorted(parts, key=cost.get)]
-    for group in groups:
+    for group in _component_groups(parts, dims, n,
+                                   size if basis is None else len(basis)):
         images = [_component_images(space, a, n - a, basis, reduce)
                   for a in group]
         basis = stacked_kernel(basis, images, size, space.field.one)
         if not basis:
             break
     return basis
+
+
+def _component_groups(parts, dims, n: int, unknowns: int) -> list[list]:
+    """dims[k] is the dimension of the degree-k target, which prices component
+    a at dims[a] * dims[n-a] constraint rows.  When all parts together cost
+    at most twice as many rows as there are unknowns they form one stacked
+    system; otherwise the kernel is shrunk one component at a time, the
+    cheapest first."""
+    cost = {a: dims[a] * dims[n - a] for a in parts}
+    if sum(cost.values()) <= 2 * unknowns:
+        return [list(parts)]
+    return [[a] for a in sorted(parts, key=cost.get)]
 
 
 def _component_images(space: BraidedSpace, a: int, b: int, basis, reduce):
@@ -120,7 +138,8 @@ def _component_images(space: BraidedSpace, a: int, b: int, basis, reduce):
 
 
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
-    """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1."""
+    """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1,
+    by the modular route, or the exact one when that gives up."""
     space.check_budget(n)
     size = space.power(n)
     if n <= 1:
@@ -130,9 +149,112 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     if cached is not None:
         return cached
     dims = [space.power(k) for k in range(n + 1)]
-    result = Subspace.from_rows(size, coproduct_kernel(space, n, range(1, n), dims))
+    result = _modular_primitives(space, n, dims)
+    if result is None:
+        result = Subspace.from_rows(size, coproduct_kernel(space, n, range(1, n), dims))
     space._memo[key] = result
     return result
+
+
+# primes p = 1 (mod m) the modular route tries before it gives up
+MODULAR_PRIMES = 5
+
+
+def _modular_primitives(space: BraidedSpace, n: int, dims):
+    """E_n solved mod p under every embedding of Q(zeta_m) into F_p, lifted by
+    interpolation, CRT and rational reconstruction, and certified exactly;
+    None when MODULAR_PRIMES primes give no certified result."""
+    field, size = space.field, space.power(n)
+    cols = {a: delta_columns(space, a, n - a) for a in range(1, n)}
+    groups = _component_groups(range(1, n), dims, n, size)
+    pivots = entries = modulus = None
+    for index in range(MODULAR_PRIMES):
+        red = Reduction(field, index)
+        p = red.p
+        kernels = _kernels_mod(red, cols, groups, field.degree)
+        if kernels is None:
+            continue  # p divides a denominator
+        if not kernels:
+            # rank mod p <= rank over Q(zeta_m): E_n = 0 exactly
+            return Subspace.zero(size)
+        shape = [min(v) for v in kernels[0]]
+        if any([min(v) for v in k] != shape for k in kernels[1:]):
+            continue
+        residues = {(i, c): red.coefficients([v.get(c, 0) for v in rows])
+                    for i, rows in enumerate(zip(*kernels))
+                    for c in set().union(*rows)}
+        if shape != pivots:
+            # the first pivots, or new ones, start afresh: a prime with the
+            # wrong pivots costs primes only, as the certificate decides
+            pivots, entries, modulus = shape, residues, p
+        else:
+            zero = (0,) * field.degree
+            entries = {key: tuple(crt(r, modulus, s, p) for r, s in
+                                  zip(entries.get(key, zero), residues.get(key, zero)))
+                       for key in entries.keys() | residues.keys()}
+            modulus *= p
+        rows = _lift_rows(field, entries, modulus, len(pivots))
+        if rows is not None and _annihilated(
+                [cols[a] for group in groups for a in group], rows):
+            # each lifted row lies in E_n, they lead at distinct pivots, and
+            # their number bounds dim E_n from above: they are its RREF
+            return Subspace.from_rows(size, rows)
+    return None
+
+
+def _kernels_mod(red: Reduction, cols, groups, degree: int):
+    """The kernel mod red's prime under each embedding, one component group
+    at a time, so that only its reduced columns are held; [] when a kernel
+    is empty, None when the prime divides a denominator."""
+    kernels = [None] * degree
+    for group in groups:
+        reduced = [_reduced_columns(red, cols[a], degree) for a in group]
+        if None in reduced:
+            return None
+        for j in range(degree):
+            kernels[j] = kernel_mod([r[j] for r in reduced], red.p, kernels[j])
+            if not kernels[j]:
+                return []
+    return kernels
+
+
+def _reduced_columns(red: Reduction, cols, degree: int):
+    """The columns under each embedding of red, or None when red's prime
+    divides a denominator of an entry."""
+    out = [[] for _ in range(degree)]
+    for col in cols:
+        images = [{} for _ in range(degree)]
+        for r, s in col.items():
+            res = red(s)
+            if res is None:
+                return None
+            for img, v in zip(images, res):
+                if v:
+                    img[r] = v
+        for lst, img in zip(out, images):
+            lst.append(img)
+    return out
+
+
+def _annihilated(maps, rows) -> bool:
+    """Whether M x = 0 exactly for every M in maps and x in rows."""
+    return not any(matvec(cols, x) for cols in maps for x in rows)
+
+
+def _lift_rows(field, entries, modulus: int, count: int):
+    """Rows of scalars rebuilt from {(row, column): coefficient residues mod
+    modulus}, or None when a coefficient has no rational reconstruction."""
+    rows = [{} for _ in range(count)]
+    lifted: dict = {}
+    for (i, c), res in entries.items():
+        s = lifted.get(res)
+        if s is None:
+            coeffs = [rational_lift(r, modulus) for r in res]
+            if any(q is None for q in coeffs):
+                return None
+            s = lifted[res] = field.scalar(coeffs)
+        rows[i][c] = s
+    return rows
 
 
 def has_primitives(space: BraidedSpace, n: int) -> bool:

@@ -1,7 +1,7 @@
 """Independent references the tests check braidcalc against.
 
 Permutations and their lengths, the (p, q)-shuffles, the rank of a family of
-sparse rows, q-integers and q-binomials, and the d^n routes to the Nichols
+sparse rows, the sum and intersection of two subspaces, q-integers and q-binomials, and the d^n routes to the Nichols
 algebra that the library no longer takes: the quantum symmetrizer Gamma_n by
 the (n-1, 1) recursion and by the direct sum over S_n, the derivation
 recursion over all degree-n words, and the quadratic closure of E_2 in
@@ -22,7 +22,7 @@ from functools import partial
 
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
-from braidcalc.linalg import Echelon, Subspace, matvec, vec_axpy, vec_eq
+from braidcalc.linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy, vec_eq
 from braidcalc.spaces import matsumoto_lift
 from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
 
@@ -71,6 +71,24 @@ def rank_of_rows(rows, ncols: int) -> int:
 
 
 # -- q-combinatorics ----------------------------------------------------------
+
+def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
+    if u.ncols != w.ncols:
+        raise ValueError("subspace dimensions differ")
+    ech = u.echelon()
+    ech.add_rows(w.rows)
+    return Subspace.from_echelon(ech)
+
+
+def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
+    """Combinations of u's rows that reduce to zero modulo w."""
+    if u.dim == 0 or w.dim == 0:
+        return Subspace.zero(u.ncols)
+    reduced = [w.reduce(r) for r in u.rows]
+    unit = next(iter(u.rows[0].values())).field.one
+    combos = left_kernel(reduced, one=unit)
+    return Subspace.from_rows(u.ncols, (matvec(u.rows, c) for c in combos))
+
 
 def q_int(n: int, q):
     """(n)_q = 1 + q + ... + q^(n-1)."""

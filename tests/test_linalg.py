@@ -5,12 +5,14 @@ from braidcalc.linalg import (
     Subspace,
     apply_slot,
     kernel_basis,
+    kernel_mod,
     left_kernel,
     stacked_kernel,
     vec_axpy,
 )
 from braidcalc.scalars import Q, field_make
-from oracles import rank_of_rows, row_tensor_basis_left, row_tensor_basis_right
+from oracles import (rank_of_rows, row_tensor_basis_left, row_tensor_basis_right,
+                     subspace_intersection, subspace_sum)
 
 F = field_make(1)
 
@@ -98,8 +100,8 @@ def test_left_kernel_combinations(seed=5):
 def test_sum_and_intersection():
     u = Subspace.from_rows(4, rows_from_dense([[1, 0, 0, 0], [0, 1, 0, 0]]))
     w = Subspace.from_rows(4, rows_from_dense([[0, 1, 0, 0], [0, 0, 1, 0]]))
-    assert u.sum(w).dim == 3
-    inter = u.intersection(w)
+    assert subspace_sum(u, w).dim == 3
+    inter = subspace_intersection(u, w)
     assert inter.dim == 1
     assert inter.contains({1: F.one})
     assert u.contains_subspace(inter) and w.contains_subspace(inter)
@@ -114,11 +116,11 @@ def test_intersection_randomized(seed=23):
             rows_from_dense([[rng.randint(-2, 2) for _ in range(ncols)]
                              for _ in range(rng.randint(1, 3))]))
         u, w = mk(), mk()
-        inter = u.intersection(w)
+        inter = subspace_intersection(u, w)
         assert u.contains_subspace(inter)
         assert w.contains_subspace(inter)
         # dimension formula against the sum
-        assert inter.dim == u.dim + w.dim - u.sum(w).dim
+        assert inter.dim == u.dim + w.dim - subspace_sum(u, w).dim
 
 
 def test_tensor_reindexing():
@@ -230,6 +232,31 @@ def test_stacked_kernel_against_all_constraint_rows(seed=37):
         assert Subspace.from_rows(ncols, got) == \
             constraint_oracle(basis, maps, ncols), trial
         assert images == before  # the images themselves are left as they were
+
+
+def reduce_mod(row, p):
+    """A row over Q, mod p."""
+    return {c: int(v.coeffs[0].numerator) * pow(int(v.coeffs[0].denominator), -1, p) % p
+            for c, v in row.items()}
+
+
+def test_kernel_mod_is_the_exact_rref_reduced_mod_p(seed=43):
+    p = (1 << 30) - 35
+    rng = random.Random(seed)
+    for trial in range(60):
+        ncols = rng.randint(1, 6)
+        maps = [random_dense(rng, rng.randint(1, 4), ncols)
+                for _ in range(rng.randint(1, 3))]
+        columns = [[{i: row[j] % p for i, row in enumerate(mat) if row[j]}
+                    for j in range(ncols)] for mat in maps]
+        basis = None
+        if trial % 2:
+            basis = Subspace.from_rows(ncols, rows_from_dense(random_dense(
+                rng, rng.randint(1, ncols + 1), ncols))).rows or [{0: F.one}]
+        exact = constraint_oracle(basis, maps, ncols).rows
+        got = kernel_mod(columns, p, None if basis is None else
+                         [reduce_mod(b, p) for b in basis])
+        assert got == [reduce_mod(row, p) for row in exact], trial
 
 
 def test_one_map_family_reaches_left_kernel_unchanged():

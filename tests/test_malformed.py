@@ -2,7 +2,8 @@
 mangled, ends in a traceback.
 
 Each file of tests/malformed holds one malformed input and says, in a
-comment `# refused on line N`, the line its error must name.
+comment `# refused on line N`, the line its error must name; a comment
+`# refused with: TEXT`, where present, gives words the message must hold.
 """
 
 import pathlib
@@ -26,10 +27,12 @@ def refused_line(text: str) -> int:
 
 @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
 def test_malformed_job_is_refused_on_its_line(path, capsys):
-    line = refused_line(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
     assert main(["--input", str(path), "--no-cache"]) == 1
     captured = capsys.readouterr()
-    assert "line %d: " % line in captured.err
+    assert "line %d: " % refused_line(text) in captured.err
+    for words in re.findall(r"^# refused with: (.*)$", text, re.M):
+        assert words in captured.err
     assert "Traceback" not in captured.err and not captured.out
 
 

@@ -10,12 +10,17 @@ from braidcalc.scalars import (
     MAX_FIELD_ORDER,
     CycloField,
     Q,
+    Reduction,
+    _is_prime,
+    _prime,
     _poly_divmod,
     _poly_mul,
+    crt,
     cyclotomic_polynomial,
     euler_phi,
     field_make,
     is_regular_exact,
+    rational_lift,
     root_order,
 )
 from oracles import is_regular, q_binomial, q_factorial, q_int
@@ -279,3 +284,60 @@ def test_field_order_cap():
 def test_cyclotomic_polynomial_is_memoized():
     assert cyclotomic_polynomial(12) is cyclotomic_polynomial(12)
     assert field_make(12).cyclotomic_polynomial is cyclotomic_polynomial(12)
+
+
+# -- reduction modulo primes and the way back ------------------------------------
+
+def test_primes_are_one_mod_m_and_below_2_30():
+    for m in (1, 2, 3, 4, 5, 12, 997):
+        primes = [_prime(m, i) for i in range(3)]
+        assert primes == sorted(set(primes), reverse=True)
+        for p in primes:
+            assert p < 2 ** 30 and p % m == 1 % m and p % 2
+            assert all(p % k for k in range(2, 2000)) and _is_prime(p)
+        assert Reduction(field_make(m), 0).p == primes[0]
+    assert [n for n in range(60) if _is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not _is_prime(25326001)  # a strong pseudoprime to the bases 2, 3, 5
+
+
+def test_reduction_is_a_ring_map_and_interpolation_inverts_it(seed=41):
+    rng = random.Random(seed)
+    for m in (1, 2, 3, 4, 5, 8, 12):
+        field = field_make(m)
+        for index in (0, 1):
+            red = Reduction(field, index)
+            p = red.p
+            for _ in range(20):
+                a, b = (field.scalar([Q(rng.randint(-9, 9), rng.randint(1, 5))
+                                      for _ in range(field.degree)])
+                        for _ in range(2))
+                ra, rb = red(a), red(b)
+                assert len(ra) == field.degree
+                assert red(a * b) == tuple(x * y % p for x, y in zip(ra, rb))
+                assert red(a + b) == tuple((x + y) % p for x, y in zip(ra, rb))
+                # back to the power-basis coefficients, mod p
+                assert red.coefficients(ra) == tuple(
+                    int(c.numerator) * pow(int(c.denominator), -1, p) % p
+                    for c in map(Q, a.coeffs))
+            assert red(field.gen ** m) == (1,) * field.degree
+
+
+def test_reduction_refuses_a_prime_in_a_denominator():
+    field = field_make(3)
+    red = Reduction(field, 0)
+    assert red(field.scalar([1, Q(1, red.p)])) is None
+    assert red(field.scalar([1, Q(1, red.p + 2)])) is not None
+
+
+def test_rational_lift_and_crt():
+    p, r = Reduction(field_make(1), 0).p, Reduction(field_make(1), 1).p
+    for value in (0, 1, -1, 7, -12, Q(1, 2), Q(-3, 7), Q(35, 64)):
+        u = int(value.numerator) * pow(int(value.denominator), -1, p) % p
+        assert rational_lift(u, p) == value
+    # past one prime's bound: no answer from p alone, the right one mod p * r
+    big = 2 ** 40 + 1
+    assert rational_lift(big % p, p) != big
+    joint = crt(big % p, p, big % r, r)
+    assert joint == big % (p * r) and rational_lift(joint, p * r) == big
+    assert rational_lift((-big) % (p * r), p * r) == -big

@@ -1,16 +1,18 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc import tensorbialg
 from braidcalc.errors import DegreeBudgetExceeded, InternalCheckError
 from braidcalc.fixtures import CATALOG
 from braidcalc.linalg import Subspace, kernel_basis
-from braidcalc.scalars import field_make
+from braidcalc.scalars import Reduction, field_make
 from braidcalc.spaces import (
     BraidedSpace,
     make_braiding,
@@ -33,6 +35,7 @@ from oracles import (
     q_int,
     rank_of_rows,
     shuffles,
+    subspace_intersection,
     symmetrizer,
     symmetrizer_direct,
     symmetrizer_factorization_check,
@@ -454,20 +457,29 @@ def test_primitive_space_is_the_intersection_of_component_kernels():
         for n in range(2, 5):
             expected = _component_kernel(space, 1, n)
             for a in range(2, n):
-                expected = expected.intersection(_component_kernel(space, a, n))
+                expected = subspace_intersection(expected, _component_kernel(space, a, n))
             assert primitive_space(space, n) == expected, (space.kind, n)
 
 
 ROOT_ORDERS = (1, 2, 3, 4, 6)
 
 
+# q_12 = 2^40 + 1 puts -(2^40 + 1) into E_2 and -(2^40 + 1)^2 into E_3, past
+# one prime's reconstruction bound; q_12 = 1/3 puts denominators 3 and 9
+RATIONAL_MARKS = (2 ** 40 + 1, Fraction(1, 3))
+
+
 @st.composite
 def property_spaces(draw):
-    """A diagonal braiding with root-of-unity entries (d <= 3), d4_rack, or
-    hecke_gl with a root of unity or a small integer as its mark."""
-    kind = draw(st.sampled_from(("diagonal", "d4_rack", "hecke_gl")))
+    """A diagonal braiding with root-of-unity entries (d <= 3), or over Q with
+    q_11 = -1 and q_12 = 1/q_21 from RATIONAL_MARKS; d4_rack; or hecke_gl
+    with a root of unity or a small integer as its mark."""
+    kind = draw(st.sampled_from(("diagonal", "d4_rack", "hecke_gl", "rational")))
     if kind == "d4_rack":
         return make_preset("d4_rack", F1)
+    if kind == "rational":
+        return rational_space(draw(st.sampled_from(RATIONAL_MARKS)),
+                              draw(st.sampled_from((-1, 1))))
     field = field_make(draw(st.sampled_from(ROOT_ORDERS)))
     if kind == "hecke_gl":
         q = draw(st.one_of(st.integers(0, field.order - 1).map(field.gen.__pow__),
@@ -496,20 +508,111 @@ def test_has_primitives_decides_the_primitive_space(space):
         assert primitive_space(space, 2).dim == expected
 
 
+def common_kernel(space, n):
+    """E_n by the oracle: every component's constraint rows in one system."""
+    rows = {}
+    for a in range(1, n):
+        for word, col in enumerate(delta_columns(space, a, n - a)):
+            for r, val in col.items():
+                rows.setdefault((a, r), {})[word] = val
+    size = space.power(n)
+    return Subspace.from_rows(
+        size, kernel_basis(rows.values(), size, one=space.field.one))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(property_spaces())
 def test_primitive_space_is_the_common_kernel_of_all_components(space):
-    # the oracle solves every component's constraint rows in one system
     for n in range(2, 5):
-        rows = {}
-        for a in range(1, n):
-            for word, col in enumerate(delta_columns(space, a, n - a)):
-                for r, val in col.items():
-                    rows.setdefault((a, r), {})[word] = val
-        size = space.power(n)
-        expected = Subspace.from_rows(
-            size, kernel_basis(rows.values(), size, one=space.field.one))
-        assert primitive_space(space, n) == expected, (space.kind, n)
+        assert primitive_space(space, n) == common_kernel(space, n), (space.kind, n)
+
+
+# -- the modular route: primes, lifts, certificate and fallback -----------------
+
+def rational_space(mark, q22=-1):
+    q = [[-1, mark], [1 / Fraction(mark), q22]]
+    return make_braiding("diagonal", {"q": [[F1.from_rational(c) for c in row]
+                                            for row in q]}, F1)
+
+
+def route_spy(monkeypatch):
+    """The prime of every modular kernel solved, and "exact" for each call
+    of the exact route, in order."""
+    seen = []
+    kernel_mod, coproduct_kernel = tensorbialg.kernel_mod, tensorbialg.coproduct_kernel
+
+    def modular(maps, p, basis=None):
+        seen.append(p)
+        return kernel_mod(maps, p, basis)
+
+    def exact(*args, **kwargs):
+        seen.append("exact")
+        return coproduct_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tensorbialg, "kernel_mod", modular)
+    monkeypatch.setattr(tensorbialg, "coproduct_kernel", exact)
+    return seen
+
+
+def test_modular_route_lifts_past_one_prime_by_crt(monkeypatch):
+    space = rational_space(2 ** 40 + 1)
+    seen = route_spy(monkeypatch)
+    big = F1.from_rational(-(2 ** 40 + 1))
+    for n, coeff in ((2, big), (3, -big * big)):
+        seen.clear()
+        e_n = primitive_space(space, n)
+        assert e_n == common_kernel(space, n)
+        assert any(coeff in row.values() for row in e_n.rows)
+        assert "exact" not in seen and len(set(seen)) > 1, n
+
+
+def test_modular_route_skips_a_prime_that_divides_a_denominator(monkeypatch):
+    first, second = Reduction(F1, 0).p, Reduction(F1, 1).p
+    space = rational_space(Fraction(1, first))
+    assert Reduction(F1, 0)(space.qmatrix[0][1]) is None
+    seen = route_spy(monkeypatch)
+    for n in (2, 3):
+        assert primitive_space(space, n) == common_kernel(space, n)
+    assert first not in seen and second in seen and "exact" not in seen
+
+
+def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
+    expected = [primitive_space(make_preset("d4_rack", F1), n) for n in (3, 4)]
+    space = make_preset("d4_rack", F1)
+    seen = route_spy(monkeypatch)
+    monkeypatch.setattr(tensorbialg, "rational_lift", lambda u, modulus: None)
+    assert [primitive_space(space, n) for n in (3, 4)] == expected
+    assert seen.count("exact") == 2
+    assert len(set(seen) - {"exact"}) == tensorbialg.MODULAR_PRIMES
+
+
+def test_certificate_rejects_a_corrupted_lift(monkeypatch):
+    space, n = make_preset("gurevich", F1), 3
+    maps = [delta_columns(space, a, n - a) for a in range(1, n)]
+    rows = [dict(row) for row in common_kernel(space, n).rows]
+    assert tensorbialg._annihilated(maps, rows)
+    col, val = next((c, v) for c, v in rows[0].items() if not v.is_one())
+    rows[0][col] = val + val
+    assert not tensorbialg._annihilated(maps, rows)
+
+    # end to end: the first non-unit coefficient lifted is tripled once; the
+    # certificate rejects that lift and the next prime's lift passes it
+    lift, corrupted = tensorbialg.rational_lift, []
+
+    def corrupt_once(u, modulus):
+        value = lift(u, modulus)
+        if value is not None and value not in (0, 1) and not corrupted:
+            corrupted.append(value)
+            return 3 * value
+        return value
+
+    verdicts, annihilated = [], tensorbialg._annihilated
+    monkeypatch.setattr(tensorbialg, "rational_lift", corrupt_once)
+    monkeypatch.setattr(tensorbialg, "_annihilated",
+                        lambda *args: verdicts.append(annihilated(*args)) or verdicts[-1])
+    seen = route_spy(monkeypatch)
+    assert primitive_space(make_preset("gurevich", F1), n) == common_kernel(space, n)
+    assert corrupted and verdicts == [False, True] and "exact" not in seen
 
 
 # -- literature dimensions of finite-dimensional Nichols algebras ---------------
