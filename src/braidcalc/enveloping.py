@@ -256,33 +256,6 @@ class FilteredQuotient:
                 return vec
         return None
 
-    def _embed(self, k: int, vec: dict) -> dict:
-        """A vector of V^(x)k as one of T_(top)."""
-        return {self.offsets[k] + c: v for c, v in vec.items()}
-
-    def check_braiding_stability(self) -> bool:
-        """The braiding carries (span (x) V) into (V (x) span): theorem-level,
-        checked row by row on the computed echelon."""
-        space = self.bracket.space
-        d = space.dim
-        self.echelon.back_substitute()
-        for row in list(self.echelon.pivot_rows.values()):
-            by_degree: dict[int, dict] = {}
-            for col, val in row.items():
-                k = self._degree_of_col(col)
-                by_degree.setdefault(k, {})[col - self.offsets[k]] = val
-            for j in range(d):
-                # c(row (x) e_j) in V (x) T_(top), one block braiding per degree
-                moved: dict = {}
-                for k, part in by_degree.items():
-                    img = space.braiding_block_apply(
-                        k, 1, {w * d + j: val for w, val in part.items()})
-                    moved.update(apply_slot(img, space.power(k), 1,
-                                            partial(self._embed, k), self.ncols))
-                if apply_slot(moved, self.ncols, 1, self.reduce, self.ncols):
-                    return False
-        return True
-
 
 def enveloping_filtration(bracket: BracketTable, cutoff: int,
                           slack: int = 2) -> FilteredQuotient:
@@ -418,7 +391,8 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
                                     for c1, s1 in rho(a, u).items()
                                     for c2, s2 in rv.items()})
         images.append(img)
-    solutions = stacked_kernel(None, [images], fq.ncols ** 2, one)
+    solutions = stacked_kernel([{i: one} for i in range(len(images))],
+                               [partial(matvec, images)])
     # span of the solutions in the quotient
     img_ech, v_ech = Echelon(fq.ncols), Echelon(fq.ncols)
     img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol)

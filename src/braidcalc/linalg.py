@@ -23,7 +23,8 @@ This module is the one place that does sparse arithmetic.  Its kernels:
 * `kernel_basis`, the canonical free-column kernel of a set of constraint
   rows, and `left_kernel`, the same routine on a transposed family;
 * `stacked_kernel`, the common kernel of a family of maps on a subspace,
-  their values stacked into one constraint system;
+  solved map by map on the basis the earlier maps leave, so that no map is
+  applied to a vector an earlier one has ruled out;
 * `Subspace.coordinates`, a member's coordinates over the canonical basis;
 * `kernel_mod`, the same common kernel with raw ints modulo a prime p, for
   a modular route that lifts and certifies its result exactly.
@@ -268,21 +269,19 @@ def left_kernel(vectors: list[dict], one=None) -> list[dict]:
     return kernel_basis(transposed.values(), len(vectors), one=one)
 
 
-def stacked_kernel(basis, images, width: int, one) -> list[dict]:
-    """Basis of {x in span(basis) : f_k(x) = 0 for every k}, basis None
-    meaning the unit vectors.  images yields, map by map and at least one
-    map, [f_k(b) for b in basis]; map k takes the keys [k * width,
-    (k + 1) * width) of the stacked rows, built as the images arrive, so a
-    one-map family reaches `left_kernel` as it is."""
-    images = iter(images)
-    stacked = list(next(images))
-    for k, imgs in enumerate(images, 1):
-        if k == 1:  # map 0's images may be shared: stack onto copies
-            stacked = [dict(row) for row in stacked]
-        for row, img in zip(stacked, imgs):
-            row.update({k * width + c: v for c, v in img.items()})
-    combos = left_kernel(stacked, one=one)
-    return combos if basis is None else [matvec(basis, c) for c in combos]
+def stacked_kernel(basis: list, maps) -> list[dict]:
+    """Vectors spanning {x in span(basis) : f(x) = 0 for every f in maps},
+    for linear maps given as callables from a vector to its image; a basis of
+    it when basis is independent.  The maps are solved one at a time: map k
+    sees only the vectors that the maps before it leave, their combinations
+    from the `left_kernel` of its images, and an empty kernel ends the loop."""
+    for f in maps:
+        if not basis:
+            break
+        images = [f(b) for b in basis]
+        if any(images):
+            basis = [matvec(basis, c) for c in left_kernel(images)]
+    return basis
 
 
 def _axpy_mod(target: dict, coeff: int, source: dict, p: int) -> None:

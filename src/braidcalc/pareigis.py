@@ -9,6 +9,12 @@ sigma |> x = zeta^(-l(sigma)) lift(sigma) x, and the full symmetrization
 Pi(x) = sum_sigma sigma |> x lands in the degree-n primitives whenever zeta
 is a primitive n-th root of unity.
 
+The eigenspace intersection, each pass of the stability loop and the mixed
+space V (x) V^(x)n(zeta) of the third identity (fixed by the n! twisted
+conjugates of tau_1^2) are common kernels of a family of maps, solved by
+`stacked_kernel` one map at a time on the vectors the earlier maps leave,
+up to the first empty kernel.
+
 A bracket then induces partial n-ary operations [x] = b_n(Pi(x)); the three
 Pareigis identities for them are verified exactly on the computed bases.
 Permutation enumeration caps the degree at 6 by default (7! times d^7 blows
@@ -24,6 +30,8 @@ and [x] are exact combinations of these, and no S_n sum is formed per vector.
 from __future__ import annotations
 
 import itertools
+
+from functools import partial
 
 from .errors import (
     BadParams,
@@ -53,23 +61,23 @@ def _require_primitive_root(zeta, n):
 def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
     """Largest generator-stable subspace of the zeta^2-eigenspace intersection."""
     size = space.power(degree)
-    one = space.field.one
     z2 = zeta * zeta
 
-    def squared_minus_z2(i, w):
-        img = space.apply_word(degree, (i, i), {w: one})
-        vec_axpy(img, -z2, {w: one})
+    def squared_minus_z2(i, vec):
+        img = space.apply_word(degree, (i, i), vec)
+        vec_axpy(img, -z2, vec)
         return img
 
+    def moved_out(i, vec):
+        return current.reduce(space.apply_generator(degree, i, vec))
+
     current = Subspace.from_rows(size, stacked_kernel(
-        None, ([squared_minus_z2(i, w) for w in range(size)]
-               for i in range(1, degree)), size, one))
+        [{w: space.field.one} for w in range(size)],
+        (partial(squared_minus_z2, i) for i in range(1, degree))))
     while current.dim:
         # the rows are independent, so the kernel keeps one vector per dimension
-        kept = stacked_kernel(
-            current.rows,
-            ([current.reduce(space.apply_generator(degree, i, row))
-              for row in current.rows] for i in range(1, degree)), size, one)
+        kept = stacked_kernel(current.rows,
+                              (partial(moved_out, i) for i in range(1, degree)))
         if len(kept) == current.dim:
             break
         current = Subspace.from_rows(size, kept)
@@ -196,29 +204,27 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     d = space.dim
     size_n = space.power(n)
     size = space.power(n + 1)
-    one = space.field.one
     inner = zeta_space(space, n, zeta, require_primitive=False)
     carrier = Subspace.from_rows(size, ({j * size_n + c: v for c, v in row.items()}
                                         for j in range(d) for row in inner.rows))
     if carrier.dim == 0:
         return carrier
     terms = _action_terms(space, n + 1, zeta)
+
+    def condition(word, scale, row):
+        diff = {c: -v for c, v in row.items()}
+        vec_axpy(diff, scale, space.apply_word(n + 1, word, row))
+        return diff
+
     conds = []
     for phi in itertools.permutations(range(n)):
         lifted = tuple([0] + [p + 1 for p in phi])
         word_in, scale = terms[lifted]
         inverse = tuple(lifted.index(k) for k in range(n + 1))
         # the conjugate of tau_1^2 by the lift, rightmost letter first
-        conds.append((terms[inverse][0] + (1, 1) + word_in, scale * scale))
-
-    def condition(row, word, scale):
-        diff = {c: -v for c, v in row.items()}
-        vec_axpy(diff, scale, space.apply_word(n + 1, word, row))
-        return diff
-
-    return Subspace.from_rows(size, stacked_kernel(
-        carrier.rows, ([condition(row, *cond) for row in carrier.rows]
-                       for cond in conds), size, one))
+        conds.append(partial(condition, terms[inverse][0] + (1, 1) + word_in,
+                             scale * scale))
+    return Subspace.from_rows(size, stacked_kernel(carrier.rows, conds))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ and the direct sum over S_n are built only by the test oracles.
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
 quotient or inside a given span, for the primitives, their block scan and
-the quotient primitives of a tower alike.  `has_primitives` decides
+the quotient primitives of a tower alike.  It solves the components one at
+a time, cheapest first (component a costs dims[a] * dims[n-a] constraint
+rows), each on the kernel basis the ones before it leave, and stops at an
+empty kernel.  `has_primitives` decides
 E_n != 0 by a block scan: the words that the columns of the components join
 fall into connected blocks, each mapped into itself by every component.
 The stacked system is therefore block-diagonal by construction, whatever the
@@ -35,7 +38,8 @@ nonzero block kernel settles the question exactly.
 `primitive_space` of T(V) solves modulo primes first.  For a prime
 p = 1 (mod m) that divides no denominator of the coproduct columns, each of
 the phi(m) embeddings zeta -> omega_j of Q(zeta_m) into F_p gives a kernel
-mod p, in `coproduct_kernel`'s component order, as an RREF basis.  Rank
+mod p, in `coproduct_kernel`'s component order and one component at a
+time, as an RREF basis.  Rank
 mod p is at most the rank over Q(zeta_m), so an empty kernel mod p proves
 E_n = 0.  Otherwise every embedding must give the same pivots; the entries
 are interpolated back to power-basis coefficients mod p, combined over the
@@ -43,12 +47,19 @@ primes so far by CRT, and rationally reconstructed.  The lifted rows are
 certified exactly: each satisfies Delta^(a, n-a) x = 0 for all 0 < a < n,
 they lead at distinct pivots, so they are independent, and their number is
 the nullity mod p, which bounds dim E_n from above.  They are therefore
-the RREF of E_n, the very Subspace the exact route gives.  When
-MODULAR_PRIMES primes bring no certified lift, the exact route runs.
+the RREF of E_n, the very Subspace the exact route gives.  Primes are
+added while reconstruction fails or the lift changes; all but finitely many
+primes give the true pivots, so the lift settles on the RREF of E_n once the
+modulus is large enough.  A lift that repeats on two primes in a row and
+fails the certificate sends the degree to the exact route.
 Quotient primitives and `has_primitives` stay exact.
 """
 
 from __future__ import annotations
+
+import itertools
+
+from functools import partial
 
 from .errors import BadParams, InternalCheckError
 from .linalg import Echelon, Subspace, kernel_mod, matvec, stacked_kernel, vec_axpy
@@ -105,36 +116,22 @@ def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
                      reduce=None, basis=None) -> list[dict]:
     """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
     a in parts}, where basis defaults to the unit basis of V^(x)n; the
-    components are taken in the order of `_component_groups`."""
-    size = space.power(n)
-    for group in _component_groups(parts, dims, n,
-                                   size if basis is None else len(basis)):
-        images = [_component_images(space, a, n - a, basis, reduce)
-                  for a in group]
-        basis = stacked_kernel(basis, images, size, space.field.one)
-        if not basis:
-            break
-    return basis
+    components are solved one at a time in `_cheapest_first` order."""
+    if basis is None:
+        basis = [{w: space.field.one} for w in range(space.power(n))]
+
+    def component(a, cols, x):
+        img = matvec(cols, x)
+        return img if reduce is None else reduce(img, a, n - a)
+
+    return stacked_kernel(basis, (partial(component, a, delta_columns(space, a, n - a))
+                                  for a in _cheapest_first(parts, dims, n)))
 
 
-def _component_groups(parts, dims, n: int, unknowns: int) -> list[list]:
-    """dims[k] is the dimension of the degree-k target, which prices component
-    a at dims[a] * dims[n-a] constraint rows.  When all parts together cost
-    at most twice as many rows as there are unknowns they form one stacked
-    system; otherwise the kernel is shrunk one component at a time, the
-    cheapest first."""
-    cost = {a: dims[a] * dims[n - a] for a in parts}
-    if sum(cost.values()) <= 2 * unknowns:
-        return [list(parts)]
-    return [[a] for a in sorted(parts, key=cost.get)]
-
-
-def _component_images(space: BraidedSpace, a: int, b: int, basis, reduce):
-    """reduce(Delta^(a, b) x, a, b) for x in basis; with no basis, the images
-    of the unit vectors are the columns themselves."""
-    cols = delta_columns(space, a, b)
-    images = cols if basis is None else (matvec(cols, v) for v in basis)
-    return images if reduce is None else (reduce(img, a, b) for img in images)
+def _cheapest_first(parts, dims, n: int) -> list:
+    """The parts by the dims[a] * dims[n-a] constraint rows of component a,
+    dims[k] the dimension of the degree-k target, fewest first."""
+    return sorted(parts, key=lambda a: dims[a] * dims[n - a])
 
 
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
@@ -156,22 +153,19 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     return result
 
 
-# primes p = 1 (mod m) the modular route tries before it gives up
-MODULAR_PRIMES = 5
-
-
 def _modular_primitives(space: BraidedSpace, n: int, dims):
     """E_n solved mod p under every embedding of Q(zeta_m) into F_p, lifted by
     interpolation, CRT and rational reconstruction, and certified exactly;
-    None when MODULAR_PRIMES primes give no certified result."""
+    None when two primes in a row lift to the same rows and the certificate
+    rejects them."""
     field, size = space.field, space.power(n)
-    cols = {a: delta_columns(space, a, n - a) for a in range(1, n)}
-    groups = _component_groups(range(1, n), dims, n, size)
-    pivots = entries = modulus = None
-    for index in range(MODULAR_PRIMES):
+    cols = {a: delta_columns(space, a, n - a)
+            for a in _cheapest_first(range(1, n), dims, n)}
+    pivots = entries = modulus = previous = None
+    for index in itertools.count():
         red = Reduction(field, index)
         p = red.p
-        kernels = _kernels_mod(red, cols, groups, field.degree)
+        kernels = _kernels_mod(red, cols, field.degree)
         if kernels is None:
             continue  # p divides a denominator
         if not kernels:
@@ -194,25 +188,28 @@ def _modular_primitives(space: BraidedSpace, n: int, dims):
                        for key in entries.keys() | residues.keys()}
             modulus *= p
         rows = _lift_rows(field, entries, modulus, len(pivots))
-        if rows is not None and _annihilated(
-                [cols[a] for group in groups for a in group], rows):
+        if rows is None:
+            continue  # the modulus is still too small to reconstruct
+        if _annihilated(cols.values(), rows):
             # each lifted row lies in E_n, they lead at distinct pivots, and
             # their number bounds dim E_n from above: they are its RREF
             return Subspace.from_rows(size, rows)
-    return None
+        if rows == previous:
+            return None  # a wrong lift that more primes do not change
+        previous = rows
 
 
-def _kernels_mod(red: Reduction, cols, groups, degree: int):
-    """The kernel mod red's prime under each embedding, one component group
-    at a time, so that only its reduced columns are held; [] when a kernel
-    is empty, None when the prime divides a denominator."""
+def _kernels_mod(red: Reduction, cols, degree: int):
+    """The kernel mod red's prime under each embedding, one component at a
+    time in the order of cols, so that only its reduced columns are held;
+    [] when a kernel is empty, None when the prime divides a denominator."""
     kernels = [None] * degree
-    for group in groups:
-        reduced = [_reduced_columns(red, cols[a], degree) for a in group]
-        if None in reduced:
+    for comp in cols.values():
+        reduced = _reduced_columns(red, comp, degree)
+        if reduced is None:
             return None
         for j in range(degree):
-            kernels[j] = kernel_mod([r[j] for r in reduced], red.p, kernels[j])
+            kernels[j] = kernel_mod([reduced[j]], red.p, kernels[j])
             if not kernels[j]:
                 return []
     return kernels

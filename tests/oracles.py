@@ -14,6 +14,12 @@ J_a (x) V^b + V^a (x) J_b factor by factor, closes generators by
 concatenation in d^n and checks the coideal and braiding-stability
 properties there.  The library holds each tower as its quotient by normal
 words; its on-demand components must equal these.
+
+The library solves every family of linear conditions map by map; the
+all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
+space with every twisted conjugate applied to every carrier row) is kept
+here, as is the braiding-stability check of an enveloping filtration's
+ideal span, a theorem the library does not need to test.
 """
 
 import itertools
@@ -22,7 +28,9 @@ from functools import partial
 
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
-from braidcalc.linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy, vec_eq
+from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
+                              vec_axpy, vec_eq)
+from braidcalc.pareigis import zeta_space
 from braidcalc.spaces import matsumoto_lift
 from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
 
@@ -409,3 +417,69 @@ def delta_injectivity_ladder(tower, upto: int) -> dict:
             kernel = coproduct_kernel(tower.space, n, [a], tower.dims, reduce)
             out[(a, n - a)] = all(J_n.contains(v) for v in kernel)
     return out
+
+
+def filtration_braiding_stable(fq) -> bool:
+    """Whether the braiding carries (span (x) V) into (V (x) span) for the
+    ideal span of a FilteredQuotient, checked row by row on its echelon:
+    a theorem for the enveloping filtration, so a False is a bug."""
+    space = fq.bracket.space
+    d = space.dim
+    fq.echelon.back_substitute()
+    for row in list(fq.echelon.pivot_rows.values()):
+        by_degree: dict = {}
+        for col, val in row.items():
+            # blocks of T_(top) run degree-descending from offset 0
+            k = next(k for k in range(fq.top + 1) if col >= fq.offsets[k])
+            by_degree.setdefault(k, {})[col - fq.offsets[k]] = val
+        for j in range(d):
+            # c(row (x) e_j) in V (x) T_(top), one block braiding per degree
+            moved: dict = {}
+            for k, part in by_degree.items():
+                img = space.braiding_block_apply(
+                    k, 1, {w * d + j: val for w, val in part.items()})
+                moved.update(apply_slot(
+                    img, space.power(k), 1,
+                    lambda vec, k=k: {fq.offsets[k] + c: v for c, v in vec.items()},
+                    fq.ncols))
+            if apply_slot(moved, fq.ncols, 1, fq.reduce, fq.ncols):
+                return False
+    return True
+
+
+def all_at_once_kernel(basis, maps):
+    """{x in span(basis) : f(x) = 0 for every f in maps} from one left kernel
+    of every map's images stacked, keyed (map, column): the single system
+    that the library's `stacked_kernel` solves map by map."""
+    stacked = [{(k, c): v for k, f in enumerate(maps) for c, v in f(b).items()}
+               for b in basis]
+    one = next(iter(basis[0].values())).field.one
+    return [matvec(basis, c) for c in left_kernel(stacked, one=one)]
+
+
+def mixed_zeta_space_all_at_once(space, n, zeta):
+    """{x in V (x) V^(x)n(zeta) : zeta^(-2 l(s)) lift(s^(-1)) tau_1^2 lift(s) x = x
+    for s = 1 x phi, phi in S_n}, every condition applied to every carrier
+    row at once."""
+    size_n, size = space.power(n), space.power(n + 1)
+    carrier = Subspace.from_rows(size, (
+        {j * size_n + c: v for c, v in row.items()}
+        for j in range(space.dim)
+        for row in zeta_space(space, n, zeta, require_primitive=False).rows))
+    if carrier.dim == 0:
+        return carrier
+    zinv = zeta.inv()
+
+    def condition(word, scale, row):
+        diff = {c: -v for c, v in row.items()}
+        vec_axpy(diff, scale, space.apply_word(n + 1, word, row))
+        return diff
+
+    conds = []
+    for phi in itertools.permutations(range(n)):
+        lifted = (0,) + tuple(p + 1 for p in phi)
+        word = matsumoto_lift(lifted).letters
+        back = matsumoto_lift(perm_inverse(lifted)).letters
+        conds.append(partial(condition, back + (1, 1) + word,
+                             zinv ** (2 * len(word))))
+    return Subspace.from_rows(size, all_at_once_kernel(carrier.rows, conds))

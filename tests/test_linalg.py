@@ -1,5 +1,7 @@
 import random
 
+from functools import partial
+
 from braidcalc.linalg import (
     Echelon,
     Subspace,
@@ -7,6 +9,7 @@ from braidcalc.linalg import (
     kernel_basis,
     kernel_mod,
     left_kernel,
+    matvec,
     stacked_kernel,
     vec_axpy,
 )
@@ -224,14 +227,41 @@ def test_stacked_kernel_against_all_constraint_rows(seed=37):
             basis = [v for v in rows_from_dense(random_dense(
                 rng, rng.randint(1, ncols + 1), ncols)) if v] or [{0: F.one}]
         units = [{j: F.one} for j in range(ncols)]
-        images = [[sparse_apply(mat, b) for b in (units if basis is None else basis)]
-                  for mat in maps]
-        before = [[dict(img) for img in imgs] for imgs in images]
+        given = units if basis is None else basis
+        before = [dict(b) for b in given]
         # the family arrives lazily, map by map
-        got = stacked_kernel(basis, (iter(imgs) for imgs in images), width, F.one)
+        got = stacked_kernel(given, (partial(sparse_apply, mat) for mat in maps))
         assert Subspace.from_rows(ncols, got) == \
             constraint_oracle(basis, maps, ncols), trial
-        assert images == before  # the images themselves are left as they were
+        assert given == before  # the basis itself is left as it was
+
+
+def test_each_map_sees_only_the_basis_left_by_the_maps_before_it(seed=41):
+    rng = random.Random(seed)
+    for trial in range(40):
+        ncols = rng.randint(2, 6)
+        maps = [random_dense(rng, rng.randint(1, 3), ncols)
+                for _ in range(rng.randint(2, 5))]
+        seen = [[] for _ in maps]
+
+        def spy(k, vec):
+            seen[k].append(dict(vec))
+            return sparse_apply(maps[k], vec)
+
+        units = [{j: F.one} for j in range(ncols)]
+        got = stacked_kernel(units, [partial(spy, k) for k in range(len(maps))])
+        assert Subspace.from_rows(ncols, got) == constraint_oracle(None, maps, ncols)
+        assert seen[0] == units
+        for k in range(1, len(maps)):
+            left = constraint_oracle(None, maps[:k], ncols)
+            if left.dim == 0:
+                # an empty kernel ends the loop: no later map is called
+                assert seen[k] == [], (trial, k)
+            else:
+                # map k gets one independent vector per dimension of the
+                # kernel of maps 0..k-1, and nothing else
+                assert len(seen[k]) == left.dim, (trial, k)
+                assert Subspace.from_rows(ncols, seen[k]) == left, (trial, k)
 
 
 def reduce_mod(row, p):
@@ -261,5 +291,6 @@ def test_kernel_mod_is_the_exact_rref_reduced_mod_p(seed=43):
 
 def test_one_map_family_reaches_left_kernel_unchanged():
     images = [{(0, 1): s(1)}, {(0, 1): s(-1), "x": s(2)}, {}]
-    assert stacked_kernel(None, [images], 0, F.one) == \
+    units = [{i: F.one} for i in range(len(images))]
+    assert stacked_kernel(units, [partial(matvec, images)]) == \
         left_kernel(images, one=F.one)

@@ -24,7 +24,7 @@ from braidcalc.linalg import Subspace, vec_axpy
 from braidcalc.spaces import (BraidedSpace, make_braiding, make_preset,
                               matsumoto_lift, word_index)
 from braidcalc.tensorbialg import delta_columns, matvec, primitive_space
-from oracles import q_binomial
+from oracles import mixed_zeta_space_all_at_once, q_binomial
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -358,3 +358,49 @@ def test_verify_pl_reduces_each_bracketed_vector_once(monkeypatch):
     monkeypatch.setattr(pareigis, "induced_bracket", counted_bracket)
     assert verify_PL(bracket, n, zeta) == {"pl1": True, "pl2": True, "pl3": True}
     assert len(reductions) == len(brackets) == 560
+
+
+# ---------------------------------------------------------------------------
+# the mixed zeta space, condition by condition, against all conditions at once
+# ---------------------------------------------------------------------------
+
+def test_mixed_zeta_space_against_all_conditions_at_once():
+    sc = make_braiding("scalar", {"d": 2, "q": F4.gen}, F4)
+    cases = [(make_preset("gurevich", F1), 2, minus_one(F1), 10),
+             (make_braiding("flip", {"d": 3}, F1), 2, minus_one(F1), 27),
+             (make_preset("d4_rack", F1), 2, minus_one(F1), 28),
+             (make_preset("gurevich", F1), 3, minus_one(F1), 15),
+             (make_preset("gurevich", F3), 3, F3.gen, 0),
+             (make_braiding("flip", {"d": 3}, F3), 3, F3.gen, 0),
+             (make_preset("gurevich", F1), 4, minus_one(F1), 21),
+             (make_braiding("flip", {"d": 2}, F1), 4, minus_one(F1), 32)]
+    cases += [(sc, 4, z, 0) for z in F4.primitive_roots(4)]
+    for space, n, zeta, dim in cases:
+        got = mixed_zeta_space(space, n, zeta)
+        assert got.dim == dim, (space.kind, n)
+        assert got == mixed_zeta_space_all_at_once(space, n, zeta), (space.kind, n)
+
+
+def test_mixed_zeta_space_stops_at_the_first_empty_kernel(monkeypatch):
+    # on the scalar braiding by z at arity 4 the first conjugate, tau_1^2
+    # itself, already leaves no vector: no other condition is applied
+    for zeta in F4.primitive_roots(4):
+        space = make_braiding("scalar", {"d": 2, "q": F4.gen}, F4)
+        rows = space.dim * zeta_space(space, 4, zeta).dim
+        words, generators = [], []
+        apply_word = space.apply_word
+        apply_generator = space.apply_generator
+
+        def word_spy(n, letters, vec):
+            words.append((n, tuple(letters)))
+            return apply_word(n, letters, vec)
+
+        def generator_spy(*args, **kwargs):
+            generators.append(args[1])
+            return apply_generator(*args, **kwargs)
+
+        monkeypatch.setattr(space, "apply_word", word_spy)
+        monkeypatch.setattr(space, "apply_generator", generator_spy)
+        assert mixed_zeta_space(space, 4, zeta).dim == 0
+        assert rows == 32 and words == [(5, (1, 1))] * rows
+        assert generators == [1] * (2 * rows)

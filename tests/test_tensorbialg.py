@@ -576,14 +576,31 @@ def test_modular_route_skips_a_prime_that_divides_a_denominator(monkeypatch):
     assert first not in seen and second in seen and "exact" not in seen
 
 
+def test_modular_route_adds_primes_until_the_lift_is_certified(monkeypatch):
+    # entries up to (2^40 + 1)^4 need more than five 30-bit primes to lift
+    space = rational_space(2 ** 40 + 1)
+    seen = route_spy(monkeypatch)
+    assert primitive_space(space, 4) == common_kernel(space, 4)
+    assert "exact" not in seen and len(set(seen)) > 5
+
+
 def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
     expected = [primitive_space(make_preset("d4_rack", F1), n) for n in (3, 4)]
     space = make_preset("d4_rack", F1)
+    lift = tensorbialg.rational_lift
+
+    def corrupt(u, modulus):
+        value = lift(u, modulus)
+        return value if value in (None, 0, 1) else 3 * value
+
+    monkeypatch.setattr(tensorbialg, "rational_lift", corrupt)
     seen = route_spy(monkeypatch)
-    monkeypatch.setattr(tensorbialg, "rational_lift", lambda u, modulus: None)
-    assert [primitive_space(space, n) for n in (3, 4)] == expected
-    assert seen.count("exact") == 2
-    assert len(set(seen) - {"exact"}) == tensorbialg.MODULAR_PRIMES
+    for n, e_n in zip((3, 4), expected):
+        seen.clear()
+        assert e_n.dim and primitive_space(space, n) == e_n
+        # the same wrong lift on two primes in a row ends the modular route
+        assert seen[-1] == "exact" and seen.count("exact") == 1, n
+        assert len(set(seen) - {"exact"}) == 2, n
 
 
 def test_certificate_rejects_a_corrupted_lift(monkeypatch):

@@ -23,6 +23,7 @@ from braidcalc.tower import (
     tower_iterates,
 )
 from oracles import (
+    all_at_once_kernel,
     delta_injectivity_ladder,
     ideal_closure_dn,
     reduce_bidegree,
@@ -344,6 +345,7 @@ def test_tower_memo_resumes_after_truncated_run(monkeypatch):
 def test_stacked_and_one_at_a_time_kernels_agree():
     from functools import partial
 
+    from braidcalc.linalg import matvec
     from braidcalc.tensorbialg import coproduct_kernel
 
     for space in (make_preset("d4_rack", F1),
@@ -353,10 +355,13 @@ def test_stacked_and_one_at_a_time_kernels_agree():
         for n in (3, 4):
             size = space.power(n)
             parts = range(1, n)
-            # zero cost keeps the stacked system under 2 d^n rows; d^n per
-            # degree prices every component at d^2n and forces one at a time
-            stacked = coproduct_kernel(space, n, parts, [0] * (n + 1), reduce)
-            shrunk = coproduct_kernel(space, n, parts, [size] * (n + 1), reduce)
+            # the library solves the components one at a time; the oracle
+            # stacks every reduced component into one system
+            shrunk = coproduct_kernel(space, n, parts, qb.dims, reduce)
+            stacked = all_at_once_kernel(
+                [{w: space.field.one} for w in range(size)],
+                [lambda x, a=a: reduce(matvec(delta_columns(space, a, n - a), x),
+                                       a, n - a) for a in parts])
             assert Subspace.from_rows(size, stacked) == \
                 Subspace.from_rows(size, shrunk) == \
                 quotient_primitives(qb, n), (space.kind, n)
