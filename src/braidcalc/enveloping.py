@@ -391,8 +391,7 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
                                     for c1, s1 in rho(a, u).items()
                                     for c2, s2 in rv.items()})
         images.append(img)
-    solutions = stacked_kernel([{i: one} for i in range(len(images))],
-                               [partial(matvec, images)])
+    solutions = stacked_kernel(len(images), [partial(matvec, images)], one)
     # span of the solutions in the quotient
     img_ech, v_ech = Echelon(fq.ncols), Echelon(fq.ncols)
     img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol)

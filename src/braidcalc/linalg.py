@@ -269,19 +269,24 @@ def left_kernel(vectors: list[dict], one=None) -> list[dict]:
     return kernel_basis(transposed.values(), len(vectors), one=one)
 
 
-def stacked_kernel(basis: list, maps) -> list[dict]:
+def stacked_kernel(basis, maps, one=None) -> list[dict]:
     """Vectors spanning {x in span(basis) : f(x) = 0 for every f in maps},
     for linear maps given as callables from a vector to its image; a basis of
-    it when basis is independent.  The maps are solved one at a time: map k
-    sees only the vectors that the maps before it leave, their combinations
-    from the `left_kernel` of its images, and an empty kernel ends the loop."""
+    it when basis is independent.  An int basis n stands for the unit vectors
+    {i: one}, i < n, whose kernel is then the `left_kernel` rows themselves.
+    The maps are solved one at a time: map k sees only the vectors that the
+    maps before it leave, their combinations from the `left_kernel` of its
+    images, and an empty kernel ends the loop."""
+    units = basis.__class__ is int
     for f in maps:
         if not basis:
             break
-        images = [f(b) for b in basis]
+        images = [f({i: one}) for i in range(basis)] if units else [f(b) for b in basis]
         if any(images):
-            basis = [matvec(basis, c) for c in left_kernel(images)]
-    return basis
+            kernel = left_kernel(images)
+            basis = kernel if units else [matvec(basis, c) for c in kernel]
+            units = False
+    return [{i: one} for i in range(basis)] if units else basis
 
 
 def _axpy_mod(target: dict, coeff: int, source: dict, p: int) -> None:

@@ -72,8 +72,7 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
         return current.reduce(space.apply_generator(degree, i, vec))
 
     current = Subspace.from_rows(size, stacked_kernel(
-        [{w: space.field.one} for w in range(size)],
-        (partial(squared_minus_z2, i) for i in range(1, degree))))
+        size, (partial(squared_minus_z2, i) for i in range(1, degree)), space.field.one))
     while current.dim:
         # the rows are independent, so the kernel keeps one vector per dimension
         kept = stacked_kernel(current.rows,

@@ -6,15 +6,14 @@ time.  A scalar is a vector of rational coefficients in the power basis
 equality is coefficient-wise and every operation is exact.  No floating
 point appears anywhere.
 
-Coefficients are integer-first: an integral coefficient is a Python int,
-and only a division that leaves the integers makes it a rational Q
-(gmpy2.mpq when available, fractions.Fraction otherwise; both arbitrary
-precision with positive denominator).  Every division goes through Q,
-never int / int, so no coefficient can become a float.  The constructors,
-polynomial division and inversion turn a rational with denominator 1 back
-into an int.  Sums and products of ints and Q values may still hold an
-integral Q; int and Q agree on equality, hashing and str, so that never
-shows in a report or a cache key.
+Coefficients are integer-first and canonical: after every constructor and
+every +, -, *, /, inv and **, a coefficient that equals an integer is a
+Python int (`_canon`), so an integral Q never spreads into later sums, and
+only a coefficient outside the integers is a rational Q (gmpy2.mpq when
+available, fractions.Fraction otherwise; both arbitrary precision with
+positive denominator).  Every division goes through Q, never int / int, so
+no coefficient can become a float.  Products and inverses are in closed
+form over the fields of degree 1 and 2 (m = 1, 2, 3, 4, 6).
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
 stays well under a second.
@@ -47,8 +46,10 @@ _RATIONAL = (int, type(Q(1)))
 MAX_FIELD_ORDER = 1000
 
 
-def _norm(c):
-    """c as an int when integral, else unchanged."""
+def _canon(c):
+    """c as an int when integral (an mpz or integral Q included), else c."""
+    if c.__class__ is int:
+        return c
     return int(c) if c.denominator == 1 else c
 
 
@@ -91,15 +92,15 @@ def _poly_divmod(num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
     quot = [QZERO] * max(0, len(num) - len(den) + 1)
-    inv_lead = _norm(Q(1) / den[-1])
+    inv_lead = _canon(Q(1) / den[-1])
     for k in range(len(num) - len(den), -1, -1):
         coeff = num[k + len(den) - 1] * inv_lead
         if coeff != 0:
             quot[k] = coeff
             for j, b in enumerate(den):
                 num[k + j] -= coeff * b
-    return (_poly_trim([_norm(c) for c in quot]),
-            _poly_trim([_norm(c) for c in num]))
+    return (_poly_trim([_canon(c) for c in quot]),
+            _poly_trim([_canon(c) for c in num]))
 
 
 _CYCLOTOMIC: dict[int, tuple] = {}
@@ -158,15 +159,15 @@ class CycloField:
     # -- constructors -------------------------------------------------------
 
     def scalar(self, coeffs) -> "CycloScalar":
-        coeffs = [c if type(c) is int else _norm(Q(c)) for c in coeffs]
+        coeffs = [c if type(c) is int else _canon(Q(c)) for c in coeffs]
         if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
+            coeffs = _poly_divmod(coeffs, self.cyclotomic_polynomial)[1]
         coeffs += [QZERO] * (self.degree - len(coeffs))
         return CycloScalar(self, tuple(coeffs))
 
     def from_rational(self, value) -> "CycloScalar":
         if type(value) is not int:
-            value = _norm(Q(value))
+            value = _canon(Q(value))
         return CycloScalar(self, (value,) + self._tail)
 
     def from_fraction(self, num, den=1) -> "CycloScalar":
@@ -200,41 +201,7 @@ class CycloField:
 
     def primitive_roots(self, n: int):
         """All primitive n-th roots of unity available in the field."""
-        if n == 1:
-            return [self.one]
-        if n == 2:
-            return [self.from_rational(-QONE)]
-        return [self.root_of_unity(n, k) for k in range(1, n) if gcd(k, n) == 1]
-
-    # -- internals -----------------------------------------------------------
-
-    def _reduce(self, coeffs):
-        """Reduce a coefficient list of length < 2*degree modulo Phi_m."""
-        deg = self.degree
-        if len(coeffs) <= deg:
-            return list(coeffs)
-        if deg == 1:
-            # X = r with r = +-1, so X^(1+j) = r^(1+j)
-            out = [coeffs[0]]
-            r = -self.cyclotomic_polynomial[0]
-            power = r
-            for c in coeffs[1:]:
-                out[0] += c * power
-                power *= r
-            return out
-        if len(coeffs) > 2 * deg - 1:
-            # longer than any product of reduced scalars: fall back to division
-            _, rem = _poly_divmod(list(coeffs), list(self.cyclotomic_polynomial))
-            rem += [QZERO] * (deg - len(rem))
-            return rem
-        out = list(coeffs[:deg])
-        for j, c in enumerate(coeffs[deg:]):
-            if c == 0:
-                continue
-            for i, r in enumerate(self._reduction[j]):
-                if r != 0:
-                    out[i] += c * r
-        return out
+        return [self.root_of_unity(n, k) for k in range(1, max(n, 2)) if gcd(k, n) == 1]
 
     def __repr__(self):
         return "CycloField(m=%d, degree=%d)" % (self.order, self.degree)
@@ -295,14 +262,19 @@ class CycloScalar:
         return NotImplemented
 
     # Same-field operands skip _coerce; anything else goes through it, which
-    # keeps the FieldMismatch check.
+    # keeps the FieldMismatch check.  Degree 1 tests for an int before calling
+    # _canon, so that all-int fields pay no call per operation.
 
     def __add__(self, other):
         if other.__class__ is not CycloScalar or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return CycloScalar(self.field, tuple(map(add, self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            c = a[0] + b[0]
+            return CycloScalar(self.field, (c if c.__class__ is int else _canon(c),))
+        return CycloScalar(self.field, tuple(map(_canon, map(add, a, b))))
 
     __radd__ = __add__
 
@@ -311,7 +283,11 @@ class CycloScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return CycloScalar(self.field, tuple(map(sub, self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            c = a[0] - b[0]
+            return CycloScalar(self.field, (c if c.__class__ is int else _canon(c),))
+        return CycloScalar(self.field, tuple(map(_canon, map(sub, a, b))))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -328,9 +304,23 @@ class CycloScalar:
             if other is NotImplemented:
                 return NotImplemented
         a, b = self.coeffs, other.coeffs
-        deg = self.field.degree
+        fld, deg = self.field, self.field.degree
         if deg == 1:
-            return CycloScalar(self.field, (a[0] * b[0],))
+            c = a[0] * b[0]
+            return CycloScalar(fld, (c if c.__class__ is int else _canon(c),))
+        if deg == 2:
+            # Phi_m = X^2 + c1 X + 1 (m = 3, 4, 6), so X^2 = -c1 X - 1
+            (a0, a1), (b0, b1) = a, b
+            # a rational factor takes two products and no reduction
+            if not a1:
+                return CycloScalar(fld, (_canon(a0 * b0), _canon(a0 * b1)))
+            if not b1:
+                return CycloScalar(fld, (_canon(a0 * b0), _canon(a1 * b0)))
+            top, c1 = a1 * b1, fld.cyclotomic_polynomial[1]
+            c = a0 * b1 + a1 * b0
+            if c1:
+                c = c - top if c1 == 1 else c + top
+            return CycloScalar(fld, (_canon(a0 * b0 - top), _canon(c)))
         prod = [QZERO] * (2 * deg - 1)
         for i, x in enumerate(a):
             if x == 0:
@@ -338,19 +328,28 @@ class CycloScalar:
             for j, y in enumerate(b):
                 if y != 0:
                     prod[i + j] += x * y
-        return CycloScalar(self.field, tuple(self.field._reduce(prod)))
+        # fold each X^(deg + j) back through the reduction table
+        out = prod[:deg]
+        for j, c in enumerate(prod[deg:]):
+            if c != 0:
+                for i, r in enumerate(fld._reduction[j]):
+                    if r != 0:
+                        out[i] += c * r
+        return CycloScalar(fld, tuple(map(_canon, out)))
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Inverse via the extended Euclidean algorithm in Q[X] mod Phi_m."""
+        """Inverse: closed form in degree <= 2, else extended Euclid mod Phi_m."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        deg = self.field.degree
-        if deg == 1:
-            return CycloScalar(self.field, (_norm(Q(1) / self.coeffs[0]),))
         if self.is_rational():
             return self.field.from_rational(Q(1) / self.coeffs[0])
+        if self.field.degree == 2:
+            # (a0 + a1 X)(a0 - c1 a1 - a1 X) = a0^2 - c1 a0 a1 + a1^2 mod Phi_m
+            (a0, a1), c1 = self.coeffs, self.field.cyclotomic_polynomial[1]
+            norm = Q(a0 * a0 - c1 * a0 * a1 + a1 * a1)
+            return CycloScalar(self.field, (_canon((a0 - c1 * a1) / norm), _canon(-a1 / norm)))
         # r0 = Phi, r1 = self; track s in r = s * self (mod Phi)
         r0 = list(self.field.cyclotomic_polynomial)
         r1 = _poly_trim(list(self.coeffs))

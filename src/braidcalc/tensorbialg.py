@@ -117,15 +117,13 @@ def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
     """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
     a in parts}, where basis defaults to the unit basis of V^(x)n; the
     components are solved one at a time in `_cheapest_first` order."""
-    if basis is None:
-        basis = [{w: space.field.one} for w in range(space.power(n))]
-
     def component(a, cols, x):
         img = matvec(cols, x)
         return img if reduce is None else reduce(img, a, n - a)
 
-    return stacked_kernel(basis, (partial(component, a, delta_columns(space, a, n - a))
-                                  for a in _cheapest_first(parts, dims, n)))
+    return stacked_kernel(space.power(n) if basis is None else basis,
+                          (partial(component, a, delta_columns(space, a, n - a))
+                           for a in _cheapest_first(parts, dims, n)), space.field.one)
 
 
 def _cheapest_first(parts, dims, n: int) -> list:

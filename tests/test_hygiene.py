@@ -141,3 +141,16 @@ def test_checker_flags_an_unread_parameter():
               "    comps = []  # overwritten, never read as passed\n"
               "    return space\n")
     assert unread_parameters(source) == ["padded.comps", "padded.cutoff"]
+
+
+# The most lines src/braidcalc may hold.  Every perfbench worker compiles
+# src/ afresh, at about 9 us a line of set-up, and the aim is the same results
+# from less code: a change that needs more lines raises this number as a
+# named edit in CHANGES.md.
+SRC_LINE_CEILING = 4050
+
+
+def test_src_stays_under_its_line_ceiling():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING

@@ -294,3 +294,28 @@ def test_one_map_family_reaches_left_kernel_unchanged():
     units = [{i: F.one} for i in range(len(images))]
     assert stacked_kernel(units, [partial(matvec, images)]) == \
         left_kernel(images, one=F.one)
+
+
+def items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+def test_an_int_basis_is_the_unit_basis_without_copies(seed=47):
+    rng = random.Random(seed)
+    for trial in range(40):
+        ncols = rng.randint(1, 6)
+        maps = [random_dense(rng, rng.randint(1, 3), ncols)
+                for _ in range(rng.randint(1, 3))]
+        if trial % 5 == 0:
+            maps[0] = [[0] * ncols]  # a first map that sends every vector to 0
+        units = [{j: F.one} for j in range(ncols)]
+        family = [partial(sparse_apply, mat) for mat in maps]
+        got = stacked_kernel(ncols, family, F.one)
+        # the same vectors, entry for entry and in the same order
+        assert items(got) == items(stacked_kernel(units, family)), trial
+    images = [{(0, 1): s(1)}, {(0, 1): s(-1), "x": s(2)}, {}, {"x": s(3)}]
+    kernel = left_kernel(images)
+    assert items(stacked_kernel(len(images), [partial(matvec, images)], F.one)) == \
+        items(kernel)
+    assert stacked_kernel(3, [lambda vec: {}], F.one) == [{0: F.one}, {1: F.one}, {2: F.one}]
+    assert stacked_kernel(0, [partial(matvec, images)], F.one) == []

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc import enveloping_filtration, make_preset, nichols_dims, preset_bracket
 from braidcalc.errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
 from braidcalc.scalars import (
     MAX_FIELD_ORDER,
     CycloField,
+    CycloScalar,
     Q,
     Reduction,
     _is_prime,
@@ -174,7 +176,7 @@ def test_primitive_roots_listing():
 # integer-first coefficients
 # ---------------------------------------------------------------------------
 
-ORDERS = (1, 2, 3, 4, 5, 8, 12)
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)  # 6: Phi_6 = X^2 - X + 1, the one c1 = -1
 Q_TYPE = type(Q(1))
 
 coefficient = st.one_of(
@@ -220,6 +222,37 @@ def test_no_coefficient_is_a_float(pair, k):
         results += [b.inv(), a / b, 1 / b, a / 3, b ** k]
     for x in results:
         assert_exact(x)
+
+
+def assert_canonical(x):
+    """Every coefficient equal to an integer is an int, never an integral Q."""
+    assert_exact(x)
+    for c in x.coeffs:
+        assert type(c) is int or c.denominator != 1, (x, type(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pairs(), st.integers(-3, 3))
+def test_every_integral_coefficient_is_an_int(pair, k):
+    f, a, b = pair
+    results = [a + b, a - b, a * b, -a, a * a, a ** abs(k), 3 - a, a * 2,
+               a + Q(1, 2), a * Q(2, 3), b - Q(1, 3)]
+    if not b.is_zero():
+        results += [b.inv(), a / b, (a / b) * b, 1 / b, a / 3, b ** k]
+    for x in results:
+        assert_canonical(x)
+
+
+def test_integral_products_of_rationals_are_ints():
+    for m in ORDERS:
+        f = field_make(m)
+        half, third = f.from_fraction(1, 2), f.from_fraction(1, 3)
+        for x in (half * 2, 2 * half, half + half, third + 2 * third,
+                  half - (-half), third * 3 - f.one, f.scalar([Q(1, 2)] * f.degree) * 4,
+                  (f.gen * half) * (f.gen ** -1 * 2), (half + f.gen) ** 2 - f.gen ** 2 - f.gen):
+            assert_canonical(x)
+        assert (half * 2).coeffs == f.one.coeffs
+        assert (f.gen * half + f.gen * half) == f.gen
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,3 +374,29 @@ def test_rational_lift_and_crt():
     joint = crt(big % p, p, big % r, r)
     assert joint == big % (p * r) and rational_lift(joint, p * r) == big
     assert rational_lift((-big) % (p * r), p * r) == -big
+
+
+def integral_rationals(value) -> int:
+    """The integral Q coefficients of the scalars anywhere in a structure of
+    tuples, lists and dicts (keys and values)."""
+    if isinstance(value, CycloScalar):
+        return sum(type(c) is not int and c.denominator == 1 for c in value.coeffs)
+    if isinstance(value, dict):
+        return sum(integral_rationals(k) + integral_rationals(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return sum(map(integral_rationals, value))
+    return 0
+
+
+def test_no_integral_rational_survives_a_run():
+    # the Nichols tables of Cartan A_3 at a cube root of unity, built through an
+    # echelon that scales its pivots by fractions such as 1/3 + 2/3 z
+    a3 = make_preset("cartan_An", field_make(3), n=3, t=3, degree_budget=8)
+    assert nichols_dims(a3, 8) == [1, 3, 8, 14, 24, 34, 47, 57, 67]
+    levels = a3._memo["nichols"]
+    assert len(levels) == 9 and integral_rationals(levels) == 0
+    gu = make_preset("gurevich", field_make(1))
+    fq = enveloping_filtration(preset_bracket(gu, "gurevich"), 4, 1)
+    rows = fq.echelon.pivot_rows
+    assert rows and integral_rationals(rows) == 0
