@@ -37,7 +37,6 @@ from .tower import (
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
-    quotient_primitives,
     sdeg,
     symmetric_step,
     tower_iterates,

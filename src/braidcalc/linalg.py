@@ -276,16 +276,16 @@ def stacked_kernel(basis, maps, one=None) -> list[dict]:
     {i: one}, i < n, whose kernel is then the `left_kernel` rows themselves.
     The maps are solved one at a time: map k sees only the vectors that the
     maps before it leave, their combinations from the `left_kernel` of its
-    images, and an empty kernel ends the loop."""
+    images, and an empty kernel ends the loop before the next map is drawn."""
     units = basis.__class__ is int
-    for f in maps:
-        if not basis:
-            break
+    for f in maps if basis else ():
         images = [f({i: one}) for i in range(basis)] if units else [f(b) for b in basis]
         if any(images):
             kernel = left_kernel(images)
             basis = kernel if units else [matvec(basis, c) for c in kernel]
             units = False
+            if not basis:
+                break
     return [{i: one} for i in range(basis)] if units else basis
 
 

@@ -24,16 +24,16 @@ and the direct sum over S_n are built only by the test oracles.
 
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components; `coproduct_kernel` computes that kernel, optionally modulo a
-quotient or inside a given span, for the primitives, their block scan and
-the quotient primitives of a tower alike.  It solves the components one at
-a time, cheapest first (component a costs dims[a] * dims[n-a] constraint
-rows), each on the kernel basis the ones before it leave, and stops at an
-empty kernel.  `has_primitives` decides
-E_n != 0 by a block scan: the words that the columns of the components join
-fall into connected blocks, each mapped into itself by every component.
-The stacked system is therefore block-diagonal by construction, whatever the
-braiding, and E_n is the direct sum of the block kernels, so the first
-nonzero block kernel settles the question exactly.
+quotient or inside a given span, for the primitives and the quotient
+primitives of a tower alike.  It solves the components one at a time,
+cheapest first (component a costs dims[a] * dims[n-a] constraint rows), each
+on the kernel basis the ones before it leave, and stops at an empty kernel.
+`has_primitives` decides E_n != 0 on blocks of words read off the pair table
+alone: rewriting one adjacent pair (i, j) into a pair in the support of
+c(x_i (x) x_j) stays in the block.  Each component is a sum of braid lifts,
+so it maps a block's words into the block, and E_n is the direct sum of the
+block kernels.  The blocks are solved smallest first up to the first
+nonzero kernel, and only their words get columns, from the degree n-1 lists.
 
 `primitive_space` of T(V) solves modulo primes first.  For a prime
 p = 1 (mod m) that divides no denominator of the coproduct columns, each of
@@ -51,8 +51,8 @@ the RREF of E_n, the very Subspace the exact route gives.  Primes are
 added while reconstruction fails or the lift changes; all but finitely many
 primes give the true pivots, so the lift settles on the RREF of E_n once the
 modulus is large enough.  A lift that repeats on two primes in a row and
-fails the certificate sends the degree to the exact route.
-Quotient primitives and `has_primitives` stay exact.
+fails the certificate sends the degree to the exact route.  Quotient
+primitives and the block kernels of `has_primitives` are solved exactly.
 """
 
 from __future__ import annotations
@@ -68,47 +68,48 @@ from .spaces import BraidedSpace
 
 
 def delta_columns(space: BraidedSpace, a: int, b: int):
-    """Sparse columns of the (a, b) coproduct component; memoized.
-
-    Column w'x is column w' of Delta^(a,b-1) with x appended on the right,
-    plus column w' of Delta^(a-1,b) with x braided past the right factor."""
+    """Sparse columns of the (a, b) coproduct component; memoized."""
     if a < 0 or b < 0:
         raise BadParams("coproduct bidegree must be nonnegative")
     n = a + b
     space.check_budget(n)
     key = ("delta", a, b)
     cols = space._memo.get(key)
-    if cols is not None:
-        return cols
-    if a == 0 or b == 0:
-        cols = [{w: space.field.one} for w in range(space.power(n))]
-    else:
-        d = space.dim
-        dim_b = space.power(b)
-        dim_b1 = dim_b * d
-        appended = delta_columns(space, a, b - 1)
-        braided = delta_columns(space, a - 1, b)
-        block = space.braiding_block_matrix(b, 1)
-        cols = []
-        for w in range(space.power(n)):
-            prefix, x = divmod(w, d)
-            acc = {t * d + x: s for t, s in appended[prefix].items()}
-            for t, s in braided[prefix].items():
-                u, v = divmod(t, dim_b)
-                base = u * dim_b1
-                for r, val in block[v * d + x].items():
-                    tgt = base + r
-                    cur = acc.get(tgt)
-                    if cur is None:
-                        acc[tgt] = s * val
+    if cols is None:
+        cols = space._memo[key] = (
+            _delta_block(space, a, b, range(space.power(n)), space.braiding_block_matrix(b, 1))
+            if a and b else [{w: space.field.one} for w in range(space.power(n))])
+    return cols
+
+
+def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict]:
+    """Columns of Delta^(a,b), a, b > 0, for the given degree-n words: column
+    w'x is column w' of Delta^(a,b-1) with x appended, plus column w' of
+    Delta^(a-1,b) with x braided past its right factor by block[r] = c^(b,1) e_r."""
+    d = space.dim
+    dim_b = space.power(b)
+    dim_b1 = dim_b * d
+    appended = delta_columns(space, a, b - 1)
+    braided = delta_columns(space, a - 1, b)
+    cols = []
+    for w in words:
+        prefix, x = divmod(w, d)
+        acc = {t * d + x: s for t, s in appended[prefix].items()}
+        for t, s in braided[prefix].items():
+            u, v = divmod(t, dim_b)
+            base = u * dim_b1
+            for r, val in block[v * d + x].items():
+                tgt = base + r
+                cur = acc.get(tgt)
+                if cur is None:
+                    acc[tgt] = s * val
+                else:
+                    new = cur + s * val
+                    if new.is_zero():
+                        del acc[tgt]
                     else:
-                        new = cur + s * val
-                        if new.is_zero():
-                            del acc[tgt]
-                        else:
-                            acc[tgt] = new
-            cols.append(acc)
-    space._memo[key] = cols
+                        acc[tgt] = new
+        cols.append(acc)
     return cols
 
 
@@ -253,17 +254,32 @@ def _lift_rows(field, entries, modulus: int, count: int):
 
 
 def has_primitives(space: BraidedSpace, n: int) -> bool:
-    """Whether E_n is nonzero, without a basis of E_n unless one is memoized.
-
-    Each degree-n word w is joined to every word in the support of its
-    columns of Delta^(a, n-a), a = 1..n-1, by union-find; the blocks are
-    solved smallest first, up to the first nonzero kernel."""
+    """Whether E_n is nonzero, without a basis of E_n unless one is memoized:
+    the blocks of `_pair_blocks`, smallest first, up to the first nonzero
+    kernel, each with the columns of its own words only.  Delta^(1,n-1) braids
+    e_w itself; the other block matrices come with the degree n-1 lists."""
     space.check_budget(n)
     if n <= 1:
         return False
-    cached = space._memo.get(("primitives", n))
-    if cached is not None:
-        return cached.dim > 0
+    if ("primitives", n) in space._memo:
+        return space._memo["primitives", n].dim > 0
+    one = space.field.one
+    order = _cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
+
+    def component(a, words):
+        block = ({w: space.braiding_block_apply(n - 1, 1, {w: one}) for w in words}
+                 if a == 1 else space.braiding_block_matrix(n - a, 1))
+        return partial(matvec, _delta_block(space, a, n - a, words, block))
+
+    return any(stacked_kernel(len(words), (component(a, words) for a in order), one)
+               for words in _pair_blocks(space, n))
+
+
+def _pair_blocks(space: BraidedSpace, n: int) -> list[list[int]]:
+    """The degree-n words in blocks, smallest first: union-find joins each
+    word to every word made by rewriting one adjacent pair (i, j) into a pair
+    in the support of c(x_i (x) x_j)."""
+    d = space.dim
     parent = list(range(space.power(n)))
 
     def root(w):
@@ -271,18 +287,16 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
             parent[w] = w = parent[parent[w]]
         return w
 
-    for a in range(1, n):
-        for w, col in enumerate(delta_columns(space, a, n - a)):
-            for r in col:
-                parent[root(r)] = root(w)
+    for pos in range(n - 1):
+        lo = space.power(pos)
+        for w in range(len(parent)):
+            i, j = divmod(w // lo % (d * d), d)
+            for (k, l), _ in space.pairs.get((i, j), ()):
+                parent[root(w + ((k - i) * d + l - j) * lo)] = root(w)
     blocks: dict[int, list] = {}
     for w in range(len(parent)):
-        blocks.setdefault(root(w), []).append({w: space.field.one})
-    dims = [space.power(k) for k in range(n + 1)]
-    return any(coproduct_kernel(space, n, range(1, n), dims, basis=block)
-               for block in sorted(blocks.values(), key=len))
-
-
+        blocks.setdefault(root(w), []).append(w)
+    return sorted(blocks.values(), key=len)
 
 
 def times_letter(coords, d: int) -> list[dict]:

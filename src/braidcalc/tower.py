@@ -280,20 +280,6 @@ def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
                             [{w: one} for w in tower.levels[n][0]])
 
 
-def quotient_primitives(tower: IdealTower, n: int) -> Subspace:
-    """Lifted degree-n primitives of the quotient: all x in V^(x)n whose
-    inner coproduct components land in J (x) T + T (x) J.  Contains J_n."""
-    space = tower.space
-    space.check_budget(n)
-    if n > tower.cutoff:
-        raise DegreeBudgetExceeded(n, tower.cutoff)
-    if n <= 1:
-        return Subspace.zero(space.power(n))
-    ech = tower.components[n].echelon()
-    ech.add_rows(_lifted_primitives(tower, n))
-    return Subspace.from_echelon(ech)
-
-
 def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTower:
     """Adjoin all quotient primitives of degree >= 2 and re-close the tower.
 

@@ -13,7 +13,8 @@ its ideal components J_n as Subspaces of V^(x)n, reduces modulo
 J_a (x) V^b + V^a (x) J_b factor by factor, closes generators by
 concatenation in d^n and checks the coideal and braiding-stability
 properties there.  The library holds each tower as its quotient by normal
-words; its on-demand components must equal these.
+words; its on-demand components must equal these.  `quotient_primitives`
+reads a normal-word tower's primitives back in d^n, with J_n added.
 
 The library solves every family of linear conditions map by map; the
 all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
@@ -33,6 +34,7 @@ from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec
 from braidcalc.pareigis import zeta_space
 from braidcalc.spaces import matsumoto_lift
 from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
+from braidcalc.tower import _lifted_primitives
 
 
 def perm_length(sigma) -> int:
@@ -382,6 +384,18 @@ def quotient_primitives_dn(tower, n):
         return Subspace.from_echelon(ech)
     return Subspace.from_rows(space.power(n), coproduct_kernel(
         space, n, range(1, n), tower.dims, partial(reduce_bidegree, tower)))
+
+
+def quotient_primitives(tower, n):
+    """Lifted degree-n primitives of a normal-word tower's quotient, in d^n:
+    all x in V^(x)n whose inner coproduct components land in
+    J (x) T + T (x) J.  Contains J_n."""
+    space = tower.space
+    if n <= 1:
+        return Subspace.zero(space.power(n))
+    ech = tower.components[n].echelon()
+    ech.add_rows(_lifted_primitives(tower, n))
+    return Subspace.from_echelon(ech)
 
 
 def tower_iterates_dn(space, cutoff):

@@ -81,13 +81,13 @@ def test_symmetric_dims_reuse_the_first_tower_step(monkeypatch):
     gu = make_preset("gurevich", F1)
     sdeg(gu, 4)
     calls = []
-    real = tower_mod.quotient_primitives
+    real = tower_mod._lifted_primitives
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tower_mod, "quotient_primitives", counted)
+    monkeypatch.setattr(tower_mod, "_lifted_primitives", counted)
     assert symmetric_algebra_dims(gu, 4) == [1, 3, 6, 10, 15]
     assert calls == []
 

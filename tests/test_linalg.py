@@ -2,6 +2,8 @@ import random
 
 from functools import partial
 
+import pytest
+
 from braidcalc.linalg import (
     Echelon,
     Subspace,
@@ -249,9 +251,15 @@ def test_each_map_sees_only_the_basis_left_by_the_maps_before_it(seed=41):
             return sparse_apply(maps[k], vec)
 
         units = [{j: F.one} for j in range(ncols)]
-        got = stacked_kernel(units, [partial(spy, k) for k in range(len(maps))])
+        drawn = []
+        got = stacked_kernel(units, (drawn.append(k) or partial(spy, k)
+                                     for k in range(len(maps))))
         assert Subspace.from_rows(ncols, got) == constraint_oracle(None, maps, ncols)
         assert seen[0] == units
+        # the maps are drawn one at a time, and none after an empty kernel
+        assert len(drawn) == next((k for k in range(1, len(maps)) if
+                                   constraint_oracle(None, maps[:k], ncols).dim == 0),
+                                  len(maps)), trial
         for k in range(1, len(maps)):
             left = constraint_oracle(None, maps[:k], ncols)
             if left.dim == 0:
@@ -319,3 +327,4 @@ def test_an_int_basis_is_the_unit_basis_without_copies(seed=47):
         items(kernel)
     assert stacked_kernel(3, [lambda vec: {}], F.one) == [{0: F.one}, {1: F.one}, {2: F.one}]
     assert stacked_kernel(0, [partial(matvec, images)], F.one) == []
+    assert stacked_kernel([], (pytest.fail("a map was drawn") for _ in range(1))) == []

@@ -354,6 +354,41 @@ def test_nichols_dims_build_no_coproduct_columns(monkeypatch):
     assert calls == []
 
 
+def test_has_primitives_builds_columns_only_for_the_blocks_it_solves(monkeypatch):
+    # E_5 is the direct sum of the block kernels, so each row of its RREF
+    # leads in the block it lies in: the first block with a row is the first
+    # nonzero block kernel, the last block has_primitives solves
+    blocks = tensorbialg._pair_blocks(make_preset("gurevich", F1), 5)
+    owner = {w: k for k, block in enumerate(blocks) for w in block}
+    last = min(owner[min(row)] for row in primitive_space(make_preset("gurevich", F1), 5).rows)
+    lists, matrices, solved = [], [], set()
+    build = tensorbialg.delta_columns
+    block_matrix = BraidedSpace.braiding_block_matrix
+    columns = tensorbialg._delta_block
+
+    def counted_lists(space, a, b):
+        lists.append(a + b)
+        return build(space, a, b)
+
+    def counted_matrices(space, p, q):
+        matrices.append(p + q)
+        return block_matrix(space, p, q)
+
+    def counted_columns(space, a, b, words, block):
+        if a + b == 5:
+            solved.update(words)
+        return columns(space, a, b, words, block)
+
+    monkeypatch.setattr(tensorbialg, "delta_columns", counted_lists)
+    monkeypatch.setattr(BraidedSpace, "braiding_block_matrix", counted_matrices)
+    monkeypatch.setattr(tensorbialg, "_delta_block", counted_columns)
+    assert has_primitives(make_preset("gurevich", F1), 5)
+    assert lists and 5 not in lists
+    assert matrices and 5 not in matrices
+    assert solved == set().union(*blocks[:last + 1])
+    assert len(solved) < len(owner) // 10
+
+
 def test_nichols_dims_fill_zeros_above_the_top_degree():
     d3 = rack_space(3, lambda i, j: (2 * i - j) % 3, budget=8)
     assert nichols_dims(d3, 8) == [1, 3, 4, 3, 1, 0, 0, 0, 0]
@@ -506,6 +541,34 @@ def test_has_primitives_decides_the_primitive_space(space):
             sum(q[i][j] * q[j][i] == one
                 for i in range(d) for j in range(i + 1, d))
         assert primitive_space(space, 2).dim == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(property_spaces())
+def test_pair_blocks_hold_the_support_of_every_column(space):
+    for n in range(2, 6):
+        blocks = tensorbialg._pair_blocks(space, n)
+        owner = {w: k for k, block in enumerate(blocks) for w in block}
+        assert sorted(owner) == list(range(space.power(n)))
+        assert [len(block) for block in blocks] == sorted(map(len, blocks))
+        for a in range(1, n):
+            for w, col in enumerate(delta_columns(space, a, n - a)):
+                assert {owner[r] for r in col} <= {owner[w]}, (space.kind, n, a, w)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(property_spaces())
+def test_columns_word_by_word_match_the_delta_lists(space):
+    # the block braiding applied by its braid word to each unit vector, as
+    # has_primitives does for the component it cannot read from degree n-1
+    one = space.field.one
+    for n in range(2, 6):
+        for a in range(1, n):
+            braid = {r: space.braiding_block_apply(n - a, 1, {r: one})
+                     for r in range(space.power(n - a + 1))}
+            cols = delta_columns(space, a, n - a)
+            assert [tensorbialg._delta_block(space, a, n - a, [w], braid)[0]
+                    for w in range(len(cols))] == cols, (space.kind, n, a)
 
 
 def common_kernel(space, n):

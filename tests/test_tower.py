@@ -17,7 +17,6 @@ from braidcalc.tower import (
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
-    quotient_primitives,
     sdeg,
     symmetric_step,
     tower_iterates,
@@ -26,6 +25,7 @@ from oracles import (
     all_at_once_kernel,
     delta_injectivity_ladder,
     ideal_closure_dn,
+    quotient_primitives,
     reduce_bidegree,
     symmetrizer_rank,
     tower_iterates_dn,
