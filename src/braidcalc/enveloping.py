@@ -15,7 +15,9 @@ window, never absolutely.
 Filtration columns are ordered by degree, highest first, so the rows of the
 echelon whose pivots sit in blocks of degree <= n form a basis of the span's
 intersection with T_(n); dimensions of the standard filtration of U and of
-its associated graded fall out by counting pivots.
+its associated graded fall out by counting pivots.  Those rows have no entry
+before their pivot, so the verdicts back-substitute only them: the rows of
+T_(1) for injectivity and of T_(cutoff) for the primitive check.
 """
 
 from __future__ import annotations
@@ -201,10 +203,8 @@ class FilteredQuotient:
             self.history[n].append(counts[n])
 
     def _degree_of_col(self, col: int) -> int:
-        for k in range(self.top, -1, -1):
-            if col >= self.offsets[k] and col < self.offsets[k] + self.bracket.space.power(k):
-                return k
-        raise InternalCheckError("column outside the filtration")
+        # the blocks run degree-descending from offset 0
+        return next(k for k in range(self.top + 1) if col >= self.offsets[k])
 
     # -- reported data ----------------------------------------------------------
 
@@ -235,14 +235,14 @@ class FilteredQuotient:
 
     def span_rows_in(self, n: int):
         """Echelon rows lying in T_(n) (pivot in a block of degree <= n)."""
-        self.echelon.back_substitute()
         boundary = self.offsets[n]
-        return [
-            row for pcol, row in sorted(self.echelon.pivot_rows.items())
-            if pcol >= boundary
-        ]
+        self.echelon.back_substitute(boundary)
+        return [row for pcol, row in sorted(self.echelon.pivot_rows.items()) if pcol >= boundary]
 
     def reduce(self, mixed_vec: dict) -> dict:
+        """The canonical remainder of a vector of T_(top) modulo the span; it
+        meets only the rows pivoting from its first column on."""
+        self.echelon.back_substitute(min(mixed_vec, default=self.ncols))
         return self.echelon.reduce(mixed_vec)
 
     def vector_in_V_cap_ideal(self):
@@ -364,10 +364,10 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     d = space.dim
     one = space.field.one
     # quotient reduction of T_(cutoff) basis vectors modulo the span: T_(cutoff)
-    # is a suffix of the degree-descending columns, and an RREF row pivoting
-    # in that suffix has no entries before its pivot, so the full echelon
-    # reduces these vectors exactly as the span rows inside T_(cutoff) do
-    fq.echelon.back_substitute()
+    # is a suffix of the degree-descending columns, and a row pivoting in that
+    # suffix has no entries before its pivot, so these vectors meet only the
+    # span rows inside T_(cutoff), the only ones brought into RREF
+    fq.echelon.back_substitute(fq.offsets[cutoff])
     rho_cache: dict[int, dict] = {}
 
     def rho(k, w):

@@ -6,9 +6,10 @@ subspaces have literally identical representations and equality, membership
 and inclusion tests are syntactic.
 
 The echelon is built by forward reduction (each incoming row is reduced
-against the pivots found so far) and back-substituted once at the end;
-sparsity of the input rows is preserved as far as the fill-in pattern of the
-pivot graph allows, which for the monomial and diagonal braidings that
+against the pivots found so far) and back-substituted once at the end, all of
+it or only the rows pivoting from a given column on, which meet no earlier
+pivot; sparsity of the input rows is preserved as far as the fill-in pattern
+of the pivot graph allows, which for the monomial and diagonal braidings that
 dominate this workbench means eliminations never leave the orbit of words
 a row touches.
 
@@ -107,7 +108,7 @@ class Echelon:
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivot_rows: dict[int, dict] = {}
-        self._reduced = True
+        self._reduced_from = 0  # the rows with pivot >= this are reduced
 
     @property
     def rank(self) -> int:
@@ -131,7 +132,7 @@ class Echelon:
                     row = {c: inv * v for c, v in row.items()}
                 row[lead] = leadval.field.one
                 pivots[lead] = row
-                self._reduced = False
+                self._reduced_from = float("inf")
                 return True
             vec_axpy(row, -row[lead], prow)
         return False
@@ -143,14 +144,16 @@ class Echelon:
                 added += 1
         return added
 
-    def back_substitute(self) -> None:
-        """Bring the accumulated rows into fully reduced echelon form."""
-        if self._reduced:
+    def back_substitute(self, start: int = 0) -> None:
+        """Bring the rows whose pivot is >= start into fully reduced form: a
+        row has no entry before its pivot, so it needs only those pivots."""
+        done = self._reduced_from
+        if start >= done:
             return
         pivots = self.pivot_rows
-        for pcol in sorted(pivots, reverse=True):
+        for pcol in sorted((c for c in pivots if start <= c < done), reverse=True):
             _clear_pivots(pivots[pcol], pivots, pcol)
-        self._reduced = True
+        self._reduced_from = start
 
     def rows(self) -> list[dict]:
         self.back_substitute()

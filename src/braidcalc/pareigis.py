@@ -4,10 +4,16 @@ V^(x)n(zeta) is the largest subspace of the intersection of the eigenspaces
 ker(c_i^2 - zeta^2) that is stable under every braid generator; since the
 generators are invertible and generate the braid group, stability under them
 is equivalent to the conjugation-invariance over the whole group that the
-definition quantifies.  On it the symmetric group acts by
-sigma |> x = zeta^(-l(sigma)) lift(sigma) x, and the full symmetrization
-Pi(x) = sum_sigma sigma |> x lands in the degree-n primitives whenever zeta
-is a primitive n-th root of unity.
+definition quantifies.  On it s_i = zeta^(-1) c_i satisfy the Coxeter
+relations of S_n (s_i^2 = zeta^(-2) c_i^2 = 1, and both sides of a braid
+relation scale by zeta^(-3)), so S_n acts by sigma |> x = zeta^(-l(sigma))
+lift(sigma) x, s along any reduced word of sigma, and invariance under the
+s_i is invariance under S_n.  Pi(x) = sum_sigma sigma |> x lands in the
+degree-n primitives whenever zeta is a primitive n-th root of unity.  By the
+cosets of S_k in S_(k+1), Pi = C_(n-1) ... C_1 (C_1 first) with
+C_k = 1 + s_k + s_(k-1) s_k + ... + s_1 ... s_k: n(n-1)/2 generator steps
+per vector, not n! braid words (the quantum-symmetrizer factorization of
+Duchamp-Klyachko-Krob-Thibon 1997).
 
 The eigenspace intersection, each pass of the stability loop and the mixed
 space V (x) V^(x)n(zeta) of the third identity (fixed by the n! twisted
@@ -17,8 +23,8 @@ up to the first empty kernel.
 
 A bracket then induces partial n-ary operations [x] = b_n(Pi(x)); the three
 Pareigis identities for them are verified exactly on the computed bases.
-Permutation enumeration caps the degree at 6 by default (7! times d^7 blows
-past desk scale).
+The mixed space enumerates S_n, which caps the degree at 6 (7! times d^7
+blows past desk scale); Pi keeps the same cap.
 
 Pi and x |-> b_n(Pi(x)) are linear, so both are computed once per (n, zeta)
 on the canonical RREF rows r_k of the zeta space and memoized on the space:
@@ -99,26 +105,15 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
     return cached
 
 
-def _action_terms(space: BraidedSpace, n: int, zeta):
-    """{sigma: (letters, zeta^(-length))} for each permutation of n strands."""
-    key = ("pi_terms", n, zeta.coeffs)
-    terms = space._memo.get(key)
-    if terms is None:
-        if n > FACTORIAL_CAP + 1:  # the identities act one degree above arity
-            raise DegreeBudgetExceeded(n, FACTORIAL_CAP + 1)
-        zinv = zeta.inv()
-        terms = {}
-        for sigma in itertools.permutations(range(n)):
-            word = matsumoto_lift(sigma).letters
-            terms[sigma] = (word, zinv ** len(word))
-        space._memo[key] = terms
-    return terms
+def _twist(space: BraidedSpace, n: int, zeta, word, vec: dict) -> dict:
+    """zeta^(-len(word)) c_word x: sigma |> x for a reduced word of sigma."""
+    scale = zeta.inv() ** len(word)
+    return {c: scale * v for c, v in space.apply_word(n, word, vec).items()}
 
 
 def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:
     """sigma |> x = zeta^(-l(sigma)) lift(sigma) x."""
-    word, scale = _action_terms(space, n, zeta)[tuple(sigma)]
-    return {c: scale * v for c, v in space.apply_word(n, word, vec).items()}
+    return _twist(space, n, zeta, matsumoto_lift(sigma).letters, vec)
 
 
 def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
@@ -132,19 +127,21 @@ def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
 
 
 def _pi_rows(space: BraidedSpace, n: int, zeta) -> list:
-    """Pi(r_k) for each RREF row r_k of the zeta space, once per (n, zeta)."""
+    """Pi(r_k) = C_(n-1) ... C_1 r_k for each RREF row r_k of the zeta space."""
     key = ("pi_rows", n, zeta.coeffs)
     images = space._memo.get(key)
     if images is None:
         if n > FACTORIAL_CAP:
             raise DegreeBudgetExceeded(n, FACTORIAL_CAP)
-        terms = _action_terms(space, n, zeta).values()
-        zs = zeta_space(space, n, zeta, require_primitive=False)
+        scales = [zeta.inv() ** length for length in range(n)]
         images = []
-        for row in zs.rows:
-            acc: dict = {}
-            for word, scale in terms:
-                vec_axpy(acc, scale, space.apply_word(n, word, row))
+        for acc in zeta_space(space, n, zeta, require_primitive=False).rows:
+            for k in range(1, n):
+                # C_k acc: the terms s_j ... s_k acc for j = k, ..., 1
+                term, acc = acc, dict(acc)
+                for j in range(k, 0, -1):
+                    term = space.apply_generator(n, j, term)
+                    vec_axpy(acc, scales[k - j + 1], term)
             images.append(acc)
         space._memo[key] = images
     return images
@@ -208,7 +205,7 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
                                         for j in range(d) for row in inner.rows))
     if carrier.dim == 0:
         return carrier
-    terms = _action_terms(space, n + 1, zeta)
+    zinv = zeta.inv()
 
     def condition(word, scale, row):
         diff = {c: -v for c, v in row.items()}
@@ -218,11 +215,11 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     conds = []
     for phi in itertools.permutations(range(n)):
         lifted = tuple([0] + [p + 1 for p in phi])
-        word_in, scale = terms[lifted]
-        inverse = tuple(lifted.index(k) for k in range(n + 1))
+        word_in = matsumoto_lift(lifted).letters
+        word_out = matsumoto_lift(tuple(lifted.index(k) for k in range(n + 1))).letters
         # the conjugate of tau_1^2 by the lift, rightmost letter first
-        conds.append(partial(condition, terms[inverse][0] + (1, 1) + word_in,
-                             scale * scale))
+        conds.append(partial(condition, word_out + (1, 1) + word_in,
+                             zinv ** (2 * len(word_in))))
     return Subspace.from_rows(size, stacked_kernel(carrier.rows, conds))
 
 
@@ -256,16 +253,6 @@ def _apply_first_slice(space, bracket, n, zeta, vec):
     return apply_slot(vec, space.power(n), 1, inner, space.dim)
 
 
-def _cycle_one_line(i: int, n: int):
-    """The cycle sending 1 -> 2 -> ... -> i -> 1 inside S_n, one-line 0-based."""
-    line = list(range(n))
-    for j in range(i - 1):
-        line[j] = j + 1
-    if i >= 1:
-        line[i - 1] = 0
-    return tuple(line)
-
-
 def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     """Exact check of the three partial-bracket identities at arity n.
 
@@ -282,14 +269,14 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     one = space.field.one
     results = {}
 
-    # PL1: invariance of [x] under the twisted symmetric-group action
+    # PL1: [s_i x] = [x] for the generators s_i = zeta^(-1) c_i, which is
+    # invariance under the twisted symmetric-group action
     ok = True
     for row in zs.rows:
         base = induced_bracket(bracket, n, zeta, row)
-        for sigma in itertools.permutations(range(n)):
-            moved = perm_act(space, n, zeta, sigma, row)
+        for i in range(1, n):
             try:
-                value = induced_bracket(bracket, n, zeta, moved)
+                value = induced_bracket(bracket, n, zeta, _twist(space, n, zeta, (i,), row))
             except NotInZetaSpace:
                 raise InternalCheckError(
                     "twisted action left the zeta space (degree %d)" % n)
@@ -300,13 +287,14 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
             break
     results["pl1"] = ok
 
-    # PL2: the cyclic sum of [ - , [ - ] ] vanishes on V^(x)(n+1)(zeta)
+    # PL2: the cyclic sum of [ - , [ - ] ] vanishes on V^(x)(n+1)(zeta); the
+    # cycle 1 -> 2 -> ... -> i -> 1 has the one reduced word s_1 ... s_(i-1)
     upper = zeta_space(space, n + 1, zeta, require_primitive=False)
     ok = True
     for row in upper.rows:
         total: dict = {}
         for i in range(1, n + 2):
-            moved = perm_act(space, n + 1, zeta, _cycle_one_line(i, n + 1), row)
+            moved = _twist(space, n + 1, zeta, tuple(range(1, i)), row)
             inner_val = _apply_first_slice(space, bracket, n, zeta, moved)
             if not inner_val:
                 continue

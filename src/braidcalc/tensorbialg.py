@@ -51,15 +51,17 @@ the RREF of E_n, the very Subspace the exact route gives.  Primes are
 added while reconstruction fails or the lift changes; all but finitely many
 primes give the true pivots, so the lift settles on the RREF of E_n once the
 modulus is large enough.  A lift that repeats on two primes in a row and
-fails the certificate sends the degree to the exact route.  Quotient
-primitives and the block kernels of `has_primitives` are solved exactly.
+fails the certificate sends the degree to the exact route.  A block of
+`has_primitives` is solved exactly only when its kernel modulo the first
+prime under one embedding is not empty, or p is in a denominator: by the same
+rank bound an empty one proves the block zero.  Quotient primitives are exact.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from functools import partial
+from functools import cache, partial
 
 from .errors import BadParams, InternalCheckError
 from .linalg import Echelon, Subspace, kernel_mod, matvec, stacked_kernel, vec_axpy
@@ -164,7 +166,7 @@ def _modular_primitives(space: BraidedSpace, n: int, dims):
     for index in itertools.count():
         red = Reduction(field, index)
         p = red.p
-        kernels = _kernels_mod(red, cols, field.degree)
+        kernels = _kernels_mod(red, cols.values(), field.degree)
         if kernels is None:
             continue  # p divides a denominator
         if not kernels:
@@ -198,12 +200,12 @@ def _modular_primitives(space: BraidedSpace, n: int, dims):
         previous = rows
 
 
-def _kernels_mod(red: Reduction, cols, degree: int):
-    """The kernel mod red's prime under each embedding, one component at a
-    time in the order of cols, so that only its reduced columns are held;
-    [] when a kernel is empty, None when the prime divides a denominator."""
+def _kernels_mod(red: Reduction, comps, degree: int):
+    """The kernel mod red's prime under each of its first degree embeddings,
+    one component of comps at a time, holding only its reduced columns; []
+    when a kernel is empty, None when the prime divides a denominator."""
     kernels = [None] * degree
-    for comp in cols.values():
+    for comp in comps:
         reduced = _reduced_columns(red, comp, degree)
         if reduced is None:
             return None
@@ -256,7 +258,8 @@ def _lift_rows(field, entries, modulus: int, count: int):
 def has_primitives(space: BraidedSpace, n: int) -> bool:
     """Whether E_n is nonzero, without a basis of E_n unless one is memoized:
     the blocks of `_pair_blocks`, smallest first, up to the first nonzero
-    kernel, each with the columns of its own words only.  Delta^(1,n-1) braids
+    kernel, each with the columns of its own words only, and solved exactly
+    only when its kernel modulo a prime is not empty.  Delta^(1,n-1) braids
     e_w itself; the other block matrices come with the degree n-1 lists."""
     space.check_budget(n)
     if n <= 1:
@@ -265,14 +268,19 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
         return space._memo["primitives", n].dim > 0
     one = space.field.one
     order = _cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
+    red = Reduction(space.field, 0)
 
-    def component(a, words):
+    def component(words, a):
         block = ({w: space.braiding_block_apply(n - 1, 1, {w: one}) for w in words}
                  if a == 1 else space.braiding_block_matrix(n - a, 1))
-        return partial(matvec, _delta_block(space, a, n - a, words, block))
+        return _delta_block(space, a, n - a, words, block)
 
-    return any(stacked_kernel(len(words), (component(a, words) for a in order), one)
-               for words in _pair_blocks(space, n))
+    for words in _pair_blocks(space, n):
+        columns = cache(partial(component, words))
+        if _kernels_mod(red, map(columns, order), 1) != [] and stacked_kernel(
+                len(words), (partial(matvec, columns(a)) for a in order), one):
+            return True
+    return False
 
 
 def _pair_blocks(space: BraidedSpace, n: int) -> list[list[int]]:

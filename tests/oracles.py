@@ -16,6 +16,10 @@ properties there.  The library holds each tower as its quotient by normal
 words; its on-demand components must equal these.  `quotient_primitives`
 reads a normal-word tower's primitives back in d^n, with J_n added.
 
+The first Pareigis identity as defined, [sigma |> x] = [x] for all n!
+permutations, is kept here against the library's check on the n - 1
+Coxeter generators.
+
 The library solves every family of linear conditions map by map; the
 all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
 space with every twisted conjugate applied to every carrier row) is kept
@@ -31,7 +35,7 @@ from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
                               vec_axpy, vec_eq)
-from braidcalc.pareigis import zeta_space
+from braidcalc.pareigis import induced_bracket, perm_act, zeta_space
 from braidcalc.spaces import matsumoto_lift
 from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
@@ -497,3 +501,16 @@ def mixed_zeta_space_all_at_once(space, n, zeta):
         conds.append(partial(condition, back + (1, 1) + word,
                              zinv ** (2 * len(word))))
     return Subspace.from_rows(size, all_at_once_kernel(carrier.rows, conds))
+
+
+def pl1_all_permutations(bracket, n, zeta) -> bool:
+    """[sigma |> x] = [x] for every sigma in S_n and every canonical row x of
+    the degree-n zeta space: the first Pareigis identity over the whole
+    group, one twisted action per permutation."""
+    space = bracket.space
+    for row in zeta_space(space, n, zeta).rows:
+        base = induced_bracket(bracket, n, zeta, row)
+        if any(induced_bracket(bracket, n, zeta, perm_act(space, n, zeta, sigma, row)) != base
+               for sigma in itertools.permutations(range(n))):
+            return False
+    return True

@@ -170,6 +170,22 @@ def test_bracket_recovered_from_multiplication():
         assert fq.reduce(mixed_u) == fq.reduce(mixed_b)
 
 
+def test_reduce_is_canonical_however_far_the_echelon_is_reduced(seed=61):
+    # a remainder by pivot rows not yet back-substituted can keep entries in
+    # pivot columns; the filtration reduces the rows it needs first
+    rng = random.Random(seed)
+    for space, table in (gurevich_with_bracket(), sl2_with_bracket()):
+        fq, full = enveloping_filtration(table, 3, 1), enveloping_filtration(table, 3, 1)
+        full.echelon.rows()
+        vecs = [{rng.randrange(fq.ncols): space.field.from_rational(rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 5))} for _ in range(60)]
+        for vec in vecs[:30]:
+            assert fq.reduce(vec) == full.reduce(vec)
+        lie_check(table, 3, 1, filtration=fq)
+        for vec in vecs[30:]:
+            assert fq.reduce(vec) == full.reduce(vec)
+
+
 def test_theta_bound_on_all_fixture_runs():
     for space, table in (gurevich_with_bracket(), sl2_with_bracket()):
         for cutoff in (3, 4):

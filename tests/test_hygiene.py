@@ -147,7 +147,7 @@ def test_checker_flags_an_unread_parameter():
 # src/ afresh, at about 9 us a line of set-up, and the aim is the same results
 # from less code: a change that needs more lines raises this number as a
 # named edit in CHANGES.md.
-SRC_LINE_CEILING = 4049
+SRC_LINE_CEILING = 4048
 
 
 def test_src_stays_under_its_line_ceiling():

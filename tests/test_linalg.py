@@ -328,3 +328,32 @@ def test_an_int_basis_is_the_unit_basis_without_copies(seed=47):
     assert stacked_kernel(3, [lambda vec: {}], F.one) == [{0: F.one}, {1: F.one}, {2: F.one}]
     assert stacked_kernel(0, [partial(matvec, images)], F.one) == []
     assert stacked_kernel([], (pytest.fail("a map was drawn") for _ in range(1))) == []
+
+
+def test_back_substitute_from_a_column_reduces_only_the_rows_from_it(seed=53):
+    rng = random.Random(seed)
+    for _ in range(20):
+        ncols = 9
+        rows = rows_from_dense([[rng.choice((0, 0, 1, -1, 2, Q(1, 2))) for _ in range(ncols)]
+                                for _ in range(7)])
+        start = rng.randrange(ncols)
+        partial_ech, full = Echelon(ncols), Echelon(ncols)
+
+        def assert_reduced_from_start():
+            partial_ech.back_substitute(start)
+            reduced = dict(zip(sorted(full.pivot_rows), full.rows()))
+            pivots = partial_ech.pivot_rows
+            for pcol, row in pivots.items():
+                if pcol >= start:
+                    assert row == reduced[pcol]
+                    assert all(c == pcol or c not in pivots for c in row)
+
+        partial_ech.add_rows(rows[:-1])
+        full.add_rows(rows[:-1])
+        assert_reduced_from_start()
+        # a later add leaves the rows unreduced again, and the next call
+        # reduces them against the new pivot too
+        partial_ech.add(rows[-1])
+        full.add(rows[-1])
+        assert_reduced_from_start()
+        assert partial_ech.rows() == full.rows()

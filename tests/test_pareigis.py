@@ -24,7 +24,7 @@ from braidcalc.linalg import Subspace, vec_axpy
 from braidcalc.spaces import (BraidedSpace, make_braiding, make_preset,
                               matsumoto_lift, word_index)
 from braidcalc.tensorbialg import delta_columns, matvec, primitive_space
-from oracles import mixed_zeta_space_all_at_once, q_binomial
+from oracles import mixed_zeta_space_all_at_once, pl1_all_permutations, q_binomial
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -335,6 +335,24 @@ def test_verify_pl_results_on_the_differential_cases():
     assert verify_PL(bad, 2) == {"pl1": True, "pl2": False, "pl3": False}
 
 
+@pytest.mark.parametrize("case", range(len(PI_CASES)))
+def test_pl1_on_the_generators_agrees_with_all_permutations(case):
+    space, n, zeta, bracket = PI_CASES[case]
+    assert verify_PL(bracket, n, zeta)["pl1"] == pl1_all_permutations(bracket, n, zeta)
+
+
+def test_pl1_fails_on_a_corrupted_bracket_table():
+    # gurevich at -1: Pi(e_1) = e_1 - e_3 and [e_1] = b(E_0) = -x_1, while
+    # s_1 e_1 = -e_3; with row 1 of the coordinate table dropped, [e_1]
+    # reads 0 and [s_1 e_1] still reads -x_1
+    gu = make_preset("gurevich", F1)
+    bracket, zeta = preset_bracket(gu, "gurevich"), minus_one(F1)
+    assert verify_PL(bracket, 2, zeta)["pl1"] and pl1_all_permutations(bracket, 2, zeta)
+    gu._memo["pi_coords", 2, zeta.coeffs][1] = {}
+    assert verify_PL(bracket, 2, zeta)["pl1"] is False
+    assert pl1_all_permutations(bracket, 2, zeta) is False
+
+
 def test_verify_pl_reduces_each_bracketed_vector_once(monkeypatch):
     # the membership check rides on the reduction that finds the coordinates
     import braidcalc.pareigis as pareigis
@@ -357,7 +375,7 @@ def test_verify_pl_reduces_each_bracketed_vector_once(monkeypatch):
     monkeypatch.setattr(Subspace, "reduce", counted_reduce)
     monkeypatch.setattr(pareigis, "induced_bracket", counted_bracket)
     assert verify_PL(bracket, n, zeta) == {"pl1": True, "pl2": True, "pl3": True}
-    assert len(reductions) == len(brackets) == 560
+    assert len(reductions) == len(brackets) == 224
 
 
 # ---------------------------------------------------------------------------

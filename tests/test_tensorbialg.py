@@ -389,6 +389,24 @@ def test_has_primitives_builds_columns_only_for_the_blocks_it_solves(monkeypatch
     assert len(solved) < len(owner) // 10
 
 
+def test_has_primitives_proves_zero_blocks_modulo_a_prime(monkeypatch):
+    # hecke_gl d = 3, q = 2 has E_5 = 0, and every block kernel is already
+    # empty modulo the first prime: no block is solved exactly
+    exact = []
+    solve = tensorbialg.stacked_kernel
+
+    def spy(*args):
+        exact.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tensorbialg, "stacked_kernel", spy)
+    hecke = make_preset("hecke_gl", F1, d=3, q=2, degree_budget=5)
+    assert not has_primitives(hecke, 5)
+    assert exact == []
+    # a nonzero block kernel mod p is solved exactly
+    assert has_primitives(make_preset("gurevich", F1), 3) and exact
+
+
 def test_nichols_dims_fill_zeros_above_the_top_degree():
     d3 = rack_space(3, lambda i, j: (2 * i - j) % 3, budget=8)
     assert nichols_dims(d3, 8) == [1, 3, 4, 3, 1, 0, 0, 0, 0]
