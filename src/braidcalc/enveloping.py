@@ -387,9 +387,8 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
             for col, val in delta_columns(space, a, b)[w].items():
                 u, v = divmod(col, space.power(b))
                 rv = rho(b, v)
-                vec_axpy(img, val, {c1 * fq.ncols + c2: s1 * s2
-                                    for c1, s1 in rho(a, u).items()
-                                    for c2, s2 in rv.items()})
+                for c1, s1 in rho(a, u).items():
+                    vec_axpy(img, val * s1, rv, c1 * fq.ncols)
         images.append(img)
     solutions = stacked_kernel(len(images), [partial(matvec, images)], one)
     # span of the solutions in the quotient

@@ -15,7 +15,9 @@ a row touches.
 
 This module is the one place that does sparse arithmetic.  Its kernels:
 
-* `vec_axpy` (target += c * source, dropping cancelled entries) and `vec_eq`;
+* `vec_axpy`, target[offset + col] += c * source[col], dropping cancelled
+  entries: the one accumulate loop, which over fields of degree 1 and 2
+  works on coefficient tuples (`scalars.coeff_axpy`); and `vec_eq`;
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
 * `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
@@ -33,21 +35,24 @@ This module is the one place that does sparse arithmetic.  Its kernels:
 
 from __future__ import annotations
 
+from .scalars import CycloScalar, coeff_axpy
 
-def vec_axpy(target: dict, coeff, source: dict) -> None:
-    """target += coeff * source, dropping entries that cancel to zero."""
-    if coeff.is_zero():
-        return
-    for col, val in source.items():
-        cur = target.get(col)
-        if cur is None:
-            target[col] = coeff * val
-        else:
-            new = cur + coeff * val
+
+def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
+    """target[offset + col] += coeff * source[col], dropping cancelled entries;
+    returns target.  Degrees 1 and 2 work on coefficient tuples (`coeff_axpy`)."""
+    if coeff.__class__ is CycloScalar and coeff.field.degree < 3:
+        coeff_axpy(target, coeff, source, offset)
+    elif not coeff.is_zero():
+        for col, val in source.items():
+            tgt = offset + col if offset else col
+            cur = target.get(tgt)
+            new = coeff * val if cur is None else cur + coeff * val
             if new.is_zero():
-                del target[col]
+                target.pop(tgt, None)
             else:
-                target[col] = new
+                target[tgt] = new
+    return target
 
 
 def vec_eq(a: dict, b: dict) -> bool:
@@ -81,11 +86,13 @@ def apply_slot(vec: dict, mid: int, right: int, f, width: int) -> dict:
 
 
 def _clear_pivots(row: dict, pivots: dict, keep) -> None:
-    """Eliminate from row every pivot column except keep, ascending."""
-    for col in sorted(c for c in row if c in pivots and c != keep):
-        val = row.get(col)
-        if val is not None:
-            vec_axpy(row, -val, pivots[col])
+    """Eliminate from row every pivot column except keep, ascending, in passes
+    until none is left: an elimination fills in only columns past its pivot."""
+    while cols := sorted(c for c in row if c in pivots and c != keep):
+        for col in cols:
+            val = row.get(col)
+            if val is not None:
+                vec_axpy(row, -val, pivots[col])
 
 
 def reduce_by_pivots(row: dict, pivots: dict) -> dict:
@@ -128,8 +135,7 @@ class Echelon:
             if prow is None:
                 leadval = row.pop(lead)
                 if not leadval.is_one():
-                    inv = leadval.inv()
-                    row = {c: inv * v for c, v in row.items()}
+                    row = vec_axpy({}, leadval.inv(), row)
                 row[lead] = leadval.field.one
                 pivots[lead] = row
                 self._reduced_from = float("inf")

@@ -107,8 +107,7 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
 
 def _twist(space: BraidedSpace, n: int, zeta, word, vec: dict) -> dict:
     """zeta^(-len(word)) c_word x: sigma |> x for a reduced word of sigma."""
-    scale = zeta.inv() ** len(word)
-    return {c: scale * v for c, v in space.apply_word(n, word, vec).items()}
+    return vec_axpy({}, zeta.inv() ** len(word), space.apply_word(n, word, vec))
 
 
 def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:

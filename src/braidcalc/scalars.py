@@ -12,8 +12,8 @@ Python int (`_canon`), so an integral Q never spreads into later sums, and
 only a coefficient outside the integers is a rational Q (gmpy2.mpq when
 available, fractions.Fraction otherwise; both arbitrary precision with
 positive denominator).  Every division goes through Q, never int / int, so
-no coefficient can become a float.  Products and inverses are in closed
-form over the fields of degree 1 and 2 (m = 1, 2, 3, 4, 6).
+no coefficient can become a float.  Products, inverses and the sparse
+accumulate `coeff_axpy` are closed forms in degrees 1 and 2 (m = 1, 2, 3, 4, 6).
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
 stays well under a second.
@@ -432,6 +432,44 @@ class CycloScalar:
         for t in terms[1:]:
             out += ("+" + t) if not t.startswith("-") else t
         return out
+
+
+def coeff_axpy(target: dict, coeff: CycloScalar, source: dict, offset: int) -> None:
+    """target[offset + col] += coeff * source[col] on the coefficient tuples of
+    a field of degree 1 or 2, building one CycloScalar per stored entry and
+    dropping cancelled ones; an entry from another field raises FieldMismatch."""
+    fld = coeff.field
+    linear = fld.degree == 1
+    a0, a1 = coeff.coeffs[0], 0 if linear else coeff.coeffs[1]
+    c1 = fld.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1 in degree 2
+    if not (a0 or a1):
+        return
+    for col, val in source.items():
+        if val.__class__ is not CycloScalar or val.field is not fld:
+            val = coeff._coerce(val)
+        tgt = offset + col if offset else col
+        cur = target.get(tgt)
+        if cur is not None and cur.field is not fld:
+            cur = coeff._coerce(cur)
+        if linear:
+            c = a0 * val.coeffs[0] if cur is None else cur.coeffs[0] + a0 * val.coeffs[0]
+            new = (c if c.__class__ is int else _canon(c),) if c else None
+        else:
+            b0, b1 = val.coeffs
+            if not a1:
+                p0, p1 = a0 * b0, a0 * b1
+            elif not b1:
+                p0, p1 = a0 * b0, a1 * b0
+            else:  # X^2 = -c1 X - 1
+                top = a1 * b1
+                p0, p1 = a0 * b0 - top, a0 * b1 + a1 * b0 - c1 * top
+            if cur is not None:
+                p0, p1 = cur.coeffs[0] + p0, cur.coeffs[1] + p1
+            new = (_canon(p0), _canon(p1)) if p0 or p1 else None
+        if new:
+            target[tgt] = CycloScalar(fld, new)
+        else:
+            target.pop(tgt, None)
 
 
 def root_order(q: CycloScalar):

@@ -127,28 +127,19 @@ class BraidedSpace:
         d = self.dim
         D = d * d
         one = self.field.one
-        # rows of [C | I] in pair coordinates, then Gauss-Jordan
-        rows: dict[int, dict] = {}
-        for (a, b), images in self.pairs.items():
-            for (a2, b2), s in images:
-                vec_axpy(rows.setdefault(a2 * d + b2, {}), s, {a * d + b: one})
+        # rows of [C^T | I] in pair coordinates, row r holding c(e_r), then
+        # Gauss-Jordan: the row with pivot p ends in (C^T)^-1 e_p = c^-1(e_p)
         ech = Echelon(2 * D)
         for r in range(D):
-            row = rows.get(r, {})
-            row[D + r] = one
+            row = {D + r: one}
+            for (a2, b2), s in self.pairs.get(divmod(r, d), ()):
+                vec_axpy(row, s, {a2 * d + b2: one})
             ech.add(row)
         if ech.rank < D or any(p >= D for p in ech.pivot_rows):
             raise SingularBraiding("the braiding matrix is not invertible")
         ech.back_substitute()
-        inv = {}
-        for col, row in ech.pivot_rows.items():
-            a, b = divmod(col, d)
-            images = []
-            for c2, v in row.items():
-                if c2 >= D:
-                    images.append((divmod(c2 - D, d), v))
-            inv[(a, b)] = tuple(images)
-        return inv
+        return {divmod(col, d): tuple((divmod(c2 - D, d), v) for c2, v in row.items() if c2 >= D)
+                for col, row in ech.pivot_rows.items()}
 
     def _check_ybe(self):
         d = self.dim
@@ -176,26 +167,20 @@ class BraidedSpace:
         """Apply c_i (or its inverse) to a sparse degree-n vector."""
         if not 1 <= i <= n - 1:
             raise DegreeMismatch("generator %d needs %d strands" % (i, i + 1))
-        d = self.dim
-        hi = self.power(n - i)      # place value of position i (1-based)
         lo = self.power(n - i - 1)  # place value of position i + 1
-        table = self.inv_pairs if inverse else self.pairs
+        top = lo * self.dim * self.dim
+        # {a * hi + b * lo: {a2 * hi + b2 * lo: s}} for hi = lo * d, memoized
+        key = ("shifted", lo, inverse)
+        shifted = self._memo.get(key)
+        if shifted is None:
+            hi = top // self.dim
+            shifted = self._memo[key] = {
+                a * hi + b * lo: {a2 * hi + b2 * lo: s for (a2, b2), s in images}
+                for (a, b), images in (self.inv_pairs if inverse else self.pairs).items()}
         out: dict = {}
         for idx, coeff in vec.items():
-            a = (idx // hi) % d
-            b = (idx // lo) % d
-            base = idx - a * hi - b * lo
-            for (a2, b2), s in table.get((a, b), ()):
-                tgt = base + a2 * hi + b2 * lo
-                cur = out.get(tgt)
-                if cur is None:
-                    out[tgt] = coeff * s
-                else:
-                    new = cur + coeff * s
-                    if new.is_zero():
-                        del out[tgt]
-                    else:
-                        out[tgt] = new
+            pair = idx % top - idx % lo  # a * hi + b * lo; c is invertible
+            vec_axpy(out, coeff, shifted[pair], idx - pair)
         return out
 
     def apply_word(self, n: int, letters, vec: dict) -> dict:

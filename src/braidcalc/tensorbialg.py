@@ -99,18 +99,7 @@ def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict
         acc = {t * d + x: s for t, s in appended[prefix].items()}
         for t, s in braided[prefix].items():
             u, v = divmod(t, dim_b)
-            base = u * dim_b1
-            for r, val in block[v * d + x].items():
-                tgt = base + r
-                cur = acc.get(tgt)
-                if cur is None:
-                    acc[tgt] = s * val
-                else:
-                    new = cur + s * val
-                    if new.is_zero():
-                        del acc[tgt]
-                    else:
-                        acc[tgt] = new
+            vec_axpy(acc, s, block[v * d + x], u * dim_b1)
         cols.append(acc)
     return cols
 
@@ -337,7 +326,7 @@ def _nichols_levels(space: BraidedSpace, upto: int) -> list:
             braided: dict = {}
             for key, s in images[i].items():
                 k, y = divmod(key, d)
-                vec_axpy(braided, s, {k * dd + t: v for t, v in block[y * d + x].items()})
+                vec_axpy(braided, s, block[y * d + x], k * dd)
             # Delta(u x) = Delta(u) Delta(x): e_u (x) x, plus p x' (x) y' for
             # each term p (x) y of D_n(u) and c(y (x) x) = x' (x) y'
             img = matvec(lifted, braided)

@@ -74,8 +74,12 @@ class IdealTower:
     @property
     def dims(self):
         """Graded dimensions of the quotient bialgebra."""
-        return [self.space.power(n) if level is None else len(level[0])
-                for n, level in enumerate(self.levels)]
+        return [self.dim(n) for n in range(len(self.levels))]
+
+    def dim(self, n: int) -> int:
+        """The dimension of the quotient in degree n."""
+        level = self.levels[n]
+        return self.space.power(n) if level is None else len(level[0])
 
     def _words(self, n: int):
         level = self.levels[n]
@@ -142,7 +146,7 @@ class SdegVerdict:
 
 def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
     """(pi_a (x) pi_b) of a degree-(a+b) vector, keyed i * dim A_b + j."""
-    dim_b, width = tower.space.power(b), tower.dims[b]
+    dim_b, width = tower.space.power(b), tower.dim(b)
     right: dict[int, dict] = {}
     for t, s in vec.items():
         u, v = divmod(t, dim_b)
@@ -150,7 +154,7 @@ def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
     out: dict = {}
     for u, tail in right.items():
         for i, s in tower._pi_word(a, u).items():
-            vec_axpy(out, s, {i * width + j: x for j, x in tail.items()})
+            vec_axpy(out, s, tail, i * width)
     return out
 
 
@@ -170,7 +174,7 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
         if n < 2 or (levels[n - 1] is None and not candidates):
             levels.append(None)
             continue
-        width = tower.dims[n - 1] * d
+        width = tower.dim(n - 1) * d
         ech = Echelon(width)
 
         def image(g, u, k):
@@ -364,7 +368,7 @@ def nichols_via_tower(space: BraidedSpace, cutoff: int):
     out = [1]
     for n in range(1, cutoff + 1):
         idx = min(n - 1, len(iterates) - 1)
-        out.append(iterates[idx].dims[n])
+        out.append(iterates[idx].dim(n))
     return out
 
 
@@ -380,6 +384,6 @@ def is_quadratic(space: BraidedSpace, cutoff: int) -> bool:
     relations = {2: primitive_space(space, 2).rows}
     for n in range(cutoff + 1):
         _close_components(quadratic, relations, n)
-        if quadratic.dims[n] != nichols_dims(space, n)[n]:
+        if quadratic.dim(n) != nichols_dims(space, n)[n]:
             return False
     return True

@@ -20,6 +20,10 @@ The first Pareigis identity as defined, [sigma |> x] = [x] for all n!
 permutations, is kept here against the library's check on the n - 1
 Coxeter generators.
 
+The braid generator c_i is applied one word at a time, through the word's
+letters and the field's operators (`apply_generator_entrywise`), against
+the library's place-value tables and sparse accumulate kernel.
+
 The library solves every family of linear conditions map by map; the
 all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
 space with every twisted conjugate applied to every carrier row) is kept
@@ -36,7 +40,7 @@ from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
                               vec_axpy, vec_eq)
 from braidcalc.pareigis import induced_bracket, perm_act, zeta_space
-from braidcalc.spaces import matsumoto_lift
+from braidcalc.spaces import matsumoto_lift, word_index, word_letters
 from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
 
@@ -514,3 +518,16 @@ def pl1_all_permutations(bracket, n, zeta) -> bool:
                for sigma in itertools.permutations(range(n))):
             return False
     return True
+
+
+def apply_generator_entrywise(space, n: int, i: int, vec: dict, inverse=False) -> dict:
+    """c_i (or its inverse) on a degree-n vector: each word's letters i and
+    i + 1 go through the pair map, summed with the field's operators."""
+    table = space.inv_pairs if inverse else space.pairs
+    out = {}
+    for idx, coeff in vec.items():
+        letters = list(word_letters(idx, n, space.dim))
+        for (a2, b2), s in table.get((letters[i - 1], letters[i]), ()):
+            tgt = word_index(letters[:i - 1] + [a2, b2] + letters[i + 1:], space.dim)
+            out[tgt] = out.get(tgt, space.field.zero) + coeff * s
+    return {k: v for k, v in out.items() if not v.is_zero()}

@@ -3,6 +3,8 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.linalg import (
     Echelon,
@@ -152,6 +154,32 @@ def test_axpy_by_zero_stores_no_zero_entries():
     vec_axpy(target, F4.zero, {1: F4.gen, 2: F4.one})
     assert target == {0: F4.one}
     assert all(not v.is_zero() for v in target.values())
+
+
+def test_reduce_is_canonical_before_back_substitution():
+    ech = Echelon(4)
+    ech.add_rows([{1: s(1), 2: s(1)}, {2: s(1), 3: s(1)}])
+    # eliminating column 1 fills in pivot column 2, which must go too
+    before = ech.reduce({0: s(1), 1: s(1)})
+    ech.back_substitute()
+    assert before == ech.reduce({0: s(1), 1: s(1)}) == {0: s(1), 3: s(1)}
+
+
+dense_rows = st.lists(st.lists(st.sampled_from((0, 0, 1, -1, 2, Q(1, 3))), min_size=6, max_size=6),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_rows, dense_rows)
+def test_remainder_is_the_back_substituted_one(rows, vectors):
+    # column 0 is free and leads every vector, so each remainder is formed by
+    # clearing the later pivot columns
+    ech = Echelon(7)
+    ech.add_rows(rows_from_dense([[0] + r for r in rows]))
+    vectors = rows_from_dense([[1] + v for v in vectors])
+    before = [ech.reduce(v) for v in vectors]
+    ech.back_substitute()
+    assert before == [ech.reduce(v) for v in vectors]
 
 
 def random_dense(rng, nrows, ncols, density=0.6):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from braidcalc import enveloping_filtration, make_preset, nichols_dims, preset_bracket
 from braidcalc.errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
+from braidcalc.linalg import vec_axpy
 from braidcalc.scalars import (
     MAX_FIELD_ORDER,
     CycloField,
@@ -241,6 +242,80 @@ def test_every_integral_coefficient_is_an_int(pair, k):
         results += [b.inv(), a / b, (a / b) * b, 1 / b, a / 3, b ** k]
     for x in results:
         assert_canonical(x)
+
+
+# ---------------------------------------------------------------------------
+# the sparse accumulate kernel, on coefficient tuples in degrees 1 and 2
+# ---------------------------------------------------------------------------
+
+@st.composite
+def axpy_cases(draw):
+    f = field_make(draw(st.sampled_from(ORDERS)))
+
+    def scalar():
+        return f.scalar(draw(st.lists(coefficient, min_size=f.degree, max_size=f.degree)))
+
+    def vector():
+        vec = {draw(st.integers(0, 6)): scalar() for _ in range(draw(st.integers(0, 5)))}
+        return {k: v for k, v in vec.items() if not v.is_zero()}
+
+    target, coeff = vector(), scalar()
+    # sources that cancel part or all of the target, or that are unrelated
+    source = draw(st.sampled_from((
+        {k: -v for k, v in target.items()}, vector(),
+        {k: -v / coeff for k, v in target.items()} if not coeff.is_zero() else {})))
+    return target, coeff, source
+
+
+def representation(vec):
+    return {k: tuple((type(c), c) for c in v.coeffs) for k, v in vec.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(axpy_cases(), st.sampled_from((0, 3)))
+def test_vec_axpy_matches_the_operator_route(case, offset):
+    target, coeff, source = case
+    expected = dict(target)
+    for col, val in source.items():
+        new = expected.get(offset + col, coeff.field.zero) + coeff * val
+        if new.is_zero():
+            expected.pop(offset + col, None)
+        else:
+            expected[offset + col] = new
+    got = vec_axpy(dict(target), coeff, source, offset)
+    assert representation(got) == representation(expected)
+    for val in got.values():
+        assert_canonical(val)
+
+
+def test_vec_axpy_cancels_to_an_empty_target():
+    for m in ORDERS:
+        f = field_make(m)
+        x, y = f.gen + f.from_fraction(1, 3), f.from_rational(-2)
+        assert vec_axpy({0: x, 1: y}, -f.one, {0: x, 1: y}) == {}
+        assert vec_axpy({5: x, 6: y}, f.from_fraction(1, 2), {0: -2 * x, 1: -2 * y}, 5) == {}
+        assert vec_axpy({}, f.zero, {0: x}) == {}
+
+
+def test_vec_axpy_keys_and_fields():
+    for m in ORDERS:
+        f = field_make(m)
+        x = f.gen * f.from_fraction(2, 3)
+        # hashable non-int keys at offset 0, as in families keyed by words
+        got = vec_axpy({("u", 1): f.one}, x, {("u", 1): f.one, ("v", 0): x})
+        assert got == {("u", 1): f.one + x, ("v", 0): x * x}
+        # a source built in a separately built field of the same order
+        assert vec_axpy({}, x, {0: CycloField(m).gen}) == {0: x * f.gen}
+        other = field_make(5 if m != 5 else 3)
+        with pytest.raises(FieldMismatch):
+            vec_axpy({0: f.one}, x, {0: other.one})
+        with pytest.raises(FieldMismatch):  # a target entry from another field
+            vec_axpy({0: other.one}, x, {0: f.one})
+        # integral results are ints, from a product and from a sum
+        half = f.from_fraction(1, 2)
+        got = vec_axpy({1: half}, half, {0: f.from_rational(2), 1: f.one})
+        assert got[0].coeffs == got[1].coeffs == f.one.coeffs
+        assert all(type(c) is int for v in got.values() for c in v.coeffs)
 
 
 def test_integral_products_of_rationals_are_ints():

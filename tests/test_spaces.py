@@ -176,6 +176,18 @@ def test_braid_apply_interface():
     assert out == {word_index((0, 1, 1), 2): F1.from_rational(27)}
 
 
+def test_negative_letters_invert_every_generator():
+    # q_12 != q_21, and a rack braiding that is not an involution: in both,
+    # c^-1 differs from the transpose of c^-1
+    q = [[F4.one, F4.gen], [F4.one, -F4.one]]
+    for space in (make_braiding("diagonal", {"q": q}, F4), make_preset("d4_rack", F1)):
+        for w in range(space.power(3)):
+            vec = {w: space.field.one}
+            for i in (1, 2):
+                assert space.apply_word(3, (i, -i), vec) == vec == \
+                    space.apply_word(3, (-i, i), vec), (space.kind, w, i)
+
+
 def test_bad_braid_word():
     with pytest.raises(BadParams):
         BraidWord(3, [3])

@@ -28,6 +28,7 @@ from braidcalc.tensorbialg import (
 )
 from braidcalc.tower import is_quadratic
 from oracles import (
+    apply_generator_entrywise,
     is_quadratic_by_closure,
     nichols_dims_dn,
     perm_inverse,
@@ -543,6 +544,25 @@ def property_spaces(draw):
                          min_size=d * d, max_size=d * d))
     q = [[field.gen ** exps[i * d + j] for j in range(d)] for i in range(d)]
     return make_braiding("diagonal", {"q": q}, field)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(property_spaces(), st.data())
+def test_apply_generator_matches_the_entrywise_oracle(space, data):
+    n = data.draw(st.integers(2, 4))
+    field, size = space.field, space.power(n)
+    words = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8, unique=True))
+    marks = st.sampled_from((1, -2, Fraction(1, 3)))
+    vec = {w: field.gen ** data.draw(st.integers(0, 5)) * data.draw(marks) for w in words}
+    for i in range(1, n):
+        for inverse in (False, True):
+            got = space.apply_generator(n, i, vec, inverse)
+            expected = apply_generator_entrywise(space, n, i, vec, inverse)
+            assert {k: v.coeffs for k, v in got.items()} == \
+                {k: v.coeffs for k, v in expected.items()}, (space.kind, n, i, inverse)
+            back = space.apply_generator(n, i, got, not inverse)
+            assert {k: v.coeffs for k, v in back.items()} == \
+                {k: v.coeffs for k, v in vec.items()}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -195,6 +195,11 @@ def test_tower_monotonicity():
             assert nxt.components[n].contains_subspace(
                 prev.components[n])
             assert prev.dims[n] >= nxt.dims[n]
+    for it in iterates:
+        # one degree's dimension, read without building the list; it is the
+        # codimension of the ideal component
+        assert it.dims == [it.dim(n) for n in range(7)] == \
+            [tw.power(n) - it.components[n].dim for n in range(7)]
 
 
 def test_nichols_via_tower_cross_check():
