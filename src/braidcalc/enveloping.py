@@ -16,8 +16,10 @@ Filtration columns are ordered by degree, highest first, so the rows of the
 echelon whose pivots sit in blocks of degree <= n form a basis of the span's
 intersection with T_(n); dimensions of the standard filtration of U and of
 its associated graded fall out by counting pivots.  Those rows have no entry
-before their pivot, so the verdicts back-substitute only them: the rows of
-T_(1) for injectivity and of T_(cutoff) for the primitive check.
+before their pivot, so the injectivity verdict back-substitutes only the
+rows of T_(1), the ones it reads.  The primitive check reads only canonical
+remainders modulo the span, which `Echelon.reduce` gives on any echelon, so
+it back-substitutes nothing.
 """
 
 from __future__ import annotations
@@ -240,9 +242,7 @@ class FilteredQuotient:
         return [row for pcol, row in sorted(self.echelon.pivot_rows.items()) if pcol >= boundary]
 
     def reduce(self, mixed_vec: dict) -> dict:
-        """The canonical remainder of a vector of T_(top) modulo the span; it
-        meets only the rows pivoting from its first column on."""
-        self.echelon.back_substitute(min(mixed_vec, default=self.ncols))
+        """The canonical remainder of a vector of T_(top) modulo the span."""
         return self.echelon.reduce(mixed_vec)
 
     def vector_in_V_cap_ideal(self):
@@ -363,11 +363,7 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     space = bracket.space
     d = space.dim
     one = space.field.one
-    # quotient reduction of T_(cutoff) basis vectors modulo the span: T_(cutoff)
-    # is a suffix of the degree-descending columns, and a row pivoting in that
-    # suffix has no entries before its pivot, so these vectors meet only the
-    # span rows inside T_(cutoff), the only ones brought into RREF
-    fq.echelon.back_substitute(fq.offsets[cutoff])
+    # quotient reduction of T_(cutoff) basis vectors modulo the span
     rho_cache: dict[int, dict] = {}
 
     def rho(k, w):

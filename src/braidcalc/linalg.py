@@ -29,13 +29,37 @@ This module is the one place that does sparse arithmetic.  Its kernels:
   solved map by map on the basis the earlier maps leave, so that no map is
   applied to a vector an earlier one has ruled out;
 * `Subspace.coordinates`, a member's coordinates over the canonical basis;
-* `kernel_mod`, the same common kernel with raw ints modulo a prime p, for
-  a modular route that lifts and certifies its result exactly.
+* `kernel_mod`, the same common kernel with raw ints modulo a prime p;
+* `certified_kernel`, the RREF of the common kernel of exact sparse column
+  maps by the modular route: the primitives E_n of T(V), the quotient
+  primitives of a tower and the blocks that decide E_n != 0.
+
+`certified_kernel` takes a prime p = 1 (mod m) below 2^30 that divides no
+denominator of the columns, maps each coefficient to F_p under each of the
+phi(m) embeddings zeta -> omega_j of Q(zeta_m) (`scalars.Reduction`), and
+solves `kernel_mod` map by map in the order given, the first embedding
+through every map before the others, drawing a map only while the kernel
+is not empty: rank mod p is at most the rank over Q(zeta_m), so an empty
+kernel under one embedding proves the kernel zero.  Otherwise every
+embedding must give the same pivots; the entries are interpolated back to
+power-basis coefficients mod p, combined over the primes so far by CRT, and
+rationally reconstructed.  The lifted rows are certified exactly: M x = 0
+for every map M and row x, they lead at distinct pivots, so they are
+independent, and their number is the nullity mod p, which bounds the
+nullity from above, so they are the RREF of the kernel.  Primes are added
+while reconstruction fails or the lift changes; all but finitely many
+primes give the true pivots, so the lift settles once the modulus is large
+enough.  A lift that repeats on two primes in a row and fails the
+certificate hands the same columns to `stacked_kernel`.
 """
 
 from __future__ import annotations
 
-from .scalars import CycloScalar, coeff_axpy
+import itertools
+
+from functools import partial
+
+from .scalars import CycloScalar, Reduction, coeff_axpy, crt, rational_lift
 
 
 def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
@@ -363,3 +387,98 @@ def _combine_mod(columns, vec: dict, p: int) -> dict:
     for w, s in vec.items():
         _axpy_mod(out, s, columns[w], p)
     return out
+
+
+def certified_kernel(maps, count: int, field) -> list[dict]:
+    """RREF rows of {x : M x = 0 for every M in maps}, x over count unknowns,
+    each map a list of count exact sparse columns, drawn lazily and in order;
+    by the modular route, or by `stacked_kernel` when that gives up."""
+    drawn, source = [], iter(maps)
+
+    def columns():
+        yield from drawn
+        for cols in source:
+            drawn.append(cols)
+            yield cols
+
+    pivots = entries = modulus = previous = None
+    for index in itertools.count():
+        red = Reduction(field, index)
+        p = red.p
+        kernels = _kernels_mod(red, columns, field.degree)
+        if kernels is None:
+            continue  # p divides a denominator
+        if not kernels:
+            return []  # rank mod p <= rank over Q(zeta_m): the kernel is 0
+        shape = [min(v) for v in kernels[0]]
+        if any([min(v) for v in k] != shape for k in kernels[1:]):
+            continue
+        residues = {(i, c): red.coefficients([v.get(c, 0) for v in rows])
+                    for i, rows in enumerate(zip(*kernels))
+                    for c in set().union(*rows)}
+        if shape != pivots:
+            # the first pivots, or new ones, start afresh: a prime with the
+            # wrong pivots costs primes only, as the certificate decides
+            pivots, entries, modulus = shape, residues, p
+        else:
+            zero = (0,) * field.degree
+            entries = {key: tuple(crt(r, modulus, s, p) for r, s in
+                                  zip(entries.get(key, zero), residues.get(key, zero)))
+                       for key in entries.keys() | residues.keys()}
+            modulus *= p
+        rows = _lift_rows(field, entries, modulus, len(pivots))
+        if rows is None:
+            continue  # the modulus is still too small to reconstruct
+        if _annihilated(drawn, rows):
+            return rows  # certified: the RREF of the kernel
+        if rows == previous:
+            break  # a wrong lift that more primes do not change
+        previous = rows
+    return Subspace.from_rows(count, stacked_kernel(
+        count, (partial(matvec, cols) for cols in drawn), field.one)).rows
+
+
+def _kernels_mod(red: Reduction, maps, degree: int):
+    """The kernel mod red's prime under each of its embeddings in turn, map by
+    map over maps(), so an empty kernel under the first ends the work: []
+    then, and None when the prime divides a denominator of an entry."""
+    kernels = []
+    for j in range(degree):
+        kernel = None
+        for cols in maps():
+            reduced = []
+            for col in cols:
+                img = {}
+                for r, s in col.items():
+                    res = red(s)
+                    if res is None:
+                        return None
+                    if res[j]:
+                        img[r] = res[j]
+                reduced.append(img)
+            kernel = kernel_mod([reduced], red.p, kernel)
+            if not kernel:
+                return []
+        kernels.append(kernel)
+    return kernels
+
+
+def _annihilated(maps, rows) -> bool:
+    """Whether M x = 0 exactly for every M in maps and x in rows."""
+    return not any(matvec(cols, x) for cols in maps for x in rows)
+
+
+def _lift_rows(field, entries, modulus: int, count: int):
+    """Rows of scalars rebuilt from {(row, column): coefficient residues mod
+    modulus}, or None when a coefficient has no rational reconstruction."""
+    rows = [{} for _ in range(count)]
+    lifted: dict = {}
+    for (i, c), res in entries.items():
+        s = lifted.get(res)
+        if s is None:
+            coeffs = [rational_lift(r, modulus) for r in res]
+            if any(q is None for q in coeffs):
+                return None
+            s = lifted[res] = field.scalar(coeffs)
+        rows[i][c] = s
+    return rows

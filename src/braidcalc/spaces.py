@@ -100,13 +100,12 @@ class BraidedSpace:
     """Dimension, validated braiding, and lazily computed metadata."""
 
     def __init__(self, field: CycloField, dim: int, pairs, kind: str,
-                 qmatrix=None, degree_budget: int = DEFAULT_DEGREE_BUDGET):
+                 degree_budget: int = DEFAULT_DEGREE_BUDGET):
         if dim < 1:
             raise BadParams("dimension must be positive")
         self.field = field
         self.dim = dim
         self.kind = kind
-        self.qmatrix = qmatrix  # d x d scalar matrix for diagonal braidings
         self.degree_budget = degree_budget
         # pairs: dict (a, b) -> tuple(((a2, b2), scalar), ...)
         self.pairs = {
@@ -311,15 +310,14 @@ def _unit(field, value):
 
 
 def _diagonal(field, rows):
-    """The pair map of c(e_i (x) e_j) = q_ij e_j (x) e_i, and its q matrix."""
-    qmat = [[_unit(field, v) for v in row] for row in rows]
-    return {(i, j): (((j, i), qij),) for i, row in enumerate(qmat)
-            for j, qij in enumerate(row)}, qmat
+    """The pair map of c(e_i (x) e_j) = q_ij e_j (x) e_i."""
+    return {(i, j): (((j, i), _unit(field, qij)),) for i, row in enumerate(rows)
+            for j, qij in enumerate(row)}
 
 
 def _scalar_pairs(field, p):
     q, d = _unit(field, p["q"]), p["d"]
-    return {(i, j): (((i, j), q),) for i in range(d) for j in range(d)}, None
+    return {(i, j): (((i, j), q),) for i in range(d) for j in range(d)}
 
 
 def _explicit_pairs(field, p):
@@ -330,7 +328,7 @@ def _explicit_pairs(field, p):
     # columns are input pairs; BraidedSpace drops the zero entries
     return {divmod(col, d): tuple((divmod(row, d), _as_scalar(field, line[col]))
                                   for row, line in enumerate(matrix))
-            for col in range(d * d)}, None
+            for col in range(d * d)}
 
 
 def _gurevich_pairs(field, p):
@@ -347,7 +345,7 @@ def _gurevich_pairs(field, p):
         pairs[(i, i)] = (((i, i), q),)
     pairs[(2, 1)] = (((1, 2), m), ((2, 1), q - one))
     pairs[(1, 2)] = (((2, 1), q * m.inv()),)
-    return pairs, None
+    return pairs
 
 
 def _cartan_pairs(field, p):
@@ -367,7 +365,7 @@ def _hecke_pairs(field, p):
         for j in range(i + 1, d):
             pairs[(i, j)] = (((j, i), q),)
             pairs[(j, i)] = (((i, j), one), ((j, i), q - one))
-    return pairs, None
+    return pairs
 
 
 # -- the kinds table -----------------------------------------------------------
@@ -403,7 +401,7 @@ class Kind(NamedTuple):
     label: str  # space.kind of what it builds
     params: dict  # name -> Param
     dim: Callable  # dim(params) -> generator count, read without building
-    pairs: Callable  # pairs(field, params) -> (pair map, q matrix or None)
+    pairs: Callable  # pairs(field, params) -> pair map
 
     def complete(self, params: dict) -> dict:
         """params with every omitted parameter at its default."""
@@ -424,7 +422,7 @@ KINDS = {
                      lambda p: math.isqrt(len(p["matrix"])), _explicit_pairs),
     "preset:d4_rack": Kind("preset:d4_rack", {}, lambda p: 4, lambda field, p: (
         {(i, j): ((((2 * i - j) % 4, i), -field.one),)
-         for i in range(4) for j in range(4)}, None)),
+         for i in range(4) for j in range(4)})),
     "preset:gurevich": Kind(
         "preset:gurevich", {"q": Param(_scalar, 4),
                             "alpha_over_beta": Param(_scalar, 2)},
@@ -476,9 +474,8 @@ def make_braiding(kind: str, params: dict, field: CycloField,
         raise BadParams(problem)
     entry = KINDS[kind]
     params = entry.complete(params)
-    pairs, qmatrix = entry.pairs(field, params)
-    return BraidedSpace(field, entry.dim(params), pairs, entry.label,
-                        qmatrix=qmatrix, degree_budget=degree_budget)
+    return BraidedSpace(field, entry.dim(params), entry.pairs(field, params),
+                        entry.label, degree_budget=degree_budget)
 
 
 def make_preset(name: str, field: CycloField,

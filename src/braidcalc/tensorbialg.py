@@ -23,49 +23,24 @@ as its coordinates in N_(n+1): the tables R of the next degree.  Gamma_n
 and the direct sum over S_n are built only by the test oracles.
 
 Primitive spaces are the intersections of the kernels of all inner coproduct
-components; `coproduct_kernel` computes that kernel, optionally modulo a
-quotient or inside a given span, for the primitives and the quotient
-primitives of a tower alike.  It solves the components one at a time,
-cheapest first (component a costs dims[a] * dims[n-a] constraint rows), each
-on the kernel basis the ones before it leave, and stops at an empty kernel.
+components.  `primitive_space` solves them modulo primes with
+`linalg.certified_kernel`, one at a time and cheapest first (component a
+costs dims[a] * dims[n-a] constraint rows), each on the kernel the ones
+before it leave, stopping at an empty kernel, and certifies the lift
+exactly; the tower's quotient primitives go through the same call.
 `has_primitives` decides E_n != 0 on blocks of words read off the pair table
 alone: rewriting one adjacent pair (i, j) into a pair in the support of
 c(x_i (x) x_j) stays in the block.  Each component is a sum of braid lifts,
 so it maps a block's words into the block, and E_n is the direct sum of the
 block kernels.  The blocks are solved smallest first up to the first
-nonzero kernel, and only their words get columns, from the degree n-1 lists.
-
-`primitive_space` of T(V) solves modulo primes first.  For a prime
-p = 1 (mod m) that divides no denominator of the coproduct columns, each of
-the phi(m) embeddings zeta -> omega_j of Q(zeta_m) into F_p gives a kernel
-mod p, in `coproduct_kernel`'s component order and one component at a
-time, as an RREF basis.  Rank
-mod p is at most the rank over Q(zeta_m), so an empty kernel mod p proves
-E_n = 0.  Otherwise every embedding must give the same pivots; the entries
-are interpolated back to power-basis coefficients mod p, combined over the
-primes so far by CRT, and rationally reconstructed.  The lifted rows are
-certified exactly: each satisfies Delta^(a, n-a) x = 0 for all 0 < a < n,
-they lead at distinct pivots, so they are independent, and their number is
-the nullity mod p, which bounds dim E_n from above.  They are therefore
-the RREF of E_n, the very Subspace the exact route gives.  Primes are
-added while reconstruction fails or the lift changes; all but finitely many
-primes give the true pivots, so the lift settles on the RREF of E_n once the
-modulus is large enough.  A lift that repeats on two primes in a row and
-fails the certificate sends the degree to the exact route.  A block of
-`has_primitives` is solved exactly only when its kernel modulo the first
-prime under one embedding is not empty, or p is in a denominator: by the same
-rank bound an empty one proves the block zero.  Quotient primitives are exact.
+nonzero kernel, each by one `certified_kernel` call, and only their words
+get columns, from the degree n-1 lists.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from functools import cache, partial
-
 from .errors import BadParams, InternalCheckError
-from .linalg import Echelon, Subspace, kernel_mod, matvec, stacked_kernel, vec_axpy
-from .scalars import Reduction, crt, rational_lift
+from .linalg import Echelon, Subspace, certified_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 
 
@@ -104,172 +79,49 @@ def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict
     return cols
 
 
-def coproduct_kernel(space: BraidedSpace, n: int, parts, dims,
-                     reduce=None, basis=None) -> list[dict]:
-    """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
-    a in parts}, where basis defaults to the unit basis of V^(x)n; the
-    components are solved one at a time in `_cheapest_first` order."""
-    def component(a, cols, x):
-        img = matvec(cols, x)
-        return img if reduce is None else reduce(img, a, n - a)
-
-    return stacked_kernel(space.power(n) if basis is None else basis,
-                          (partial(component, a, delta_columns(space, a, n - a))
-                           for a in _cheapest_first(parts, dims, n)), space.field.one)
-
-
-def _cheapest_first(parts, dims, n: int) -> list:
+def cheapest_first(parts, dims, n: int) -> list:
     """The parts by the dims[a] * dims[n-a] constraint rows of component a,
     dims[k] the dimension of the degree-k target, fewest first."""
     return sorted(parts, key=lambda a: dims[a] * dims[n - a])
 
 
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
-    """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1,
-    by the modular route, or the exact one when that gives up."""
+    """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1."""
     space.check_budget(n)
     size = space.power(n)
     if n <= 1:
         return Subspace.zero(size)
     key = ("primitives", n)
     cached = space._memo.get(key)
-    if cached is not None:
-        return cached
-    dims = [space.power(k) for k in range(n + 1)]
-    result = _modular_primitives(space, n, dims)
-    if result is None:
-        result = Subspace.from_rows(size, coproduct_kernel(space, n, range(1, n), dims))
-    space._memo[key] = result
-    return result
-
-
-def _modular_primitives(space: BraidedSpace, n: int, dims):
-    """E_n solved mod p under every embedding of Q(zeta_m) into F_p, lifted by
-    interpolation, CRT and rational reconstruction, and certified exactly;
-    None when two primes in a row lift to the same rows and the certificate
-    rejects them."""
-    field, size = space.field, space.power(n)
-    cols = {a: delta_columns(space, a, n - a)
-            for a in _cheapest_first(range(1, n), dims, n)}
-    pivots = entries = modulus = previous = None
-    for index in itertools.count():
-        red = Reduction(field, index)
-        p = red.p
-        kernels = _kernels_mod(red, cols.values(), field.degree)
-        if kernels is None:
-            continue  # p divides a denominator
-        if not kernels:
-            # rank mod p <= rank over Q(zeta_m): E_n = 0 exactly
-            return Subspace.zero(size)
-        shape = [min(v) for v in kernels[0]]
-        if any([min(v) for v in k] != shape for k in kernels[1:]):
-            continue
-        residues = {(i, c): red.coefficients([v.get(c, 0) for v in rows])
-                    for i, rows in enumerate(zip(*kernels))
-                    for c in set().union(*rows)}
-        if shape != pivots:
-            # the first pivots, or new ones, start afresh: a prime with the
-            # wrong pivots costs primes only, as the certificate decides
-            pivots, entries, modulus = shape, residues, p
-        else:
-            zero = (0,) * field.degree
-            entries = {key: tuple(crt(r, modulus, s, p) for r, s in
-                                  zip(entries.get(key, zero), residues.get(key, zero)))
-                       for key in entries.keys() | residues.keys()}
-            modulus *= p
-        rows = _lift_rows(field, entries, modulus, len(pivots))
-        if rows is None:
-            continue  # the modulus is still too small to reconstruct
-        if _annihilated(cols.values(), rows):
-            # each lifted row lies in E_n, they lead at distinct pivots, and
-            # their number bounds dim E_n from above: they are its RREF
-            return Subspace.from_rows(size, rows)
-        if rows == previous:
-            return None  # a wrong lift that more primes do not change
-        previous = rows
-
-
-def _kernels_mod(red: Reduction, comps, degree: int):
-    """The kernel mod red's prime under each of its first degree embeddings,
-    one component of comps at a time, holding only its reduced columns; []
-    when a kernel is empty, None when the prime divides a denominator."""
-    kernels = [None] * degree
-    for comp in comps:
-        reduced = _reduced_columns(red, comp, degree)
-        if reduced is None:
-            return None
-        for j in range(degree):
-            kernels[j] = kernel_mod([reduced[j]], red.p, kernels[j])
-            if not kernels[j]:
-                return []
-    return kernels
-
-
-def _reduced_columns(red: Reduction, cols, degree: int):
-    """The columns under each embedding of red, or None when red's prime
-    divides a denominator of an entry."""
-    out = [[] for _ in range(degree)]
-    for col in cols:
-        images = [{} for _ in range(degree)]
-        for r, s in col.items():
-            res = red(s)
-            if res is None:
-                return None
-            for img, v in zip(images, res):
-                if v:
-                    img[r] = v
-        for lst, img in zip(out, images):
-            lst.append(img)
-    return out
-
-
-def _annihilated(maps, rows) -> bool:
-    """Whether M x = 0 exactly for every M in maps and x in rows."""
-    return not any(matvec(cols, x) for cols in maps for x in rows)
-
-
-def _lift_rows(field, entries, modulus: int, count: int):
-    """Rows of scalars rebuilt from {(row, column): coefficient residues mod
-    modulus}, or None when a coefficient has no rational reconstruction."""
-    rows = [{} for _ in range(count)]
-    lifted: dict = {}
-    for (i, c), res in entries.items():
-        s = lifted.get(res)
-        if s is None:
-            coeffs = [rational_lift(r, modulus) for r in res]
-            if any(q is None for q in coeffs):
-                return None
-            s = lifted[res] = field.scalar(coeffs)
-        rows[i][c] = s
-    return rows
+    if cached is None:
+        dims = [space.power(k) for k in range(n + 1)]
+        rows = certified_kernel((delta_columns(space, a, n - a) for a in
+                                 cheapest_first(range(1, n), dims, n)), size, space.field)
+        cached = space._memo[key] = Subspace(size, rows, tuple(map(min, rows)))
+    return cached
 
 
 def has_primitives(space: BraidedSpace, n: int) -> bool:
     """Whether E_n is nonzero, without a basis of E_n unless one is memoized:
     the blocks of `_pair_blocks`, smallest first, up to the first nonzero
-    kernel, each with the columns of its own words only, and solved exactly
-    only when its kernel modulo a prime is not empty.  Delta^(1,n-1) braids
-    e_w itself; the other block matrices come with the degree n-1 lists."""
+    kernel, each with the columns of its own words only.  Delta^(1,n-1)
+    braids e_w itself; the other block matrices come with the degree n-1
+    lists."""
     space.check_budget(n)
     if n <= 1:
         return False
     if ("primitives", n) in space._memo:
         return space._memo["primitives", n].dim > 0
     one = space.field.one
-    order = _cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
-    red = Reduction(space.field, 0)
+    order = cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
 
     def component(words, a):
         block = ({w: space.braiding_block_apply(n - 1, 1, {w: one}) for w in words}
                  if a == 1 else space.braiding_block_matrix(n - a, 1))
         return _delta_block(space, a, n - a, words, block)
 
-    for words in _pair_blocks(space, n):
-        columns = cache(partial(component, words))
-        if _kernels_mod(red, map(columns, order), 1) != [] and stacked_kernel(
-                len(words), (partial(matvec, columns(a)) for a in order), one):
-            return True
-    return False
+    return any(certified_kernel((component(words, a) for a in order), len(words), space.field)
+               for words in _pair_blocks(space, n))
 
 
 def _pair_blocks(space: BraidedSpace, n: int) -> list[list[int]]:

@@ -18,16 +18,19 @@ kept.
 
 The symmetric-algebra step adjoins the quotient's primitives of degree >= 2:
 the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, which
-is well defined because J is a braided coideal.  Only the primitives of
-T(V) itself, the first step, are computed in d^n coordinates.  The new
-ideal J' = J + (P) is checked on the new generators g alone:
-(pi'_a (x) pi'_b) Delta(g) = 0, and (pi'_t (x) Id) c(x (x) g) = 0 and its
-mirror for each letter x.  J was checked when it was built, and Delta and c
-are multiplicative, so this proves what a check of all of J' would: J' is a
-braided coideal.  Iterating the step yields the sequence of towers whose
-stabilisation count is the strongness degree (combinatorial rank).  Every
-degree-n component of the limit is exact after n-1 steps, so the limit
-itself is never materialised.
+is well defined because J is a braided coideal.  `linalg.certified_kernel`
+solves it on the projected columns of the normal words, cheapest component
+first.  Only the primitives of T(V) itself, the first step, are computed in
+d^n coordinates.  The new ideal J' = J + (P) is checked on the new
+generators g alone: (pi'_a (x) pi'_b) Delta(g) = 0, and
+(pi'_t (x) Id) c(x (x) g) = 0 and its mirror for each letter x.  J was
+checked when it was built, and Delta and c are multiplicative, so this
+proves what a check of all of J' would: J' is a braided coideal.  The
+theory guarantees it, so a failure in the step is an InternalCheckError.
+Iterating the step yields the sequence of towers whose stabilisation count
+is the strongness degree (combinatorial rank).  Every degree-n component of
+the limit is exact after n-1 steps, so the limit itself is never
+materialised.
 
 Certification of a strongness-degree verdict at a degree cutoff D uses three
 sound routes: a scalar braiding with regular mark is already strongly graded;
@@ -39,12 +42,10 @@ exhaustive.  Otherwise the verdict is a lower bound at the cutoff.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
-from .linalg import Echelon, Subspace, kernel_basis, matvec, vec_axpy
+from .linalg import Echelon, Subspace, certified_kernel, kernel_basis, matvec, vec_axpy
 from .spaces import BraidedSpace
-from .tensorbialg import coproduct_kernel, delta_columns, nichols_dims, primitive_space
+from .tensorbialg import cheapest_first, delta_columns, nichols_dims, primitive_space
 
 
 class IdealTower:
@@ -198,21 +199,17 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
         levels.append(([prev[c // d] * d + c % d for c in index], coords))
 
 
-def _verify_coideal(tower: IdealTower, new, internal: bool) -> None:
+def _verify_coideal(tower: IdealTower, new) -> None:
     """(pi_a (x) pi_b) Delta^(a, n-a)(g) = 0 for every new generator g."""
     for n, rows in new.items():
         for a in range(1, n):
             cols = delta_columns(tower.space, a, n - a)
             for row in rows:
                 if _project(tower, matvec(cols, row), a, n - a):
-                    if internal:
-                        raise InternalCheckError(
-                            "ideal generated by primitives is not a coideal "
-                            "(degree %d, bidegree (%d, %d))" % (n, a, n - a))
                     raise NotACoideal(n, row)
 
 
-def _verify_braiding_stability(tower: IdealTower, new, internal: bool) -> None:
+def _verify_braiding_stability(tower: IdealTower, new) -> None:
     """(pi_t (x) Id) c(x (x) g) = 0 and (Id (x) pi_t) c(g (x) x) = 0 for every
     letter x and new generator g of degree t."""
     space = tower.space
@@ -226,26 +223,15 @@ def _verify_braiding_stability(tower: IdealTower, new, internal: bool) -> None:
                 right = space.braiding_block_apply(
                     t, 1, {w * d + x: s for w, s in row.items()})
                 if _project(tower, left, t, 1) or _project(tower, right, 1, t):
-                    if internal:
-                        raise InternalCheckError(
-                            "braiding does not stabilise the ideal (degree %d)" % t)
                     raise NotACoideal(t, row)
 
 
 def ideal_closure(space: BraidedSpace, generators, cutoff: int,
-                  verify: str = "light", internal: bool = False,
                   base: IdealTower | None = None) -> IdealTower:
     """The quotient of T(V,c) by the ideal the generators generate, together
     with the ideal of base (a tower checked when it was built), if given.
-
-    verify="light" checks that the new generators the closure keeps make the
-    ideal a braided coideal; verify="off" skips the check.  Failures raise
-    NotACoideal for user input and InternalCheckError when the generators
-    came from a primitive-space computation, where the theory guarantees
-    success.
-    """
-    if verify not in ("light", "off"):
-        raise BadParams("verify must be 'light' or 'off'")
+    The new generators the closure keeps are checked to make the ideal a
+    braided coideal; NotACoideal names the first that fails."""
     space.check_budget(cutoff)
     new: dict[int, list] = {}
     for n, gen in (generators or {}).items():
@@ -260,11 +246,10 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
     candidates = {n: known.get(n, []) + new.get(n, []) for n in range(2, cutoff + 1)}
     tower = IdealTower(space, cutoff)
     _close_components(tower, candidates, cutoff)
-    if verify == "light":
-        kept = {id(g) for rows in tower.generators.values() for g in rows}
-        check = {n: [g for g in rows if id(g) in kept] for n, rows in new.items()}
-        _verify_coideal(tower, check, internal)
-        _verify_braiding_stability(tower, check, internal)
+    kept = {id(g) for rows in tower.generators.values() for g in rows}
+    check = {n: [g for g in rows if id(g) in kept] for n, rows in new.items()}
+    _verify_coideal(tower, check)
+    _verify_braiding_stability(tower, check)
     return tower
 
 
@@ -275,13 +260,16 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
 def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
     """Degree-n primitives of the quotient, each lifted to its combination
     of the normal words N_n."""
+    space = tower.space
     if tower.levels[n] is None:
         # T(V) up to degree n: the plain primitives
-        return primitive_space(tower.space, n).rows
-    one = tower.space.field.one
-    return coproduct_kernel(tower.space, n, range(1, n), tower.dims,
-                            partial(_project, tower),
-                            [{w: one} for w in tower.levels[n][0]])
+        return primitive_space(space, n).rows
+    words = tower.levels[n][0]
+    rows = certified_kernel(([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
+                              for w in words]
+                             for a in cheapest_first(range(1, n), tower.dims, n)),
+                            len(words), space.field)
+    return [{words[i]: s for i, s in row.items()} for row in rows]
 
 
 def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTower:
@@ -301,8 +289,12 @@ def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTow
             new_gens[n] = prims
     if not new_gens:
         return tower
-    closed = ideal_closure(tower.space, new_gens, tower.cutoff, internal=True,
-                           base=tower)
+    try:
+        closed = ideal_closure(tower.space, new_gens, tower.cutoff, base=tower)
+    except NotACoideal as err:
+        # the theory guarantees success: a failure here is a bug
+        raise InternalCheckError("the ideal generated by primitives is not a "
+                                 "coideal (degree %d)" % err.degree) from err
     closed.added = {n: len(rows) for n, rows in new_gens.items()}
     return closed
 

@@ -24,6 +24,11 @@ The braid generator c_i is applied one word at a time, through the word's
 letters and the field's operators (`apply_generator_entrywise`), against
 the library's place-value tables and sparse accumulate kernel.
 
+`coproduct_kernel` is the exact route to primitives and quotient
+primitives: `stacked_kernel` on the coproduct components, cheapest first,
+each reduced by a caller's map, the route the library's modular
+`certified_kernel` falls back to.
+
 The library solves every family of linear conditions map by map; the
 all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
 space with every twisted conjugate applied to every carrier row) is kept
@@ -38,11 +43,24 @@ from functools import partial
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
-                              vec_axpy, vec_eq)
+                              stacked_kernel, vec_axpy, vec_eq)
 from braidcalc.pareigis import induced_bracket, perm_act, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
-from braidcalc.tensorbialg import coproduct_kernel, delta_columns, primitive_space
+from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
+
+
+def coproduct_kernel(space, n: int, parts, dims, reduce=None, basis=None):
+    """Basis of {x in span(basis) : reduce(Delta^(a, n-a) x, a, n-a) = 0,
+    a in parts}, basis the unit vectors of V^(x)n by default, solved exactly
+    one component at a time, cheapest first."""
+    def component(a, cols, x):
+        img = matvec(cols, x)
+        return img if reduce is None else reduce(img, a, n - a)
+
+    return stacked_kernel(space.power(n) if basis is None else basis,
+                          (partial(component, a, delta_columns(space, a, n - a))
+                           for a in cheapest_first(parts, dims, n)), space.field.one)
 
 
 def perm_length(sigma) -> int:

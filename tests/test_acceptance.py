@@ -124,7 +124,7 @@ def test_criterion_3_dihedral_rack():
         e2 = primitive_space(d4, 2)
         assert e2.dim == 8
         assert Subspace.from_rows(16, _d4_listed_degree_two_generators(d4)) == e2
-        quad = ideal_closure(d4, {2: e2}, 4, verify="off")
+        quad = ideal_closure(d4, {2: e2}, 4)
         assert quad.components[3].contains_subspace(primitive_space(d4, 3))
 
         def w(*ls):

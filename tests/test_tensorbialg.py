@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc import tensorbialg
+from braidcalc import linalg, tensorbialg
 from braidcalc.errors import DegreeBudgetExceeded, InternalCheckError
 from braidcalc.fixtures import CATALOG
 from braidcalc.linalg import Subspace, kernel_basis
@@ -393,19 +393,12 @@ def test_has_primitives_builds_columns_only_for_the_blocks_it_solves(monkeypatch
 def test_has_primitives_proves_zero_blocks_modulo_a_prime(monkeypatch):
     # hecke_gl d = 3, q = 2 has E_5 = 0, and every block kernel is already
     # empty modulo the first prime: no block is solved exactly
-    exact = []
-    solve = tensorbialg.stacked_kernel
-
-    def spy(*args):
-        exact.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(tensorbialg, "stacked_kernel", spy)
+    seen = route_spy(monkeypatch)
     hecke = make_preset("hecke_gl", F1, d=3, q=2, degree_budget=5)
     assert not has_primitives(hecke, 5)
-    assert exact == []
-    # a nonzero block kernel mod p is solved exactly
-    assert has_primitives(make_preset("gurevich", F1), 3) and exact
+    assert seen and set(seen) == {Reduction(F1, 0).p}
+    # a nonzero block is proved by its certified rows, with no exact solve
+    assert has_primitives(make_preset("gurevich", F1), 3) and "exact" not in seen
 
 
 def test_nichols_dims_fill_zeros_above_the_top_degree():
@@ -574,7 +567,8 @@ def test_has_primitives_decides_the_primitive_space(space):
         # the second call reads the memoized E_n
         assert fresh == nonzero == has_primitives(space, n), (space.kind, n)
     if space.kind == "diagonal":
-        q, d, one = space.qmatrix, space.dim, space.field.one
+        d, one = space.dim, space.field.one
+        q = [[space.pairs[i, j][0][1] for j in range(d)] for i in range(d)]
         expected = sum(q[i][i] == -one for i in range(d)) + \
             sum(q[i][j] * q[j][i] == one
                 for i in range(d) for j in range(i + 1, d))
@@ -638,9 +632,9 @@ def rational_space(mark, q22=-1):
 
 def route_spy(monkeypatch):
     """The prime of every modular kernel solved, and "exact" for each call
-    of the exact route, in order."""
+    of the exact route, `stacked_kernel`, in order."""
     seen = []
-    kernel_mod, coproduct_kernel = tensorbialg.kernel_mod, tensorbialg.coproduct_kernel
+    kernel_mod, stacked_kernel = linalg.kernel_mod, linalg.stacked_kernel
 
     def modular(maps, p, basis=None):
         seen.append(p)
@@ -648,11 +642,19 @@ def route_spy(monkeypatch):
 
     def exact(*args, **kwargs):
         seen.append("exact")
-        return coproduct_kernel(*args, **kwargs)
+        return stacked_kernel(*args, **kwargs)
 
-    monkeypatch.setattr(tensorbialg, "kernel_mod", modular)
-    monkeypatch.setattr(tensorbialg, "coproduct_kernel", exact)
+    monkeypatch.setattr(linalg, "kernel_mod", modular)
+    monkeypatch.setattr(linalg, "stacked_kernel", exact)
     return seen
+
+
+def corrupt_lift(lift):
+    """rational_lift with every value other than 0 and 1 tripled."""
+    def corrupt(u, modulus):
+        value = lift(u, modulus)
+        return value if value in (None, 0, 1) else 3 * value
+    return corrupt
 
 
 def test_modular_route_lifts_past_one_prime_by_crt(monkeypatch):
@@ -670,7 +672,7 @@ def test_modular_route_lifts_past_one_prime_by_crt(monkeypatch):
 def test_modular_route_skips_a_prime_that_divides_a_denominator(monkeypatch):
     first, second = Reduction(F1, 0).p, Reduction(F1, 1).p
     space = rational_space(Fraction(1, first))
-    assert Reduction(F1, 0)(space.qmatrix[0][1]) is None
+    assert Reduction(F1, 0)(space.pairs[0, 1][0][1]) is None
     seen = route_spy(monkeypatch)
     for n in (2, 3):
         assert primitive_space(space, n) == common_kernel(space, n)
@@ -688,13 +690,7 @@ def test_modular_route_adds_primes_until_the_lift_is_certified(monkeypatch):
 def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
     expected = [primitive_space(make_preset("d4_rack", F1), n) for n in (3, 4)]
     space = make_preset("d4_rack", F1)
-    lift = tensorbialg.rational_lift
-
-    def corrupt(u, modulus):
-        value = lift(u, modulus)
-        return value if value in (None, 0, 1) else 3 * value
-
-    monkeypatch.setattr(tensorbialg, "rational_lift", corrupt)
+    monkeypatch.setattr(linalg, "rational_lift", corrupt_lift(linalg.rational_lift))
     seen = route_spy(monkeypatch)
     for n, e_n in zip((3, 4), expected):
         seen.clear()
@@ -708,14 +704,14 @@ def test_certificate_rejects_a_corrupted_lift(monkeypatch):
     space, n = make_preset("gurevich", F1), 3
     maps = [delta_columns(space, a, n - a) for a in range(1, n)]
     rows = [dict(row) for row in common_kernel(space, n).rows]
-    assert tensorbialg._annihilated(maps, rows)
+    assert linalg._annihilated(maps, rows)
     col, val = next((c, v) for c, v in rows[0].items() if not v.is_one())
     rows[0][col] = val + val
-    assert not tensorbialg._annihilated(maps, rows)
+    assert not linalg._annihilated(maps, rows)
 
     # end to end: the first non-unit coefficient lifted is tripled once; the
     # certificate rejects that lift and the next prime's lift passes it
-    lift, corrupted = tensorbialg.rational_lift, []
+    lift, corrupted = linalg.rational_lift, []
 
     def corrupt_once(u, modulus):
         value = lift(u, modulus)
@@ -724,9 +720,9 @@ def test_certificate_rejects_a_corrupted_lift(monkeypatch):
             return 3 * value
         return value
 
-    verdicts, annihilated = [], tensorbialg._annihilated
-    monkeypatch.setattr(tensorbialg, "rational_lift", corrupt_once)
-    monkeypatch.setattr(tensorbialg, "_annihilated",
+    verdicts, annihilated = [], linalg._annihilated
+    monkeypatch.setattr(linalg, "rational_lift", corrupt_once)
+    monkeypatch.setattr(linalg, "_annihilated",
                         lambda *args: verdicts.append(annihilated(*args)) or verdicts[-1])
     seen = route_spy(monkeypatch)
     assert primitive_space(make_preset("gurevich", F1), n) == common_kernel(space, n)

@@ -1,5 +1,7 @@
 import random
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +16,7 @@ from braidcalc.tensorbialg import (
 )
 from braidcalc.tower import (
     IdealTower,
+    _close_components,
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
@@ -23,6 +26,7 @@ from braidcalc.tower import (
 )
 from oracles import (
     all_at_once_kernel,
+    coproduct_kernel,
     delta_injectivity_ladder,
     ideal_closure_dn,
     quotient_primitives,
@@ -30,7 +34,7 @@ from oracles import (
     symmetrizer_rank,
     tower_iterates_dn,
 )
-from test_tensorbialg import nichols_spaces
+from test_tensorbialg import corrupt_lift, nichols_spaces, property_spaces, route_spy
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -130,7 +134,7 @@ def test_primitive_degrees_live_inside_lower_ideal_for_d4():
     # degree-3 and degree-4 primitives add no generators beyond degree 2
     d4 = make_preset("d4_rack", F1)
     e2 = primitive_space(d4, 2)
-    tower = ideal_closure(d4, {2: e2}, 4, verify="off")
+    tower = ideal_closure(d4, {2: e2}, 4)
     assert tower.components[3].contains_subspace(primitive_space(d4, 3))
     assert tower.components[4].contains_subspace(primitive_space(d4, 4))
     # while the quartic relation classes stay outside
@@ -348,10 +352,7 @@ def test_tower_memo_resumes_after_truncated_run(monkeypatch):
 
 
 def test_stacked_and_one_at_a_time_kernels_agree():
-    from functools import partial
-
     from braidcalc.linalg import matvec
-    from braidcalc.tensorbialg import coproduct_kernel
 
     for space in (make_preset("d4_rack", F1),
                   make_preset("cartan_An", F3, n=2, t=3)):
@@ -383,10 +384,10 @@ def test_closure_rejects_generators_that_are_not_braiding_stable():
         ideal_closure(d4, {2: [row]}, 3)
     with pytest.raises(NotACoideal):
         ideal_closure_dn(d4, {2: [row]}, 3)
-    assert ideal_closure(d4, {2: [row]}, 3, verify="off").dims == \
-        ideal_closure_dn(d4, {2: [row]}, 3, verify="off").dims
-    with pytest.raises(BadParams):
-        ideal_closure(d4, {2: [row]}, 3, verify="full")
+    # unchecked, the two closures of the row agree
+    closed = IdealTower(d4, 3)
+    _close_components(closed, {2: [row]}, 3)
+    assert closed.dims == ideal_closure_dn(d4, {2: [row]}, 3, verify="off").dims
 
 
 def _mutation_cases():
@@ -471,3 +472,44 @@ def test_quotient_towers_agree_with_the_word_route(space):
             assert nxt.dims[n] <= prev.dims[n]
     if sdeg(space, cutoff).status == "certified":
         assert nichols_via_tower(space, cutoff) == nichols_dims(space, cutoff)
+
+
+def assert_quotient_primitives_are_exact(space, cutoff):
+    # every iterate's certified quotient primitives, read back in d^n with
+    # J_n added, against the exact kernel of the components reduced modulo
+    # J (x) T + T (x) J factor by factor
+    for k, it in enumerate(tower_iterates(space, cutoff)):
+        reduce = partial(reduce_bidegree, it)
+        for n in range(2, cutoff + 1):
+            exact = coproduct_kernel(space, n, range(1, n), it.dims, reduce)
+            assert quotient_primitives(it, n) == \
+                Subspace.from_rows(space.power(n), exact), (space.kind, k, n)
+
+
+def test_quotient_primitives_match_the_exact_oracle():
+    for space, cutoff in _mutation_cases():
+        assert_quotient_primitives_are_exact(space, cutoff)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(property_spaces())
+def test_quotient_primitives_match_the_exact_oracle_on_drawn_spaces(space):
+    assert_quotient_primitives_are_exact(space, 4 if space.dim >= 3 else 5)
+
+
+def test_a_corrupted_quotient_lift_falls_back_to_the_same_trace(monkeypatch):
+    import braidcalc.linalg as linalg
+
+    # the rack's quotient primitives have only unit entries, which the
+    # corruption keeps; cartan_An's (1, 2 and 3 + 3z) it does not
+    expected = sdeg(make_preset("cartan_An", F3, n=2, t=3), 6)
+    space = make_preset("cartan_An", F3, n=2, t=3)
+    # step 1 memoized first, so only the quotient primitives are corrupted
+    for n in range(2, 7):
+        primitive_space(space, n)
+    seen = route_spy(monkeypatch)
+    monkeypatch.setattr(linalg, "rational_lift", corrupt_lift(linalg.rational_lift))
+    verdict = sdeg(space, 6)
+    assert seen.count("exact") == 1
+    assert (verdict.value, verdict.status, verdict.tower_trace) == \
+        (expected.value, expected.status, expected.tower_trace)
