@@ -33,7 +33,7 @@ from .errors import (
     IrregularMark,
     NotABracket,
 )
-from .linalg import Echelon, Subspace, apply_slot, matvec, stacked_kernel, vec_axpy
+from .linalg import Echelon, Subspace, apply_slot, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, has_primitives, primitive_space
 from .tower import tower_iterates
@@ -372,9 +372,10 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
             rho_cache[col] = fq.reduce({col: one})
         return rho_cache[col]
 
-    # unknowns: basis vectors of degrees 1..cutoff; the image of each is its
-    # inner coproduct components pushed into quotient (x) quotient
-    unknowns = [(k, w) for k in range(1, cutoff + 1) for w in range(space.power(k))]
+    # unknowns: basis vectors of degrees 1..cutoff, the last first, so that
+    # `left_kernel` eliminates them from degree 1 up; the image of each is
+    # its inner coproduct components pushed into quotient (x) quotient
+    unknowns = [(k, w) for k in range(1, cutoff + 1) for w in range(space.power(k))][::-1]
     images = []
     for k, w in unknowns:
         img: dict = {}
@@ -386,7 +387,7 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
                 for c1, s1 in rho(a, u).items():
                     vec_axpy(img, val * s1, rv, c1 * fq.ncols)
         images.append(img)
-    solutions = stacked_kernel(len(images), [partial(matvec, images)], one)
+    solutions = left_kernel(images, one)
     # span of the solutions in the quotient
     img_ech, v_ech = Echelon(fq.ncols), Echelon(fq.ncols)
     img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol)

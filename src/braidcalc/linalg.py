@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over a cyclotomic field.
+"""Sparse linear algebra over a cyclotomic field, exact or modulo a prime.
 
 Vectors are dicts {column index: nonzero scalar}.  Subspaces are kept in
 reduced row echelon form with a fixed ascending column order, so two equal
@@ -13,23 +13,32 @@ of the pivot graph allows, which for the monomial and diagonal braidings that
 dominate this workbench means eliminations never leave the orbit of words
 a row touches.
 
+One elimination serves two arithmetics: `Echelon`, `matvec`, `kernel_basis`,
+`left_kernel` and `stacked_kernel` work on exact scalars, accumulated by
+`vec_axpy`, or, given a keyword prime p, on ints mod p, accumulated by
+`_axpy_mod`; only `certified_kernel` passes a prime.  Every kernel of a
+family comes back in RREF: `left_kernel` eliminates the unknowns from the
+last down, so each free unknown leads its free-column vector, the kernel's
+RREF row at that pivot, and `stacked_kernel` keeps that shape when it
+combines an RREF basis.  `enveloping.primitive_check` lists its unknowns in
+reverse, because its elimination runs faster from degree 1 up.
+
 This module is the one place that does sparse arithmetic.  Its kernels:
 
 * `vec_axpy`, target[offset + col] += c * source[col], dropping cancelled
   entries: the one accumulate loop, which over fields of degree 1 and 2
-  works on coefficient tuples (`scalars.coeff_axpy`); and `vec_eq`;
+  works on coefficient tuples (`scalars.coeff_axpy`);
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
 * `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
 * `reduce_by_pivots`, the canonical remainder modulo pivot rows, shared by
   `Echelon.reduce` and `Subspace.reduce`;
 * `kernel_basis`, the canonical free-column kernel of a set of constraint
-  rows, and `left_kernel`, the same routine on a transposed family;
+  rows, and `left_kernel`, the RREF kernel of a family;
 * `stacked_kernel`, the common kernel of a family of maps on a subspace,
   solved map by map on the basis the earlier maps leave, so that no map is
   applied to a vector an earlier one has ruled out;
 * `Subspace.coordinates`, a member's coordinates over the canonical basis;
-* `kernel_mod`, the same common kernel with raw ints modulo a prime p;
 * `certified_kernel`, the RREF of the common kernel of exact sparse column
   maps by the modular route: the primitives E_n of T(V), the quotient
   primitives of a tower and the blocks that decide E_n != 0.
@@ -37,10 +46,10 @@ This module is the one place that does sparse arithmetic.  Its kernels:
 `certified_kernel` takes a prime p = 1 (mod m) below 2^30 that divides no
 denominator of the columns, maps each coefficient to F_p under each of the
 phi(m) embeddings zeta -> omega_j of Q(zeta_m) (`scalars.Reduction`), and
-solves `kernel_mod` map by map in the order given, the first embedding
-through every map before the others, drawing a map only while the kernel
-is not empty: rank mod p is at most the rank over Q(zeta_m), so an empty
-kernel under one embedding proves the kernel zero.  Otherwise every
+solves `stacked_kernel` mod p map by map in the order given, the first
+embedding through every map before the others, drawing a map only while the
+kernel is not empty: rank mod p is at most the rank over Q(zeta_m), so an
+empty kernel under one embedding proves the kernel zero.  Otherwise every
 embedding must give the same pivots; the entries are interpolated back to
 power-basis coefficients mod p, combined over the primes so far by CRT, and
 rationally reconstructed.  The lifted rows are certified exactly: M x = 0
@@ -79,22 +88,25 @@ def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
     return target
 
 
-def vec_eq(a: dict, b: dict) -> bool:
-    if len(a) != len(b):
-        return False
-    for col, val in a.items():
-        other = b.get(col)
-        if other is None or not (val == other):
-            return False
-    return True
+def _axpy_mod(p: int, target: dict, coeff: int, source: dict) -> dict:
+    """target += coeff * source mod p, dropping entries that vanish; returns
+    target.  The prime comes first, for `partial` to bind."""
+    for col, val in source.items():
+        new = (target.get(col, 0) + coeff * val) % p
+        if new:
+            target[col] = new
+        else:
+            del target[col]
+    return target
 
 
-def matvec(columns, vec: dict) -> dict:
+def matvec(columns, vec: dict, *, p=None) -> dict:
     """sum_w vec[w] * columns[w]: the matrix with these sparse columns applied
     to vec, or equally the combination of a family with coefficients vec."""
     out: dict = {}
+    axpy = vec_axpy if p is None else partial(_axpy_mod, p)
     for w, s in vec.items():
-        vec_axpy(out, s, columns[w])
+        axpy(out, s, columns[w])
     return out
 
 
@@ -109,35 +121,35 @@ def apply_slot(vec: dict, mid: int, right: int, f, width: int) -> dict:
             for (l, r), sl in slices.items() for m, v in f(sl).items()}
 
 
-def _clear_pivots(row: dict, pivots: dict, keep) -> None:
-    """Eliminate from row every pivot column except keep, ascending, in passes
-    until none is left: an elimination fills in only columns past its pivot."""
-    while cols := sorted(c for c in row if c in pivots and c != keep):
-        for col in cols:
-            val = row.get(col)
-            if val is not None:
-                vec_axpy(row, -val, pivots[col])
-
-
-def reduce_by_pivots(row: dict, pivots: dict) -> dict:
+def reduce_by_pivots(row: dict, pivots: dict, axpy=vec_axpy) -> dict:
     """Remainder of row after eliminating every column of {pivot: row}."""
     row = dict(row)
     while row:
         lead = min(row)
         prow = pivots.get(lead)
         if prow is None:
-            # eliminate any later pivot columns too, for a canonical remainder
-            _clear_pivots(row, pivots, lead)
+            # then every later pivot column too, for a canonical remainder:
+            # ascending, in passes until none is left, since an elimination
+            # fills in only columns past its pivot and the pivot rows need
+            # not be reduced
+            while cols := sorted(c for c in row if c in pivots):
+                for col in cols:
+                    val = row.get(col)
+                    if val is not None:
+                        axpy(row, -val, pivots[col])
             return row
-        vec_axpy(row, -row[lead], prow)
+        axpy(row, -row[lead], prow)
     return row
 
 
 class Echelon:
-    """Mutable row echelon accumulator over a fixed column count."""
+    """Mutable row echelon accumulator over a fixed column count, of exact
+    scalars or, given a prime p, of ints mod p."""
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, *, p=None):
         self.ncols = ncols
+        self.p = p
+        self._axpy = vec_axpy if p is None else partial(_axpy_mod, p)
         self.pivot_rows: dict[int, dict] = {}
         self._reduced_from = 0  # the rows with pivot >= this are reduced
 
@@ -147,24 +159,25 @@ class Echelon:
 
     def reduce(self, row: dict) -> dict:
         """Return the remainder of row after eliminating all pivot columns."""
-        return reduce_by_pivots(row, self.pivot_rows)
+        return reduce_by_pivots(row, self.pivot_rows, self._axpy)
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True when the rank grew."""
         row = dict(row)
-        pivots = self.pivot_rows
+        pivots, axpy, p = self.pivot_rows, self._axpy, self.p
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
                 leadval = row.pop(lead)
-                if not leadval.is_one():
-                    row = vec_axpy({}, leadval.inv(), row)
-                row[lead] = leadval.field.one
+                one = leadval.field.one if p is None else 1
+                if leadval != one:
+                    row = axpy({}, leadval.inv() if p is None else pow(leadval, -1, p), row)
+                row[lead] = one
                 pivots[lead] = row
                 self._reduced_from = float("inf")
                 return True
-            vec_axpy(row, -row[lead], prow)
+            axpy(row, -row[lead], prow)
         return False
 
     def add_rows(self, rows) -> int:
@@ -180,9 +193,13 @@ class Echelon:
         done = self._reduced_from
         if start >= done:
             return
-        pivots = self.pivot_rows
+        pivots, axpy = self.pivot_rows, self._axpy
         for pcol in sorted((c for c in pivots if start <= c < done), reverse=True):
-            _clear_pivots(pivots[pcol], pivots, pcol)
+            # every row pivoting after pcol is reduced by now, so eliminating
+            # its pivot fills in no pivot column: one pass clears the row
+            row = pivots[pcol]
+            for col in sorted(c for c in row if c in pivots and c != pcol):
+                axpy(row, -row[col], pivots[col])
         self._reduced_from = start
 
     def rows(self) -> list[dict]:
@@ -191,14 +208,15 @@ class Echelon:
 
 
 class Subspace:
-    """A subspace of a coordinate space, held canonically in RREF."""
+    """A subspace of a coordinate space, held canonically in RREF: rows are
+    the RREF rows, ascending by pivot."""
 
     __slots__ = ("ncols", "rows", "pivots", "_index")
 
-    def __init__(self, ncols: int, rows: list[dict], pivots: tuple[int, ...]):
+    def __init__(self, ncols: int, rows: list[dict]):
         self.ncols = ncols
         self.rows = rows
-        self.pivots = pivots
+        self.pivots = tuple(map(min, rows))
         self._index = None
 
     @classmethod
@@ -209,12 +227,11 @@ class Subspace:
 
     @classmethod
     def from_echelon(cls, ech: Echelon) -> "Subspace":
-        rows = ech.rows()
-        return cls(ech.ncols, rows, tuple(min(r) for r in rows))
+        return cls(ech.ncols, ech.rows())
 
     @classmethod
     def zero(cls, ncols: int) -> "Subspace":
-        return cls(ncols, [], ())
+        return cls(ncols, [])
 
     @property
     def dim(self) -> int:
@@ -252,27 +269,26 @@ class Subspace:
             isinstance(other, Subspace)
             and self.ncols == other.ncols
             and self.pivots == other.pivots
-            and all(vec_eq(a, b) for a, b in zip(self.rows, other.rows))
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         return "Subspace(dim=%d, ncols=%d)" % (self.dim, self.ncols)
 
 
-def kernel_basis(rows, ncols: int, one=None) -> list[dict]:
+def kernel_basis(rows, ncols: int, one=None, *, p=None) -> list[dict]:
     """Basis of {x : R x = 0} given the constraint rows of R.
 
     The basis is the canonical free-column one: for every non-pivot column f
-    (ascending) the vector with 1 at f and -R[p][f] at each pivot column p.
-    Returned rows are themselves in RREF.  `one` supplies the unit scalar when
-    the constraint set might be empty.
+    (ascending) the vector with 1 at f and -R[q][f] at each pivot column q.
+    `one` supplies the unit scalar when the constraint set might be empty.
     """
-    ech = Echelon(ncols)
+    ech = Echelon(ncols, p=p)
     ech.add_rows(rows)
     ech.back_substitute()
     pivots = ech.pivot_rows
-    for row in pivots.values():
-        one = next(iter(row.values())).field.one
+    for pcol, row in pivots.items():
+        one = row[pcol]
         break
     if one is None:
         raise ValueError("kernel of an empty constraint set needs a unit hint")
@@ -280,8 +296,8 @@ def kernel_basis(rows, ncols: int, one=None) -> list[dict]:
     free_entries: dict[int, dict] = {}
     for pcol, row in pivots.items():
         for col, val in row.items():
-            if col != pcol and col not in pivots:
-                free_entries.setdefault(col, {})[pcol] = -val
+            if col != pcol:
+                free_entries.setdefault(col, {})[pcol] = -val if p is None else p - val
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -292,101 +308,41 @@ def kernel_basis(rows, ncols: int, one=None) -> list[dict]:
     return basis
 
 
-def left_kernel(vectors: list[dict], one=None) -> list[dict]:
-    """Basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse vectors:
-    the kernel of the transposed family.  Column keys may be any hashables."""
+def left_kernel(vectors: list[dict], one=None, *, p=None) -> list[dict]:
+    """RREF basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse
+    vectors, whose column keys may be any hashables: `kernel_basis` of the
+    transposed family with the unknowns numbered from the last down."""
+    last = len(vectors) - 1
     transposed: dict = {}
     for i, vec in enumerate(vectors):
         for col, val in vec.items():
-            transposed.setdefault(col, {})[i] = val
-    return kernel_basis(transposed.values(), len(vectors), one=one)
+            transposed.setdefault(col, {})[last - i] = val
+    return [{last - c: v for c, v in vec.items()} for vec in
+            reversed(kernel_basis(transposed.values(), len(vectors), one, p=p))]
 
 
-def stacked_kernel(basis, maps, one=None) -> list[dict]:
+def stacked_kernel(basis, maps, one=None, *, p=None) -> list[dict]:
     """Vectors spanning {x in span(basis) : f(x) = 0 for every f in maps},
-    for linear maps given as callables from a vector to its image; a basis of
-    it when basis is independent.  An int basis n stands for the unit vectors
-    {i: one}, i < n, whose kernel is then the `left_kernel` rows themselves.
-    The maps are solved one at a time: map k sees only the vectors that the
-    maps before it leave, their combinations from the `left_kernel` of its
-    images, and an empty kernel ends the loop before the next map is drawn."""
+    for linear maps given as callables from a vector to its image or as the
+    lists of their sparse columns; its RREF basis when basis is an int or
+    RREF rows.  An int basis n stands for the unit vectors {i: one}, i < n,
+    whose kernel is then the `left_kernel` rows themselves.  The maps are
+    solved one at a time: map k sees only the vectors that the maps before
+    it leave, their combinations from the `left_kernel` of its images, and
+    an empty kernel ends the loop before the next map is drawn."""
     units = basis.__class__ is int
     for f in maps if basis else ():
-        images = [f({i: one}) for i in range(basis)] if units else [f(b) for b in basis]
+        if f.__class__ is list:  # the map's columns
+            images = f if units else [matvec(f, b, p=p) for b in basis]
+        else:
+            images = [f({i: one}) for i in range(basis)] if units else [f(b) for b in basis]
         if any(images):
-            kernel = left_kernel(images)
-            basis = kernel if units else [matvec(basis, c) for c in kernel]
+            kernel = left_kernel(images, p=p)
+            basis = kernel if units else [matvec(basis, c, p=p) for c in kernel]
             units = False
             if not basis:
                 break
     return [{i: one} for i in range(basis)] if units else basis
-
-
-def _axpy_mod(target: dict, coeff: int, source: dict, p: int) -> None:
-    """target += coeff * source mod p, dropping entries that vanish."""
-    for col, val in source.items():
-        new = (target.get(col, 0) + coeff * val) % p
-        if new:
-            target[col] = new
-        else:
-            del target[col]
-
-
-def _rref_mod(rows, p: int) -> dict:
-    """{pivot: row} of the reduced row echelon form mod p; consumes rows."""
-    pivots: dict = {}
-    for row in rows:
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                break
-            _axpy_mod(row, p - row[lead], prow, p)
-    for pcol in sorted(pivots, reverse=True):
-        row = pivots[pcol]
-        for col in sorted(c for c in row if c in pivots and c != pcol):
-            if col in row:
-                _axpy_mod(row, p - row[col], pivots[col], p)
-    return pivots
-
-
-def kernel_mod(maps, p: int, basis=None) -> list[dict]:
-    """RREF basis, mod the prime p, of {x in span(basis) : M x = 0 for every
-    M in maps}, each map given by its columns (dicts of ints) on the unit
-    vectors; basis None means the unit vectors, and a given basis must be
-    in RREF.
-
-    The unknowns are eliminated from the last down, so each free unknown f
-    leads its canonical free-column vector, which is then the RREF row of
-    the kernel with pivot f; over an RREF basis the combinations keep that
-    shape."""
-    count = len(maps[0]) if basis is None else len(basis)
-    last = count - 1
-    rows: dict = {}
-    for k, cols in enumerate(maps):
-        images = cols if basis is None else (_combine_mod(cols, v, p) for v in basis)
-        for i, img in enumerate(images):
-            for r, v in img.items():
-                rows.setdefault((k, r), {})[last - i] = v
-    pivots = _rref_mod(rows.values(), p)
-    free_entries: dict[int, dict] = {}
-    for pcol, row in pivots.items():
-        for col, val in row.items():
-            if col != pcol:
-                free_entries.setdefault(col, {})[last - pcol] = p - val
-    kernel = [{**free_entries.get(f, {}), last - f: 1}
-              for f in reversed(range(count)) if f not in pivots]
-    return kernel if basis is None else [_combine_mod(basis, c, p) for c in kernel]
-
-
-def _combine_mod(columns, vec: dict, p: int) -> dict:
-    """sum_w vec[w] * columns[w] mod p."""
-    out: dict = {}
-    for w, s in vec.items():
-        _axpy_mod(out, s, columns[w], p)
-    return out
 
 
 def certified_kernel(maps, count: int, field) -> list[dict]:
@@ -405,7 +361,7 @@ def certified_kernel(maps, count: int, field) -> list[dict]:
     for index in itertools.count():
         red = Reduction(field, index)
         p = red.p
-        kernels = _kernels_mod(red, columns, field.degree)
+        kernels = _kernels_mod(red, columns, count, field.degree)
         if kernels is None:
             continue  # p divides a denominator
         if not kernels:
@@ -434,31 +390,37 @@ def certified_kernel(maps, count: int, field) -> list[dict]:
         if rows == previous:
             break  # a wrong lift that more primes do not change
         previous = rows
-    return Subspace.from_rows(count, stacked_kernel(
-        count, (partial(matvec, cols) for cols in drawn), field.one)).rows
+    return stacked_kernel(count, drawn, field.one)
 
 
-def _kernels_mod(red: Reduction, maps, degree: int):
-    """The kernel mod red's prime under each of its embeddings in turn, map by
-    map over maps(), so an empty kernel under the first ends the work: []
-    then, and None when the prime divides a denominator of an entry."""
-    kernels = []
-    for j in range(degree):
-        kernel = None
+def _kernels_mod(red: Reduction, maps, count: int, degree: int):
+    """The kernel mod red's prime under each of its embeddings in turn, each
+    by `stacked_kernel` over maps(), so an empty kernel under the first ends
+    the work: [] then, and None when the prime divides a denominator of an
+    entry."""
+    p, unreduced, kernels = red.p, [], []
+
+    def reduced(j):
         for cols in maps():
-            reduced = []
+            images = []
             for col in cols:
                 img = {}
                 for r, s in col.items():
                     res = red(s)
                     if res is None:
-                        return None
+                        unreduced.append(s)
+                        return
                     if res[j]:
                         img[r] = res[j]
-                reduced.append(img)
-            kernel = kernel_mod([reduced], red.p, kernel)
-            if not kernel:
-                return []
+                images.append(img)
+            yield images
+
+    for j in range(degree):
+        kernel = stacked_kernel(count, reduced(j), 1, p=p)
+        if unreduced:
+            return None
+        if not kernel:
+            return []
         kernels.append(kernel)
     return kernels
 

@@ -77,7 +77,7 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
     def moved_out(i, vec):
         return current.reduce(space.apply_generator(degree, i, vec))
 
-    current = Subspace.from_rows(size, stacked_kernel(
+    current = Subspace(size, stacked_kernel(
         size, (partial(squared_minus_z2, i) for i in range(1, degree)), space.field.one))
     while current.dim:
         # the rows are independent, so the kernel keeps one vector per dimension
@@ -85,7 +85,7 @@ def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
                               (partial(moved_out, i) for i in range(1, degree)))
         if len(kept) == current.dim:
             break
-        current = Subspace.from_rows(size, kept)
+        current = Subspace(size, kept)
     return current
 
 
@@ -200,8 +200,9 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     size_n = space.power(n)
     size = space.power(n + 1)
     inner = zeta_space(space, n, zeta, require_primitive=False)
-    carrier = Subspace.from_rows(size, ({j * size_n + c: v for c, v in row.items()}
-                                        for j in range(d) for row in inner.rows))
+    # V (x) inner: the RREF rows of inner, shifted into each block j, stay RREF
+    carrier = Subspace(size, [{j * size_n + c: v for c, v in row.items()}
+                              for j in range(d) for row in inner.rows])
     if carrier.dim == 0:
         return carrier
     zinv = zeta.inv()
@@ -219,7 +220,7 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
         # the conjugate of tau_1^2 by the lift, rightmost letter first
         conds.append(partial(condition, word_out + (1, 1) + word_in,
                              zinv ** (2 * len(word_in))))
-    return Subspace.from_rows(size, stacked_kernel(carrier.rows, conds))
+    return Subspace(size, stacked_kernel(carrier.rows, conds))
 
 
 # ---------------------------------------------------------------------------

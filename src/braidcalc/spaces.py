@@ -23,7 +23,7 @@ from .errors import (
     SingularBraiding,
     YBENotSatisfied,
 )
-from .linalg import Echelon, vec_axpy, vec_eq
+from .linalg import Echelon, matvec, vec_axpy
 from .scalars import CycloField, CycloScalar, Q, is_regular_exact
 
 DEFAULT_DEGREE_BUDGET = 8
@@ -141,14 +141,13 @@ class BraidedSpace:
                 for col, row in ech.pivot_rows.items()}
 
     def _check_ybe(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    start = {word_index((i, j, k), d): self.field.one}
-                    if not vec_eq(self.apply_word(3, (1, 2, 1), start),
-                                  self.apply_word(3, (2, 1, 2), start)):
-                        raise YBENotSatisfied((i, j, k))
+        """c1 c2 c1 = c2 c1 c2 on the columns of the basis words, in order."""
+        one = self.field.one
+        c1, c2 = ([self.apply_generator(3, i, {w: one}) for w in range(self.power(3))]
+                  for i in (1, 2))
+        for w, col in enumerate(c1):
+            if matvec(c1, matvec(c2, col)) != matvec(c2, matvec(c1, c2[w])):
+                raise YBENotSatisfied(word_letters(w, 3, self.dim))
 
     # -- basic structure -------------------------------------------------------
 

@@ -97,7 +97,7 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
         dims = [space.power(k) for k in range(n + 1)]
         rows = certified_kernel((delta_columns(space, a, n - a) for a in
                                  cheapest_first(range(1, n), dims, n)), size, space.field)
-        cached = space._memo[key] = Subspace(size, rows, tuple(map(min, rows)))
+        cached = space._memo[key] = Subspace(size, rows)
     return cached
 
 
@@ -148,13 +148,6 @@ def _pair_blocks(space: BraidedSpace, n: int) -> list[list[int]]:
     return sorted(blocks.values(), key=len)
 
 
-def times_letter(coords, d: int) -> list[dict]:
-    """Columns of R (x) Id_V on B^(n-1) (x) V (x) V, given the tables
-    coords[k * d + x] = R_x(e_k): column (k * d + x) * d + y is R_x(e_k) (x) y,
-    in dim B^n * d coordinates."""
-    return [{j * d + y: v for j, v in col.items()} for col in coords for y in range(d)]
-
-
 def _nichols_levels(space: BraidedSpace, upto: int) -> list:
     """Degrees 0..upto of B(V) by normal words, memoized as one growing list.
 
@@ -167,7 +160,9 @@ def _nichols_levels(space: BraidedSpace, upto: int) -> list:
     while len(levels) <= upto:
         images, coords = levels[-1]
         width = len(images) * d
-        lifted = times_letter(coords, d)
+        # R (x) Id_V on B^(n-1) (x) V (x) V: column (k * d + x) * d + y is
+        # R_x(e_k) (x) y, in dim B^n * d coordinates
+        lifted = [{j * d + y: v for j, v in col.items()} for col in coords for y in range(d)]
         # one augmented echelon: D-image coordinates, then a tag per product;
         # taken in descending order the products keep its scalars smaller
         # (about 2x faster than ascending on Aff(5, 2) and cartan_An n = 3)

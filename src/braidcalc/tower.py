@@ -43,7 +43,7 @@ exhaustive.  Otherwise the verdict is a lower bound at the cutoff.
 from __future__ import annotations
 
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
-from .linalg import Echelon, Subspace, certified_kernel, kernel_basis, matvec, vec_axpy
+from .linalg import Echelon, Subspace, certified_kernel, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import cheapest_first, delta_columns, nichols_dims, primitive_space
 
@@ -111,15 +111,9 @@ class IdealTower:
         size = self.space.power(n)
         if self.levels[n] is None:
             return Subspace.zero(size)
-        # ker pi_n, its functionals eliminated from the last word down: each
-        # free word then leads its kernel vector, so the basis is in RREF
-        rows: dict = {}
-        for w in range(size):
-            for i, s in self._pi_word(n, w).items():
-                rows.setdefault(i, {})[size - 1 - w] = s
-        kernel = [{size - 1 - c: s for c, s in vec.items()} for vec in
-                  reversed(kernel_basis(rows.values(), size, one=self.space.field.one))]
-        return Subspace(size, kernel, tuple(min(v) for v in kernel))
+        # ker pi_n: the words whose projections cancel
+        return Subspace(size, left_kernel([self._pi_word(n, w) for w in range(size)],
+                                          self.space.field.one))
 
     def __eq__(self, other):
         return (

@@ -43,7 +43,7 @@ from functools import partial
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
-                              stacked_kernel, vec_axpy, vec_eq)
+                              stacked_kernel, vec_axpy)
 from braidcalc.pareigis import induced_bracket, perm_act, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
 from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
@@ -223,7 +223,7 @@ def symmetrizer_factorization_check(space, a: int, b: int) -> bool:
              for r1, t1 in ga[u // dim_b].items()
              for r2, t2 in gb[u % dim_b].items()}
             for u in range(space.power(n))]
-    return all(vec_eq(matvec(kron, delta[w]), whole[w])
+    return all(matvec(kron, delta[w]) == whole[w]
                for w in range(space.power(n)))
 
 

@@ -10,14 +10,14 @@ from braidcalc.linalg import (
     Echelon,
     Subspace,
     apply_slot,
+    certified_kernel,
     kernel_basis,
-    kernel_mod,
     left_kernel,
     matvec,
     stacked_kernel,
     vec_axpy,
 )
-from braidcalc.scalars import Q, field_make
+from braidcalc.scalars import Q, Reduction, field_make
 from oracles import (rank_of_rows, row_tensor_basis_left, row_tensor_basis_right,
                      subspace_intersection, subspace_sum)
 
@@ -320,9 +320,49 @@ def test_kernel_mod_is_the_exact_rref_reduced_mod_p(seed=43):
             basis = Subspace.from_rows(ncols, rows_from_dense(random_dense(
                 rng, rng.randint(1, ncols + 1), ncols))).rows or [{0: F.one}]
         exact = constraint_oracle(basis, maps, ncols).rows
-        got = kernel_mod(columns, p, None if basis is None else
-                         [reduce_mod(b, p) for b in basis])
+        got = stacked_kernel(ncols if basis is None else [reduce_mod(b, p) for b in basis],
+                             [partial(matvec, cols, p=p) for cols in columns], 1, p=p)
         assert got == [reduce_mod(row, p) for row in exact], trial
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5])
+def test_every_kernel_comes_back_in_rref(m, seed=59):
+    """left_kernel, stacked_kernel on an int, unit or RREF basis, and
+    certified_kernel return the RREF rows of the kernel, ascending by pivot;
+    mod p, stacked_kernel returns those rows reduced under each embedding."""
+    field = field_make(m)
+    red = Reduction(field, 0)
+    rng = random.Random(seed + m)
+
+    def scalar():
+        return field.scalar([rng.randint(-2, 2) for _ in range(field.degree)])
+
+    def mod(vec, j):
+        return {c: red(v)[j] for c, v in vec.items() if red(v)[j]}
+
+    for trial in range(24):
+        ncols = rng.randint(1, 6)
+        maps = [[{r: v for r in range(rng.randint(1, 4)) if (v := scalar())}
+                 for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 0:
+            basis = ncols
+        elif trial % 3 == 1:
+            basis = [{j: field.one} for j in range(ncols)]
+        else:
+            basis = Subspace.from_rows(ncols, [{c: v for c in range(ncols) if (v := scalar())}
+                                               for _ in range(rng.randint(1, ncols))]).rows
+        first = left_kernel(maps[0], field.one)
+        got = stacked_kernel(basis, [partial(matvec, cols) for cols in maps], field.one)
+        assert stacked_kernel(basis, maps, field.one) == got, trial  # maps by columns
+        assert first == Subspace.from_rows(ncols, first).rows, trial
+        assert got == Subspace.from_rows(ncols, got).rows, trial
+        if basis == ncols:
+            assert certified_kernel(maps, ncols, field) == got, trial
+        for j in range(field.degree):
+            given = basis if basis == ncols else [mod(b, j) for b in basis]
+            assert stacked_kernel(given, [partial(matvec, [mod(col, j) for col in cols], p=red.p)
+                                          for cols in maps], 1, p=red.p) == \
+                [mod(row, j) for row in got], (trial, j)
 
 
 def test_one_map_family_reaches_left_kernel_unchanged():

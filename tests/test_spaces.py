@@ -86,7 +86,18 @@ def test_ybe_failure_witness():
 
     with pytest.raises(YBENotSatisfied) as err:
         BraidedSpace(F1, 2, pairs, "explicit")
-    assert len(err.value.witness) == 3
+    assert err.value.witness == (0, 0, 0)
+    # the witness is the lexicographically first failing basis triple: this
+    # map, the flip of e1 (x) e0 and e1 (x) e1, satisfies it on 000 and 001
+    pairs = {
+        (0, 0): (((0, 0), one),),
+        (0, 1): (((0, 1), one),),
+        (1, 0): (((1, 1), one),),
+        (1, 1): (((1, 0), one),),
+    }
+    with pytest.raises(YBENotSatisfied) as err:
+        BraidedSpace(F1, 2, pairs, "explicit")
+    assert err.value.witness == (0, 1, 0)
 
 
 def test_singular_braiding_rejected():

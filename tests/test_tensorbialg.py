@@ -631,21 +631,22 @@ def rational_space(mark, q22=-1):
 
 
 def route_spy(monkeypatch):
-    """The prime of every modular kernel solved, and "exact" for each call
-    of the exact route, `stacked_kernel`, in order."""
+    """The modulus of every kernel `linalg` solves, in order: the prime of
+    each modular one, and "exact" for each one of the exact route.  A call of
+    `stacked_kernel` counts once its first map arrives, so a prime that fails
+    to reduce the first map solves nothing."""
     seen = []
-    kernel_mod, stacked_kernel = linalg.kernel_mod, linalg.stacked_kernel
+    stacked_kernel = linalg.stacked_kernel
 
-    def modular(maps, p, basis=None):
-        seen.append(p)
-        return kernel_mod(maps, p, basis)
+    def spy(basis, maps, *args, p=None, **kwargs):
+        def arriving():
+            for k, f in enumerate(maps):
+                if not k:
+                    seen.append("exact" if p is None else p)
+                yield f
+        return stacked_kernel(basis, arriving(), *args, p=p, **kwargs)
 
-    def exact(*args, **kwargs):
-        seen.append("exact")
-        return stacked_kernel(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "kernel_mod", modular)
-    monkeypatch.setattr(linalg, "stacked_kernel", exact)
+    monkeypatch.setattr(linalg, "stacked_kernel", spy)
     return seen
 
 

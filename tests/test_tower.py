@@ -442,9 +442,9 @@ def test_tower_after_step_one_builds_no_word_space(d4_six, monkeypatch):
     ambient = []
     real = Subspace.__init__
 
-    def counted(self, ncols, rows, pivots):
+    def counted(self, ncols, rows):
         ambient.append(ncols)
-        real(self, ncols, rows, pivots)
+        real(self, ncols, rows)
 
     monkeypatch.setattr(Subspace, "__init__", counted)
     word_spaces = {d4_six.power(n) for n in range(3, 7)}
