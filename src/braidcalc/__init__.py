@@ -12,54 +12,16 @@ identities.
 __version__ = "0.1.0"
 
 from .errors import WorkbenchError
-from .scalars import (
-    CycloField,
-    CycloScalar,
-    Q,
-    field_make,
-    is_regular_exact,
-    root_order,
-)
+from .scalars import CycloField, CycloScalar, Q, field_make, is_regular_exact, root_order
 from .linalg import Echelon, Subspace
-from .spaces import (
-    BraidedSpace,
-    BraidWord,
-    make_braiding,
-    make_preset,
-    matsumoto_lift,
-    word_index,
-    word_letters,
-)
+from .spaces import (BraidedSpace, BraidWord, make_braiding, make_preset, matsumoto_lift,
+                     word_index, word_letters)
 from .tensorbialg import nichols_dims, primitive_space
-from .tower import (
-    IdealTower,
-    SdegVerdict,
-    ideal_closure,
-    is_quadratic,
-    nichols_via_tower,
-    sdeg,
-    symmetric_step,
-    tower_iterates,
-)
-from .enveloping import (
-    BracketTable,
-    FilteredQuotient,
-    LieVerdict,
-    PbwVerdict,
-    enveloping_filtration,
-    hecke_presentation,
-    lie_check,
-    pbw_check,
-    primitive_check,
-    validate_bracket,
-)
-from .pareigis import (
-    check_pi_in_E,
-    check_pi_su,
-    induced_bracket,
-    mixed_zeta_space,
-    pi_zeta,
-    verify_PL,
-    zeta_space,
-)
+from .tower import (IdealTower, SdegVerdict, ideal_closure, is_quadratic, nichols_via_tower, sdeg,
+                    symmetric_step, tower_iterates)
+from .enveloping import (BracketTable, FilteredQuotient, LieVerdict, PbwVerdict,
+                         enveloping_filtration, hecke_presentation, lie_check, pbw_check,
+                         primitive_check, validate_bracket)
+from .pareigis import (check_pi_in_E, check_pi_su, induced_bracket, mixed_zeta_space, pi_zeta,
+                       verify_PL, zeta_space)
 from .fixtures import CATALOG, preset_bracket

@@ -25,28 +25,11 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .enveloping import (
-    BracketTable,
-    enveloping_filtration,
-    hecke_presentation,
-    lie_check,
-    pbw_check,
-    primitive_check,
-    validate_bracket,
-)
-from .errors import (
-    BadParams,
-    DegreeBudgetExceeded,
-    DomainMismatch,
-    InternalCheckError,
-    NotABracket,
-    ParseError,
-    RootOrderMismatch,
-    SingularBraiding,
-    ValidationError,
-    WorkbenchError,
-    YBENotSatisfied,
-)
+from .enveloping import (BracketTable, enveloping_filtration, hecke_presentation, lie_check,
+                         pbw_check, primitive_check, validate_bracket)
+from .errors import (BadParams, DegreeBudgetExceeded, DomainMismatch, InternalCheckError,
+                     NotABracket, ParseError, RootOrderMismatch, SingularBraiding, ValidationError,
+                     WorkbenchError, YBENotSatisfied)
 from .fixtures import preset_bracket
 from .pareigis import check_pi_in_E, check_pi_su, verify_PL, zeta_space
 from .scalars import CycloField, CycloScalar, field_make
@@ -58,9 +41,7 @@ MAX_DEGREE = 12
 MAX_DIM = 16          # generators of a declared space
 MAX_WORDS = 1 << 16   # d^n, the words of the top degree a task or bracket reaches
 
-# ---------------------------------------------------------------------------
-# scalar and value parsing
-# ---------------------------------------------------------------------------
+# -- scalar and value parsing -------------------------------------------------
 
 _TERM = re.compile(
     r"^\s*(?P<num>\d+)?(?:\s*/\s*(?P<den>\d+))?\s*(?:(?(num)\*\s*)?"
@@ -378,18 +359,12 @@ def _arity_rule(field, n, exponent=1):
         return "root exponent %d is not coprime to the arity %d" % (exponent, n)
 
 
-# ---------------------------------------------------------------------------
-# task execution
-# ---------------------------------------------------------------------------
+# -- task execution -----------------------------------------------------------
 
 def _subspace_payload(space, subspace, degree):
-    rows = []
-    for row in subspace.rows:
-        rows.append({
-            word_name(c, degree, space.dim): str(v)
-            for c, v in sorted(row.items())
-        })
-    return {"dim": subspace.dim, "basis": rows}
+    return {"dim": subspace.dim, "basis": [
+        {word_name(c, degree, space.dim): str(v) for c, v in sorted(row.items())}
+        for row in subspace.rows]}
 
 
 class _JobContext:
@@ -406,9 +381,8 @@ class _JobContext:
         except (BadParams, RootOrderMismatch, SingularBraiding,
                 YBENotSatisfied) as exc:
             raise ValidationError(str(exc), line=job.kind_line)
-        self.bracket = None
-        if job.brackets:
-            self.bracket = self._build_bracket(job.brackets, job.bracket_lines)
+        self.bracket = self._build_bracket(job.brackets, job.bracket_lines) \
+            if job.brackets else None
         self._filtrations = {}  # (cutoff, slack) -> FilteredQuotient
 
     def _build_bracket(self, decls, lines):
@@ -590,9 +564,7 @@ def run_task(ctx: _JobContext, name: str, args: tuple):
     return task.build(ctx, *values, *task.defaults[len(values):])
 
 
-# ---------------------------------------------------------------------------
-# the report and the cache
-# ---------------------------------------------------------------------------
+# -- the report and the cache -------------------------------------------------
 
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -615,9 +587,7 @@ def _task_cache_key(job: JobSpec, name: str, args: tuple,
 
 class Report:
     def __init__(self, job: JobSpec, tasks: list, input_hash: str):
-        self.job = job
-        self.tasks = tasks
-        self.input_hash = input_hash
+        self.job, self.tasks, self.input_hash = job, tasks, input_hash
 
     def payload(self):
         return {

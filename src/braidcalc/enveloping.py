@@ -24,15 +24,11 @@ it back-substitutes nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
+from itertools import accumulate
 
-from .errors import (
-    BadParams,
-    DomainMismatch,
-    InternalCheckError,
-    IrregularMark,
-    NotABracket,
-)
+from .errors import BadParams, DomainMismatch, InternalCheckError, IrregularMark, NotABracket
 from .linalg import Echelon, Subspace, apply_slot, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, has_primitives, primitive_space
@@ -62,10 +58,8 @@ class BracketTable:
 
     @classmethod
     def zero(cls, space: BraidedSpace, cutoff: int) -> "BracketTable":
-        entries = {}
-        for n in range(2, cutoff + 1):
-            e_n = primitive_space(space, n)
-            entries[n] = [{} for _ in range(e_n.dim)]
+        entries = {n: [{} for _ in range(primitive_space(space, n).dim)]
+                   for n in range(2, cutoff + 1)}
         table = cls(space, entries, validated=True)
         table.cutoff = cutoff
         return table
@@ -132,9 +126,7 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
     return BracketTable(space, entries, validated=True)
 
 
-# ---------------------------------------------------------------------------
-# the filtered enveloping quotient
-# ---------------------------------------------------------------------------
+# -- the filtered enveloping quotient -----------------------------------------
 
 class FilteredQuotient:
     """Span of the explicit ideal products inside T_(N + slack)."""
@@ -196,17 +188,11 @@ class FilteredQuotient:
             self._record_history()
 
     def _record_history(self):
-        counts = {n: 0 for n in range(self.cutoff + 1)}
-        for pcol in self.echelon.pivot_rows:
-            deg = self._degree_of_col(pcol)
-            for n in range(deg, self.cutoff + 1):
-                counts[n] += 1
-        for n in range(self.cutoff + 1):
-            self.history[n].append(counts[n])
-
-    def _degree_of_col(self, col: int) -> int:
-        # the blocks run degree-descending from offset 0
-        return next(k for k in range(self.top + 1) if col >= self.offsets[k])
+        # the blocks run degree-descending from offset 0, so the pivots of
+        # degree <= n are the ones from offsets[n] on
+        pivots = self.echelon.pivots
+        for n, hist in self.history.items():
+            hist.append(len(pivots) - bisect_left(pivots, self.offsets[n]))
 
     # -- reported data ----------------------------------------------------------
 
@@ -216,30 +202,18 @@ class FilteredQuotient:
 
     @property
     def dims_U(self):
-        space = self.bracket.space
-        total = 0
-        out = []
-        for n in range(self.cutoff + 1):
-            total += space.power(n)
-            out.append(total - self.ideal_dim(n))
-        return out
+        sizes = accumulate(map(self.bracket.space.power, range(self.cutoff + 1)))
+        return [total - self.ideal_dim(n) for n, total in enumerate(sizes)]
 
     @property
     def stabilized(self):
-        out = {}
-        for n in range(self.cutoff + 1):
-            hist = self.history[n]
-            if self.slack == 0:
-                out[n] = False
-            else:
-                out[n] = len(hist) > self.slack and hist[-1] == hist[-1 - self.slack]
-        return out
+        s = self.slack
+        return {n: s > 0 and len(hist) > s and hist[-1] == hist[-1 - s]
+                for n, hist in self.history.items()}
 
     def span_rows_in(self, n: int):
         """Echelon rows lying in T_(n) (pivot in a block of degree <= n)."""
-        boundary = self.offsets[n]
-        self.echelon.back_substitute(boundary)
-        return [row for pcol, row in sorted(self.echelon.pivot_rows.items()) if pcol >= boundary]
+        return self.echelon.rows(self.offsets[n])
 
     def reduce(self, mixed_vec: dict) -> dict:
         """The canonical remainder of a vector of T_(top) modulo the span."""
@@ -264,9 +238,7 @@ def enveloping_filtration(bracket: BracketTable, cutoff: int,
     return FilteredQuotient(bracket, cutoff, slack)
 
 
-# ---------------------------------------------------------------------------
-# verdicts
-# ---------------------------------------------------------------------------
+# -- verdicts -----------------------------------------------------------------
 
 class PbwVerdict:
     __slots__ = ("status", "cutoff", "slack", "gr_dims", "s_dims",
@@ -316,15 +288,9 @@ def pbw_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     fq = filtration or enveloping_filtration(bracket, cutoff, slack)
     space = bracket.space
     s_dims = symmetric_algebra_dims(space, cutoff)
-    sigma = []
-    total = 0
-    for s in s_dims:
-        total += s
-        sigma.append(total)
+    sigma = list(accumulate(s_dims))
     dims_u = fq.dims_U
-    gr_dims = [dims_u[0]] + [
-        dims_u[n] - dims_u[n - 1] for n in range(1, cutoff + 1)
-    ]
+    gr_dims = [dims_u[0]] + [dims_u[n] - dims_u[n - 1] for n in range(1, cutoff + 1)]
     theta_ok = all(gr_dims[n] <= s_dims[n] for n in range(cutoff + 1))
     for n in range(1, cutoff + 1):
         if dims_u[n] < sigma[n]:

@@ -5,40 +5,44 @@ reduced row echelon form with a fixed ascending column order, so two equal
 subspaces have literally identical representations and equality, membership
 and inclusion tests are syntactic.
 
-The echelon is built by forward reduction (each incoming row is reduced
+An `Echelon` is built by forward reduction (each incoming row is reduced
 against the pivots found so far) and back-substituted once at the end, all of
 it or only the rows pivoting from a given column on, which meet no earlier
-pivot; sparsity of the input rows is preserved as far as the fill-in pattern
-of the pivot graph allows, which for the monomial and diagonal braidings that
-dominate this workbench means eliminations never leave the orbit of words
-a row touches.
+pivot; for the monomial and diagonal braidings that dominate this workbench
+the eliminations never leave the orbit of words a row touches.  Over the
+fields of degree 1 and 2 its rows are raw and fraction-free, as in Bareiss
+(1968) and FLINT's `fmpq_mat_rref`: ints over Q, coefficient pairs over
+Q(zeta_m), m = 3, 4, 6, cleared of denominators on entry, each pivot row
+divided by the gcd of its coefficients and led by a positive integer, and a
+remainder divided once, at exit.  Over fields of degree >= 3, and mod p, the
+pivot rows are scaled to lead 1.  Rows leave only through `Echelon.reduce`,
+`rows` and `kernel` (so through `Subspace` and the kernels below), in lead-1
+RREF, with their scalars drawn from the field's intern table.
 
 One elimination serves two arithmetics: `Echelon`, `matvec`, `kernel_basis`,
-`left_kernel` and `stacked_kernel` work on exact scalars, accumulated by
-`vec_axpy`, or, given a keyword prime p, on ints mod p, accumulated by
-`_axpy_mod`; only `certified_kernel` passes a prime.  Every kernel of a
-family comes back in RREF: `left_kernel` eliminates the unknowns from the
-last down, so each free unknown leads its free-column vector, the kernel's
-RREF row at that pivot, and `stacked_kernel` keeps that shape when it
-combines an RREF basis.  `enveloping.primitive_check` lists its unknowns in
-reverse, because its elimination runs faster from degree 1 up.
+`left_kernel` and `stacked_kernel` work on exact scalars or, given a keyword
+prime p, on ints mod p; only `certified_kernel` passes a prime.  Every kernel
+of a family comes back in RREF: `left_kernel` eliminates the unknowns from
+the last down, so each free unknown leads its free-column vector, the
+kernel's RREF row at that pivot, and `stacked_kernel` keeps that shape when
+it combines an RREF basis.  `enveloping.primitive_check` lists its unknowns
+in reverse, because its elimination runs faster from degree 1 up.
 
 This module is the one place that does sparse arithmetic.  Its kernels:
 
 * `vec_axpy`, target[offset + col] += c * source[col], dropping cancelled
-  entries: the one accumulate loop, which over fields of degree 1 and 2
-  works on coefficient tuples (`scalars.coeff_axpy`);
+  entries: the one accumulate loop on scalars, which over fields of degree 1
+  and 2 works on coefficient tuples (`scalars.coeff_axpy`);
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
 * `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
-* `reduce_by_pivots`, the canonical remainder modulo pivot rows, shared by
-  `Echelon.reduce` and `Subspace.reduce`;
+* `Echelon.reduce`, the canonical remainder modulo the rows, which
+  `Subspace.reduce` and `Subspace.coordinates` use;
 * `kernel_basis`, the canonical free-column kernel of a set of constraint
-  rows, and `left_kernel`, the RREF kernel of a family;
+  rows (`Echelon.kernel`), and `left_kernel`, the RREF kernel of a family;
 * `stacked_kernel`, the common kernel of a family of maps on a subspace,
   solved map by map on the basis the earlier maps leave, so that no map is
   applied to a vector an earlier one has ruled out;
-* `Subspace.coordinates`, a member's coordinates over the canonical basis;
 * `certified_kernel`, the RREF of the common kernel of exact sparse column
   maps by the modular route: the primitives E_n of T(V), the quotient
   primitives of a tower and the blocks that decide E_n != 0.
@@ -66,9 +70,9 @@ from __future__ import annotations
 
 import itertools
 
-from functools import partial
+from math import gcd, lcm
 
-from .scalars import CycloScalar, Reduction, coeff_axpy, crt, rational_lift
+from .scalars import CycloScalar, Q, Reduction, coeff_axpy, crt, rational_lift
 
 
 def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
@@ -90,7 +94,7 @@ def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
 
 def _axpy_mod(p: int, target: dict, coeff: int, source: dict) -> dict:
     """target += coeff * source mod p, dropping entries that vanish; returns
-    target.  The prime comes first, for `partial` to bind."""
+    target."""
     for col, val in source.items():
         new = (target.get(col, 0) + coeff * val) % p
         if new:
@@ -104,9 +108,12 @@ def matvec(columns, vec: dict, *, p=None) -> dict:
     """sum_w vec[w] * columns[w]: the matrix with these sparse columns applied
     to vec, or equally the combination of a family with coefficients vec."""
     out: dict = {}
-    axpy = vec_axpy if p is None else partial(_axpy_mod, p)
-    for w, s in vec.items():
-        axpy(out, s, columns[w])
+    if p is None:
+        for w, s in vec.items():
+            vec_axpy(out, s, columns[w])
+    else:
+        for w, s in vec.items():
+            _axpy_mod(p, out, s, columns[w])
     return out
 
 
@@ -121,71 +128,216 @@ def apply_slot(vec: dict, mid: int, right: int, f, width: int) -> dict:
             for (l, r), sl in slices.items() for m, v in f(sl).items()}
 
 
-def reduce_by_pivots(row: dict, pivots: dict, axpy=vec_axpy) -> dict:
-    """Remainder of row after eliminating every column of {pivot: row}."""
-    row = dict(row)
-    while row:
-        lead = min(row)
-        prow = pivots.get(lead)
-        if prow is None:
-            # then every later pivot column too, for a canonical remainder:
-            # ascending, in passes until none is left, since an elimination
-            # fills in only columns past its pivot and the pivot rows need
-            # not be reduced
-            while cols := sorted(c for c in row if c in pivots):
-                for col in cols:
-                    val = row.get(col)
-                    if val is not None:
-                        axpy(row, -val, pivots[col])
-            return row
-        axpy(row, -row[lead], prow)
-    return row
+def _div(x: int, den: int):
+    """x / den as a canonical coefficient: an int when it is one."""
+    return x // den if x % den == 0 else Q(x, den)
+
+
+class _Raw:
+    """Fraction-free rows over Q (ints) or Q(zeta_m), Phi_m = X^2 + c1 X + 1
+    (pairs of ints): row <- a row - b prow eliminates, and a pivot row over
+    Q(zeta_m) is multiplied by the conjugate l0 - c1 l1 - l1 X of its lead,
+    which makes the lead its norm, then divided by its content."""
+
+    def __init__(self, field):
+        self.field, self.one = field, field.one
+        self.pairs = field.degree == 2
+        self.c1 = field.cyclotomic_polynomial[1] if self.pairs else 0
+        self.eliminate = self._eliminate_pairs if self.pairs else self._eliminate_ints
+
+    def load(self, row: dict):
+        """The raw row and the denominator it was multiplied by."""
+        fld, den, raw = self.field, 1, {}
+        for col, v in row.items():
+            if v.__class__ is not CycloScalar or v.field is not fld:
+                v = fld.one._coerce(v)
+            xs = raw[col] = v.coeffs
+            if xs[0].__class__ is not int or xs[-1].__class__ is not int:
+                den = lcm(den, *(int(x.denominator) for x in xs))
+        if den != 1:
+            raw = {c: tuple(int(x * den) for x in xs) for c, xs in raw.items()}
+        return (raw if self.pairs else {c: xs[0] for c, xs in raw.items()}), den
+
+    @staticmethod
+    def _eliminate_ints(row: dict, col, prow: dict) -> int:
+        a, b = prow[col], row[col]
+        g = gcd(a, b)
+        if g != 1:
+            a, b = a // g, b // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in prow.items():
+            new = row.get(c, 0) - b * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
+        return a
+
+    def _eliminate_pairs(self, row: dict, col, prow: dict) -> int:
+        a, (b0, b1), c1 = prow[col][0], row[col], self.c1
+        g = gcd(a, b0, b1)
+        if g != 1:
+            a, b0, b1 = a // g, b0 // g, b1 // g
+        if a != 1:
+            for c, (x0, x1) in row.items():
+                row[c] = (a * x0, a * x1)
+        for c, (v0, v1) in prow.items():
+            top = b1 * v1  # X^2 = -c1 X - 1
+            x0, x1 = row.get(c, (0, 0))
+            x0, x1 = x0 - b0 * v0 + top, x1 - b0 * v1 - b1 * v0 + c1 * top
+            if x0 or x1:
+                row[c] = (x0, x1)
+            else:
+                del row[c]
+        row.pop(col, None)  # gone if prow leads with an integer; the loop ends even if not
+        return a
+
+    def normalize(self, row: dict, col) -> None:
+        if self.pairs and row[col][1]:  # times the conjugate of the lead
+            (l0, l1), c1 = row[col], self.c1
+            k0, k1 = l0 - c1 * l1, -l1
+            for c, (x0, x1) in row.items():
+                top = x1 * k1
+                row[c] = (x0 * k0 - top, x0 * k1 + x1 * k0 - c1 * top)
+        g = gcd(*(x for xs in row.values() for x in xs)) if self.pairs else gcd(*row.values())
+        g = -g if self.lead(row[col]) < 0 else g
+        if g != 1:
+            for c, x in row.items():
+                row[c] = (x[0] // g, x[1] // g) if self.pairs else x // g
+
+    def lead(self, x) -> int:
+        """The integer a pivot row leads with, from its lead entry."""
+        return x[0] if self.pairs else x
+
+    def unload(self, row: dict, den: int) -> dict:
+        """row / den in scalars, each drawn from the field's intern table."""
+        box, pairs = self.field.box, self.pairs
+        if den == 1:
+            return {c: box(x if pairs else (x,)) for c, x in row.items()}
+        return {c: box((_div(x[0], den), _div(x[1], den)) if pairs else (_div(x, den),))
+                for c, x in row.items()}
+
+
+class _Monic:
+    """Rows of scalars of a field of degree >= 3, or of ints mod p: pivot rows
+    scaled to lead 1, a column eliminated by row <- row - b prow."""
+
+    def __init__(self, field=None, p=None):
+        self.p, self.one = p, field.one if p is None else 1
+
+    @staticmethod
+    def load(row: dict):
+        return dict(row), 1
+
+    def eliminate(self, row: dict, col, prow: dict) -> int:
+        if self.p is None:
+            vec_axpy(row, -row[col], prow)
+        else:
+            _axpy_mod(self.p, row, -row[col], prow)
+        return 1
+
+    def normalize(self, row: dict, col) -> None:
+        lead, p = row[col], self.p
+        if lead != self.one:
+            inv = lead.inv() if p is None else pow(lead, -1, p)
+            for c, v in row.items():
+                row[c] = inv * v if p is None else inv * v % p
+
+    @staticmethod
+    def lead(x):
+        return x
+
+    def unload(self, row: dict, den) -> dict:
+        """row / den for den = +-1: scalars from the field's intern table, or
+        ints mod p."""
+        p = self.p
+        if p is not None:
+            return row if den == 1 else {c: p - v for c, v in row.items()}
+        box, sign = self.one.field.box, 1 if den == 1 else -1
+        return {c: box(tuple(sign * x for x in v.coeffs)) for c, v in row.items()}
 
 
 class Echelon:
     """Mutable row echelon accumulator over a fixed column count, of exact
-    scalars or, given a prime p, of ints mod p."""
+    scalars or, given a prime p, of ints mod p.  Exact rows over the fields
+    of degree 1 and 2 are held raw (`_Raw`), the rest scaled to lead 1
+    (`_Monic`); scalars come out of `reduce`, `rows` and `kernel` only."""
 
     def __init__(self, ncols: int, *, p=None):
         self.ncols = ncols
-        self.p = p
-        self._axpy = vec_axpy if p is None else partial(_axpy_mod, p)
         self.pivot_rows: dict[int, dict] = {}
+        self._ring = None if p is None else _Monic(p=p)
         self._reduced_from = 0  # the rows with pivot >= this are reduced
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Return the remainder of row after eliminating all pivot columns."""
-        return reduce_by_pivots(row, self.pivot_rows, self._axpy)
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns, ascending."""
+        return sorted(self.pivot_rows)
+
+    def _arith(self, row: dict):
+        """The row arithmetic, fixed by the field of the first row."""
+        if self._ring is None:
+            fld = next(iter(row.values())).field
+            self._ring = (_Raw if fld.degree < 3 else _Monic)(fld)
+        return self._ring
+
+    def _forward(self, raw: dict):
+        """Eliminate the raw row's leading pivot columns until it leads at a
+        free column or vanishes; returns that column (None once it vanished)
+        and the factor the row was scaled by."""
+        pivots, eliminate, scale = self.pivot_rows, self._ring.eliminate, 1
+        while raw:
+            lead = min(raw)
+            prow = pivots.get(lead)
+            if prow is None:
+                return lead, scale
+            scale *= eliminate(raw, lead, prow)
+        return None, scale
+
+    def _add(self, raw: dict) -> bool:
+        lead = self._forward(raw)[0]
+        if raw:
+            self._ring.normalize(raw, lead)
+            self.pivot_rows[lead] = raw
+            self._reduced_from = float("inf")
+        return bool(raw)
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True when the rank grew."""
-        row = dict(row)
-        pivots, axpy, p = self.pivot_rows, self._axpy, self.p
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                leadval = row.pop(lead)
-                one = leadval.field.one if p is None else 1
-                if leadval != one:
-                    row = axpy({}, leadval.inv() if p is None else pow(leadval, -1, p), row)
-                row[lead] = one
-                pivots[lead] = row
-                self._reduced_from = float("inf")
-                return True
-            axpy(row, -row[lead], prow)
-        return False
+        return bool(row) and self._add(self._arith(row).load(row)[0])
 
     def add_rows(self, rows) -> int:
-        added = 0
-        for row in rows:
-            if self.add(row):
-                added += 1
-        return added
+        return sum(map(self.add, rows))
+
+    def reduce(self, row: dict, add_below: int = 0) -> dict:
+        """The canonical remainder of row after eliminating every pivot
+        column, divided once by what the elimination multiplied the row by;
+        a remainder leading before column add_below joins the rows instead,
+        and {} comes back."""
+        if not row or not (self.pivot_rows or add_below):
+            return dict(row)
+        ring = self._arith(row)
+        raw, den = ring.load(row)
+        lead, scale = self._forward(raw)
+        if raw and lead < add_below:
+            self._add(raw)
+            return {}
+        den *= scale
+        # then every later pivot column too, for a canonical remainder:
+        # ascending, in passes until none is left, since an elimination fills
+        # in only columns past its pivot and the pivot rows need not be reduced
+        pivots = self.pivot_rows
+        while cols := sorted(c for c in raw if c in pivots):
+            for col in cols:
+                if col in raw:
+                    den *= ring.eliminate(raw, col, pivots[col])
+        return ring.unload(raw, den)
 
     def back_substitute(self, start: int = 0) -> None:
         """Bring the rows whose pivot is >= start into fully reduced form: a
@@ -193,31 +345,62 @@ class Echelon:
         done = self._reduced_from
         if start >= done:
             return
-        pivots, axpy = self.pivot_rows, self._axpy
+        pivots, ring = self.pivot_rows, self._ring
         for pcol in sorted((c for c in pivots if start <= c < done), reverse=True):
             # every row pivoting after pcol is reduced by now, so eliminating
             # its pivot fills in no pivot column: one pass clears the row
             row = pivots[pcol]
-            for col in sorted(c for c in row if c in pivots and c != pcol):
-                axpy(row, -row[col], pivots[col])
+            cols = sorted(c for c in row if c in pivots and c != pcol)
+            for col in cols:
+                ring.eliminate(row, col, pivots[col])
+            if cols:
+                ring.normalize(row, pcol)
         self._reduced_from = start
 
-    def rows(self) -> list[dict]:
+    def rows(self, start: int = 0) -> list[dict]:
+        """The RREF rows, lead 1, of the pivots from column start on."""
+        self.back_substitute(start)
+        pivots, ring = self.pivot_rows, self._ring
+        return [ring.unload(pivots[c], ring.lead(pivots[c][c]))
+                for c in sorted(pivots) if c >= start]
+
+    def kernel(self, one=None, last=None) -> list[dict]:
+        """The canonical free-column basis of {x : R x = 0}, R the rows: for
+        each free column f, ascending, one at f and -R[q][f] at each pivot q
+        of the RREF; with last given, index c is written last - c and the
+        vectors come by f descending.  `one` serves when no row was added."""
         self.back_substitute()
-        return [self.pivot_rows[c] for c in sorted(self.pivot_rows)]
+        pivots, ring = self.pivot_rows, self._ring
+        if ring is not None:
+            one = ring.one
+        elif one is None:
+            raise ValueError("kernel of an empty constraint set needs a unit hint")
+        free: dict[int, dict] = {}
+        for pcol, row in pivots.items():
+            q = pcol if last is None else last - pcol
+            for col, val in ring.unload(row, -ring.lead(row[pcol])).items():
+                if col != pcol:
+                    free.setdefault(col, {})[q] = val
+        basis = []
+        for f in range(self.ncols) if last is None else reversed(range(self.ncols)):
+            if f not in pivots:
+                vec = free.get(f, {})
+                vec[f if last is None else last - f] = one
+                basis.append(vec)
+        return basis
 
 
 class Subspace:
     """A subspace of a coordinate space, held canonically in RREF: rows are
     the RREF rows, ascending by pivot."""
 
-    __slots__ = ("ncols", "rows", "pivots", "_index")
+    __slots__ = ("ncols", "rows", "pivots", "_echelon")
 
     def __init__(self, ncols: int, rows: list[dict]):
         self.ncols = ncols
         self.rows = rows
         self.pivots = tuple(map(min, rows))
-        self._index = None
+        self._echelon = None
 
     @classmethod
     def from_rows(cls, ncols: int, rows) -> "Subspace":
@@ -242,15 +425,14 @@ class Subspace:
 
     def echelon(self) -> Echelon:
         ech = Echelon(self.ncols)
-        for pcol, row in zip(self.pivots, self.rows):
-            ech.pivot_rows[pcol] = dict(row)
+        ech.add_rows(self.rows)
         return ech
 
     def reduce(self, vector: dict) -> dict:
         """Canonical remainder of a vector modulo this subspace."""
-        if self._index is None:
-            self._index = dict(zip(self.pivots, self.rows))
-        return reduce_by_pivots(vector, self._index)
+        if self._echelon is None:
+            self._echelon = self.echelon()
+        return self._echelon.reduce(vector)
 
     def coordinates(self, vector: dict):
         """{k: coefficient} over the canonical rows, or None outside."""
@@ -265,60 +447,37 @@ class Subspace:
         return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ncols == other.ncols
-            and self.pivots == other.pivots
-            and self.rows == other.rows
-        )
+        return (isinstance(other, Subspace) and self.ncols == other.ncols
+                and self.pivots == other.pivots and self.rows == other.rows)
 
     def __repr__(self):
         return "Subspace(dim=%d, ncols=%d)" % (self.dim, self.ncols)
 
 
 def kernel_basis(rows, ncols: int, one=None, *, p=None) -> list[dict]:
-    """Basis of {x : R x = 0} given the constraint rows of R.
-
-    The basis is the canonical free-column one: for every non-pivot column f
-    (ascending) the vector with 1 at f and -R[q][f] at each pivot column q.
-    `one` supplies the unit scalar when the constraint set might be empty.
-    """
+    """Basis of {x : R x = 0} given the constraint rows of R: the canonical
+    free-column one (`Echelon.kernel`)."""
     ech = Echelon(ncols, p=p)
     ech.add_rows(rows)
-    ech.back_substitute()
-    pivots = ech.pivot_rows
-    for pcol, row in pivots.items():
-        one = row[pcol]
-        break
-    if one is None:
-        raise ValueError("kernel of an empty constraint set needs a unit hint")
-    # collect, per free column, the pivot entries hitting it
-    free_entries: dict[int, dict] = {}
-    for pcol, row in pivots.items():
-        for col, val in row.items():
-            if col != pcol:
-                free_entries.setdefault(col, {})[pcol] = -val if p is None else p - val
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = dict(free_entries.get(f, {}))
-        vec[f] = one
-        basis.append(vec)
-    return basis
+    return ech.kernel(one)
 
 
 def left_kernel(vectors: list[dict], one=None, *, p=None) -> list[dict]:
     """RREF basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse
-    vectors, whose column keys may be any hashables: `kernel_basis` of the
+    vectors, whose column keys may be any hashables: the kernel of the
     transposed family with the unknowns numbered from the last down."""
     last = len(vectors) - 1
     transposed: dict = {}
     for i, vec in enumerate(vectors):
         for col, val in vec.items():
             transposed.setdefault(col, {})[last - i] = val
-    return [{last - c: v for c, v in vec.items()} for vec in
-            reversed(kernel_basis(transposed.values(), len(vectors), one, p=p))]
+    ech = Echelon(len(vectors), p=p)
+    ring = ech._arith(next(iter(transposed.values()))) if transposed else None
+    # the transposed rows are fresh, so a monic arithmetic takes them uncopied
+    fresh = ring.__class__ is _Monic
+    for row in transposed.values():
+        ech._add(row if fresh else ring.load(row)[0])
+    return ech.kernel(one, last)
 
 
 def stacked_kernel(basis, maps, one=None, *, p=None) -> list[dict]:

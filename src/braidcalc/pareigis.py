@@ -39,13 +39,8 @@ import itertools
 
 from functools import partial
 
-from .errors import (
-    BadParams,
-    DegreeBudgetExceeded,
-    InternalCheckError,
-    NotInZetaSpace,
-    RootOrderMismatch,
-)
+from .errors import (BadParams, DegreeBudgetExceeded, InternalCheckError, NotInZetaSpace,
+                     RootOrderMismatch)
 from .linalg import Subspace, apply_slot, matvec, stacked_kernel, vec_axpy
 from .scalars import root_order
 from .spaces import BraidedSpace, matsumoto_lift
@@ -100,8 +95,7 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
     key = ("zeta_space", n, zeta.coeffs)
     cached = space._memo.get(key)
     if cached is None:
-        cached = _eigen_fixpoint(space, n, zeta)
-        space._memo[key] = cached
+        cached = space._memo[key] = _eigen_fixpoint(space, n, zeta)
     return cached
 
 
@@ -223,9 +217,7 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     return Subspace(size, stacked_kernel(carrier.rows, conds))
 
 
-# ---------------------------------------------------------------------------
-# the Pareigis identities
-# ---------------------------------------------------------------------------
+# -- the Pareigis identities --------------------------------------------------
 
 def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     """[z] for z in V^(x)2 with c^2 z = z: b_2(z - c z)."""
@@ -267,12 +259,10 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     space.check_budget(n + 1)
     zs = zeta_space(space, n, zeta)
     one = space.field.one
-    results = {}
 
     # PL1: [s_i x] = [x] for the generators s_i = zeta^(-1) c_i, which is
     # invariance under the twisted symmetric-group action
-    ok = True
-    for row in zs.rows:
+    def pl1(row):
         base = induced_bracket(bracket, n, zeta, row)
         for i in range(1, n):
             try:
@@ -281,34 +271,22 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
                 raise InternalCheckError(
                     "twisted action left the zeta space (degree %d)" % n)
             if value != base:
-                ok = False
-                break
-        if not ok:
-            break
-    results["pl1"] = ok
+                return False
+        return True
 
     # PL2: the cyclic sum of [ - , [ - ] ] vanishes on V^(x)(n+1)(zeta); the
     # cycle 1 -> 2 -> ... -> i -> 1 has the one reduced word s_1 ... s_(i-1)
-    upper = zeta_space(space, n + 1, zeta, require_primitive=False)
-    ok = True
-    for row in upper.rows:
+    def pl2(row):
         total: dict = {}
         for i in range(1, n + 2):
             moved = _twist(space, n + 1, zeta, tuple(range(1, i)), row)
             inner_val = _apply_first_slice(space, bracket, n, zeta, moved)
-            if not inner_val:
-                continue
-            vec_axpy(total, one, _pair_bracket(bracket, inner_val))
-        if total:
-            ok = False
-            break
-    results["pl2"] = ok
+            if inner_val:
+                vec_axpy(total, one, _pair_bracket(bracket, inner_val))
+        return not total
 
     # PL3: compatibility of the binary and n-ary brackets on the mixed space
-    mixed = mixed_zeta_space(space, n, zeta)
-    d = space.dim
-    ok = True
-    for row in mixed.rows:
+    def pl3(row):
         inner_val = _apply_first_slice(space, bracket, n, zeta, row)
         lhs = _pair_bracket(bracket, inner_val) if inner_val else {}
         rhs: dict = {}
@@ -325,8 +303,9 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
                 raise NotInZetaSpace(
                     "middle-bracket image left the degree-%d zeta space" % n)
             vec_axpy(rhs, one, value)
-        if lhs != rhs:
-            ok = False
-            break
-    results["pl3"] = ok
-    return results
+        return lhs == rhs
+
+    d = space.dim
+    return {"pl1": all(map(pl1, zs.rows)),
+            "pl2": all(map(pl2, zeta_space(space, n + 1, zeta, require_primitive=False).rows)),
+            "pl3": all(map(pl3, mixed_zeta_space(space, n, zeta).rows))}

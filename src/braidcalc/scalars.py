@@ -14,6 +14,9 @@ available, fractions.Fraction otherwise; both arbitrary precision with
 positive denominator).  Every division goes through Q, never int / int, so
 no coefficient can become a float.  Products, inverses and the sparse
 accumulate `coeff_axpy` are closed forms in degrees 1 and 2 (m = 1, 2, 3, 4, 6).
+Each field interns its scalars (`CycloField.box`): the constructors,
+`coeff_axpy` and `linalg` box through one table, one object per integral
+coefficient tuple; a value with a fraction in it is boxed fresh.
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
 stays well under a second.
@@ -66,9 +69,7 @@ def euler_phi(m: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Q, coefficient lists low -> high
-# ---------------------------------------------------------------------------
+# -- dense polynomial helpers over Q, coefficient lists low -> high -----------
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -153,8 +154,21 @@ class CycloField:
                 table.append(row)
             self._reduction = [tuple(r) for r in table]
         self._tail = (QZERO,) * (self.degree - 1)
-        self.zero = CycloScalar(self, (QZERO,) * self.degree)
+        self.interned: dict[tuple, CycloScalar] = {}
+        self.zero = self.box((QZERO,) * self.degree)
         self.one = self.from_rational(QONE)
+        self.gen = self.scalar([QZERO, QONE])  # zeta_m: X mod Phi_m, so 1 or -1 if m <= 2
+
+    def box(self, coeffs: tuple) -> "CycloScalar":
+        """The scalar with these canonical coefficients: one interned object
+        per integral tuple, a fresh one for a tuple holding a fraction."""
+        for c in coeffs:
+            if c.__class__ is not int:
+                return CycloScalar(self, coeffs)
+        s = self.interned.get(coeffs)
+        if s is None:
+            s = self.interned[coeffs] = CycloScalar(self, coeffs)
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -163,24 +177,15 @@ class CycloField:
         if len(coeffs) > self.degree:
             coeffs = _poly_divmod(coeffs, self.cyclotomic_polynomial)[1]
         coeffs += [QZERO] * (self.degree - len(coeffs))
-        return CycloScalar(self, tuple(coeffs))
+        return self.box(tuple(coeffs))
 
     def from_rational(self, value) -> "CycloScalar":
         if type(value) is not int:
             value = _canon(Q(value))
-        return CycloScalar(self, (value,) + self._tail)
+        return self.box((value,) + self._tail)
 
     def from_fraction(self, num, den=1) -> "CycloScalar":
         return self.from_rational(Q(num, den))
-
-    @property
-    def gen(self) -> "CycloScalar":
-        """zeta_m itself (equal to -1 when m in {1, 2})."""
-        if self.degree == 1:
-            return self.from_rational(QONE if self.order == 1 else -QONE)
-        return CycloScalar(
-            self, (QZERO, QONE) + (QZERO,) * (self.degree - 2)
-        )
 
     def root_of_unity(self, n: int, power: int = 1) -> "CycloScalar":
         """A primitive n-th root of unity (zeta_n^power with gcd(power, n) = 1).
@@ -414,31 +419,22 @@ class CycloScalar:
     def __str__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
+            z = "z" if k == 1 else "z^%d" % k
+            if c and not k:
                 terms.append(str(c))
-            else:
-                z = "z" if k == 1 else "z^%d" % k
-                if c == 1:
-                    terms.append(z)
-                elif c == -1:
-                    terms.append("-" + z)
-                else:
-                    terms.append("%s*%s" % (c, z))
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += ("+" + t) if not t.startswith("-") else t
-        return out
+            elif c:
+                terms.append(z if c == 1 else "-" + z if c == -1 else "%s*%s" % (c, z))
+        # no term holds a "+", so each "+-" is a join before a negative term
+        return "+".join(terms).replace("+-", "-") or "0"
 
 
 def coeff_axpy(target: dict, coeff: CycloScalar, source: dict, offset: int) -> None:
     """target[offset + col] += coeff * source[col] on the coefficient tuples of
-    a field of degree 1 or 2, building one CycloScalar per stored entry and
-    dropping cancelled ones; an entry from another field raises FieldMismatch."""
+    a field of degree 1 or 2, storing each entry through the field's intern
+    table and dropping cancelled ones; an entry from another field raises
+    FieldMismatch."""
     fld = coeff.field
+    box, interned = fld.box, fld.interned
     linear = fld.degree == 1
     a0, a1 = coeff.coeffs[0], 0 if linear else coeff.coeffs[1]
     c1 = fld.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1 in degree 2
@@ -466,10 +462,12 @@ def coeff_axpy(target: dict, coeff: CycloScalar, source: dict, offset: int) -> N
             if cur is not None:
                 p0, p1 = cur.coeffs[0] + p0, cur.coeffs[1] + p1
             new = (_canon(p0), _canon(p1)) if p0 or p1 else None
-        if new:
-            target[tgt] = CycloScalar(fld, new)
-        else:
+        if new is None:
             target.pop(tgt, None)
+        else:  # an integral tuple is looked up here, the rest is boxed fresh
+            s = interned.get(new) if new[0].__class__ is int and new[-1].__class__ is int \
+                else None
+            target[tgt] = box(new) if s is None else s
 
 
 def root_order(q: CycloScalar):
@@ -495,9 +493,7 @@ def is_regular_exact(q: CycloScalar) -> bool:
     return order is None or order == 1
 
 
-# ---------------------------------------------------------------------------
-# reduction modulo primes p = 1 (mod m), and the way back
-# ---------------------------------------------------------------------------
+# -- reduction modulo primes p = 1 (mod m), and the way back ------------------
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the bases 2, 3, 5, 7, exact below 3215031751."""

@@ -16,22 +16,15 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .errors import (
-    BadParams,
-    DegreeBudgetExceeded,
-    DegreeMismatch,
-    SingularBraiding,
-    YBENotSatisfied,
-)
+from .errors import (BadParams, DegreeBudgetExceeded, DegreeMismatch, SingularBraiding,
+                     YBENotSatisfied)
 from .linalg import Echelon, matvec, vec_axpy
 from .scalars import CycloField, CycloScalar, Q, is_regular_exact
 
 DEFAULT_DEGREE_BUDGET = 8
 
 
-# ---------------------------------------------------------------------------
-# braid words and Matsumoto lifts
-# ---------------------------------------------------------------------------
+# -- braid words and Matsumoto lifts ------------------------------------------
 
 class BraidWord:
     """A word in the Artin generators; letters are signed 1-based indices."""
@@ -92,9 +85,7 @@ def word_name(idx: int, n: int, d: int) -> str:
     return ".".join("x%d" % ell for ell in word_letters(idx, n, d))
 
 
-# ---------------------------------------------------------------------------
-# the braided space proper
-# ---------------------------------------------------------------------------
+# -- the braided space proper -------------------------------------------------
 
 class BraidedSpace:
     """Dimension, validated braiding, and lazily computed metadata."""
@@ -134,11 +125,10 @@ class BraidedSpace:
             for (a2, b2), s in self.pairs.get(divmod(r, d), ()):
                 vec_axpy(row, s, {a2 * d + b2: one})
             ech.add(row)
-        if ech.rank < D or any(p >= D for p in ech.pivot_rows):
+        if ech.rank < D or ech.pivots[-1] >= D:
             raise SingularBraiding("the braiding matrix is not invertible")
-        ech.back_substitute()
-        return {divmod(col, d): tuple((divmod(c2 - D, d), v) for c2, v in row.items() if c2 >= D)
-                for col, row in ech.pivot_rows.items()}
+        return {divmod(min(row), d): tuple((divmod(c2 - D, d), v) for c2, v in row.items() if c2 >= D)
+                for row in ech.rows()}
 
     def _check_ybe(self):
         """c1 c2 c1 = c2 c1 c2 on the columns of the basis words, in order."""
@@ -202,8 +192,7 @@ class BraidedSpace:
         if word is None:
             # one-line form: the first p positions map past the last q strands
             chi = tuple(pos + q if pos < p else pos - p for pos in range(p + q))
-            word = matsumoto_lift(chi).letters
-            self._memo[key] = word
+            word = self._memo[key] = matsumoto_lift(chi).letters
         return word
 
     def braiding_block_matrix(self, p: int, q: int):
@@ -211,12 +200,8 @@ class BraidedSpace:
         key = ("blockmat", p, q)
         mat = self._memo.get(key)
         if mat is None:
-            n = p + q
-            mat = [
-                self.braiding_block_apply(p, q, {w: self.field.one})
-                for w in range(self.power(n))
-            ]
-            self._memo[key] = mat
+            mat = self._memo[key] = [self.braiding_block_apply(p, q, {w: self.field.one})
+                                     for w in range(self.power(p + q))]
         return mat
 
     # -- lazily computed metadata ---------------------------------------------
@@ -243,14 +228,12 @@ class BraidedSpace:
                 for row, val in colvec.items():
                     flat[col * D + row] = val
             flat[flat_cols + k] = one
-            rem = ech.reduce(flat)
-            if all(c >= flat_cols for c in rem):
+            # a remainder without a matrix entry is a relation among the powers
+            rem = ech.reduce(flat, add_below=flat_cols)
+            if rem:
                 lead = rem[flat_cols + k]
-                coeffs = []
-                for j in range(k + 1):
-                    coeffs.append(rem.get(flat_cols + j, self.field.zero) / lead)
-                return tuple(coeffs)
-            ech.add(flat)
+                return tuple(rem.get(flat_cols + j, self.field.zero) / lead
+                             for j in range(k + 1))
             # multiply by c: pair coordinates are degree-2 word coordinates
             power = {col: self.apply_generator(2, 1, colvec)
                      for col, colvec in power.items()}
@@ -264,21 +247,12 @@ class BraidedSpace:
         return self._hecke if self._hecke != "none" else None
 
     def _compute_hecke(self):
+        # X - q, or X^2 + aX + b = (X+1)(X-q) iff b = -q and a = 1 - q
         poly = self.min_poly
-        field = self.field
-        if len(poly) == 2:
-            mark = -poly[0]  # X - q
-            if mark.is_zero():
-                return "none"
-            return {"mark": mark, "regular": is_regular_exact(mark)}
-        if len(poly) == 3:
-            # X^2 + aX + b = (X+1)(X-q) iff b = -q and a = 1 - q
-            q = -poly[0]
-            if q.is_zero():
-                return "none"
-            if poly[1] == field.one - q:
-                return {"mark": q, "regular": is_regular_exact(q)}
-        return "none"
+        q = -poly[0]
+        if q.is_zero() or len(poly) > 3 or (len(poly) == 3 and poly[1] != self.field.one - q):
+            return "none"
+        return {"mark": q, "regular": is_regular_exact(q)}
 
     def __repr__(self):
         return "BraidedSpace(kind=%s, d=%d, m=%d)" % (
@@ -286,9 +260,7 @@ class BraidedSpace:
         )
 
 
-# ---------------------------------------------------------------------------
-# constructors and presets
-# ---------------------------------------------------------------------------
+# -- constructors and presets -------------------------------------------------
 
 def _as_scalar(field, value):
     if isinstance(value, CycloScalar):

@@ -178,12 +178,12 @@ def _nichols_levels(space: BraidedSpace, upto: int) -> list:
             # each term p (x) y of D_n(u) and c(y (x) x) = x' (x) y'
             img = matvec(lifted, braided)
             vec_axpy(img, one, {c: one})
-            rem = ech.reduce({**img, width + c: one})
-            if min(rem) < width:
-                ech.add(rem)
-                normal[c] = img
-            else:
+            # a remainder leading at an image column joins the echelon
+            rem = ech.reduce({**img, width + c: one}, add_below=width)
+            if rem:
                 rems[c] = rem
+            else:
+                normal[c] = img
         index = {c: j for j, c in enumerate(sorted(normal))}
         # a remainder holds only tags: c = sum of normal words mod I_(n+1)
         coords = [{index[c]: one} if c in index else

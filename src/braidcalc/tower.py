@@ -153,9 +153,7 @@ def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# ideal closure
-# ---------------------------------------------------------------------------
+# -- ideal closure ------------------------------------------------------------
 
 def _close_components(tower: IdealTower, generators, upto: int) -> None:
     """Extend the tower's normal words and tables to degree upto, adjoining
@@ -182,8 +180,7 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
         for g in candidates:
             if ech.add(image(g, 0, n)):
                 kept.setdefault(n, []).append(g)
-        ech.back_substitute()
-        pivots = ech.pivot_rows
+        pivots = {min(row): row for row in ech.rows()}
         index = {c: i for i, c in enumerate(c for c in range(width) if c not in pivots)}
         # a pivot column is minus the free part of its RREF row
         coords = [{index[c]: one} if c in index else
@@ -247,9 +244,7 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
     return tower
 
 
-# ---------------------------------------------------------------------------
-# quotient primitives and the symmetric-algebra step
-# ---------------------------------------------------------------------------
+# -- quotient primitives and the symmetric-algebra step -----------------------
 
 def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
     """Degree-n primitives of the quotient, each lifted to its combination
@@ -351,11 +346,7 @@ def nichols_via_tower(space: BraidedSpace, cutoff: int):
     """Graded dimensions of the stabilised tower: degree n is exact after
     n - 1 steps, so the cutoff run reads each dimension off the right iterate."""
     iterates = tower_iterates(space, cutoff, max_steps=max(cutoff - 1, 0))
-    out = [1]
-    for n in range(1, cutoff + 1):
-        idx = min(n - 1, len(iterates) - 1)
-        out.append(iterates[idx].dim(n))
-    return out
+    return [1] + [iterates[min(n - 1, len(iterates) - 1)].dim(n) for n in range(1, cutoff + 1)]
 
 
 def is_quadratic(space: BraidedSpace, cutoff: int) -> bool:

@@ -100,6 +100,72 @@ def shuffles(p: int, q: int):
     return out
 
 
+class LeadOneEchelon:
+    """The exact echelon as `linalg.Echelon` held it before its rows went
+    raw: every pivot row scaled to lead 1 on entry, every elimination a
+    `vec_axpy` on scalars, and a remainder completed by eliminating each
+    later pivot column in ascending passes.  The reference for the raw,
+    fraction-free echelon's rows, remainders, rank and partial
+    back-substitution."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: dict = {}
+        self._reduced_from = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row: dict) -> dict:
+        row, pivots = dict(row), self.pivot_rows
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                while cols := sorted(c for c in row if c in pivots):
+                    for col in cols:
+                        if col in row:
+                            vec_axpy(row, -row[col], pivots[col])
+                return row
+            vec_axpy(row, -row[lead], prow)
+        return row
+
+    def add(self, row: dict) -> bool:
+        row, pivots = dict(row), self.pivot_rows
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                leadval = row.pop(lead)
+                if leadval != leadval.field.one:
+                    row = vec_axpy({}, leadval.inv(), row)
+                row[lead] = leadval.field.one
+                pivots[lead] = row
+                self._reduced_from = float("inf")
+                return True
+            vec_axpy(row, -row[lead], prow)
+        return False
+
+    def add_rows(self, rows) -> int:
+        return sum(self.add(row) for row in rows)
+
+    def back_substitute(self, start: int = 0) -> None:
+        if start >= self._reduced_from:
+            return
+        pivots = self.pivot_rows
+        for pcol in sorted((c for c in pivots if start <= c < self._reduced_from),
+                           reverse=True):
+            row = pivots[pcol]
+            for col in sorted(c for c in row if c in pivots and c != pcol):
+                vec_axpy(row, -row[col], pivots[col])
+        self._reduced_from = start
+
+    def rows(self, start: int = 0) -> list[dict]:
+        self.back_substitute(start)
+        return [self.pivot_rows[c] for c in sorted(self.pivot_rows) if c >= start]
+
+
 def rank_of_rows(rows, ncols: int) -> int:
     ech = Echelon(ncols)
     ech.add_rows(rows)
@@ -242,7 +308,7 @@ def nichols_dims_dn(space, upto: int) -> list[int]:
         ech.add_rows(m for m in images if m)
         # the leads of an echelon are the RREF pivot columns of the span, so
         # keeping only those coordinates is injective on it
-        renumber = {p: i for i, p in enumerate(sorted(ech.pivot_rows))}
+        renumber = {p: i for i, p in enumerate(ech.pivots)}
         prev = [{renumber[k]: v for k, v in m.items() if k in renumber}
                 for m in images]
         ranks.append(ech.rank)
@@ -465,8 +531,7 @@ def filtration_braiding_stable(fq) -> bool:
     a theorem for the enveloping filtration, so a False is a bug."""
     space = fq.bracket.space
     d = space.dim
-    fq.echelon.back_substitute()
-    for row in list(fq.echelon.pivot_rows.values()):
+    for row in fq.echelon.rows():
         by_degree: dict = {}
         for col, val in row.items():
             # blocks of T_(top) run degree-descending from offset 0

@@ -18,7 +18,9 @@ from braidcalc.linalg import (
     vec_axpy,
 )
 from braidcalc.scalars import Q, Reduction, field_make
-from oracles import (rank_of_rows, row_tensor_basis_left, row_tensor_basis_right,
+from math import gcd
+
+from oracles import (LeadOneEchelon, rank_of_rows, row_tensor_basis_left, row_tensor_basis_right,
                      subspace_intersection, subspace_sum)
 
 F = field_make(1)
@@ -409,12 +411,14 @@ def test_back_substitute_from_a_column_reduces_only_the_rows_from_it(seed=53):
 
         def assert_reduced_from_start():
             partial_ech.back_substitute(start)
-            reduced = dict(zip(sorted(full.pivot_rows), full.rows()))
-            pivots = partial_ech.pivot_rows
-            for pcol, row in pivots.items():
-                if pcol >= start:
-                    assert row == reduced[pcol]
-                    assert all(c == pcol or c not in pivots for c in row)
+            reduced = dict(zip(full.pivots, full.rows()))
+            pivots = partial_ech.pivots
+            rows = partial_ech.rows(start)
+            assert [min(row) for row in rows] == [c for c in pivots if c >= start]
+            for row in rows:
+                pcol = min(row)
+                assert row == reduced[pcol]
+                assert all(c == pcol or c not in pivots for c in row)
 
         partial_ech.add_rows(rows[:-1])
         full.add_rows(rows[:-1])
@@ -425,3 +429,80 @@ def test_back_substitute_from_a_column_reduces_only_the_rows_from_it(seed=53):
         full.add(rows[-1])
         assert_reduced_from_start()
         assert partial_ech.rows() == full.rows()
+
+
+RAW_ORDERS = (1, 3, 4, 5, 6)  # Q, the three fields of degree 2 (c1 = 1, 0, -1), degree 4
+RAW_COEFFS = (0, 0, 0, 1, -1, 2, -3, 5, Q(1, 2), Q(-2, 3))
+
+
+def typed(vec: dict) -> dict:
+    """A vector's coefficients with the type of each: int or rational."""
+    return {c: (v.coeffs, tuple(type(x).__name__ for x in v.coeffs)) for c, v in vec.items()}
+
+
+@st.composite
+def echelon_inputs(draw):
+    m = draw(st.sampled_from(RAW_ORDERS))
+    f = field_make(m)
+    ncols = draw(st.integers(1, 7))
+    scalar = st.lists(st.sampled_from(RAW_COEFFS), min_size=f.degree,
+                      max_size=f.degree).map(f.scalar)
+    vector = st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=ncols).map(
+        lambda vec: {c: s for c, s in vec.items() if s})
+    return (ncols, draw(st.lists(vector, max_size=6)), draw(st.lists(vector, max_size=4)),
+            draw(st.integers(0, ncols)))
+
+
+def assert_primitive(ech):
+    """Every raw pivot row over Q or a field of degree 2 holds ints (or pairs
+    of ints) without a common factor, and leads with a positive integer."""
+    for pcol, row in ech.pivot_rows.items():
+        values = list(row.values())
+        if values[0].__class__ is tuple:  # degree 2: coefficient pairs
+            assert row[pcol][1] == 0
+            lead, values = row[pcol][0], [x for pair in values for x in pair]
+        elif values[0].__class__ is int:
+            lead = row[pcol]
+        else:
+            continue  # degree 4: scalars scaled to lead 1
+        assert all(x.__class__ is int for x in values)
+        assert lead > 0 and gcd(*values) == 1
+
+
+# before the reference comparison: a pivot row that breaks these invariants
+# fails here as soon as it is inserted, before a row is eliminated against it
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_raw_pivot_rows_are_primitive_with_a_positive_integer_lead(inputs):
+    ncols, rows, _, start = inputs
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add(row)
+        assert_primitive(ech)
+    ech.back_substitute(start)
+    assert_primitive(ech)
+    ech.back_substitute()
+    assert_primitive(ech)
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_inputs())
+def test_raw_echelon_matches_the_lead_one_reference(inputs):
+    ncols, rows, vectors, start = inputs
+    raw, ref = Echelon(ncols), LeadOneEchelon(ncols)
+    assert [raw.add(r) for r in rows] == [ref.add(r) for r in rows]
+    assert raw.rank == ref.rank
+    assert [typed(raw.reduce(v)) for v in vectors] == [typed(ref.reduce(v)) for v in vectors]
+    # a partial back-substitution, then the remainders again and every row
+    assert [typed(r) for r in raw.rows(start)] == [typed(r) for r in ref.rows(start)]
+    assert [typed(raw.reduce(v)) for v in vectors] == [typed(ref.reduce(v)) for v in vectors]
+    assert [typed(r) for r in raw.rows()] == [typed(r) for r in ref.rows()]
+    # a remainder that leads before add_below joins the rows
+    for v in vectors:
+        expected = ref.reduce(v)
+        if expected and min(expected) < start:
+            ref.add(expected)
+            expected = {}
+        assert typed(raw.reduce(v, add_below=start)) == typed(expected)
+    assert raw.rank == ref.rank
+    assert [typed(r) for r in raw.rows()] == [typed(r) for r in ref.rows()]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from braidcalc import enveloping_filtration, make_preset, nichols_dims, preset_bracket
 from braidcalc.errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
-from braidcalc.linalg import vec_axpy
+from braidcalc.linalg import Echelon, left_kernel, vec_axpy
 from braidcalc.scalars import (
     MAX_FIELD_ORDER,
     CycloField,
@@ -465,13 +465,47 @@ def integral_rationals(value) -> int:
 
 
 def test_no_integral_rational_survives_a_run():
-    # the Nichols tables of Cartan A_3 at a cube root of unity, built through an
-    # echelon that scales its pivots by fractions such as 1/3 + 2/3 z
+    # the Nichols tables of Cartan A_3 at a cube root of unity, whose remainders
+    # come out of the fraction-free echelon divided by their denominator
     a3 = make_preset("cartan_An", field_make(3), n=3, t=3, degree_budget=8)
     assert nichols_dims(a3, 8) == [1, 3, 8, 14, 24, 34, 47, 57, 67]
     levels = a3._memo["nichols"]
     assert len(levels) == 9 and integral_rationals(levels) == 0
     gu = make_preset("gurevich", field_make(1))
     fq = enveloping_filtration(preset_bracket(gu, "gurevich"), 4, 1)
-    rows = fq.echelon.pivot_rows
+    rows = fq.echelon.rows()
     assert rows and integral_rationals(rows) == 0
+
+
+def test_scalars_leave_the_kernel_layer_through_one_intern_table():
+    for m in ORDERS:
+        f = field_make(m)
+        three, half = f.from_rational(3), f.from_fraction(1, 2)
+        tail = (0,) * (f.degree - 1)
+        # equal integral values come back as one object, fractional ones fresh
+        assert f.box((3,) + tail) is three and f.scalar([3]) is three
+        assert f.box((half.coeffs[0],) + tail) == half
+        assert f.box((half.coeffs[0],) + tail) is not f.box((half.coeffs[0],) + tail)
+        # through the echelon's rows and remainders and the accumulate kernel
+        ech = Echelon(3)
+        ech.add({0: f.from_rational(2), 1: f.from_rational(6)})
+        assert ech.rows()[0][1] is three
+        assert ech.reduce({0: f.one, 2: three})[2] is three
+        assert left_kernel([{0: f.one}, {0: -f.one}])[0][1] is f.one
+        if f.degree < 3:
+            assert vec_axpy({}, f.one, {0: f.from_rational(3)})[0] is three
+            assert vec_axpy({0: f.one}, f.one, {0: f.from_rational(2)})[0] is three
+        # the table holds integral tuples only, also after a run
+        assert all(type(c) is int for key in f.interned for c in key)
+        assert all(s.coeffs == key for key, s in f.interned.items())
+        # and a scalar of another field is still refused
+        other = field_make(5 if m != 5 else 3)
+        with pytest.raises(FieldMismatch):
+            Echelon(2).add_rows([{0: f.one, 1: f.gen}, {0: other.one}])
+        with pytest.raises(FieldMismatch):
+            ech.reduce({0: other.one})
+        with pytest.raises(FieldMismatch):
+            vec_axpy({0: f.one}, half, {0: other.one})
+    gu = make_preset("gurevich", field_make(1))
+    enveloping_filtration(preset_bracket(gu, "gurevich"), 3, 1).span_rows_in(3)
+    assert all(type(c) is int for key in field_make(1).interned for c in key)
