@@ -61,27 +61,13 @@ def parse_scalar(field: CycloField, text: str, line: int = 0):
     text = text.strip()
     if not text:
         raise ParseError(line, "empty scalar")
-    # split into signed terms at top level (no parentheses in the grammar)
-    terms = []
-    sign, start = 1, 0
-    i = 0
-    first = True
-    while i <= len(text):
-        if i == len(text) or text[i] in "+-":
-            chunk = text[start:i].strip()
-            if chunk:
-                terms.append((sign, chunk))
-            elif not first and i < len(text):
-                raise ParseError(line, "dangling sign in scalar %r" % text)
-            if i < len(text):
-                sign = 1 if text[i] == "+" else -1
-                start = i + 1
-            first = False
-        i += 1
-    if not terms:
-        raise ParseError(line, "no terms in scalar %r" % text)
+    # signed terms at top level (no parentheses in the grammar); the first
+    # term's sign may be left out
+    parts = re.split(r"\s*([+-])\s*", text if text[0] in "+-" else "+" + text)[1:]
+    if not all(parts[1::2]):
+        raise ParseError(line, "dangling sign in scalar %r" % text)
     total = field.zero
-    for sgn, chunk in terms:
+    for sign, chunk in zip(parts[::2], parts[1::2]):
         m = _TERM.match(chunk)
         if not m or (m.group("num") is None and m.group("z") is None):
             raise ParseError(line, "bad scalar term %r" % chunk)
@@ -89,7 +75,7 @@ def parse_scalar(field: CycloField, text: str, line: int = 0):
         den = _int(m.group("den"), line) if m.group("den") else 1
         if den == 0:
             raise ParseError(line, "zero denominator in %r" % chunk)
-        coeff = field.from_fraction(sgn * num, den)
+        coeff = field.from_fraction(-num if sign == "-" else num, den)
         if m.group("z"):
             power = _int(m.group("pow"), line) if m.group("pow") else 1
             coeff = coeff * field.gen ** power
@@ -136,18 +122,17 @@ def parse_value(field: CycloField, text: str, line: int):
     return parse_scalar(field, text, line)
 
 
-class JobSpec:
-    # set by parse_spec: the lines that errors building the space and each
-    # bracket name, and the space's generator count, read without building
-    kind_line, bracket_lines, dim = None, (), None
-
-    def __init__(self, field_order, space_decl, brackets, tasks,
-                 degree_budget=None):
-        self.field_order = field_order
-        self.space_decl = space_decl      # {"kind": ..., "params": {...}}
-        self.brackets = brackets          # list of {"degree": n, "values": rows} | {"preset": name}
-        self.tasks = tasks                # list of (name, args tuple)
-        self.degree_budget = degree_budget
+class JobSpec(NamedTuple):
+    field_order: int
+    space_decl: dict  # {"kind": ..., "params": {...}}
+    brackets: list  # list of {"degree": n, "values": rows} | {"preset": name}
+    tasks: list  # list of (name, args tuple)
+    degree_budget: int = None
+    # the lines that errors building the space and each bracket name, and
+    # the space's generator count, read without building
+    kind_line: int = None
+    bracket_lines: tuple = ()
+    dim: int = None
 
     def echo(self):
         return {
@@ -155,7 +140,7 @@ class JobSpec:
             "space": _jsonable(self.space_decl),
             "brackets": _jsonable(self.brackets),
             "tasks": [
-                {"name": name, "args": _jsonable(list(args))}
+                {"name": name, "args": _jsonable(args)}
                 for name, args in self.tasks
             ],
             "degree_budget": self.degree_budget,
@@ -303,10 +288,8 @@ def parse_spec(text: str) -> JobSpec:
                 "degree %d on %d generators exceeds the global limit of %d "
                 "words" % (degree, dim, MAX_WORDS), line=lineno)
 
-    job = JobSpec(field_order, {"kind": kind, "params": params},
-                  bracket_decls, tasks, degree_budget=degree_budget)
-    job.kind_line, job.dim, job.bracket_lines = kind_line, dim, bracket_lines
-    return job
+    return JobSpec(field_order, {"kind": kind, "params": params}, bracket_decls,
+                   tasks, degree_budget, kind_line, bracket_lines, dim)
 
 
 def _task_values(task, args: tuple) -> list:
@@ -361,12 +344,6 @@ def _arity_rule(field, n, exponent=1):
 
 # -- task execution -----------------------------------------------------------
 
-def _subspace_payload(space, subspace, degree):
-    return {"dim": subspace.dim, "basis": [
-        {word_name(c, degree, space.dim): str(v) for c, v in sorted(row.items())}
-        for row in subspace.rows]}
-
-
 class _JobContext:
     def __init__(self, job: JobSpec, degree_override=None):
         self.field = field_make(job.field_order)
@@ -418,76 +395,57 @@ class _JobContext:
         return self._filtrations[key]
 
 
+def _named(vec: dict, degree: int, d: int) -> dict:
+    """A vector over the degree-n words on d generators, keyed by word name.
+    Its scalars stay scalars, as in every payload: run()'s _jsonable prints them."""
+    return {word_name(c, degree, d): v for c, v in vec.items()}
+
+
 def _primitives_payload(ctx, lo, hi):
-    space = ctx.space
     out = {}
     for n in range(lo, (lo if hi is None else hi) + 1):
-        out[str(n)] = _subspace_payload(space, primitive_space(space, n), n)
+        prims = primitive_space(ctx.space, n)
+        out[n] = {"dim": prims.dim,
+                  "basis": [_named(row, n, ctx.space.dim) for row in prims.rows]}
     return {"primitives": out}
 
 
 def _sdeg_payload(ctx, upto):
-    verdict = sdeg(ctx.space, ctx.degree_override or upto)
-    return {
-        "value": verdict.value,
-        "status": verdict.status,
-        "certificate": verdict.certificate,
-        "trace": [
-            {"dims": t["dims"],
-             "added": {str(k): v for k, v in t["added"].items()}}
-            for t in verdict.tower_trace
-        ],
-    }
+    payload = sdeg(ctx.space, ctx.degree_override or upto)._asdict()
+    payload["trace"] = payload.pop("tower_trace")
+    return payload
 
 
 def _lie_payload(ctx, cutoff, slack):
-    verdict = lie_check(ctx.bracket, cutoff, slack,
-                        filtration=ctx.filtration(cutoff, slack))
-    payload = {"status": verdict.status, "cutoff": cutoff, "slack": slack}
-    if verdict.witness is not None:
-        payload["witness"] = {
-            word_name(c, 1, ctx.space.dim): str(v)
-            for c, v in sorted(verdict.witness.items())
-        }
+    payload = lie_check(ctx.bracket, cutoff, slack,
+                        filtration=ctx.filtration(cutoff, slack))._asdict()
+    witness = payload.pop("witness")
+    if witness is not None:
+        payload["witness"] = _named(witness, 1, ctx.space.dim)
     return payload
 
 
 def _pbw_payload(ctx, cutoff, slack):
     fq = ctx.filtration(cutoff, slack)
-    verdict = pbw_check(ctx.bracket, cutoff, slack, filtration=fq)
-    return {
-        "status": verdict.status,
-        "cutoff": cutoff,
-        "slack": slack,
-        "gr_dims": verdict.gr_dims,
-        "s_dims": verdict.s_dims,
-        "theta_bound_ok": verdict.theta_bound_ok,
-        "failure_degree": verdict.failure_degree,
-        "primitives_match": primitive_check(
-            ctx.bracket, cutoff, slack, filtration=fq),
-        "unconstrained_degrees": fq.unconstrained,
-    }
+    payload = pbw_check(ctx.bracket, cutoff, slack, filtration=fq)._asdict()
+    del payload["detail"]
+    payload["primitives_match"] = primitive_check(ctx.bracket, cutoff, slack,
+                                                  filtration=fq)
+    payload["unconstrained_degrees"] = fq.unconstrained
+    return payload
 
 
 def _hecke_payload(ctx):
-    space = ctx.space
-    info = space.hecke_analysis()
+    info = ctx.space.hecke_analysis()
     if info is None:
         return {"hecke": False}
-    payload = {"hecke": True, "mark": str(info["mark"]),
-               "regular": info["regular"]}
+    payload = {"hecke": True, **info}
     if ctx.bracket is not None and info["regular"]:
         pres = hecke_presentation(ctx.bracket)
-        payload["relations"] = [
-            {
-                "quadratic": {word_name(c, 2, space.dim): str(v)
-                              for c, v in sorted(rel["quadratic"].items())},
-                "linear": {word_name(c, 1, space.dim): str(v)
-                           for c, v in sorted(rel["linear"].items())},
-            }
-            for rel in pres.relations
-        ]
-        payload["induced_bracket_zero"] = pres.induced_bracket_zero
+        d = ctx.space.dim
+        payload.update(pres._asdict(), relations=[
+            {"quadratic": _named(rel["quadratic"], 2, d),
+             "linear": _named(rel["linear"], 1, d)} for rel in pres.relations])
     return payload
 
 
@@ -497,7 +455,7 @@ def _pareigis_payload(ctx, n, exponent):
     zeta = ctx.field.root_of_unity(n, exponent % n)
     return {
         "arity": n,
-        "zeta": str(zeta),
+        "zeta": zeta,
         "zeta_space_dim": zeta_space(space, n, zeta).dim,
         "pi_image_in_primitives": check_pi_in_E(space, n, zeta),
         "pi_images_span_primitives": check_pi_su(space, n),
@@ -525,8 +483,7 @@ class Task(NamedTuple):
 TASKS = {
     "ybe": Task((), lambda ctx: {
         "valid": True, "dim": ctx.space.dim, "kind": ctx.space.kind}),
-    "min_poly": Task((), lambda ctx: {
-        "coefficients": [str(c) for c in ctx.space.min_poly]}),
+    "min_poly": Task((), lambda ctx: {"coefficients": ctx.space.min_poly}),
     "e_spaces": Task((2, None), _primitives_payload,
                      reach=lambda lo, hi: lo if hi is None else hi,
                      check=_range_rule, ranged=True),
@@ -579,15 +536,17 @@ def _task_cache_key(job: JobSpec, name: str, args: tuple,
         "budget": job.degree_budget,
         "override": degree_override,
         "task": name,
-        "args": _jsonable(list(args)),
+        "args": _jsonable(args),
         "bracket": _jsonable(job.brackets) if TASKS[name].bracket else None,
     }
     return hashlib.sha256(_canonical_json(basis).encode()).hexdigest()
 
 
-class Report:
-    def __init__(self, job: JobSpec, tasks: list, input_hash: str):
-        self.job, self.tasks, self.input_hash = job, tasks, input_hash
+class Report(NamedTuple):
+    job: JobSpec
+    tasks: list
+    input_hash: str
+    internal_failure: InternalCheckError = None
 
     def payload(self):
         return {
@@ -665,7 +624,7 @@ def run(job: JobSpec, cache_dir=None, use_cache=True,
     for name, args in job.tasks:
         if task_filter is not None and name not in task_filter:
             continue
-        entry = {"name": name, "args": _jsonable(list(args))}
+        entry = {"name": name, "args": _jsonable(args)}
         entries.append(entry)
         path = None
         if cache_dir and use_cache:
@@ -690,9 +649,7 @@ def run(job: JobSpec, cache_dir=None, use_cache=True,
         entry.update(result=_jsonable(result), status="ok", cached=False)
         if path:
             _write_cache_entry(path, entry["result"])
-    report = Report(job, entries, input_hash)
-    report.internal_failure = internal_failure
-    return report
+    return Report(job, entries, input_hash, internal_failure)
 
 
 def main(argv=None) -> int:

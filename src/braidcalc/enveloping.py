@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import BadParams, DomainMismatch, InternalCheckError, IrregularMark, NotABracket
 from .linalg import Echelon, Subspace, apply_slot, left_kernel, matvec, vec_axpy
@@ -240,36 +241,22 @@ def enveloping_filtration(bracket: BracketTable, cutoff: int,
 
 # -- verdicts -----------------------------------------------------------------
 
-class PbwVerdict:
-    __slots__ = ("status", "cutoff", "slack", "gr_dims", "s_dims",
-                 "failure_degree", "theta_bound_ok", "detail")
-
-    def __init__(self, status, cutoff, slack, gr_dims, s_dims,
-                 failure_degree=None, theta_bound_ok=True, detail=""):
-        self.status = status  # pbw_consistent | fails_certified | inconclusive_at_cutoff
-        self.cutoff = cutoff
-        self.slack = slack
-        self.gr_dims = gr_dims
-        self.s_dims = s_dims
-        self.failure_degree = failure_degree
-        self.theta_bound_ok = theta_bound_ok
-        self.detail = detail
-
-    def __repr__(self):
-        return "PbwVerdict(%s, gr=%r, s=%r)" % (self.status, self.gr_dims, self.s_dims)
+class PbwVerdict(NamedTuple):
+    status: str  # pbw_consistent | fails_certified | inconclusive_at_cutoff
+    cutoff: int
+    slack: int
+    gr_dims: list
+    s_dims: list
+    failure_degree: int = None
+    theta_bound_ok: bool = True
+    detail: str = ""
 
 
-class LieVerdict:
-    __slots__ = ("status", "cutoff", "slack", "witness")
-
-    def __init__(self, status, cutoff, slack, witness=None):
-        self.status = status  # is_lie_up_to | fails_certified
-        self.cutoff = cutoff
-        self.slack = slack
-        self.witness = witness
-
-    def __repr__(self):
-        return "LieVerdict(%s, N=%d, slack=%d)" % (self.status, self.cutoff, self.slack)
+class LieVerdict(NamedTuple):
+    status: str  # is_lie_up_to | fails_certified
+    cutoff: int
+    slack: int
+    witness: dict = None
 
 
 def symmetric_algebra_dims(space: BraidedSpace, cutoff: int):
@@ -316,9 +303,8 @@ def lie_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     """Injectivity of V into the truncated enveloping quotient."""
     fq = filtration or enveloping_filtration(bracket, cutoff, slack)
     witness = fq.vector_in_V_cap_ideal()
-    if witness is not None:
-        return LieVerdict("fails_certified", cutoff, slack, witness=witness)
-    return LieVerdict("is_lie_up_to", cutoff, slack)
+    return LieVerdict("is_lie_up_to" if witness is None else "fails_certified",
+                      cutoff, slack, witness)
 
 
 def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
@@ -361,13 +347,10 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     return img_ech.rank == d and v_ech.add_rows(rho(1, j) for j in range(d)) == d
 
 
-class HeckePresentation:
-    __slots__ = ("mark", "relations", "induced_bracket_zero")
-
-    def __init__(self, mark, relations, induced_bracket_zero):
-        self.mark = mark
-        self.relations = relations
-        self.induced_bracket_zero = induced_bracket_zero
+class HeckePresentation(NamedTuple):
+    mark: object
+    relations: list
+    induced_bracket_zero: bool
 
 
 def hecke_presentation(bracket: BracketTable):

@@ -42,6 +42,8 @@ exhaustive.  Otherwise the verdict is a lower bound at the cutoff.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
 from .linalg import Echelon, Subspace, certified_kernel, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
@@ -126,17 +128,11 @@ class IdealTower:
         return "IdealTower(cutoff=%d, dims=%r)" % (self.cutoff, self.dims)
 
 
-class SdegVerdict:
-    __slots__ = ("value", "status", "tower_trace", "certificate")
-
-    def __init__(self, value, status, tower_trace, certificate):
-        self.value = value
-        self.status = status  # "certified" | "lower_bound_at_cutoff"
-        self.tower_trace = tower_trace
-        self.certificate = certificate
-
-    def __repr__(self):
-        return "SdegVerdict(value=%d, status=%s)" % (self.value, self.status)
+class SdegVerdict(NamedTuple):
+    value: int
+    status: str  # "certified" | "lower_bound_at_cutoff"
+    tower_trace: list
+    certificate: str
 
 
 def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:

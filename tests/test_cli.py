@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.cli import TASKS, main, parse_scalar, parse_spec, run
 from braidcalc.errors import ParseError, ValidationError
-from braidcalc.scalars import MAX_FIELD_ORDER, field_make
+from braidcalc.scalars import MAX_FIELD_ORDER, Q, field_make
 
 F4 = field_make(4)
 F8 = field_make(8)
@@ -56,6 +58,24 @@ def test_parse_scalar_expressions():
         parse_scalar(F4, "z^")
     with pytest.raises(ParseError):
         parse_scalar(F4, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4, 5, 8, 12)), st.data())
+def test_printed_scalars_parse_back(m, data):
+    # an e_spaces row printed in a report can be pasted into [bracket] values
+    field = field_make(m)
+    coefficient = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+    s = field.scalar(data.draw(st.lists(coefficient, min_size=field.degree,
+                                        max_size=field.degree)))
+    assert parse_scalar(field, str(s)) == s
+
+
+@pytest.mark.parametrize("text", ["1 +", "z -", "-", "1 + - 2", "+", "z^ + - 2"])
+def test_a_sign_without_a_term_is_refused(text):
+    with pytest.raises(ParseError, match="dangling sign") as err:
+        parse_scalar(F4, text, 7)
+    assert err.value.line == 7
 
 
 def test_parse_spec_preset_job():
@@ -323,12 +343,18 @@ pareigis = 3, 1
 
 
 def test_shipped_job_files_run(tmp_path, capsys):
-    # every shipped job's fresh JSON report is byte-identical to its golden copy
+    # every shipped job's fresh JSON report is byte-identical to its golden
+    # copy, and so is that of each job of tests/coverage, which reaches the
+    # report branches the shipped ones miss (a lie_check witness, a failed
+    # pbw with its failure degree, hecke relations); every golden has a job
     import pathlib
 
     here = pathlib.Path(__file__).resolve().parent
-    jobfiles = sorted((here.parent / "jobs").glob("*.job"))
+    jobfiles = sorted((here.parent / "jobs").glob("*.job")) + \
+        sorted((here / "coverage").glob("*.job"))
     assert jobfiles
+    assert {p.stem for p in jobfiles} == \
+        {p.stem for p in (here / "golden").glob("*.json")}
     for jobfile in jobfiles:
         out = tmp_path / (jobfile.stem + ".json")
         assert main(["--input", str(jobfile), "--no-cache",

@@ -291,7 +291,7 @@ def test_checker_flags_a_cyclo_scalar_call():
 # src/ afresh, at about 9 us a line of set-up, and the aim is the same results
 # from less code: a change that needs more lines raises this number as a
 # named edit in CHANGES.md.
-SRC_LINE_CEILING = 3971
+SRC_LINE_CEILING = 3907
 
 
 def test_src_stays_under_its_line_ceiling():
