@@ -22,6 +22,6 @@ from .tower import (IdealTower, SdegVerdict, ideal_closure, is_quadratic, nichol
 from .enveloping import (BracketTable, FilteredQuotient, LieVerdict, PbwVerdict,
                          enveloping_filtration, hecke_presentation, lie_check, pbw_check,
                          primitive_check, validate_bracket)
-from .pareigis import (check_pi_in_E, check_pi_su, induced_bracket, mixed_zeta_space, pi_zeta,
-                       verify_PL, zeta_space)
+from .pareigis import (check_pi_in_E, check_pi_su, induced_bracket, mixed_zeta_space, verify_PL,
+                       zeta_space)
 from .fixtures import CATALOG, preset_bracket

@@ -31,8 +31,8 @@ in reverse, because its elimination runs faster from degree 1 up.
 This module is the one place that does sparse arithmetic.  Its kernels:
 
 * `vec_axpy`, target[offset + col] += c * source[col], dropping cancelled
-  entries: the one accumulate loop on scalars, which over fields of degree 1
-  and 2 works on coefficient tuples (`scalars.coeff_axpy`);
+  entries: the one accumulate loop on scalars, in one frame, with one loop on
+  the coefficient tuples of each field of degree 1 and 2;
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
 * `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
@@ -44,8 +44,8 @@ This module is the one place that does sparse arithmetic.  Its kernels:
   solved map by map on the basis the earlier maps leave, so that no map is
   applied to a vector an earlier one has ruled out;
 * `certified_kernel`, the RREF of the common kernel of exact sparse column
-  maps by the modular route: the primitives E_n of T(V), the quotient
-  primitives of a tower and the blocks that decide E_n != 0.
+  maps by the modular route, for the primitive kernels that the braiding's
+  shape sends mod p (`tensorbialg.primitive_kernel`).
 
 `certified_kernel` takes a prime p = 1 (mod m) below 2^30 that divides no
 denominator of the columns, maps each coefficient to F_p under each of the
@@ -72,14 +72,55 @@ import itertools
 
 from math import gcd, lcm
 
-from .scalars import CycloScalar, Q, Reduction, coeff_axpy, crt, rational_lift
+from .scalars import CycloScalar, Q, Reduction, canon, crt, rational_lift
 
 
 def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
     """target[offset + col] += coeff * source[col], dropping cancelled entries;
-    returns target.  Degrees 1 and 2 work on coefficient tuples (`coeff_axpy`)."""
-    if coeff.__class__ is CycloScalar and coeff.field.degree < 3:
-        coeff_axpy(target, coeff, source, offset)
+    returns target.  Over fields of degree 1 and 2 one loop each works on the
+    coefficient tuples and stores each entry through the field's intern
+    table; an entry from another field raises FieldMismatch."""
+    fld = coeff.field if coeff.__class__ is CycloScalar else None
+    if fld is not None and fld.degree == 1:
+        box, interned, (a0,) = fld.box, fld.interned, coeff.coeffs
+        for col, val in source.items() if a0 else ():
+            if val.__class__ is not CycloScalar or val.field is not fld:
+                val = coeff._coerce(val)
+            tgt = offset + col if offset else col
+            cur = target.get(tgt)
+            if cur is not None and cur.field is not fld:
+                cur = coeff._coerce(cur)
+            c = a0 * val.coeffs[0] if cur is None else cur.coeffs[0] + a0 * val.coeffs[0]
+            if not c:
+                target.pop(tgt, None)
+            else:  # an integral tuple is looked up here, the rest boxed
+                s = interned.get((c,)) if c.__class__ is int else None
+                target[tgt] = box((canon(c),)) if s is None else s
+    elif fld is not None and fld.degree == 2:
+        box, interned, (a0, a1) = fld.box, fld.interned, coeff.coeffs
+        c1 = fld.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1
+        for col, val in source.items() if a0 or a1 else ():
+            if val.__class__ is not CycloScalar or val.field is not fld:
+                val = coeff._coerce(val)
+            tgt = offset + col if offset else col
+            cur = target.get(tgt)
+            if cur is not None and cur.field is not fld:
+                cur = coeff._coerce(cur)
+            b0, b1 = val.coeffs
+            if not a1:
+                p0, p1 = a0 * b0, a0 * b1
+            elif not b1:
+                p0, p1 = a0 * b0, a1 * b0
+            else:  # X^2 = -c1 X - 1
+                top = a1 * b1
+                p0, p1 = a0 * b0 - top, a0 * b1 + a1 * b0 - c1 * top
+            if cur is not None:
+                p0, p1 = cur.coeffs[0] + p0, cur.coeffs[1] + p1
+            if not (p0 or p1):
+                target.pop(tgt, None)
+            else:
+                s = interned.get((p0, p1)) if p0.__class__ is p1.__class__ is int else None
+                target[tgt] = box((canon(p0), canon(p1))) if s is None else s
     elif not coeff.is_zero():
         for col, val in source.items():
             tgt = offset + col if offset else col

@@ -104,11 +104,6 @@ def _twist(space: BraidedSpace, n: int, zeta, word, vec: dict) -> dict:
     return vec_axpy({}, zeta.inv() ** len(word), space.apply_word(n, word, vec))
 
 
-def perm_act(space: BraidedSpace, n: int, zeta, sigma, vec: dict) -> dict:
-    """sigma |> x = zeta^(-l(sigma)) lift(sigma) x."""
-    return _twist(space, n, zeta, matsumoto_lift(sigma).letters, vec)
-
-
 def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
     """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF."""
     zs = zeta_space(space, n, zeta, require_primitive=False)
@@ -153,11 +148,6 @@ def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
                 "symmetrized vector escaped the primitive space (degree %d)" % n)
         space._memo[key] = coords
     return coords
-
-
-def pi_zeta(space: BraidedSpace, n: int, zeta, vec: dict) -> dict:
-    """The full symmetrization sum over S_n applied to a zeta-space vector."""
-    return _combine(space, n, zeta, vec, _pi_rows)
 
 
 def pi_image(space: BraidedSpace, n: int, zeta) -> Subspace:

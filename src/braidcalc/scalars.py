@@ -8,14 +8,14 @@ point appears anywhere.
 
 Coefficients are integer-first and canonical: after every constructor and
 every +, -, *, /, inv and **, a coefficient that equals an integer is a
-Python int (`_canon`), so an integral Q never spreads into later sums, and
+Python int (`canon`), so an integral Q never spreads into later sums, and
 only a coefficient outside the integers is a rational Q (gmpy2.mpq when
 available, fractions.Fraction otherwise; both arbitrary precision with
 positive denominator).  Every division goes through Q, never int / int, so
-no coefficient can become a float.  Products, inverses and the sparse
-accumulate `coeff_axpy` are closed forms in degrees 1 and 2 (m = 1, 2, 3, 4, 6).
-Each field interns its scalars (`CycloField.box`): the constructors,
-`coeff_axpy` and `linalg` box through one table, one object per integral
+no coefficient can become a float.  Products and inverses, and the sparse
+accumulate `linalg.vec_axpy`, are closed forms in degrees 1 and 2 (m = 1, 2,
+3, 4, 6).  Each field interns its scalars (`CycloField.box`): the
+constructors and `linalg` box through one table, one object per integral
 coefficient tuple; a value with a fraction in it is boxed fresh.
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
@@ -49,7 +49,7 @@ _RATIONAL = (int, type(Q(1)))
 MAX_FIELD_ORDER = 1000
 
 
-def _canon(c):
+def canon(c):
     """c as an int when integral (an mpz or integral Q included), else c."""
     if c.__class__ is int:
         return c
@@ -93,15 +93,15 @@ def _poly_divmod(num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
     quot = [QZERO] * max(0, len(num) - len(den) + 1)
-    inv_lead = _canon(Q(1) / den[-1])
+    inv_lead = canon(Q(1) / den[-1])
     for k in range(len(num) - len(den), -1, -1):
         coeff = num[k + len(den) - 1] * inv_lead
         if coeff != 0:
             quot[k] = coeff
             for j, b in enumerate(den):
                 num[k + j] -= coeff * b
-    return (_poly_trim([_canon(c) for c in quot]),
-            _poly_trim([_canon(c) for c in num]))
+    return (_poly_trim([canon(c) for c in quot]),
+            _poly_trim([canon(c) for c in num]))
 
 
 _CYCLOTOMIC: dict[int, tuple] = {}
@@ -173,7 +173,7 @@ class CycloField:
     # -- constructors -------------------------------------------------------
 
     def scalar(self, coeffs) -> "CycloScalar":
-        coeffs = [c if type(c) is int else _canon(Q(c)) for c in coeffs]
+        coeffs = [c if type(c) is int else canon(Q(c)) for c in coeffs]
         if len(coeffs) > self.degree:
             coeffs = _poly_divmod(coeffs, self.cyclotomic_polynomial)[1]
         coeffs += [QZERO] * (self.degree - len(coeffs))
@@ -181,7 +181,7 @@ class CycloField:
 
     def from_rational(self, value) -> "CycloScalar":
         if type(value) is not int:
-            value = _canon(Q(value))
+            value = canon(Q(value))
         return self.box((value,) + self._tail)
 
     def from_fraction(self, num, den=1) -> "CycloScalar":
@@ -268,7 +268,7 @@ class CycloScalar:
 
     # Same-field operands skip _coerce; anything else goes through it, which
     # keeps the FieldMismatch check.  Degree 1 tests for an int before calling
-    # _canon, so that all-int fields pay no call per operation.
+    # canon, so that all-int fields pay no call per operation.
 
     def __add__(self, other):
         if other.__class__ is not CycloScalar or other.field is not self.field:
@@ -278,8 +278,8 @@ class CycloScalar:
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             c = a[0] + b[0]
-            return CycloScalar(self.field, (c if c.__class__ is int else _canon(c),))
-        return CycloScalar(self.field, tuple(map(_canon, map(add, a, b))))
+            return CycloScalar(self.field, (c if c.__class__ is int else canon(c),))
+        return CycloScalar(self.field, tuple(map(canon, map(add, a, b))))
 
     __radd__ = __add__
 
@@ -291,8 +291,8 @@ class CycloScalar:
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             c = a[0] - b[0]
-            return CycloScalar(self.field, (c if c.__class__ is int else _canon(c),))
-        return CycloScalar(self.field, tuple(map(_canon, map(sub, a, b))))
+            return CycloScalar(self.field, (c if c.__class__ is int else canon(c),))
+        return CycloScalar(self.field, tuple(map(canon, map(sub, a, b))))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -312,20 +312,20 @@ class CycloScalar:
         fld, deg = self.field, self.field.degree
         if deg == 1:
             c = a[0] * b[0]
-            return CycloScalar(fld, (c if c.__class__ is int else _canon(c),))
+            return CycloScalar(fld, (c if c.__class__ is int else canon(c),))
         if deg == 2:
             # Phi_m = X^2 + c1 X + 1 (m = 3, 4, 6), so X^2 = -c1 X - 1
             (a0, a1), (b0, b1) = a, b
             # a rational factor takes two products and no reduction
             if not a1:
-                return CycloScalar(fld, (_canon(a0 * b0), _canon(a0 * b1)))
+                return CycloScalar(fld, (canon(a0 * b0), canon(a0 * b1)))
             if not b1:
-                return CycloScalar(fld, (_canon(a0 * b0), _canon(a1 * b0)))
+                return CycloScalar(fld, (canon(a0 * b0), canon(a1 * b0)))
             top, c1 = a1 * b1, fld.cyclotomic_polynomial[1]
             c = a0 * b1 + a1 * b0
             if c1:
                 c = c - top if c1 == 1 else c + top
-            return CycloScalar(fld, (_canon(a0 * b0 - top), _canon(c)))
+            return CycloScalar(fld, (canon(a0 * b0 - top), canon(c)))
         prod = [QZERO] * (2 * deg - 1)
         for i, x in enumerate(a):
             if x == 0:
@@ -340,7 +340,7 @@ class CycloScalar:
                 for i, r in enumerate(fld._reduction[j]):
                     if r != 0:
                         out[i] += c * r
-        return CycloScalar(fld, tuple(map(_canon, out)))
+        return CycloScalar(fld, tuple(map(canon, out)))
 
     __rmul__ = __mul__
 
@@ -354,7 +354,7 @@ class CycloScalar:
             # (a0 + a1 X)(a0 - c1 a1 - a1 X) = a0^2 - c1 a0 a1 + a1^2 mod Phi_m
             (a0, a1), c1 = self.coeffs, self.field.cyclotomic_polynomial[1]
             norm = Q(a0 * a0 - c1 * a0 * a1 + a1 * a1)
-            return CycloScalar(self.field, (_canon((a0 - c1 * a1) / norm), _canon(-a1 / norm)))
+            return CycloScalar(self.field, (canon((a0 - c1 * a1) / norm), canon(-a1 / norm)))
         # r0 = Phi, r1 = self; track s in r = s * self (mod Phi)
         r0 = list(self.field.cyclotomic_polynomial)
         r1 = _poly_trim(list(self.coeffs))
@@ -426,48 +426,6 @@ class CycloScalar:
                 terms.append(z if c == 1 else "-" + z if c == -1 else "%s*%s" % (c, z))
         # no term holds a "+", so each "+-" is a join before a negative term
         return "+".join(terms).replace("+-", "-") or "0"
-
-
-def coeff_axpy(target: dict, coeff: CycloScalar, source: dict, offset: int) -> None:
-    """target[offset + col] += coeff * source[col] on the coefficient tuples of
-    a field of degree 1 or 2, storing each entry through the field's intern
-    table and dropping cancelled ones; an entry from another field raises
-    FieldMismatch."""
-    fld = coeff.field
-    box, interned = fld.box, fld.interned
-    linear = fld.degree == 1
-    a0, a1 = coeff.coeffs[0], 0 if linear else coeff.coeffs[1]
-    c1 = fld.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1 in degree 2
-    if not (a0 or a1):
-        return
-    for col, val in source.items():
-        if val.__class__ is not CycloScalar or val.field is not fld:
-            val = coeff._coerce(val)
-        tgt = offset + col if offset else col
-        cur = target.get(tgt)
-        if cur is not None and cur.field is not fld:
-            cur = coeff._coerce(cur)
-        if linear:
-            c = a0 * val.coeffs[0] if cur is None else cur.coeffs[0] + a0 * val.coeffs[0]
-            new = (c if c.__class__ is int else _canon(c),) if c else None
-        else:
-            b0, b1 = val.coeffs
-            if not a1:
-                p0, p1 = a0 * b0, a0 * b1
-            elif not b1:
-                p0, p1 = a0 * b0, a1 * b0
-            else:  # X^2 = -c1 X - 1
-                top = a1 * b1
-                p0, p1 = a0 * b0 - top, a0 * b1 + a1 * b0 - c1 * top
-            if cur is not None:
-                p0, p1 = cur.coeffs[0] + p0, cur.coeffs[1] + p1
-            new = (_canon(p0), _canon(p1)) if p0 or p1 else None
-        if new is None:
-            target.pop(tgt, None)
-        else:  # an integral tuple is looked up here, the rest is boxed fresh
-            s = interned.get(new) if new[0].__class__ is int and new[-1].__class__ is int \
-                else None
-            target[tgt] = box(new) if s is None else s
 
 
 def root_order(q: CycloScalar):

@@ -104,6 +104,7 @@ class BraidedSpace:
             for key, val in pairs.items()
         }
         self.pairs = {k: v for k, v in self.pairs.items() if v}
+        self.monomial = all(len(v) == 1 for v in self.pairs.values())
         self._power_cache = [1]
         self._memo: dict = {}
         self.inv_pairs = self._invert_pairs()

@@ -23,24 +23,24 @@ as its coordinates in N_(n+1): the tables R of the next degree.  Gamma_n
 and the direct sum over S_n are built only by the test oracles.
 
 Primitive spaces are the intersections of the kernels of all inner coproduct
-components.  `primitive_space` solves them modulo primes with
-`linalg.certified_kernel`, one at a time and cheapest first (component a
-costs dims[a] * dims[n-a] constraint rows), each on the kernel the ones
-before it leave, stopping at an empty kernel, and certifies the lift
-exactly; the tower's quotient primitives go through the same call.
+components, solved one at a time and cheapest first (component a costs
+dims[a] * dims[n-a] constraint rows), each on the kernel the ones before it
+leave.  `primitive_kernel`, behind every primitive space here and in the
+tower, reads the route off the braiding: exact (`linalg.stacked_kernel`) on
+a monomial one, each c(x_i (x) x_j) one term, over a field of degree < 3,
+where it beats the modular detour; else mod p (`linalg.certified_kernel`).
 `has_primitives` decides E_n != 0 on blocks of words read off the pair table
 alone: rewriting one adjacent pair (i, j) into a pair in the support of
 c(x_i (x) x_j) stays in the block.  Each component is a sum of braid lifts,
 so it maps a block's words into the block, and E_n is the direct sum of the
 block kernels.  The blocks are solved smallest first up to the first
-nonzero kernel, each by one `certified_kernel` call, and only their words
-get columns, from the degree n-1 lists.
+nonzero kernel, and only their words get columns, from the degree n-1 lists.
 """
 
 from __future__ import annotations
 
 from .errors import BadParams, InternalCheckError
-from .linalg import Echelon, Subspace, certified_kernel, matvec, vec_axpy
+from .linalg import Echelon, Subspace, certified_kernel, matvec, stacked_kernel, vec_axpy
 from .spaces import BraidedSpace
 
 
@@ -85,6 +85,15 @@ def cheapest_first(parts, dims, n: int) -> list:
     return sorted(parts, key=lambda a: dims[a] * dims[n - a])
 
 
+def primitive_kernel(space: BraidedSpace, maps, count: int) -> list[dict]:
+    """RREF rows of the common kernel of column maps over count unknowns, by
+    the route the braiding's shape picks: exact on a monomial braiding over
+    a field of degree < 3, modular otherwise."""
+    if space.monomial and space.field.degree < 3:
+        return stacked_kernel(count, maps, space.field.one)
+    return certified_kernel(maps, count, space.field)
+
+
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1."""
     space.check_budget(n)
@@ -95,8 +104,8 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     cached = space._memo.get(key)
     if cached is None:
         dims = [space.power(k) for k in range(n + 1)]
-        rows = certified_kernel((delta_columns(space, a, n - a) for a in
-                                 cheapest_first(range(1, n), dims, n)), size, space.field)
+        rows = primitive_kernel(space, (delta_columns(space, a, n - a) for a in
+                                        cheapest_first(range(1, n), dims, n)), size)
         cached = space._memo[key] = Subspace(size, rows)
     return cached
 
@@ -120,7 +129,7 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
                  if a == 1 else space.braiding_block_matrix(n - a, 1))
         return _delta_block(space, a, n - a, words, block)
 
-    return any(certified_kernel((component(words, a) for a in order), len(words), space.field)
+    return any(primitive_kernel(space, (component(words, a) for a in order), len(words))
                for words in _pair_blocks(space, n))
 
 

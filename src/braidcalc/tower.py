@@ -18,10 +18,10 @@ kept.
 
 The symmetric-algebra step adjoins the quotient's primitives of degree >= 2:
 the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, which
-is well defined because J is a braided coideal.  `linalg.certified_kernel`
-solves it on the projected columns of the normal words, cheapest component
-first.  Only the primitives of T(V) itself, the first step, are computed in
-d^n coordinates.  The new ideal J' = J + (P) is checked on the new
+is well defined because J is a braided coideal.  `primitive_kernel` solves
+it on the projected columns of the normal words, cheapest component first:
+exactly on a monomial braiding over a field of degree < 3, else mod p.  Only
+the primitives of T(V), the first step, are computed in d^n coordinates.  The new ideal J' = J + (P) is checked on the new
 generators g alone: (pi'_a (x) pi'_b) Delta(g) = 0, and
 (pi'_t (x) Id) c(x (x) g) = 0 and its mirror for each letter x.  J was
 checked when it was built, and Delta and c are multiplicative, so this
@@ -45,9 +45,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
-from .linalg import Echelon, Subspace, certified_kernel, left_kernel, matvec, vec_axpy
+from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
 from .spaces import BraidedSpace
-from .tensorbialg import cheapest_first, delta_columns, nichols_dims, primitive_space
+from .tensorbialg import (cheapest_first, delta_columns, nichols_dims, primitive_kernel,
+                          primitive_space)
 
 
 class IdealTower:
@@ -250,10 +251,10 @@ def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
         # T(V) up to degree n: the plain primitives
         return primitive_space(space, n).rows
     words = tower.levels[n][0]
-    rows = certified_kernel(([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
-                              for w in words]
-                             for a in cheapest_first(range(1, n), tower.dims, n)),
-                            len(words), space.field)
+    rows = primitive_kernel(space, ([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
+                                     for w in words]
+                                    for a in cheapest_first(range(1, n), tower.dims, n)),
+                            len(words))
     return [{words[i]: s for i, s in row.items()} for row in rows]
 
 

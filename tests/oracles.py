@@ -16,9 +16,14 @@ properties there.  The library holds each tower as its quotient by normal
 words; its on-demand components must equal these.  `quotient_primitives`
 reads a normal-word tower's primitives back in d^n, with J_n added.
 
+`pi_zeta`, the symmetrization Pi applied to one zeta-space vector, is read
+off the library's table of Pi on the zeta space's rows; the library itself
+uses only that table and Pi's image.
+
 The first Pareigis identity as defined, [sigma |> x] = [x] for all n!
 permutations, is kept here against the library's check on the n - 1
-Coxeter generators.
+Coxeter generators, with the twisted action `perm_act` of a whole
+permutation.
 
 The braid generator c_i is applied one word at a time, through the word's
 letters and the field's operators (`apply_generator_entrywise`), against
@@ -44,7 +49,7 @@ from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
                               stacked_kernel, vec_axpy)
-from braidcalc.pareigis import induced_bracket, perm_act, zeta_space
+from braidcalc.pareigis import _combine, _pi_rows, _twist, induced_bracket, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
 from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
@@ -588,6 +593,16 @@ def mixed_zeta_space_all_at_once(space, n, zeta):
         conds.append(partial(condition, back + (1, 1) + word,
                              zinv ** (2 * len(word))))
     return Subspace.from_rows(size, all_at_once_kernel(carrier.rows, conds))
+
+
+def pi_zeta(space, n: int, zeta, vec: dict) -> dict:
+    """The full symmetrization sum over S_n applied to a zeta-space vector."""
+    return _combine(space, n, zeta, vec, _pi_rows)
+
+
+def perm_act(space, n: int, zeta, sigma, vec: dict) -> dict:
+    """sigma |> x = zeta^(-l(sigma)) lift(sigma) x."""
+    return _twist(space, n, zeta, matsumoto_lift(sigma).letters, vec)
 
 
 def pl1_all_permutations(bracket, n, zeta) -> bool:

@@ -27,7 +27,7 @@ from braidcalc.enveloping import (
 from braidcalc.errors import NotABracket, YBENotSatisfied
 from braidcalc.fixtures import CATALOG, preset_bracket
 from braidcalc.linalg import Subspace
-from braidcalc.pareigis import check_pi_in_E, check_pi_su, pi_zeta, zeta_space
+from braidcalc.pareigis import check_pi_in_E, check_pi_su, zeta_space
 from braidcalc.scalars import field_make
 from braidcalc.spaces import (
     make_braiding,
@@ -48,6 +48,7 @@ from braidcalc.tower import (
 )
 from oracles import (
     delta_injectivity_ladder,
+    pi_zeta,
     q_binomial,
     shuffles,
     symmetrizer_factorization_check,

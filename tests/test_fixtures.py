@@ -3,11 +3,12 @@ import pytest
 from braidcalc.enveloping import lie_check, pbw_check
 from braidcalc.errors import BadParams, NotInZetaSpace
 from braidcalc.fixtures import CATALOG, preset_bracket
-from braidcalc.pareigis import pi_zeta, zeta_space
+from braidcalc.pareigis import zeta_space
 from braidcalc.scalars import field_make, is_regular_exact
 from braidcalc.spaces import make_braiding, make_preset
 from braidcalc.tensorbialg import nichols_dims, primitive_space
 from braidcalc.tower import is_quadratic, sdeg, symmetric_step, IdealTower
+from oracles import pi_zeta
 
 F1 = field_make(1)
 

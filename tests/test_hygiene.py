@@ -151,7 +151,7 @@ def test_checker_flags_an_unread_parameter():
 def inline_accumulates(source: str) -> list[int]:
     """Lines of an `if x.is_zero():` whose body deletes or pops an entry: the
     inline copy of the "target += coeff * source" loop, which
-    `linalg.vec_axpy` (and `scalars.coeff_axpy` beneath it) is the one home of."""
+    `linalg.vec_axpy` is the one home of."""
     def drops(n):
         return isinstance(n, ast.Delete) or (
             isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
@@ -163,10 +163,7 @@ def inline_accumulates(source: str) -> list[int]:
                   and any(drops(n) for stmt in node.body for n in ast.walk(stmt)))
 
 
-KERNEL_MODULES = ("linalg.py", "scalars.py")
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in KERNEL_MODULES],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_no_inline_accumulate_loop(path):
     assert inline_accumulates(path.read_text(encoding="utf-8")) == []
@@ -187,13 +184,13 @@ def test_checker_flags_an_inline_accumulate_loop():
 MODULAR_NAMES = {"Reduction", "crt", "rational_lift"}
 
 
-def modular_imports(source: str) -> list[str]:
-    """The names of the modular route that a module imports from within the
-    package."""
+def modular_imports(source: str, names=MODULAR_NAMES) -> list[str]:
+    """The names among `names`, by default the modular route's, that a
+    module imports from within the package."""
     return sorted(alias.name for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.ImportFrom)
                   and (node.level or (node.module or "").startswith("braidcalc"))
-                  for alias in node.names if alias.name in MODULAR_NAMES)
+                  for alias in node.names if alias.name in names)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
@@ -207,6 +204,20 @@ def test_checker_flags_a_modular_import():
               "from braidcalc.linalg import crt, matvec\n"
               "from math import crt\nfrom .scalars import rational_lift as lift\n")
     assert modular_imports(source) == ["Reduction", "crt", "rational_lift"]
+    source = ("from .linalg import Subspace, certified_kernel\n"
+              "from braidcalc.linalg import certified_kernel as solve\n"
+              "from kernels import certified_kernel\n")
+    assert modular_imports(source, {"certified_kernel"}) == ["certified_kernel"] * 2
+
+
+# The route between the exact and the modular kernel is read off the
+# braiding in one place, `tensorbialg.primitive_kernel`: no other module
+# calls `certified_kernel` past it.
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("linalg.py", "tensorbialg.py")],
+                         ids=lambda p: p.name)
+def test_only_tensorbialg_imports_the_certified_kernel(path):
+    assert modular_imports(path.read_text(encoding="utf-8"), {"certified_kernel"}) == []
 
 
 # The names of the kernel layer that take a modulus, the keyword prime p.

@@ -13,9 +13,7 @@ from braidcalc.pareigis import (
     check_pi_su,
     induced_bracket,
     mixed_zeta_space,
-    perm_act,
     pi_image,
-    pi_zeta,
     verify_PL,
     zeta_space,
 )
@@ -24,7 +22,8 @@ from braidcalc.linalg import Subspace, vec_axpy
 from braidcalc.spaces import (BraidedSpace, make_braiding, make_preset,
                               matsumoto_lift, word_index)
 from braidcalc.tensorbialg import delta_columns, matvec, primitive_space
-from oracles import mixed_zeta_space_all_at_once, pl1_all_permutations, q_binomial
+from oracles import (mixed_zeta_space_all_at_once, perm_act, pi_zeta, pl1_all_permutations,
+                     q_binomial)
 
 F1 = field_make(1)
 F3 = field_make(3)

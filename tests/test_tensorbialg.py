@@ -631,10 +631,10 @@ def rational_space(mark, q22=-1):
 
 
 def route_spy(monkeypatch):
-    """The modulus of every kernel `linalg` solves, in order: the prime of
-    each modular one, and "exact" for each one of the exact route.  A call of
-    `stacked_kernel` counts once its first map arrives, so a prime that fails
-    to reduce the first map solves nothing."""
+    """The modulus of every kernel `linalg` and `tensorbialg` solve, in order:
+    the prime of each modular one, and "exact" for each one of the exact
+    route.  A call of `stacked_kernel` counts once its first map arrives, so
+    a prime that fails to reduce the first map solves nothing."""
     seen = []
     stacked_kernel = linalg.stacked_kernel
 
@@ -647,6 +647,7 @@ def route_spy(monkeypatch):
         return stacked_kernel(basis, arriving(), *args, p=p, **kwargs)
 
     monkeypatch.setattr(linalg, "stacked_kernel", spy)
+    monkeypatch.setattr(tensorbialg, "stacked_kernel", spy)
     return seen
 
 
@@ -658,13 +659,22 @@ def corrupt_lift(lift):
     return corrupt
 
 
+def certified_primitives(space, n):
+    """E_n by `linalg.certified_kernel` on the coproduct components, which
+    `primitive_space` passes to the route rule in this order (on T(V) every
+    component has d^n constraint rows), whichever route the rule picks."""
+    size = space.power(n)
+    return Subspace(size, linalg.certified_kernel(
+        [delta_columns(space, a, n - a) for a in range(1, n)], size, space.field))
+
+
 def test_modular_route_lifts_past_one_prime_by_crt(monkeypatch):
     space = rational_space(2 ** 40 + 1)
     seen = route_spy(monkeypatch)
     big = F1.from_rational(-(2 ** 40 + 1))
     for n, coeff in ((2, big), (3, -big * big)):
         seen.clear()
-        e_n = primitive_space(space, n)
+        e_n = certified_primitives(space, n)
         assert e_n == common_kernel(space, n)
         assert any(coeff in row.values() for row in e_n.rows)
         assert "exact" not in seen and len(set(seen)) > 1, n
@@ -676,7 +686,7 @@ def test_modular_route_skips_a_prime_that_divides_a_denominator(monkeypatch):
     assert Reduction(F1, 0)(space.pairs[0, 1][0][1]) is None
     seen = route_spy(monkeypatch)
     for n in (2, 3):
-        assert primitive_space(space, n) == common_kernel(space, n)
+        assert certified_primitives(space, n) == common_kernel(space, n)
     assert first not in seen and second in seen and "exact" not in seen
 
 
@@ -684,7 +694,7 @@ def test_modular_route_adds_primes_until_the_lift_is_certified(monkeypatch):
     # entries up to (2^40 + 1)^4 need more than five 30-bit primes to lift
     space = rational_space(2 ** 40 + 1)
     seen = route_spy(monkeypatch)
-    assert primitive_space(space, 4) == common_kernel(space, 4)
+    assert certified_primitives(space, 4) == common_kernel(space, 4)
     assert "exact" not in seen and len(set(seen)) > 5
 
 
@@ -695,7 +705,7 @@ def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
     seen = route_spy(monkeypatch)
     for n, e_n in zip((3, 4), expected):
         seen.clear()
-        assert e_n.dim and primitive_space(space, n) == e_n
+        assert e_n.dim and certified_primitives(space, n) == e_n
         # the same wrong lift on two primes in a row ends the modular route
         assert seen[-1] == "exact" and seen.count("exact") == 1, n
         assert len(set(seen) - {"exact"}) == 2, n

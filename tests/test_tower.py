@@ -3,20 +3,23 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from braidcalc.errors import BadParams, InternalCheckError, NotACoideal
+from braidcalc import linalg, tower as tower_mod
 from braidcalc.linalg import Subspace
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
 from braidcalc.tensorbialg import (
     delta_columns,
+    has_primitives,
     nichols_dims,
     primitive_space,
 )
 from braidcalc.tower import (
     IdealTower,
     _close_components,
+    _lifted_primitives,
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
@@ -34,7 +37,8 @@ from oracles import (
     symmetrizer_rank,
     tower_iterates_dn,
 )
-from test_tensorbialg import corrupt_lift, nichols_spaces, property_spaces, route_spy
+from test_tensorbialg import (certified_primitives, corrupt_lift, nichols_spaces,
+                              property_spaces, route_spy)
 
 F1 = field_make(1)
 F3 = field_make(3)
@@ -501,15 +505,66 @@ def test_a_corrupted_quotient_lift_falls_back_to_the_same_trace(monkeypatch):
     import braidcalc.linalg as linalg
 
     # the rack's quotient primitives have only unit entries, which the
-    # corruption keeps; cartan_An's (1, 2 and 3 + 3z) it does not
-    expected = sdeg(make_preset("cartan_An", F3, n=2, t=3), 6)
-    space = make_preset("cartan_An", F3, n=2, t=3)
+    # corruption keeps; cartan_An's (1, 2 and 3 z^2 over Q(zeta_12)) it does
+    # not, and over a field of degree 4 its kernels take the modular route
+    F12 = field_make(12)
+    expected = sdeg(make_preset("cartan_An", F12, n=2, t=3), 6)
+    space = make_preset("cartan_An", F12, n=2, t=3)
     # step 1 memoized first, so only the quotient primitives are corrupted
     for n in range(2, 7):
         primitive_space(space, n)
     seen = route_spy(monkeypatch)
     monkeypatch.setattr(linalg, "rational_lift", corrupt_lift(linalg.rational_lift))
     verdict = sdeg(space, 6)
-    assert seen.count("exact") == 1
+    assert seen.count("exact") == 1 and set(seen) - {"exact"}
     assert (verdict.value, verdict.status, verdict.tower_trace) == \
         (expected.value, expected.status, expected.tower_trace)
+
+
+# -- the route rule: exact on a monomial braiding over a field of degree < 3 --
+
+def assert_the_route_changes_no_rows(space, cutoff):
+    """The rule's rows are `certified_kernel`'s, for E_n, n <= 4, and for the
+    quotient primitives of the first tower step up to the cutoff."""
+    for n in range(2, 5):
+        assert primitive_space(space, n).rows == certified_primitives(space, n).rows, n
+    iterates = tower_iterates(space, cutoff, max_steps=1)
+    for n in range(2, cutoff + 1) if len(iterates) > 1 else ():
+        rows = _lifted_primitives(iterates[1], n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tower_mod, "primitive_kernel", lambda space, maps, count:
+                       linalg.certified_kernel(maps, count, space.field))
+            assert _lifted_primitives(iterates[1], n) == rows, n
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(property_spaces())
+def test_the_route_rule_changes_no_rows(space):
+    assume(space.monomial)
+    assert_the_route_changes_no_rows(space, 4 if space.dim >= 3 else 5)
+
+
+def test_the_route_rule_changes_no_quotient_primitives():
+    # monomial spaces whose first tower step leaves quotient primitives
+    for space in (make_preset("cartan_An", F3, n=2, t=3), make_preset("twodim_sdeg2", F1)):
+        assert tower_iterates(space, 6)[2].added  # the second step adjoins some
+        assert_the_route_changes_no_rows(space, 6)
+
+
+@pytest.mark.parametrize("build, exact", [
+    (lambda: make_preset("d4_rack", F1), True),
+    (lambda: make_braiding("diagonal", {"q": [[-F3.one, F3.gen], [F3.gen, -F3.one]]}, F3),
+     True),
+    (lambda: make_preset("hecke_gl", F1), False),
+    (lambda: make_preset("gurevich", F1), False),
+    (lambda: make_preset("cartan_An", field_make(5), n=2, t=5), False),
+], ids=["d4_rack", "diagonal_zeta3", "hecke_gl", "gurevich", "cartan_An_zeta5"])
+def test_the_route_rule_reads_the_braiding(monkeypatch, build, exact):
+    # has_primitives, primitive_space and the quotient primitives of sdeg
+    space = build()
+    assert (space.monomial and space.field.degree < 3) == exact
+    seen = route_spy(monkeypatch)
+    has_primitives(space, 4)
+    primitive_space(space, 3)
+    sdeg(space, 4)
+    assert seen and (set(seen) == {"exact"} if exact else "exact" not in seen)
