@@ -30,7 +30,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BadParams, DomainMismatch, InternalCheckError, IrregularMark, NotABracket
-from .linalg import Echelon, Subspace, apply_slot, left_kernel, matvec, vec_axpy
+from .linalg import (Echelon, Subspace, apply_slot, boxed, holds_scalars, left_kernel, matvec,
+                     unboxed, vec_axpy)
 from .spaces import BraidedSpace
 from .tensorbialg import delta_columns, has_primitives, primitive_space
 from .tower import tower_iterates
@@ -70,9 +71,12 @@ class BracketTable:
 
     def value(self, n: int, coords: dict) -> dict:
         """b of an element of the degree-n primitive space given its
-        coordinates {k: coefficient} over the canonical basis."""
-        vecs = self.entries.get(n)
-        return {} if vecs is None else matvec(vecs, coords)
+        coordinates {k: coefficient} over the canonical basis, of scalars or
+        raw coefficients as the coordinates."""
+        vecs, fld = self.entries.get(n), self.space.field
+        if vecs is None or holds_scalars(coords, fld):
+            return {} if vecs is None else matvec(vecs, coords)
+        return matvec({k: unboxed(vecs[k], fld) for k in coords}, coords, fld)
 
 
 def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
@@ -146,7 +150,7 @@ class FilteredQuotient:
         for k in range(top, -1, -1):
             self.offsets[k] = self.ncols
             self.ncols += space.power(k)
-        self.echelon = Echelon(self.ncols)
+        self.echelon = Echelon(self.ncols, space.field)
         self.unconstrained = []
         self.history = {n: [] for n in range(0, cutoff + 1)}
         self._build()
@@ -155,8 +159,8 @@ class FilteredQuotient:
 
     def _build(self):
         space = self.bracket.space
-        d = space.dim
-        gens = []  # (degree t, top part, bracket part dict over V)
+        d, fld = space.dim, space.field
+        gens = []  # (degree t, top part, minus the bracket part over V), raw
         for t in range(2, self.top + 1):
             if t > self.bracket.cutoff:
                 if has_primitives(space, t):
@@ -165,26 +169,22 @@ class FilteredQuotient:
             prims = primitive_space(space, t)
             vecs = self.bracket.entries.get(t) or [{}] * prims.dim
             for k, row in enumerate(prims.rows):
-                gens.append((t, row, vecs[k] if k < len(vecs) else {}))
+                value = {j: -v for j, v in (vecs[k] if k < len(vecs) else {}).items()}
+                gens.append((t, unboxed(row, fld), unboxed(value, fld)))
         for m in range(2, self.top + 1):
             for t, u_vec, b_vec in gens:
                 if t > m:
                     continue
-                pad = m - t
-                for p in range(pad + 1):
-                    q = pad - p
-                    dim_p = space.power(p)
-                    dim_q = space.power(q)
-                    for x in range(dim_p):
+                for p in range(m - t + 1):
+                    q = m - t - p
+                    dim_t, dim_q = space.power(t), space.power(q)
+                    top, low = self.offsets[m], self.offsets[p + 1 + q]
+                    for x in range(space.power(p)):
                         for y in range(dim_q):
-                            row = {}
-                            base = x
-                            for c, v in u_vec.items():
-                                col = (base * space.power(t) + c) * dim_q + y
-                                row[self.offsets[m] + col] = v
+                            # x (u - b(u)) y, u the generator
+                            row = {top + (x * dim_t + c) * dim_q + y: v for c, v in u_vec.items()}
                             for j, v in b_vec.items():
-                                col = (base * d + j) * dim_q + y
-                                row[self.offsets[p + 1 + q] + col] = -v
+                                row[low + (x * d + j) * dim_q + y] = v
                             self.echelon.add(row)
             self._record_history()
 
@@ -213,11 +213,12 @@ class FilteredQuotient:
                 for n, hist in self.history.items()}
 
     def span_rows_in(self, n: int):
-        """Echelon rows lying in T_(n) (pivot in a block of degree <= n)."""
+        """Echelon rows, raw, lying in T_(n) (pivot in a block of degree <= n)."""
         return self.echelon.rows(self.offsets[n])
 
     def reduce(self, mixed_vec: dict) -> dict:
-        """The canonical remainder of a vector of T_(top) modulo the span."""
+        """The canonical remainder of a vector of T_(top) modulo the span, of
+        scalars or of raw coefficients."""
         return self.echelon.reduce(mixed_vec)
 
     def vector_in_V_cap_ideal(self):
@@ -228,7 +229,7 @@ class FilteredQuotient:
             if any(c < off for c in row):
                 raise InternalCheckError("ideal row with constant term")
             if vec:
-                return vec
+                return boxed(vec, self.bracket.space.field)
         return None
 
 
@@ -313,9 +314,9 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
     of V: solves the coproduct-primitivity system inside T_(N)/(ideal)."""
     fq = filtration or enveloping_filtration(bracket, cutoff, slack)
     space = bracket.space
-    d = space.dim
-    one = space.field.one
-    # quotient reduction of T_(cutoff) basis vectors modulo the span
+    d, fld = space.dim, space.field
+    one = fld.raw_one
+    # quotient reduction of T_(cutoff) basis vectors modulo the span, raw
     rho_cache: dict[int, dict] = {}
 
     def rho(k, w):
@@ -336,13 +337,13 @@ def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
             for col, val in delta_columns(space, a, b)[w].items():
                 u, v = divmod(col, space.power(b))
                 rv = rho(b, v)
-                for c1, s1 in rho(a, u).items():
-                    vec_axpy(img, val * s1, rv, c1 * fq.ncols)
+                for c1, s1 in vec_axpy({}, val, rho(a, u), 0, fld).items():
+                    vec_axpy(img, s1, rv, c1 * fq.ncols, fld)
         images.append(img)
-    solutions = left_kernel(images, one)
+    solutions = left_kernel(images, field=fld)
     # span of the solutions in the quotient
-    img_ech, v_ech = Echelon(fq.ncols), Echelon(fq.ncols)
-    img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol)
+    img_ech, v_ech = Echelon(fq.ncols, fld), Echelon(fq.ncols, fld)
+    img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol, fld)
                      for sol in solutions)
     return img_ech.rank == d and v_ech.add_rows(rho(1, j) for j in range(d)) == d
 

@@ -1,112 +1,90 @@
 """Sparse linear algebra over a cyclotomic field, exact or modulo a prime.
 
-Vectors are dicts {column index: nonzero scalar}.  Subspaces are kept in
-reduced row echelon form with a fixed ascending column order, so two equal
-subspaces have literally identical representations and equality, membership
-and inclusion tests are syntactic.
+Vectors are dicts {column index: nonzero coefficient}.  Inside the library
+a coefficient is raw: a rational (int, or Q off the integers) over Q, a pair
+of them over Q(zeta_m), m = 3, 4, 6, and the `CycloScalar` itself over the
+fields of degree >= 3.  Each kernel below takes the field as an argument and
+checks it once per call, never per entry; without it, it takes scalars and
+gives scalars, converting each family once.  Vectors leave the library as
+scalars drawn from the field's intern table (`boxed`): as `Subspace` rows,
+returned kernels and reports.  Subspaces are kept in reduced row echelon
+form with a fixed ascending column order, so equal subspaces have literally
+identical representations.
 
-An `Echelon` is built by forward reduction (each incoming row is reduced
-against the pivots found so far) and back-substituted once at the end, all of
-it or only the rows pivoting from a given column on, which meet no earlier
-pivot; for the monomial and diagonal braidings that dominate this workbench
-the eliminations never leave the orbit of words a row touches.  Over the
-fields of degree 1 and 2 its rows are raw and fraction-free, as in Bareiss
-(1968) and FLINT's `fmpq_mat_rref`: ints over Q, coefficient pairs over
-Q(zeta_m), m = 3, 4, 6, cleared of denominators on entry, each pivot row
-divided by the gcd of its coefficients and led by a positive integer, and a
-remainder divided once, at exit.  Over fields of degree >= 3, and mod p, the
-pivot rows are scaled to lead 1.  Rows leave only through `Echelon.reduce`,
-`rows` and `kernel` (so through `Subspace` and the kernels below), in lead-1
-RREF, with their scalars drawn from the field's intern table.
-
-One elimination serves two arithmetics: `Echelon`, `matvec`, `kernel_basis`,
-`left_kernel` and `stacked_kernel` work on exact scalars or, given a keyword
-prime p, on ints mod p; only `certified_kernel` passes a prime.  Every kernel
-of a family comes back in RREF: `left_kernel` eliminates the unknowns from
-the last down, so each free unknown leads its free-column vector, the
-kernel's RREF row at that pivot, and `stacked_kernel` keeps that shape when
-it combines an RREF basis.  `enveloping.primitive_check` lists its unknowns
-in reverse, because its elimination runs faster from degree 1 up.
+An `Echelon` is built by forward reduction and back-substituted once at the
+end, all of it or only the rows pivoting from a given column on, which meet
+no earlier pivot.  Over the fields of degree 1 and 2 its rows are
+fraction-free, as in Bareiss (1968) and FLINT's `fmpq_mat_rref`: cleared of
+denominators on entry, each pivot row divided by the gcd of its
+coefficients and led by a positive integer, and a remainder divided once,
+at exit.  Over fields of degree >= 3, and mod p, pivot rows lead with 1.
+Every kernel comes back in RREF: `left_kernel` eliminates the unknowns from
+the last down, so each free unknown leads its free-column vector, and
+`stacked_kernel` keeps that shape when it combines an RREF basis.
 
 This module is the one place that does sparse arithmetic.  Its kernels:
 
 * `vec_axpy`, target[offset + col] += c * source[col], dropping cancelled
-  entries: the one accumulate loop on scalars, in one frame, with one loop on
-  the coefficient tuples of each field of degree 1 and 2;
+  entries, one loop for each field of degree 1 and 2, the operators above;
 * `matvec`, a sparse matrix given by its columns applied to a vector, which
   is also the linear combination sum_i c_i v_i of a family;
 * `apply_slot`, Id (x) f (x) Id: a map applied to one tensor slot;
-* `Echelon.reduce`, the canonical remainder modulo the rows, which
-  `Subspace.reduce` and `Subspace.coordinates` use;
-* `kernel_basis`, the canonical free-column kernel of a set of constraint
-  rows (`Echelon.kernel`), and `left_kernel`, the RREF kernel of a family;
+* `Echelon.reduce`, the canonical remainder modulo the rows;
+* `Echelon.kernel`, the free-column kernel of constraint rows, and
+  `left_kernel`, the RREF kernel of a family;
 * `stacked_kernel`, the common kernel of a family of maps on a subspace,
-  solved map by map on the basis the earlier maps leave, so that no map is
-  applied to a vector an earlier one has ruled out;
-* `certified_kernel`, the RREF of the common kernel of exact sparse column
-  maps by the modular route, for the primitive kernels that the braiding's
-  shape sends mod p (`tensorbialg.primitive_kernel`).
+  solved map by map on the basis the earlier maps leave;
+* `certified_kernel`, the same by the modular route, for the primitive
+  kernels the braiding's shape sends mod p (`tensorbialg.primitive_kernel`);
+  the only caller that passes the keyword prime p to the others.
 
 `certified_kernel` takes a prime p = 1 (mod m) below 2^30 that divides no
 denominator of the columns, maps each coefficient to F_p under each of the
-phi(m) embeddings zeta -> omega_j of Q(zeta_m) (`scalars.Reduction`), and
-solves `stacked_kernel` mod p map by map in the order given, the first
-embedding through every map before the others, drawing a map only while the
-kernel is not empty: rank mod p is at most the rank over Q(zeta_m), so an
-empty kernel under one embedding proves the kernel zero.  Otherwise every
-embedding must give the same pivots; the entries are interpolated back to
-power-basis coefficients mod p, combined over the primes so far by CRT, and
-rationally reconstructed.  The lifted rows are certified exactly: M x = 0
-for every map M and row x, they lead at distinct pivots, so they are
-independent, and their number is the nullity mod p, which bounds the
-nullity from above, so they are the RREF of the kernel.  Primes are added
-while reconstruction fails or the lift changes; all but finitely many
-primes give the true pivots, so the lift settles once the modulus is large
-enough.  A lift that repeats on two primes in a row and fails the
-certificate hands the same columns to `stacked_kernel`.
+phi(m) embeddings zeta -> omega_j (`scalars.Reduction`), and solves
+`stacked_kernel` mod p, the first embedding through every map before the
+others: rank mod p is at most the rank over Q(zeta_m), so an empty kernel
+under one embedding proves the kernel zero.  Otherwise every embedding must
+give the same pivots; the entries are interpolated back to coefficients mod
+p, combined over the primes so far by CRT, and rationally reconstructed.
+The lifted rows are certified exactly: M x = 0 for every map M and row x,
+they lead at distinct pivots, and their number is the nullity mod p, an
+upper bound, so they are the RREF of the kernel.  Primes are added while
+reconstruction fails or the lift changes, up to MAX_PRIMES; a lift that
+repeats on two primes in a row and fails the certificate, or the last
+prime, hands the same columns to `stacked_kernel`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from math import gcd, lcm
 
 from .scalars import CycloScalar, Q, Reduction, canon, crt, rational_lift
 
+# the most primes the modular route draws before the exact route takes over;
+# the test suite's kernels settle on at most 6 (entries near 2^160)
+MAX_PRIMES = 32
 
-def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
+
+def vec_axpy(target: dict, coeff, source: dict, offset: int = 0, field=None) -> dict:
     """target[offset + col] += coeff * source[col], dropping cancelled entries;
-    returns target.  Over fields of degree 1 and 2 one loop each works on the
-    coefficient tuples and stores each entry through the field's intern
-    table; an entry from another field raises FieldMismatch."""
-    fld = coeff.field if coeff.__class__ is CycloScalar else None
-    if fld is not None and fld.degree == 1:
-        box, interned, (a0,) = fld.box, fld.interned, coeff.coeffs
-        for col, val in source.items() if a0 else ():
-            if val.__class__ is not CycloScalar or val.field is not fld:
-                val = coeff._coerce(val)
+    returns target.  Given the field, on its raw coefficients: one loop for
+    degree 1 and one for degree 2, the scalar operators above.  Without it,
+    on scalars, through the operators (FieldMismatch from another field) and
+    the field's intern table."""
+    degree = 3 if field is None else field.degree
+    if degree == 1:
+        for col, val in source.items() if coeff else ():
             tgt = offset + col if offset else col
             cur = target.get(tgt)
-            if cur is not None and cur.field is not fld:
-                cur = coeff._coerce(cur)
-            c = a0 * val.coeffs[0] if cur is None else cur.coeffs[0] + a0 * val.coeffs[0]
-            if not c:
-                target.pop(tgt, None)
-            else:  # an integral tuple is looked up here, the rest boxed
-                s = interned.get((c,)) if c.__class__ is int else None
-                target[tgt] = box((canon(c),)) if s is None else s
-    elif fld is not None and fld.degree == 2:
-        box, interned, (a0, a1) = fld.box, fld.interned, coeff.coeffs
-        c1 = fld.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1
-        for col, val in source.items() if a0 or a1 else ():
-            if val.__class__ is not CycloScalar or val.field is not fld:
-                val = coeff._coerce(val)
+            c = coeff * val if cur is None else cur + coeff * val
+            if c:
+                target[tgt] = c if c.__class__ is int else canon(c)
+            else:
+                del target[tgt]
+    elif degree == 2:
+        (a0, a1), c1 = coeff, field.cyclotomic_polynomial[1]  # Phi_m = X^2 + c1 X + 1
+        for col, (b0, b1) in source.items() if a0 or a1 else ():
             tgt = offset + col if offset else col
-            cur = target.get(tgt)
-            if cur is not None and cur.field is not fld:
-                cur = coeff._coerce(cur)
-            b0, b1 = val.coeffs
             if not a1:
                 p0, p1 = a0 * b0, a0 * b1
             elif not b1:
@@ -114,14 +92,17 @@ def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
             else:  # X^2 = -c1 X - 1
                 top = a1 * b1
                 p0, p1 = a0 * b0 - top, a0 * b1 + a1 * b0 - c1 * top
+            cur = target.get(tgt)
             if cur is not None:
-                p0, p1 = cur.coeffs[0] + p0, cur.coeffs[1] + p1
-            if not (p0 or p1):
-                target.pop(tgt, None)
+                p0, p1 = cur[0] + p0, cur[1] + p1
+            if p0.__class__ is not int or p1.__class__ is not int:
+                p0, p1 = canon(p0), canon(p1)
+            if p0 or p1:
+                target[tgt] = (p0, p1)
             else:
-                s = interned.get((p0, p1)) if p0.__class__ is p1.__class__ is int else None
-                target[tgt] = box((canon(p0), canon(p1))) if s is None else s
+                del target[tgt]
     elif not coeff.is_zero():
+        box = None if field else coeff.field.box
         for col, val in source.items():
             tgt = offset + col if offset else col
             cur = target.get(tgt)
@@ -129,8 +110,26 @@ def vec_axpy(target: dict, coeff, source: dict, offset: int = 0) -> dict:
             if new.is_zero():
                 target.pop(tgt, None)
             else:
-                target[tgt] = new
+                target[tgt] = new if box is None else box(new.coeffs)
     return target
+
+
+def boxed(vec: dict, field) -> dict:
+    """vec's raw coefficients of field as scalars, through its intern table."""
+    box, pairs = field.box, field.degree == 2
+    return vec if field.degree > 2 else {c: box(x if pairs else (x,)) for c, x in vec.items()}
+
+
+def unboxed(vec: dict, field) -> dict:
+    """A fresh copy of vec with its scalars as raw coefficients of field."""
+    raw = field.raw
+    return {c: raw(s) for c, s in vec.items()}
+
+
+def holds_scalars(vec: dict, field) -> bool:
+    """Whether vec holds scalars of field, of degree < 3, not raw coefficients."""
+    return field is not None and field.degree < 3 and \
+        next(iter(vec.values()), None).__class__ is CycloScalar
 
 
 def _axpy_mod(p: int, target: dict, coeff: int, source: dict) -> dict:
@@ -145,16 +144,17 @@ def _axpy_mod(p: int, target: dict, coeff: int, source: dict) -> dict:
     return target
 
 
-def matvec(columns, vec: dict, *, p=None) -> dict:
+def matvec(columns, vec: dict, field=None, *, p=None) -> dict:
     """sum_w vec[w] * columns[w]: the matrix with these sparse columns applied
-    to vec, or equally the combination of a family with coefficients vec."""
+    to vec, or equally the combination of a family with coefficients vec;
+    raw coefficients of field, scalars without it, or ints mod p."""
     out: dict = {}
-    if p is None:
-        for w, s in vec.items():
-            vec_axpy(out, s, columns[w])
-    else:
+    if p is not None:
         for w, s in vec.items():
             _axpy_mod(p, out, s, columns[w])
+        return out
+    for w, s in vec.items():
+        vec_axpy(out, s, columns[w], 0, field)
     return out
 
 
@@ -181,23 +181,19 @@ class _Raw:
     which makes the lead its norm, then divided by its content."""
 
     def __init__(self, field):
-        self.field, self.one = field, field.one
+        self.field, self.one = field, field.raw_one
         self.pairs = field.degree == 2
         self.c1 = field.cyclotomic_polynomial[1] if self.pairs else 0
         self.eliminate = self._eliminate_pairs if self.pairs else self._eliminate_ints
 
     def load(self, row: dict):
-        """The raw row and the denominator it was multiplied by."""
-        fld, den, raw = self.field, 1, {}
-        for col, v in row.items():
-            if v.__class__ is not CycloScalar or v.field is not fld:
-                v = fld.one._coerce(v)
-            xs = raw[col] = v.coeffs
-            if xs[0].__class__ is not int or xs[-1].__class__ is not int:
-                den = lcm(den, *(int(x.denominator) for x in xs))
+        """The raw row cleared of denominators in place, and their lcm."""
+        xs = [x for pair in row.values() for x in pair] if self.pairs else row.values()
+        den = lcm(*[int(x.denominator) for x in xs if x.__class__ is not int])
         if den != 1:
-            raw = {c: tuple(int(x * den) for x in xs) for c, xs in raw.items()}
-        return (raw if self.pairs else {c: xs[0] for c, xs in raw.items()}), den
+            for c, x in row.items():
+                row[c] = (int(x[0] * den), int(x[1] * den)) if self.pairs else int(x * den)
+        return row, den
 
     @staticmethod
     def _eliminate_ints(row: dict, col, prow: dict) -> int:
@@ -253,12 +249,10 @@ class _Raw:
         return x[0] if self.pairs else x
 
     def unload(self, row: dict, den: int) -> dict:
-        """row / den in scalars, each drawn from the field's intern table."""
-        box, pairs = self.field.box, self.pairs
-        if den == 1:
-            return {c: box(x if pairs else (x,)) for c, x in row.items()}
-        return {c: box((_div(x[0], den), _div(x[1], den)) if pairs else (_div(x, den),))
-                for c, x in row.items()}
+        """row / den, its coefficients canonical."""
+        pairs = self.pairs
+        return dict(row) if den == 1 else {c: (_div(x[0], den), _div(x[1], den)) if pairs
+                                           else _div(x, den) for c, x in row.items()}
 
 
 class _Monic:
@@ -266,15 +260,15 @@ class _Monic:
     scaled to lead 1, a column eliminated by row <- row - b prow."""
 
     def __init__(self, field=None, p=None):
-        self.p, self.one = p, field.one if p is None else 1
+        self.field, self.p, self.one = field, p, field.one if p is None else 1
 
     @staticmethod
     def load(row: dict):
-        return dict(row), 1
+        return row, 1
 
     def eliminate(self, row: dict, col, prow: dict) -> int:
         if self.p is None:
-            vec_axpy(row, -row[col], prow)
+            vec_axpy(row, -row[col], prow, 0, self.field)
         else:
             _axpy_mod(self.p, row, -row[col], prow)
         return 1
@@ -291,25 +285,30 @@ class _Monic:
         return x
 
     def unload(self, row: dict, den) -> dict:
-        """row / den for den = +-1: scalars from the field's intern table, or
-        ints mod p."""
+        """row / den for den = +-1: interned scalars, or ints mod p."""
         p = self.p
         if p is not None:
             return row if den == 1 else {c: p - v for c, v in row.items()}
-        box, sign = self.one.field.box, 1 if den == 1 else -1
+        box, sign = self.field.box, 1 if den == 1 else -1
         return {c: box(tuple(sign * x for x in v.coeffs)) for c, v in row.items()}
 
 
-class Echelon:
-    """Mutable row echelon accumulator over a fixed column count, of exact
-    scalars or, given a prime p, of ints mod p.  Exact rows over the fields
-    of degree 1 and 2 are held raw (`_Raw`), the rest scaled to lead 1
-    (`_Monic`); scalars come out of `reduce`, `rows` and `kernel` only."""
+def _ring(field):
+    return (_Raw if field.degree < 3 else _Monic)(field)
 
-    def __init__(self, ncols: int, *, p=None):
+
+class Echelon:
+    """Mutable row echelon accumulator over a fixed column count: rows,
+    remainders and kernels are raw coefficients of the field given, ints mod
+    p, or, given neither, scalars of the first row's field.  A row of
+    scalars is taken in any case, and its remainder comes back scalars."""
+
+    def __init__(self, ncols: int, field=None, *, p=None):
         self.ncols = ncols
+        self.field = field
         self.pivot_rows: dict[int, dict] = {}
-        self._ring = None if p is None else _Monic(p=p)
+        self._ring = _Monic(p=p) if p is not None else None if field is None else _ring(field)
+        self._boxes = field is None and p is None
         self._reduced_from = 0  # the rows with pivot >= this are reduced
 
     @property
@@ -321,12 +320,17 @@ class Echelon:
         """The pivot columns, ascending."""
         return sorted(self.pivot_rows)
 
-    def _arith(self, row: dict):
-        """The row arithmetic, fixed by the field of the first row."""
+    def _load(self, row: dict):
+        """The row raw and fresh, the denominator it was multiplied by, and
+        whether it held scalars; the first row fixes a field not given."""
         if self._ring is None:
-            fld = next(iter(row.values())).field
-            self._ring = (_Raw if fld.degree < 3 else _Monic)(fld)
-        return self._ring
+            self._ring = _ring(next(iter(row.values())).field)
+        ring = self._ring
+        scalars = holds_scalars(row, ring.field)
+        return (*ring.load(unboxed(row, ring.field) if scalars else dict(row)), scalars)
+
+    def _out(self, vec: dict) -> dict:
+        return boxed(vec, self._ring.field) if self._boxes else vec
 
     def _forward(self, raw: dict):
         """Eliminate the raw row's leading pivot columns until it leads at a
@@ -351,7 +355,7 @@ class Echelon:
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True when the rank grew."""
-        return bool(row) and self._add(self._arith(row).load(row)[0])
+        return bool(row) and self._add(self._load(row)[0])
 
     def add_rows(self, rows) -> int:
         return sum(map(self.add, rows))
@@ -363,9 +367,8 @@ class Echelon:
         and {} comes back."""
         if not row or not (self.pivot_rows or add_below):
             return dict(row)
-        ring = self._arith(row)
-        raw, den = ring.load(row)
-        lead, scale = self._forward(raw)
+        raw, den, scalars = self._load(row)
+        ring, (lead, scale) = self._ring, self._forward(raw)
         if raw and lead < add_below:
             self._add(raw)
             return {}
@@ -378,7 +381,8 @@ class Echelon:
             for col in cols:
                 if col in raw:
                     den *= ring.eliminate(raw, col, pivots[col])
-        return ring.unload(raw, den)
+        rem = ring.unload(raw, den)
+        return boxed(rem, ring.field) if scalars else rem
 
     def back_substitute(self, start: int = 0) -> None:
         """Bring the rows whose pivot is >= start into fully reduced form: a
@@ -402,7 +406,7 @@ class Echelon:
         """The RREF rows, lead 1, of the pivots from column start on."""
         self.back_substitute(start)
         pivots, ring = self.pivot_rows, self._ring
-        return [ring.unload(pivots[c], ring.lead(pivots[c][c]))
+        return [self._out(ring.unload(pivots[c], ring.lead(pivots[c][c])))
                 for c in sorted(pivots) if c >= start]
 
     def kernel(self, one=None, last=None) -> list[dict]:
@@ -427,7 +431,7 @@ class Echelon:
             if f not in pivots:
                 vec = free.get(f, {})
                 vec[f if last is None else last - f] = one
-                basis.append(vec)
+                basis.append(vec if ring is None else self._out(vec))
         return basis
 
 
@@ -444,14 +448,16 @@ class Subspace:
         self._echelon = None
 
     @classmethod
-    def from_rows(cls, ncols: int, rows) -> "Subspace":
-        ech = Echelon(ncols)
+    def from_rows(cls, ncols: int, rows, field=None) -> "Subspace":
+        """The span of rows of scalars, or of raw coefficients of field."""
+        ech = Echelon(ncols, field)
         ech.add_rows(rows)
         return cls.from_echelon(ech)
 
     @classmethod
     def from_echelon(cls, ech: Echelon) -> "Subspace":
-        return cls(ech.ncols, ech.rows())
+        rows = ech.rows()
+        return cls(ech.ncols, rows if ech.field is None else [boxed(r, ech.field) for r in rows])
 
     @classmethod
     def zero(cls, ncols: int) -> "Subspace":
@@ -464,15 +470,13 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def echelon(self) -> Echelon:
-        ech = Echelon(self.ncols)
-        ech.add_rows(self.rows)
-        return ech
-
     def reduce(self, vector: dict) -> dict:
-        """Canonical remainder of a vector modulo this subspace."""
+        """Canonical remainder modulo this subspace of a vector of scalars,
+        or of raw coefficients of their field."""
         if self._echelon is None:
-            self._echelon = self.echelon()
+            field = next(iter(self.rows[0].values())).field if self.rows else None
+            self._echelon = Echelon(self.ncols, field)
+            self._echelon.add_rows(self.rows)
         return self._echelon.reduce(vector)
 
     def coordinates(self, vector: dict):
@@ -495,15 +499,7 @@ class Subspace:
         return "Subspace(dim=%d, ncols=%d)" % (self.dim, self.ncols)
 
 
-def kernel_basis(rows, ncols: int, one=None, *, p=None) -> list[dict]:
-    """Basis of {x : R x = 0} given the constraint rows of R: the canonical
-    free-column one (`Echelon.kernel`)."""
-    ech = Echelon(ncols, p=p)
-    ech.add_rows(rows)
-    return ech.kernel(one)
-
-
-def left_kernel(vectors: list[dict], one=None, *, p=None) -> list[dict]:
+def left_kernel(vectors: list[dict], one=None, field=None, *, p=None) -> list[dict]:
     """RREF basis of {lambda : sum_i lambda_i v_i = 0} for a list of sparse
     vectors, whose column keys may be any hashables: the kernel of the
     transposed family with the unknowns numbered from the last down."""
@@ -512,33 +508,31 @@ def left_kernel(vectors: list[dict], one=None, *, p=None) -> list[dict]:
     for i, vec in enumerate(vectors):
         for col, val in vec.items():
             transposed.setdefault(col, {})[last - i] = val
-    ech = Echelon(len(vectors), p=p)
-    ring = ech._arith(next(iter(transposed.values()))) if transposed else None
-    # the transposed rows are fresh, so a monic arithmetic takes them uncopied
-    fresh = ring.__class__ is _Monic
+    ech = Echelon(len(vectors), field, p=p)
     for row in transposed.values():
-        ech._add(row if fresh else ring.load(row)[0])
+        ech._add(ech._load(row)[0])
     return ech.kernel(one, last)
 
 
-def stacked_kernel(basis, maps, one=None, *, p=None) -> list[dict]:
+def stacked_kernel(basis, maps, one=None, field=None, *, p=None) -> list[dict]:
     """Vectors spanning {x in span(basis) : f(x) = 0 for every f in maps},
     for linear maps given as callables from a vector to its image or as the
     lists of their sparse columns; its RREF basis when basis is an int or
     RREF rows.  An int basis n stands for the unit vectors {i: one}, i < n,
-    whose kernel is then the `left_kernel` rows themselves.  The maps are
-    solved one at a time: map k sees only the vectors that the maps before
-    it leave, their combinations from the `left_kernel` of its images, and
-    an empty kernel ends the loop before the next map is drawn."""
+    whose kernel is then the `left_kernel` rows themselves.  Map k sees only
+    the vectors the maps before it leave, their combinations from the
+    `left_kernel` of its images, and an empty kernel ends the loop before
+    the next map is drawn.  Raw coefficients of field, scalars, or mod p."""
     units = basis.__class__ is int
+    one = one if field is None else field.raw_one
     for f in maps if basis else ():
         if f.__class__ is list:  # the map's columns
-            images = f if units else [matvec(f, b, p=p) for b in basis]
+            images = f if units else [matvec(f, b, field, p=p) for b in basis]
         else:
             images = [f({i: one}) for i in range(basis)] if units else [f(b) for b in basis]
         if any(images):
-            kernel = left_kernel(images, p=p)
-            basis = kernel if units else [matvec(basis, c, p=p) for c in kernel]
+            kernel = left_kernel(images, field=field, p=p)
+            basis = kernel if units else [matvec(basis, c, field, p=p) for c in kernel]
             units = False
             if not basis:
                 break
@@ -547,8 +541,9 @@ def stacked_kernel(basis, maps, one=None, *, p=None) -> list[dict]:
 
 def certified_kernel(maps, count: int, field) -> list[dict]:
     """RREF rows of {x : M x = 0 for every M in maps}, x over count unknowns,
-    each map a list of count exact sparse columns, drawn lazily and in order;
-    by the modular route, or by `stacked_kernel` when that gives up."""
+    each map a list of count sparse columns of raw coefficients of field,
+    drawn lazily and in order; by the modular route over at most MAX_PRIMES
+    primes, or by `stacked_kernel` when that gives up."""
     drawn, source = [], iter(maps)
 
     def columns():
@@ -558,7 +553,7 @@ def certified_kernel(maps, count: int, field) -> list[dict]:
             yield cols
 
     pivots = entries = modulus = previous = None
-    for index in itertools.count():
+    for index in range(MAX_PRIMES):
         red = Reduction(field, index)
         p = red.p
         kernels = _kernels_mod(red, columns, count, field.degree)
@@ -585,12 +580,12 @@ def certified_kernel(maps, count: int, field) -> list[dict]:
         rows = _lift_rows(field, entries, modulus, len(pivots))
         if rows is None:
             continue  # the modulus is still too small to reconstruct
-        if _annihilated(drawn, rows):
+        if _annihilated(drawn, rows, field):
             return rows  # certified: the RREF of the kernel
         if rows == previous:
             break  # a wrong lift that more primes do not change
         previous = rows
-    return stacked_kernel(count, drawn, field.one)
+    return stacked_kernel(count, drawn, field=field)
 
 
 def _kernels_mod(red: Reduction, maps, count: int, degree: int):
@@ -625,14 +620,14 @@ def _kernels_mod(red: Reduction, maps, count: int, degree: int):
     return kernels
 
 
-def _annihilated(maps, rows) -> bool:
+def _annihilated(maps, rows, field) -> bool:
     """Whether M x = 0 exactly for every M in maps and x in rows."""
-    return not any(matvec(cols, x) for cols in maps for x in rows)
+    return not any(matvec(cols, x, field) for cols in maps for x in rows)
 
 
 def _lift_rows(field, entries, modulus: int, count: int):
-    """Rows of scalars rebuilt from {(row, column): coefficient residues mod
-    modulus}, or None when a coefficient has no rational reconstruction."""
+    """Rows of raw coefficients rebuilt from {(row, column): coefficient
+    residues mod modulus}, or None when one has no rational reconstruction."""
     rows = [{} for _ in range(count)]
     lifted: dict = {}
     for (i, c), res in entries.items():
@@ -641,6 +636,6 @@ def _lift_rows(field, entries, modulus: int, count: int):
             coeffs = [rational_lift(r, modulus) for r in res]
             if any(q is None for q in coeffs):
                 return None
-            s = lifted[res] = field.scalar(coeffs)
+            s = lifted[res] = field.raw(field.scalar(coeffs))
         rows[i][c] = s
     return rows

@@ -17,20 +17,15 @@ Duchamp-Klyachko-Krob-Thibon 1997).
 
 The eigenspace intersection, each pass of the stability loop and the mixed
 space V (x) V^(x)n(zeta) of the third identity (fixed by the n! twisted
-conjugates of tau_1^2) are common kernels of a family of maps, solved by
-`stacked_kernel` one map at a time on the vectors the earlier maps leave,
-up to the first empty kernel.
+conjugates of tau_1^2) are common kernels of maps, solved on raw
+coefficients by `stacked_kernel`.
 
 A bracket then induces partial n-ary operations [x] = b_n(Pi(x)); the three
 Pareigis identities for them are verified exactly on the computed bases.
-The mixed space enumerates S_n, which caps the degree at 6 (7! times d^7
-blows past desk scale); Pi keeps the same cap.
-
-Pi and x |-> b_n(Pi(x)) are linear, so both are computed once per (n, zeta)
-on the canonical RREF rows r_k of the zeta space and memoized on the space:
-the vectors Pi(r_k) and their coordinates over the canonical basis of E_n.
-A zeta-space vector is x = sum_k x[p_k] r_k (p_k the pivot columns), so Pi(x)
-and [x] are exact combinations of these, and no S_n sum is formed per vector.
+The mixed space enumerates S_n, which caps the degree at 6; so does Pi.
+Pi(r_k) and its coordinates over the canonical basis of E_n are memoized
+for the RREF rows r_k of the zeta space, so Pi(x) and [x] are combinations
+of these for x = sum_k x[p_k] r_k (p_k the pivots).
 """
 
 from __future__ import annotations
@@ -41,7 +36,8 @@ from functools import partial
 
 from .errors import (BadParams, DegreeBudgetExceeded, InternalCheckError, NotInZetaSpace,
                      RootOrderMismatch)
-from .linalg import Subspace, apply_slot, matvec, stacked_kernel, vec_axpy
+from .linalg import (Echelon, Subspace, apply_slot, boxed, holds_scalars, matvec, stacked_kernel,
+                     unboxed, vec_axpy)
 from .scalars import root_order
 from .spaces import BraidedSpace, matsumoto_lift
 from .tensorbialg import primitive_space
@@ -61,27 +57,28 @@ def _require_primitive_root(zeta, n):
 
 def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:
     """Largest generator-stable subspace of the zeta^2-eigenspace intersection."""
-    size = space.power(degree)
-    z2 = zeta * zeta
+    size, fld = space.power(degree), space.field
+    minus_z2 = fld.raw(-zeta * zeta)
 
     def squared_minus_z2(i, vec):
         img = space.apply_word(degree, (i, i), vec)
-        vec_axpy(img, -z2, vec)
-        return img
+        return vec_axpy(img, minus_z2, vec, 0, fld)
 
-    def moved_out(i, vec):
+    def moved_out(current, i, vec):
         return current.reduce(space.apply_generator(degree, i, vec))
 
-    current = Subspace(size, stacked_kernel(
-        size, (partial(squared_minus_z2, i) for i in range(1, degree)), space.field.one))
-    while current.dim:
+    rows = stacked_kernel(size, (partial(squared_minus_z2, i) for i in range(1, degree)),
+                          field=fld)
+    while rows:
+        current = Echelon(size, fld)
+        current.add_rows(rows)
         # the rows are independent, so the kernel keeps one vector per dimension
-        kept = stacked_kernel(current.rows,
-                              (partial(moved_out, i) for i in range(1, degree)))
-        if len(kept) == current.dim:
+        kept = stacked_kernel(rows, (partial(moved_out, current, i) for i in range(1, degree)),
+                              field=fld)
+        if len(kept) == len(rows):
             break
-        current = Subspace(size, kept)
-    return current
+        rows = kept
+    return Subspace(size, [boxed(row, fld) for row in rows])
 
 
 def zeta_space(space: BraidedSpace, n: int, zeta,
@@ -92,57 +89,61 @@ def zeta_space(space: BraidedSpace, n: int, zeta,
         raise BadParams("zeta spaces live in degree >= 2")
     if require_primitive:
         _require_primitive_root(zeta, n)
-    key = ("zeta_space", n, zeta.coeffs)
+    key = ("zeta_space", n, zeta)
     cached = space._memo.get(key)
     if cached is None:
         cached = space._memo[key] = _eigen_fixpoint(space, n, zeta)
     return cached
 
 
-def _twist(space: BraidedSpace, n: int, zeta, word, vec: dict) -> dict:
-    """zeta^(-len(word)) c_word x: sigma |> x for a reduced word of sigma."""
-    return vec_axpy({}, zeta.inv() ** len(word), space.apply_word(n, word, vec))
+def _twist(space: BraidedSpace, n: int, scales, word, vec: dict) -> dict:
+    """zeta^(-len(word)) c_word x, scales[k] = zeta^(-k) raw: sigma |> x for
+    a reduced word of sigma, raw."""
+    return vec_axpy({}, scales[len(word)], space.apply_word(n, word, vec), 0, space.field)
 
 
 def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
-    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF."""
+    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF,
+    all raw."""
     zs = zeta_space(space, n, zeta, require_primitive=False)
     coords = zs.coordinates(vec)
     if coords is None:
         raise NotInZetaSpace(
             "vector is outside the degree-%d zeta-eigenspace" % n)
-    return matvec(table(space, n, zeta), coords)
+    return matvec(table(space, n, zeta), coords, space.field)
 
 
 def _pi_rows(space: BraidedSpace, n: int, zeta) -> list:
-    """Pi(r_k) = C_(n-1) ... C_1 r_k for each RREF row r_k of the zeta space."""
-    key = ("pi_rows", n, zeta.coeffs)
+    """Pi(r_k) = C_(n-1) ... C_1 r_k for each RREF row r_k of the zeta space,
+    raw."""
+    key = ("pi_rows", n, zeta)
     images = space._memo.get(key)
     if images is None:
         if n > FACTORIAL_CAP:
             raise DegreeBudgetExceeded(n, FACTORIAL_CAP)
-        scales = [zeta.inv() ** length for length in range(n)]
+        fld = space.field
+        scales = [fld.raw(zeta.inv() ** length) for length in range(n)]
         images = []
-        for acc in zeta_space(space, n, zeta, require_primitive=False).rows:
+        for row in zeta_space(space, n, zeta, require_primitive=False).rows:
+            acc = unboxed(row, fld)
             for k in range(1, n):
                 # C_k acc: the terms s_j ... s_k acc for j = k, ..., 1
                 term, acc = acc, dict(acc)
                 for j in range(k, 0, -1):
                     term = space.apply_generator(n, j, term)
-                    vec_axpy(acc, scales[k - j + 1], term)
+                    vec_axpy(acc, scales[k - j + 1], term, 0, fld)
             images.append(acc)
         space._memo[key] = images
     return images
 
 
 def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
-    """The coordinates of each Pi(r_k) over the canonical basis of E_n."""
-    key = ("pi_coords", n, zeta.coeffs)
+    """The coordinates of each Pi(r_k) over the canonical basis of E_n, raw."""
+    key = ("pi_coords", n, zeta)
     coords = space._memo.get(key)
     if coords is None:
         prims = primitive_space(space, n)
-        coords = [prims.coordinates(image)
-                  for image in _pi_rows(space, n, zeta)]
+        coords = [prims.coordinates(image) for image in _pi_rows(space, n, zeta)]
         if None in coords:
             raise InternalCheckError(
                 "symmetrized vector escaped the primitive space (degree %d)" % n)
@@ -152,7 +153,7 @@ def _pi_coords(space: BraidedSpace, n: int, zeta) -> list:
 
 def pi_image(space: BraidedSpace, n: int, zeta) -> Subspace:
     zeta_space(space, n, zeta)  # zeta must be a primitive n-th root here
-    return Subspace.from_rows(space.power(n), _pi_rows(space, n, zeta))
+    return Subspace.from_rows(space.power(n), _pi_rows(space, n, zeta), space.field)
 
 
 def check_pi_in_E(space: BraidedSpace, n: int, zeta) -> bool:
@@ -171,7 +172,10 @@ def check_pi_su(space: BraidedSpace, n: int) -> bool:
 
 
 def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict) -> dict:
-    """[x] = b_n(Pi(x)), a vector in V."""
+    """[x] = b_n(Pi(x)), a vector in V, of scalars or raw coefficients as x."""
+    fld = bracket.space.field
+    if holds_scalars(vec, fld):
+        return boxed(induced_bracket(bracket, n, zeta, unboxed(vec, fld)), fld)
     return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords))
 
 
@@ -180,21 +184,20 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
     space.check_budget(n + 1)
     if n > FACTORIAL_CAP:
         raise DegreeBudgetExceeded(n, FACTORIAL_CAP)
-    d = space.dim
+    d, fld = space.dim, space.field
     size_n = space.power(n)
     size = space.power(n + 1)
     inner = zeta_space(space, n, zeta, require_primitive=False)
     # V (x) inner: the RREF rows of inner, shifted into each block j, stay RREF
-    carrier = Subspace(size, [{j * size_n + c: v for c, v in row.items()}
-                              for j in range(d) for row in inner.rows])
-    if carrier.dim == 0:
-        return carrier
-    zinv = zeta.inv()
+    carrier = [unboxed({j * size_n + c: v for c, v in row.items()}, fld)
+               for j in range(d) for row in inner.rows]
+    if not carrier:
+        return Subspace.zero(size)
+    zinv, minus = zeta.inv(), fld.raw(-fld.one)
 
     def condition(word, scale, row):
-        diff = {c: -v for c, v in row.items()}
-        vec_axpy(diff, scale, space.apply_word(n + 1, word, row))
-        return diff
+        diff = vec_axpy({}, minus, row, 0, fld)
+        return vec_axpy(diff, scale, space.apply_word(n + 1, word, row), 0, fld)
 
     conds = []
     for phi in itertools.permutations(range(n)):
@@ -203,17 +206,16 @@ def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
         word_out = matsumoto_lift(tuple(lifted.index(k) for k in range(n + 1))).letters
         # the conjugate of tau_1^2 by the lift, rightmost letter first
         conds.append(partial(condition, word_out + (1, 1) + word_in,
-                             zinv ** (2 * len(word_in))))
-    return Subspace(size, stacked_kernel(carrier.rows, conds))
+                             fld.raw(zinv ** (2 * len(word_in)))))
+    return Subspace(size, [boxed(row, fld) for row in stacked_kernel(carrier, conds, field=fld)])
 
 
 # -- the Pareigis identities --------------------------------------------------
 
 def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
-    """[z] for z in V^(x)2 with c^2 z = z: b_2(z - c z)."""
-    space = bracket.space
-    anti = dict(vec)
-    vec_axpy(anti, -space.field.one, space.apply_word(2, (1,), vec))
+    """[z] for z in V^(x)2 with c^2 z = z: b_2(z - c z), raw."""
+    space, fld = bracket.space, bracket.space.field
+    anti = vec_axpy(dict(vec), fld.raw(-fld.one), space.apply_word(2, (1,), vec), 0, fld)
     prims = primitive_space(space, 2)
     coords = prims.coordinates(anti)
     if coords is None:
@@ -248,7 +250,8 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     _require_primitive_root(zeta, n)
     space.check_budget(n + 1)
     zs = zeta_space(space, n, zeta)
-    one = space.field.one
+    fld = space.field
+    one, scales = fld.raw_one, [fld.raw(zeta.inv() ** k) for k in range(n + 1)]
 
     # PL1: [s_i x] = [x] for the generators s_i = zeta^(-1) c_i, which is
     # invariance under the twisted symmetric-group action
@@ -256,7 +259,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
         base = induced_bracket(bracket, n, zeta, row)
         for i in range(1, n):
             try:
-                value = induced_bracket(bracket, n, zeta, _twist(space, n, zeta, (i,), row))
+                value = induced_bracket(bracket, n, zeta, _twist(space, n, scales, (i,), row))
             except NotInZetaSpace:
                 raise InternalCheckError(
                     "twisted action left the zeta space (degree %d)" % n)
@@ -269,10 +272,10 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     def pl2(row):
         total: dict = {}
         for i in range(1, n + 2):
-            moved = _twist(space, n + 1, zeta, tuple(range(1, i)), row)
+            moved = _twist(space, n + 1, scales, tuple(range(1, i)), row)
             inner_val = _apply_first_slice(space, bracket, n, zeta, moved)
             if inner_val:
-                vec_axpy(total, one, _pair_bracket(bracket, inner_val))
+                vec_axpy(total, one, _pair_bracket(bracket, inner_val), 0, fld)
         return not total
 
     # PL3: compatibility of the binary and n-ary brackets on the mixed space
@@ -292,10 +295,10 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
             except NotInZetaSpace:
                 raise NotInZetaSpace(
                     "middle-bracket image left the degree-%d zeta space" % n)
-            vec_axpy(rhs, one, value)
+            vec_axpy(rhs, one, value, 0, fld)
         return lhs == rhs
 
     d = space.dim
-    return {"pl1": all(map(pl1, zs.rows)),
-            "pl2": all(map(pl2, zeta_space(space, n + 1, zeta, require_primitive=False).rows)),
-            "pl3": all(map(pl3, mixed_zeta_space(space, n, zeta).rows))}
+    return {name: all(check(unboxed(row, fld)) for row in sub.rows) for name, check, sub in (
+        ("pl1", pl1, zs), ("pl2", pl2, zeta_space(space, n + 1, zeta, require_primitive=False)),
+        ("pl3", pl3, mixed_zeta_space(space, n, zeta)))}

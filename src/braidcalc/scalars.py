@@ -12,11 +12,12 @@ Python int (`canon`), so an integral Q never spreads into later sums, and
 only a coefficient outside the integers is a rational Q (gmpy2.mpq when
 available, fractions.Fraction otherwise; both arbitrary precision with
 positive denominator).  Every division goes through Q, never int / int, so
-no coefficient can become a float.  Products and inverses, and the sparse
-accumulate `linalg.vec_axpy`, are closed forms in degrees 1 and 2 (m = 1, 2,
-3, 4, 6).  Each field interns its scalars (`CycloField.box`): the
-constructors and `linalg` box through one table, one object per integral
-coefficient tuple; a value with a fraction in it is boxed fresh.
+no coefficient can become a float.  Products and inverses are closed forms
+in degrees 1 and 2 (m = 1, 2, 3, 4, 6).  Inside the library vectors hold raw
+coefficients (`CycloField.raw`): the rational in degree 1, the pair in
+degree 2, the scalar above.  Each field interns its scalars
+(`CycloField.box`): the constructors and `linalg` box through one table,
+one object per integral coefficient tuple, a value with a fraction fresh.
 
 The field order is capped at MAX_FIELD_ORDER, so that building a field
 stays well under a second.
@@ -31,7 +32,7 @@ reconstruction, ISSAC 2004) take those coefficients back to Q.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, neg, sub
+from operator import add, neg
 
 from .errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
 
@@ -158,6 +159,7 @@ class CycloField:
         self.zero = self.box((QZERO,) * self.degree)
         self.one = self.from_rational(QONE)
         self.gen = self.scalar([QZERO, QONE])  # zeta_m: X mod Phi_m, so 1 or -1 if m <= 2
+        self.raw_one = self.raw(self.one)
 
     def box(self, coeffs: tuple) -> "CycloScalar":
         """The scalar with these canonical coefficients: one interned object
@@ -169,6 +171,12 @@ class CycloField:
         if s is None:
             s = self.interned[coeffs] = CycloScalar(self, coeffs)
         return s
+
+    def raw(self, s):
+        """The raw coefficient of s: its rational, its pair in degree 2, s above."""
+        if s.__class__ is not CycloScalar or s.field is not self:
+            s = self.one._coerce(s)  # FieldMismatch from another field
+        return s if self.degree > 2 else s.coeffs if self.degree == 2 else s.coeffs[0]
 
     # -- constructors -------------------------------------------------------
 
@@ -288,11 +296,7 @@ class CycloScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            c = a[0] - b[0]
-            return CycloScalar(self.field, (c if c.__class__ is int else canon(c),))
-        return CycloScalar(self.field, tuple(map(canon, map(sub, a, b))))
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -527,10 +531,10 @@ class Reduction:
         self._inverse = list(zip(*lagrange))
         self._memo: dict = {}
 
-    def __call__(self, s: CycloScalar):
-        """The tuple of s under each embedding, or None when p divides a
-        denominator of s."""
-        coeffs = s.coeffs
+    def __call__(self, s):
+        """The tuple of s, a scalar or a raw coefficient, under each
+        embedding, or None when p divides a denominator of s."""
+        coeffs = s.coeffs if s.__class__ is CycloScalar else s if s.__class__ is tuple else (s,)
         try:
             return self._memo[coeffs]
         except KeyError:

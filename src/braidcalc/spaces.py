@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .errors import (BadParams, DegreeBudgetExceeded, DegreeMismatch, SingularBraiding,
                      YBENotSatisfied)
-from .linalg import Echelon, matvec, vec_axpy
+from .linalg import Echelon, boxed, holds_scalars, matvec, unboxed, vec_axpy
 from .scalars import CycloField, CycloScalar, Q, is_regular_exact
 
 DEFAULT_DEGREE_BUDGET = 8
@@ -121,11 +121,9 @@ class BraidedSpace:
         # rows of [C^T | I] in pair coordinates, row r holding c(e_r), then
         # Gauss-Jordan: the row with pivot p ends in (C^T)^-1 e_p = c^-1(e_p)
         ech = Echelon(2 * D)
-        for r in range(D):
-            row = {D + r: one}
-            for (a2, b2), s in self.pairs.get(divmod(r, d), ()):
-                vec_axpy(row, s, {a2 * d + b2: one})
-            ech.add(row)
+        for r in range(D):  # the targets of one pair are distinct
+            ech.add({D + r: one, **{a2 * d + b2: s for (a2, b2), s in
+                                    self.pairs.get(divmod(r, d), ())}})
         if ech.rank < D or ech.pivots[-1] >= D:
             raise SingularBraiding("the braiding matrix is not invertible")
         return {divmod(min(row), d): tuple((divmod(c2 - D, d), v) for c2, v in row.items() if c2 >= D)
@@ -133,11 +131,11 @@ class BraidedSpace:
 
     def _check_ybe(self):
         """c1 c2 c1 = c2 c1 c2 on the columns of the basis words, in order."""
-        one = self.field.one
-        c1, c2 = ([self.apply_generator(3, i, {w: one}) for w in range(self.power(3))]
+        fld = self.field
+        c1, c2 = ([self.apply_generator(3, i, {w: fld.raw_one}) for w in range(self.power(3))]
                   for i in (1, 2))
         for w, col in enumerate(c1):
-            if matvec(c1, matvec(c2, col)) != matvec(c2, matvec(c1, c2[w])):
+            if matvec(c1, matvec(c2, col, fld), fld) != matvec(c2, matvec(c1, c2[w], fld), fld):
                 raise YBENotSatisfied(word_letters(w, 3, self.dim))
 
     # -- basic structure -------------------------------------------------------
@@ -153,27 +151,31 @@ class BraidedSpace:
             raise DegreeBudgetExceeded(n, self.degree_budget)
 
     def apply_generator(self, n: int, i: int, vec: dict, inverse=False) -> dict:
-        """Apply c_i (or its inverse) to a sparse degree-n vector."""
+        """Apply c_i (or its inverse) to a sparse degree-n vector of raw
+        coefficients of the field, or of scalars, which come back scalars."""
         if not 1 <= i <= n - 1:
             raise DegreeMismatch("generator %d needs %d strands" % (i, i + 1))
+        fld = self.field
+        if holds_scalars(vec, fld):
+            return boxed(self.apply_generator(n, i, unboxed(vec, fld), inverse), fld)
         lo = self.power(n - i - 1)  # place value of position i + 1
         top = lo * self.dim * self.dim
-        # {a * hi + b * lo: {a2 * hi + b2 * lo: s}} for hi = lo * d, memoized
+        # {a * hi + b * lo: {a2 * hi + b2 * lo: raw s}} for hi = lo * d, memoized
         key = ("shifted", lo, inverse)
         shifted = self._memo.get(key)
         if shifted is None:
             hi = top // self.dim
             shifted = self._memo[key] = {
-                a * hi + b * lo: {a2 * hi + b2 * lo: s for (a2, b2), s in images}
+                a * hi + b * lo: {a2 * hi + b2 * lo: fld.raw(s) for (a2, b2), s in images}
                 for (a, b), images in (self.inv_pairs if inverse else self.pairs).items()}
         out: dict = {}
         for idx, coeff in vec.items():
             pair = idx % top - idx % lo  # a * hi + b * lo; c is invertible
-            vec_axpy(out, coeff, shifted[pair], idx - pair)
+            vec_axpy(out, coeff, shifted[pair], idx - pair, fld)
         return out
 
     def apply_word(self, n: int, letters, vec: dict) -> dict:
-        """Apply the braid word (rightmost letter acts first)."""
+        """Apply the braid word (rightmost letter acts first), as `apply_generator`."""
         for ell in reversed(tuple(letters)):
             if not vec:
                 return {}
@@ -181,11 +183,9 @@ class BraidedSpace:
         return dict(vec)
 
     def braiding_block_apply(self, p: int, q: int, vec: dict) -> dict:
-        """c_T^{p,q}: V^(x)p (x) V^(x)q -> V^(x)q (x) V^(x)p on a sparse vector."""
-        if p == 0 or q == 0:
-            return dict(vec)
-        word = self._block_word(p, q)
-        return self.apply_word(p + q, word, vec)
+        """c_T^{p,q}: V^(x)p (x) V^(x)q -> V^(x)q (x) V^(x)p on a sparse vector
+        (the empty braid word when p or q is 0)."""
+        return self.apply_word(p + q, self._block_word(p, q), vec)
 
     def _block_word(self, p: int, q: int):
         key = ("block", p, q)
@@ -197,11 +197,11 @@ class BraidedSpace:
         return word
 
     def braiding_block_matrix(self, p: int, q: int):
-        """Columns of the block braiding as sparse dicts."""
+        """Columns of the block braiding, raw; memoized."""
         key = ("blockmat", p, q)
         mat = self._memo.get(key)
         if mat is None:
-            mat = self._memo[key] = [self.braiding_block_apply(p, q, {w: self.field.one})
+            mat = self._memo[key] = [self.braiding_block_apply(p, q, {w: self.field.raw_one})
                                      for w in range(self.power(p + q))]
         return mat
 
@@ -215,25 +215,21 @@ class BraidedSpace:
         return self._min_poly
 
     def _compute_min_poly(self):
-        d = self.dim
-        D = d * d
-        flat_cols = D * D
-        one = self.field.one
-        ech = Echelon(flat_cols + D * D + 2)
+        fld, D = self.field, self.dim * self.dim
+        flat_cols, one = D * D, fld.raw_one
+        ech = Echelon(flat_cols + D * D + 2, fld)
         # power k occupies augmented column flat_cols + k
         power = {w: {w: one} for w in range(D)}  # identity, column map
         k = 0
         while True:
-            flat = {}
-            for col, colvec in power.items():
-                for row, val in colvec.items():
-                    flat[col * D + row] = val
+            flat = {col * D + row: val for col, colvec in power.items()
+                    for row, val in colvec.items()}
             flat[flat_cols + k] = one
             # a remainder without a matrix entry is a relation among the powers
-            rem = ech.reduce(flat, add_below=flat_cols)
+            rem = boxed(ech.reduce(flat, add_below=flat_cols), fld)
             if rem:
                 lead = rem[flat_cols + k]
-                return tuple(rem.get(flat_cols + j, self.field.zero) / lead
+                return tuple(rem.get(flat_cols + j, fld.zero) / lead
                              for j in range(k + 1))
             # multiply by c: pair coordinates are degree-2 word coordinates
             power = {col: self.apply_generator(2, 1, colvec)

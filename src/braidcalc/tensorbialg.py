@@ -1,16 +1,16 @@
 """Graded structure of the braided tensor bialgebra.
 
 The coproduct component from degree a+b to bidegree (a, b) acts in
-concatenated word coordinates (an endomorphism matrix of V^(x)(a+b)) and is
-computed by the multiplicative recursion Delta(w'x) = Delta(w') Delta(x), as
-Delta is an algebra map into T(V) (x)_c T(V); the shuffle sum
-sum_{sigma in (a|b)-shuffles} lift(sigma^(-1)) is the test reference.
+concatenated word coordinates and is computed by the multiplicative
+recursion Delta(w'x) = Delta(w') Delta(x); its columns, the braid action and
+every vector below hold raw coefficients (`linalg`), boxed as scalars only
+in the Subspaces and dims that leave the module.
 
 The Nichols algebra B = T(V)/I is computed by normal words, in coordinates
-of size dim B^n * d and never d^n.  Degree n keeps a basis N_n of B^n made
-of words, the right-multiplication tables R_x: B^(n-1) -> B^n in those
-bases, and for each u in N_n its D-image D_n(u) = (pi_(n-1) (x) Id)
-Delta^(n-1,1)(u), where pi_k: T^k -> B^k is the quotient map.  The
+of size dim B^n * d and never d^n.  The top degree n keeps a basis N_n of
+B^n made of words, the right-multiplication tables R_x: B^(n-1) -> B^n, and
+for each u in N_n its D-image D_n(u) = (pi_(n-1) (x) Id) Delta^(n-1,1)(u),
+pi_k: T^k -> B^k the quotient map; lower degrees keep only r_n.  The
 products u x, u in N_n, span B^(n+1) because I V lies in I, and their
 D-images follow from Delta(u x) = Delta(u) Delta(x): the term u (x) x,
 plus R_x'(p) (x) y' for each term p (x) y of D_n(u) and each term
@@ -19,16 +19,14 @@ kernel exactly I_(n+1): by induction ker pi_n is the kernel of the quantum
 symmetrizer Gamma_n, and Gamma_(n+1) = (Gamma_n (x) Id) Delta^(n,1).  So one
 echelon of the D-images, each tagged with its product, gives r_(n+1) =
 dim B^(n+1) from its pivots, picks N_(n+1), and leaves each other product
-as its coordinates in N_(n+1): the tables R of the next degree.  Gamma_n
-and the direct sum over S_n are built only by the test oracles.
+as its coordinates in N_(n+1): the tables R of the next degree.
 
 Primitive spaces are the intersections of the kernels of all inner coproduct
 components, solved one at a time and cheapest first (component a costs
 dims[a] * dims[n-a] constraint rows), each on the kernel the ones before it
 leave.  `primitive_kernel`, behind every primitive space here and in the
-tower, reads the route off the braiding: exact (`linalg.stacked_kernel`) on
-a monomial one, each c(x_i (x) x_j) one term, over a field of degree < 3,
-where it beats the modular detour; else mod p (`linalg.certified_kernel`).
+tower, reads the route off the braiding: exact on a monomial one over a
+field of degree < 3, where it beats the modular detour; else mod p.
 `has_primitives` decides E_n != 0 on blocks of words read off the pair table
 alone: rewriting one adjacent pair (i, j) into a pair in the support of
 c(x_i (x) x_j) stays in the block.  Each component is a sum of braid lifts,
@@ -40,12 +38,12 @@ nonzero kernel, and only their words get columns, from the degree n-1 lists.
 from __future__ import annotations
 
 from .errors import BadParams, InternalCheckError
-from .linalg import Echelon, Subspace, certified_kernel, matvec, stacked_kernel, vec_axpy
+from .linalg import Echelon, Subspace, boxed, certified_kernel, matvec, stacked_kernel, vec_axpy
 from .spaces import BraidedSpace
 
 
 def delta_columns(space: BraidedSpace, a: int, b: int):
-    """Sparse columns of the (a, b) coproduct component; memoized."""
+    """Sparse columns of the (a, b) coproduct component, raw; memoized."""
     if a < 0 or b < 0:
         raise BadParams("coproduct bidegree must be nonnegative")
     n = a + b
@@ -55,7 +53,7 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
     if cols is None:
         cols = space._memo[key] = (
             _delta_block(space, a, b, range(space.power(n)), space.braiding_block_matrix(b, 1))
-            if a and b else [{w: space.field.one} for w in range(space.power(n))])
+            if a and b else [{w: space.field.raw_one} for w in range(space.power(n))])
     return cols
 
 
@@ -63,7 +61,7 @@ def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict
     """Columns of Delta^(a,b), a, b > 0, for the given degree-n words: column
     w'x is column w' of Delta^(a,b-1) with x appended, plus column w' of
     Delta^(a-1,b) with x braided past its right factor by block[r] = c^(b,1) e_r."""
-    d = space.dim
+    d, fld = space.dim, space.field
     dim_b = space.power(b)
     dim_b1 = dim_b * d
     appended = delta_columns(space, a, b - 1)
@@ -74,7 +72,7 @@ def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict
         acc = {t * d + x: s for t, s in appended[prefix].items()}
         for t, s in braided[prefix].items():
             u, v = divmod(t, dim_b)
-            vec_axpy(acc, s, block[v * d + x], u * dim_b1)
+            vec_axpy(acc, s, block[v * d + x], u * dim_b1, fld)
         cols.append(acc)
     return cols
 
@@ -86,11 +84,11 @@ def cheapest_first(parts, dims, n: int) -> list:
 
 
 def primitive_kernel(space: BraidedSpace, maps, count: int) -> list[dict]:
-    """RREF rows of the common kernel of column maps over count unknowns, by
-    the route the braiding's shape picks: exact on a monomial braiding over
-    a field of degree < 3, modular otherwise."""
+    """RREF rows, raw, of the common kernel of raw column maps over count
+    unknowns, by the route the braiding's shape picks: exact on a monomial
+    braiding over a field of degree < 3, modular otherwise."""
     if space.monomial and space.field.degree < 3:
-        return stacked_kernel(count, maps, space.field.one)
+        return stacked_kernel(count, maps, field=space.field)
     return certified_kernel(maps, count, space.field)
 
 
@@ -106,22 +104,20 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
         dims = [space.power(k) for k in range(n + 1)]
         rows = primitive_kernel(space, (delta_columns(space, a, n - a) for a in
                                         cheapest_first(range(1, n), dims, n)), size)
-        cached = space._memo[key] = Subspace(size, rows)
+        cached = space._memo[key] = Subspace(size, [boxed(r, space.field) for r in rows])
     return cached
 
 
 def has_primitives(space: BraidedSpace, n: int) -> bool:
     """Whether E_n is nonzero, without a basis of E_n unless one is memoized:
     the blocks of `_pair_blocks`, smallest first, up to the first nonzero
-    kernel, each with the columns of its own words only.  Delta^(1,n-1)
-    braids e_w itself; the other block matrices come with the degree n-1
-    lists."""
+    kernel, each with the columns of its own words only."""
     space.check_budget(n)
     if n <= 1:
         return False
     if ("primitives", n) in space._memo:
         return space._memo["primitives", n].dim > 0
-    one = space.field.one
+    one = space.field.raw_one
     order = cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
 
     def component(words, a):
@@ -158,37 +154,39 @@ def _pair_blocks(space: BraidedSpace, n: int) -> list[list[int]]:
 
 
 def _nichols_levels(space: BraidedSpace, upto: int) -> list:
-    """Degrees 0..upto of B(V) by normal words, memoized as one growing list.
-
-    Degree n is (images, coords): images[i] = D_n(u_i) for the i-th normal
-    word, in dim B^(n-1) * d coordinates, and coords[k * d + x] = R_x(e_k),
-    the degree-n coordinates of the k-th degree-(n-1) normal word times x."""
-    levels = space._memo.setdefault("nichols", [([{}], [])])
-    d, dd, one = space.dim, space.dim * space.dim, space.field.one
+    """The dims r_0..r_upto of B(V) by normal words, memoized as a list that
+    grows, next to the top degree's (images, coords) alone, which is all the
+    next degree reads: images[i] = D_n(u_i) for the i-th normal word, in
+    dim B^(n-1) * d coordinates, and coords[k * d + x] = R_x(e_k), the
+    degree-n coordinates of the k-th degree-(n-1) normal word times x."""
+    memo = space._memo.setdefault("nichols", [[1], ([{}], [])])
+    dims, fld = memo[0], space.field
+    d, dd, one, minus = space.dim, space.dim * space.dim, fld.raw_one, fld.raw(-fld.one)
     block = space.braiding_block_matrix(1, 1)
-    while len(levels) <= upto:
-        images, coords = levels[-1]
+    while len(dims) <= upto:
+        images, coords = memo[1]
         width = len(images) * d
         # R (x) Id_V on B^(n-1) (x) V (x) V: column (k * d + x) * d + y is
         # R_x(e_k) (x) y, in dim B^n * d coordinates
         lifted = [{j * d + y: v for j, v in col.items()} for col in coords for y in range(d)]
-        # one augmented echelon: D-image coordinates, then a tag per product;
-        # taken in descending order the products keep its scalars smaller
-        # (about 2x faster than ascending on Aff(5, 2) and cartan_An n = 3)
-        ech = Echelon(2 * width)
+        # one augmented echelon: D-image coordinates, then a tag -1 per
+        # product, so that a remainder's tags are its coordinates; taken in
+        # descending order the products keep its scalars smaller (about 2x
+        # faster than ascending on Aff(5, 2) and cartan_An n = 3)
+        ech = Echelon(2 * width, fld)
         normal, rems = {}, {}
         for c in reversed(range(width)):
             i, x = divmod(c, d)
             braided: dict = {}
             for key, s in images[i].items():
                 k, y = divmod(key, d)
-                vec_axpy(braided, s, block[y * d + x], k * dd)
+                vec_axpy(braided, s, block[y * d + x], k * dd, fld)
             # Delta(u x) = Delta(u) Delta(x): e_u (x) x, plus p x' (x) y' for
             # each term p (x) y of D_n(u) and c(y (x) x) = x' (x) y'
-            img = matvec(lifted, braided)
-            vec_axpy(img, one, {c: one})
+            img = matvec(lifted, braided, fld)
+            vec_axpy(img, one, {c: one}, 0, fld)
             # a remainder leading at an image column joins the echelon
-            rem = ech.reduce({**img, width + c: one}, add_below=width)
+            rem = ech.reduce({**img, width + c: minus}, add_below=width)
             if rem:
                 rems[c] = rem
             else:
@@ -196,10 +194,11 @@ def _nichols_levels(space: BraidedSpace, upto: int) -> list:
         index = {c: j for j, c in enumerate(sorted(normal))}
         # a remainder holds only tags: c = sum of normal words mod I_(n+1)
         coords = [{index[c]: one} if c in index else
-                  {index[t - width]: -v for t, v in rems[c].items() if t != width + c}
+                  {index[t - width]: v for t, v in rems[c].items() if t != width + c}
                   for c in range(width)]
-        levels.append(([normal[c] for c in sorted(normal)], coords))
-    return levels
+        memo[1] = ([normal[c] for c in sorted(normal)], coords)
+        dims.append(len(normal))
+    return dims
 
 
 def _rigid(space: BraidedSpace) -> bool:
@@ -224,7 +223,7 @@ def nichols_dims(space: BraidedSpace, upto: int):
     space.check_budget(upto)
     dims = []
     for n in range(upto + 1):
-        dims.append(len(_nichols_levels(space, n)[n][0]))
+        dims.append(_nichols_levels(space, n)[n])
         if not dims[-1]:
             series = dims[:-1]
             if series != series[::-1] and _rigid(space):

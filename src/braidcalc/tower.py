@@ -4,33 +4,29 @@ An IdealTower is the quotient A = T(V,c)/J held by normal words, as
 `_nichols_levels` holds the Nichols algebra.  Degree n keeps a basis N_n of
 A_n made of words and the right-multiplication tables R_x: A_(n-1) -> A_n
 in those bases; the quotient map pi_n is read off the tables word by word,
-pi_n(w x) = R_x(pi_(n-1)(w)), and memoized.  J stays implicit: x lies in
-J_n iff pi_n(x) = 0.  The components J_n, canonical Subspaces of
-V^(x)n, are built only when read, for the API and the tests.
+pi_n(w x) = R_x(pi_(n-1)(w)), and memoized, in raw coefficients.  J stays
+implicit: x lies in J_n iff pi_n(x) = 0.  The components J_n, canonical
+Subspaces of V^(x)n, are built only when read, for the API and the tests.
 
 The closure of homogeneous generators G is built degree by degree.  J_n is
 J_(n-1) V + sum_k T_(n-k) G_k, and T_(n-k) = span N_(n-k) + J_(n-k) with
 J_(n-k) G_k inside J_(n-1) V, so A_n is A_(n-1) (x) V modulo the images
 (pi_(n-1) (x) Id)(u g), u in N_(n-k), g in G_k: one echelon in
 dim A_(n-1) * d columns, whose non-pivot columns are N_n.  A generator that
-adds no rank in its own degree lies in the ideal of the others and is not
-kept.
+adds no rank in its own degree lies in the ideal of the others.
 
 The symmetric-algebra step adjoins the quotient's primitives of degree >= 2:
-the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, which
-is well defined because J is a braided coideal.  `primitive_kernel` solves
-it on the projected columns of the normal words, cheapest component first:
-exactly on a monomial braiding over a field of degree < 3, else mod p.  Only
-the primitives of T(V), the first step, are computed in d^n coordinates.  The new ideal J' = J + (P) is checked on the new
-generators g alone: (pi'_a (x) pi'_b) Delta(g) = 0, and
-(pi'_t (x) Id) c(x (x) g) = 0 and its mirror for each letter x.  J was
-checked when it was built, and Delta and c are multiplicative, so this
-proves what a check of all of J' would: J' is a braided coideal.  The
+the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, well
+defined because J is a braided coideal, solved by `primitive_kernel` on the
+projected columns of the normal words.  Only the first step, on T(V), works
+in d^n coordinates.  The new ideal J' = J + (P) is checked on the new
+generators g alone: (pi'_a (x) pi'_b) Delta(g) = 0, and (pi'_t (x) Id)
+c(x (x) g) = 0 and its mirror for each letter x; J was checked when it was
+built, and Delta and c are multiplicative, so J' is a braided coideal.  The
 theory guarantees it, so a failure in the step is an InternalCheckError.
-Iterating the step yields the sequence of towers whose stabilisation count
-is the strongness degree (combinatorial rank).  Every degree-n component of
-the limit is exact after n-1 steps, so the limit itself is never
-materialised.
+Iterating the step yields the towers whose stabilisation count is the
+strongness degree (combinatorial rank); degree n of the limit is exact
+after n-1 steps, so the limit itself is never materialised.
 
 Certification of a strongness-degree verdict at a degree cutoff D uses three
 sound routes: a scalar braiding with regular mark is already strongly graded;
@@ -45,7 +41,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoideal
-from .linalg import Echelon, Subspace, left_kernel, matvec, vec_axpy
+from .linalg import (Echelon, Subspace, boxed, holds_scalars, left_kernel, matvec, unboxed,
+                     vec_axpy)
 from .spaces import BraidedSpace
 from .tensorbialg import (cheapest_first, delta_columns, nichols_dims, primitive_kernel,
                           primitive_space)
@@ -90,15 +87,16 @@ class IdealTower:
         return range(self.space.power(n)) if level is None else level[0]
 
     def _pi_word(self, n: int, word: int) -> dict:
-        """pi_n of a degree-n word, in N_n coordinates."""
+        """pi_n of a degree-n word, in N_n coordinates, raw."""
         if self.levels[n] is None:
-            return {word: self.space.field.one}
+            return {word: self.space.field.raw_one}
         vec = self._pi[n].get(word)
         if vec is None:
             d = self.space.dim
             prefix, x = divmod(word, d)
             vec = matvec(self.levels[n][1], {k * d + x: s for k, s in
-                                             self._pi_word(n - 1, prefix).items()})
+                                             self._pi_word(n - 1, prefix).items()},
+                         self.space.field)
             self._pi[n][word] = vec
         return vec
 
@@ -111,12 +109,12 @@ class IdealTower:
         return self._components
 
     def _component(self, n: int) -> Subspace:
-        size = self.space.power(n)
+        size, fld = self.space.power(n), self.space.field
         if self.levels[n] is None:
             return Subspace.zero(size)
         # ker pi_n: the words whose projections cancel
-        return Subspace(size, left_kernel([self._pi_word(n, w) for w in range(size)],
-                                          self.space.field.one))
+        return Subspace(size, [boxed(row, fld) for row in left_kernel(
+            [self._pi_word(n, w) for w in range(size)], field=fld)])
 
     def __eq__(self, other):
         return (
@@ -137,16 +135,16 @@ class SdegVerdict(NamedTuple):
 
 
 def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
-    """(pi_a (x) pi_b) of a degree-(a+b) vector, keyed i * dim A_b + j."""
-    dim_b, width = tower.space.power(b), tower.dim(b)
+    """(pi_a (x) pi_b) of a raw degree-(a+b) vector, keyed i * dim A_b + j."""
+    dim_b, width, fld = tower.space.power(b), tower.dim(b), tower.space.field
     right: dict[int, dict] = {}
     for t, s in vec.items():
         u, v = divmod(t, dim_b)
-        vec_axpy(right.setdefault(u, {}), s, tower._pi_word(b, v))
+        vec_axpy(right.setdefault(u, {}), s, tower._pi_word(b, v), 0, fld)
     out: dict = {}
     for u, tail in right.items():
         for i, s in tower._pi_word(a, u).items():
-            vec_axpy(out, s, tail, i * width)
+            vec_axpy(out, s, tail, i * width, fld)
     return out
 
 
@@ -154,10 +152,10 @@ def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
 
 def _close_components(tower: IdealTower, generators, upto: int) -> None:
     """Extend the tower's normal words and tables to degree upto, adjoining
-    the generators {degree: rows in word coordinates} and keeping those that
-    add rank in their own degree."""
+    the generators {degree: raw rows in word coordinates} and keeping those
+    that add rank in their own degree."""
     space = tower.space
-    d, one = space.dim, space.field.one
+    d = space.dim
     levels, kept = tower.levels, tower.generators
     for n in range(len(levels), upto + 1):
         candidates = generators.get(n, ())
@@ -165,7 +163,7 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
             levels.append(None)
             continue
         width = tower.dim(n - 1) * d
-        ech = Echelon(width)
+        ech = Echelon(width, space.field)
 
         def image(g, u, k):
             # (pi_(n-1) (x) Id)(u g) for u a normal word of degree n - k
@@ -177,24 +175,26 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
         for g in candidates:
             if ech.add(image(g, 0, n)):
                 kept.setdefault(n, []).append(g)
-        pivots = {min(row): row for row in ech.rows()}
-        index = {c: i for i, c in enumerate(c for c in range(width) if c not in pivots)}
-        # a pivot column is minus the free part of its RREF row
-        coords = [{index[c]: one} if c in index else
-                  {index[f]: -v for f, v in pivots[c].items() if f != c}
-                  for c in range(width)]
+        # column c is sum_i k_i[c] e_i over the kernel basis k_i, one per
+        # free column, its last entry: minus its RREF row at a pivot column
+        coords, free = [{} for _ in range(width)], []
+        for i, vec in enumerate(ech.kernel()):
+            free.append(max(vec))
+            for c, v in vec.items():
+                coords[c][i] = v
         prev = tower._words(n - 1)
-        levels.append(([prev[c // d] * d + c % d for c in index], coords))
+        levels.append(([prev[c // d] * d + c % d for c in free], coords))
 
 
 def _verify_coideal(tower: IdealTower, new) -> None:
     """(pi_a (x) pi_b) Delta^(a, n-a)(g) = 0 for every new generator g."""
+    fld = tower.space.field
     for n, rows in new.items():
         for a in range(1, n):
             cols = delta_columns(tower.space, a, n - a)
             for row in rows:
-                if _project(tower, matvec(cols, row), a, n - a):
-                    raise NotACoideal(n, row)
+                if _project(tower, matvec(cols, row, fld), a, n - a):
+                    raise NotACoideal(n, boxed(row, fld))
 
 
 def _verify_braiding_stability(tower: IdealTower, new) -> None:
@@ -211,15 +211,16 @@ def _verify_braiding_stability(tower: IdealTower, new) -> None:
                 right = space.braiding_block_apply(
                     t, 1, {w * d + x: s for w, s in row.items()})
                 if _project(tower, left, t, 1) or _project(tower, right, 1, t):
-                    raise NotACoideal(t, row)
+                    raise NotACoideal(t, boxed(row, space.field))
 
 
 def ideal_closure(space: BraidedSpace, generators, cutoff: int,
                   base: IdealTower | None = None) -> IdealTower:
-    """The quotient of T(V,c) by the ideal the generators generate, together
-    with the ideal of base (a tower checked when it was built), if given.
-    The new generators the closure keeps are checked to make the ideal a
-    braided coideal; NotACoideal names the first that fails."""
+    """The quotient of T(V,c) by the ideal the generators (Subspaces, or rows
+    of scalars or raw coefficients) generate, together with the ideal of
+    base (a tower checked when it was built), if given.  The new generators
+    the closure keeps are checked to make the ideal a braided coideal;
+    NotACoideal names the first that fails."""
     space.check_budget(cutoff)
     new: dict[int, list] = {}
     for n, gen in (generators or {}).items():
@@ -229,7 +230,8 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
             raise DegreeBudgetExceeded(n, cutoff)
         rows = gen.rows if isinstance(gen, Subspace) else list(gen)
         if rows:
-            new[n] = rows
+            new[n] = [unboxed(row, space.field) if holds_scalars(row, space.field) else row
+                      for row in rows]
     known = base.generators if base else {}
     candidates = {n: known.get(n, []) + new.get(n, []) for n in range(2, cutoff + 1)}
     tower = IdealTower(space, cutoff)
@@ -245,11 +247,11 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
 
 def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
     """Degree-n primitives of the quotient, each lifted to its combination
-    of the normal words N_n."""
+    of the normal words N_n, raw."""
     space = tower.space
     if tower.levels[n] is None:
         # T(V) up to degree n: the plain primitives
-        return primitive_space(space, n).rows
+        return [unboxed(row, space.field) for row in primitive_space(space, n).rows]
     words = tower.levels[n][0]
     rows = primitive_kernel(space, ([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
                                      for w in words]
@@ -355,7 +357,7 @@ def is_quadratic(space: BraidedSpace, cutoff: int) -> bool:
         raise BadParams("quadraticity needs a cutoff >= 3")
     space.check_budget(cutoff)
     quadratic = IdealTower(space, cutoff)
-    relations = {2: primitive_space(space, 2).rows}
+    relations = {2: [unboxed(row, space.field) for row in primitive_space(space, 2).rows]}
     for n in range(cutoff + 1):
         _close_components(quadratic, relations, n)
         if quadratic.dim(n) != nichols_dims(space, n)[n]:

@@ -43,16 +43,23 @@ ideal span, a theorem the library does not need to test.
 
 import itertools
 
-from functools import partial
+from functools import cache, partial
 
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
                               InternalCheckError, NotACoideal)
-from braidcalc.linalg import (Echelon, Subspace, apply_slot, left_kernel, matvec,
-                              stacked_kernel, vec_axpy)
+from braidcalc.linalg import (Echelon, Subspace, apply_slot, boxed, left_kernel, matvec,
+                              stacked_kernel, unboxed, vec_axpy)
 from braidcalc.pareigis import _combine, _pi_rows, _twist, induced_bracket, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
 from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
+
+
+@cache
+def boxed_delta(space, a: int, b: int) -> list[dict]:
+    """The library's coproduct columns, which are raw coefficients, as
+    scalars of the space's field."""
+    return [boxed(col, space.field) for col in delta_columns(space, a, b)]
 
 
 def coproduct_kernel(space, n: int, parts, dims, reduce=None, basis=None):
@@ -64,7 +71,7 @@ def coproduct_kernel(space, n: int, parts, dims, reduce=None, basis=None):
         return img if reduce is None else reduce(img, a, n - a)
 
     return stacked_kernel(space.power(n) if basis is None else basis,
-                          (partial(component, a, delta_columns(space, a, n - a))
+                          (partial(component, a, boxed_delta(space, a, n - a))
                            for a in cheapest_first(parts, dims, n)), space.field.one)
 
 
@@ -171,6 +178,21 @@ class LeadOneEchelon:
         return [self.pivot_rows[c] for c in sorted(self.pivot_rows) if c >= start]
 
 
+def kernel_basis(rows, ncols: int, one=None, *, p=None) -> list[dict]:
+    """Basis of {x : R x = 0} given the constraint rows of R: the canonical
+    free-column one (`Echelon.kernel`)."""
+    ech = Echelon(ncols, p=p)
+    ech.add_rows(rows)
+    return ech.kernel(one)
+
+
+def echelon_of(sub: Subspace) -> Echelon:
+    """A fresh echelon, of scalars, holding the rows of sub."""
+    ech = Echelon(sub.ncols)
+    ech.add_rows(sub.rows)
+    return ech
+
+
 def rank_of_rows(rows, ncols: int) -> int:
     ech = Echelon(ncols)
     ech.add_rows(rows)
@@ -182,7 +204,7 @@ def rank_of_rows(rows, ncols: int) -> int:
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     if u.ncols != w.ncols:
         raise ValueError("subspace dimensions differ")
-    ech = u.echelon()
+    ech = echelon_of(u)
     ech.add_rows(w.rows)
     return Subspace.from_echelon(ech)
 
@@ -262,7 +284,7 @@ def symmetrizer(space, n: int) -> list[dict]:
     # Gamma_(n-1) (x) Id, column u = (prefix, last letter)
     lifted = [{r * d + u % d: t for r, t in prev[u // d].items()}
               for u in range(space.power(n))]
-    return [matvec(lifted, col) for col in delta_columns(space, n - 1, 1)]
+    return [matvec(lifted, col) for col in boxed_delta(space, n - 1, 1)]
 
 
 def symmetrizer_direct(space, n: int) -> list[dict]:
@@ -287,7 +309,7 @@ def symmetrizer_factorization_check(space, a: int, b: int) -> bool:
     whole = symmetrizer(space, n)
     ga = symmetrizer(space, a)
     gb = symmetrizer(space, b)
-    delta = delta_columns(space, a, b)
+    delta = boxed_delta(space, a, b)
     dim_b = space.power(b)
     # columns of Gamma_a (x) Gamma_b, word u = (hi, lo)
     kron = [{r1 * dim_b + r2: t1 * t2
@@ -308,7 +330,7 @@ def nichols_dims_dn(space, upto: int) -> list[int]:
         # pi_(n-1) (x) Id: key k * d + last letter
         lifted = [{k * d + u % d: t for k, t in prev[u // d].items()}
                   for u in range(space.power(n))]
-        images = [matvec(lifted, col) for col in delta_columns(space, n - 1, 1)]
+        images = [matvec(lifted, col) for col in boxed_delta(space, n - 1, 1)]
         ech = Echelon(ranks[-1] * d)
         ech.add_rows(m for m in images if m)
         # the leads of an echelon are the RREF pivot columns of the span, so
@@ -408,7 +430,7 @@ def _close_dn(space, generators, cutoff):
 def _verify_coideal_dn(tower, check_rows, internal):
     for n, rows in check_rows.items():
         for a in range(1, n):
-            cols = delta_columns(tower.space, a, n - a)
+            cols = boxed_delta(tower.space, a, n - a)
             for row in rows:
                 if reduce_bidegree(tower, matvec(cols, row), a, n - a):
                     if internal:
@@ -476,7 +498,7 @@ def quotient_primitives_dn(tower, n):
     if n <= 1:
         return Subspace.zero(space.power(n))
     if all(tower.components[k].dim == 0 for k in range(2, n)):
-        ech = tower.components[n].echelon()
+        ech = echelon_of(tower.components[n])
         ech.add_rows(primitive_space(space, n).rows)
         return Subspace.from_echelon(ech)
     return Subspace.from_rows(space.power(n), coproduct_kernel(
@@ -490,8 +512,8 @@ def quotient_primitives(tower, n):
     space = tower.space
     if n <= 1:
         return Subspace.zero(space.power(n))
-    ech = tower.components[n].echelon()
-    ech.add_rows(_lifted_primitives(tower, n))
+    ech = echelon_of(tower.components[n])
+    ech.add_rows(boxed(row, space.field) for row in _lifted_primitives(tower, n))
     return Subspace.from_echelon(ech)
 
 
@@ -597,12 +619,14 @@ def mixed_zeta_space_all_at_once(space, n, zeta):
 
 def pi_zeta(space, n: int, zeta, vec: dict) -> dict:
     """The full symmetrization sum over S_n applied to a zeta-space vector."""
-    return _combine(space, n, zeta, vec, _pi_rows)
+    return boxed(_combine(space, n, zeta, unboxed(vec, space.field), _pi_rows), space.field)
 
 
 def perm_act(space, n: int, zeta, sigma, vec: dict) -> dict:
     """sigma |> x = zeta^(-l(sigma)) lift(sigma) x."""
-    return _twist(space, n, zeta, matsumoto_lift(sigma).letters, vec)
+    letters, fld = matsumoto_lift(sigma).letters, space.field
+    scales = {len(letters): fld.raw(zeta.inv() ** len(letters))}
+    return boxed(_twist(space, n, scales, letters, unboxed(vec, fld)), fld)
 
 
 def pl1_all_permutations(bracket, n, zeta) -> bool:

@@ -35,7 +35,6 @@ from braidcalc.spaces import (
     word_index,
 )
 from braidcalc.tensorbialg import (
-    delta_columns,
     nichols_dims,
     primitive_space,
 )
@@ -47,6 +46,7 @@ from braidcalc.tower import (
     tower_iterates,
 )
 from oracles import (
+    boxed_delta,
     delta_injectivity_ladder,
     pi_zeta,
     q_binomial,
@@ -313,9 +313,9 @@ def test_criterion_10_structural_suites():
                 n = a + b + c
                 for w in range(space.power(n)):
                     lhs = {}
-                    for u, s in delta_columns(space, a + b, c)[w].items():
+                    for u, s in boxed_delta(space, a + b, c)[w].items():
                         hi, lo = divmod(u, space.power(c))
-                        for r, t in delta_columns(space, a, b)[hi].items():
+                        for r, t in boxed_delta(space, a, b)[hi].items():
                             key = r * space.power(c) + lo
                             cur = lhs.get(key, space.field.zero) + s * t
                             if cur.is_zero():
@@ -323,9 +323,9 @@ def test_criterion_10_structural_suites():
                             else:
                                 lhs[key] = cur
                     rhs = {}
-                    for u, s in delta_columns(space, a, b + c)[w].items():
+                    for u, s in boxed_delta(space, a, b + c)[w].items():
                         hi, lo = divmod(u, space.power(b + c))
-                        for r, t in delta_columns(space, b, c)[lo].items():
+                        for r, t in boxed_delta(space, b, c)[lo].items():
                             key = hi * space.power(b + c) + r
                             cur = rhs.get(key, space.field.zero) + s * t
                             if cur.is_zero():

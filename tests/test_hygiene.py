@@ -1,9 +1,9 @@
 """Every name a braidcalc module imports is used in that module, every
 private name a module defines is referenced somewhere in the package, no
 module imports another's private name, every parameter of a function is
-read in its body, the sparse accumulate loop lives only in the kernel, and
+read in its body, the sparse accumulate loop lives only in the kernel,
 only `linalg` imports the modular route's pieces or passes a modulus into
-the kernel layer.
+the kernel layer, and only `scalars` and `linalg` read coefficient tuples.
 
 The package __init__ is exempt: its imports are the public re-exports.
 """
@@ -249,11 +249,10 @@ def test_only_linalg_passes_a_modulus_to_the_kernel_layer(path):
 
 
 def test_checker_flags_a_modulus_passed_to_the_kernel_layer():
-    assert MODULUS_TAKERS == ["Echelon", "kernel_basis", "left_kernel", "matvec",
-                              "stacked_kernel"]
+    assert MODULUS_TAKERS == ["Echelon", "left_kernel", "matvec", "stacked_kernel"]
     source = ("Echelon(4, p=7)\nlinalg.matvec(cols, vec, p=q)\n"
               "partial(stacked_kernel, basis, p=q)\nleft_kernel(images, one)\n"
-              "kernel_basis(rows, n, **options)\npow(x, -1, p)\nprint(p=3)\n"
+              "stacked_kernel(rows, n, **options)\npow(x, -1, p)\nprint(p=3)\n"
               "partial(matvec, cols)\n")
     assert modulus_passes(source) == [1, 2, 3, 5]
 
@@ -277,6 +276,15 @@ def constructor_calls(source: str, name: str) -> list[int]:
                          ids=lambda p: p.name)
 def test_only_linalg_reads_the_raw_pivot_rows(path):
     assert attribute_reads(path.read_text(encoding="utf-8"), "pivot_rows") == []
+
+
+# Vectors hold raw coefficients inside the library; a scalar's coefficient
+# tuple is read only where scalars are made and unmade, in `scalars` and
+# `linalg`: the other modules go through `CycloField.raw` and `linalg.boxed`.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("scalars.py", "linalg.py")],
+                         ids=lambda p: p.name)
+def test_only_scalars_and_linalg_read_coefficient_tuples(path):
+    assert attribute_reads(path.read_text(encoding="utf-8"), "coeffs") == []
 
 
 def test_checker_flags_a_pivot_rows_read():

@@ -1,8 +1,11 @@
-"""The library's exact elimination against `independent.py`, a dense
-Gauss-Jordan over Q(zeta_m) that imports nothing from braidcalc: RREF rows
-(`Subspace.from_rows`), canonical remainders (`Echelon.reduce`), kernels of
-families (`left_kernel`), linear combinations (`matvec`, the accumulate
-kernel) and E_2 = ker(1 + c) read off the pair table."""
+"""The library against `independent.py`, which imports nothing from
+braidcalc: RREF rows (`Subspace.from_rows`), canonical remainders
+(`Echelon.reduce`), kernels of families (`left_kernel`), linear
+combinations (`matvec`, the accumulate kernel) and E_2 = ker(1 + c) against
+its dense Gauss-Jordan; and, read off the pair table alone, the coproduct
+components (`delta_columns`), the inverse braiding (`inv_pairs`), and the
+Nichols dimensions (`nichols_dims`, every `sdeg` tower iterate) against
+shuffle sums of braid lifts, a matrix inverse and symmetrizer ranks."""
 
 import ast
 import pathlib
@@ -14,8 +17,11 @@ from hypothesis import strategies as st
 
 from braidcalc.linalg import Echelon, Subspace, left_kernel, matvec
 from braidcalc.scalars import field_make
-from braidcalc.tensorbialg import primitive_space
-from independent import Cyclotomic, nullspace, remainder, rref
+from braidcalc.spaces import word_letters
+from braidcalc.tensorbialg import delta_columns, nichols_dims, primitive_space
+from braidcalc.tower import tower_iterates
+from independent import (Cyclotomic, coproduct_component, inverse_pairs, nullspace, remainder,
+                         rref, symmetrizer_rank)
 from test_tensorbialg import property_spaces
 
 ORDERS = (1, 3, 4, 5, 6)
@@ -100,4 +106,65 @@ def test_the_independent_oracle_imports_nothing_from_braidcalc():
                if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom)}
-    assert modules == {"fractions"}
+    assert modules == {"fractions", "itertools"}
+
+
+def element_of(oracle, value):
+    """The oracle's element for a scalar or a raw coefficient: a rational, or
+    a pair of them in degree 2."""
+    coeffs = getattr(value, "coeffs", value)
+    return oracle.element(coeffs if isinstance(coeffs, tuple) else (coeffs,))
+
+
+def oracle_pairs(oracle, table):
+    """A pair table of the library, its scalars as the oracle's elements."""
+    return {key: [(tgt, oracle.element(s.coeffs)) for tgt, s in images]
+            for key, images in table.items()}
+
+
+def small_degrees(space, top=4, words=81):
+    """The degrees n <= top with at most that many words."""
+    return [n for n in range(2, top + 1) if space.power(n) <= words]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(property_spaces())
+def test_coproduct_columns_are_shuffle_sums_of_braid_lifts(space):
+    oracle, d = Cyclotomic(space.field.order), space.dim
+    pairs = oracle_pairs(oracle, space.pairs)
+    for n in small_degrees(space):
+        for a in range(1, n):
+            for w, col in enumerate(delta_columns(space, a, n - a)):
+                got = {word_letters(c, n, d): element_of(oracle, v) for c, v in col.items()}
+                assert got == coproduct_component(oracle, pairs, word_letters(w, n, d), a), \
+                    (space.kind, n, a, w)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(property_spaces())
+def test_inverse_braiding_is_the_inverse_matrix(space):
+    oracle = Cyclotomic(space.field.order)
+    expected = inverse_pairs(oracle, oracle_pairs(oracle, space.pairs), space.dim)
+    got = oracle_pairs(oracle, space.inv_pairs)
+    assert {k: sorted(v) for k, v in got.items()} == {k: sorted(v) for k, v in expected.items()}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(property_spaces())
+def test_nichols_and_tower_dims_are_symmetrizer_ranks(space):
+    oracle, d = Cyclotomic(space.field.order), space.dim
+    pairs = oracle_pairs(oracle, space.pairs)
+    degrees = small_degrees(space, words=27)
+    top = degrees[-1] if degrees else 1
+    ranks = [1, d] + [symmetrizer_rank(oracle, pairs, d, n) for n in degrees]
+    assert nichols_dims(space, top) == ranks
+    if top < 2:
+        return
+    # iterate k of the tower agrees with B(V) up to degree k + 1 and lies
+    # above it; the last, at its fixpoint, is B(V) up to the cutoff
+    iterates = tower_iterates(space, top)
+    assert iterates[0].dims == [space.power(n) for n in range(top + 1)]
+    for k, tower in enumerate(iterates):
+        assert all(dim >= rank for dim, rank in zip(tower.dims, ranks)), (space.kind, k)
+        assert tower.dims[:k + 2] == ranks[:k + 2], (space.kind, k)
+    assert iterates[-1].dims == ranks

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc import enveloping_filtration, make_preset, nichols_dims, preset_bracket
+from braidcalc import (BracketTable, enveloping_filtration, make_braiding, make_preset,
+                       nichols_dims, preset_bracket, primitive_space, tower_iterates, zeta_space)
 from braidcalc.errors import BadParams, DivisionByZero, FieldMismatch, RootOrderMismatch
-from braidcalc.linalg import Echelon, left_kernel, vec_axpy
+from braidcalc.linalg import Echelon, left_kernel, matvec, vec_axpy
+from braidcalc.pareigis import pi_image
 from braidcalc.scalars import (
     MAX_FIELD_ORDER,
     CycloField,
@@ -452,10 +454,12 @@ def test_rational_lift_and_crt():
 
 
 def integral_rationals(value) -> int:
-    """The integral Q coefficients of the scalars anywhere in a structure of
-    tuples, lists and dicts (keys and values)."""
+    """The integral Q coefficients of the scalars and raw coefficients
+    anywhere in a structure of tuples, lists and dicts (keys and values)."""
     if isinstance(value, CycloScalar):
         return sum(type(c) is not int and c.denominator == 1 for c in value.coeffs)
+    if isinstance(value, Q):  # a raw coefficient
+        return value.denominator == 1
     if isinstance(value, dict):
         return sum(integral_rationals(k) + integral_rationals(v)
                    for k, v in value.items())
@@ -469,8 +473,8 @@ def test_no_integral_rational_survives_a_run():
     # come out of the fraction-free echelon divided by their denominator
     a3 = make_preset("cartan_An", field_make(3), n=3, t=3, degree_budget=8)
     assert nichols_dims(a3, 8) == [1, 3, 8, 14, 24, 34, 47, 57, 67]
-    levels = a3._memo["nichols"]
-    assert len(levels) == 9 and integral_rationals(levels) == 0
+    dims, top = a3._memo["nichols"]  # the top degree's raw images and tables
+    assert len(dims) == 9 and integral_rationals(top) == 0
     gu = make_preset("gurevich", field_make(1))
     fq = enveloping_filtration(preset_bracket(gu, "gurevich"), 4, 1)
     rows = fq.echelon.rows()
@@ -509,3 +513,69 @@ def test_scalars_leave_the_kernel_layer_through_one_intern_table():
     gu = make_preset("gurevich", field_make(1))
     enveloping_filtration(preset_bracket(gu, "gurevich"), 3, 1).span_rows_in(3)
     assert all(type(c) is int for key in field_make(1).interned for c in key)
+
+
+def assert_boxed(field, values, where, interned=True):
+    """Each value is a scalar of field, its coefficients canonical (an int,
+    or a rational off the integers); over a field of degree < 3, whose raw
+    coefficients are not scalars, an integral one is the intern table's."""
+    for value in values:
+        assert type(value) is CycloScalar and value.field is field, where
+        assert all(type(c) is int or c.denominator != 1 for c in value.coeffs), where
+        if interned and field.degree < 3 and all(type(c) is int for c in value.coeffs):
+            assert field.interned[value.coeffs] is value, where
+
+
+@st.composite
+def boundary_spaces(draw):
+    """A diagonal braiding with root-of-unity entries or a hecke_gl space,
+    d <= 2, over Q(zeta_m), m = 1, 3, 4, 5; d4_rack over Q."""
+    m = draw(st.sampled_from((1, 3, 4, 5)))
+    field = field_make(m)
+    kind = draw(st.sampled_from(("diagonal", "hecke_gl", "d4_rack" if m == 1 else "diagonal")))
+    if kind == "d4_rack":
+        return make_preset("d4_rack", field)
+    if kind == "hecke_gl":
+        q = draw(st.sampled_from((field.gen, field.from_fraction(-1, 2), field.from_rational(3))))
+        return make_preset("hecke_gl", field, d=2, q=q)
+    d = draw(st.integers(1, 2))
+    exps = draw(st.lists(st.integers(0, m - 1), min_size=d * d, max_size=d * d))
+    return make_braiding("diagonal", {"q": [[field.gen ** exps[i * d + j] for j in range(d)]
+                                            for i in range(d)]}, field)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(boundary_spaces())
+def test_public_returns_hold_the_fields_scalars(space):
+    """Inside the library vectors hold raw coefficients; every public return
+    holds the field's scalars, as before the raw representation."""
+    field, top = space.field, 3 if space.dim > 2 else 4
+    for n in range(2, top + 1):
+        prims = primitive_space(space, n)
+        assert_boxed(field, [v for row in prims.rows for v in row.values()], ("E", n))
+        assert all(row[min(row)] is field.one for row in prims.rows)
+    for k, tower in enumerate(tower_iterates(space, top)):
+        rows = [row for component in tower.components for row in component.rows]
+        assert_boxed(field, [v for row in rows for v in row.values()], ("tower", k))
+    for n in sorted({2} | ({field.order} if 2 < field.order <= top else set())):
+        zeta = field.root_of_unity(n)
+        for sub in (zeta_space(space, n, zeta), pi_image(space, n, zeta)):
+            assert_boxed(field, [v for row in sub.rows for v in row.values()], ("zeta", n))
+    # the min poly is monic and kills c
+    poly = space.min_poly
+    assert_boxed(field, poly, "min_poly", interned=False)  # scalar arithmetic
+    assert poly[-1] == field.one
+    for w in range(space.power(2)):
+        power, total = {w: field.one}, {}
+        for coeff in poly:
+            vec_axpy(total, coeff, power)
+            power = space.apply_generator(2, 1, power)
+        assert total == {}
+    # a bracket table's values, for coordinates of scalars
+    e2 = primitive_space(space, 2)
+    entry = {0: field.gen, space.dim - 1: field.from_fraction(2, 3)}
+    table = BracketTable(space, {2: [entry] * e2.dim})
+    value = table.value(2, {k: field.from_fraction(k + 1, 2) for k in range(e2.dim)})
+    assert_boxed(field, value.values(), "bracket")
+    assert value == matvec(table.entries[2], {k: field.from_fraction(k + 1, 2)
+                                              for k in range(e2.dim)})

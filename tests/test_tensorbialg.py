@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from braidcalc import linalg, tensorbialg
 from braidcalc.errors import DegreeBudgetExceeded, InternalCheckError
 from braidcalc.fixtures import CATALOG
-from braidcalc.linalg import Subspace, kernel_basis
+from braidcalc.linalg import Subspace, boxed, unboxed
 from braidcalc.scalars import Reduction, field_make
 from braidcalc.spaces import (
     BraidedSpace,
@@ -29,6 +29,8 @@ from braidcalc.tensorbialg import (
 from braidcalc.tower import is_quadratic
 from oracles import (
     apply_generator_entrywise,
+    boxed_delta,
+    kernel_basis,
     is_quadratic_by_closure,
     nichols_dims_dn,
     perm_inverse,
@@ -88,14 +90,14 @@ def compose_split(space, outer_cols, inner_cols, w, inner_on_left, dim_split):
 
 def test_delta_examples():
     fl = make_braiding("flip", {"d": 2}, F1)
-    cols = delta_columns(fl, 1, 1)
+    cols = boxed_delta(fl, 1, 1)
     assert cols[word_index((0, 1), 2)] == vec(fl, {(0, 1): 1, (1, 0): 1})
     # scalar braiding, d = 1: Delta^{1,1}(x (x) x) = (1 + q) x (x) x
     sc = make_braiding("scalar", {"d": 1, "q": 3}, F1)
-    assert delta_columns(sc, 1, 1)[0] == {0: F1.from_rational(4)}
+    assert boxed_delta(sc, 1, 1)[0] == {0: F1.from_rational(4)}
     # Delta^{0,n} is the identity reindexing
     gu = make_preset("gurevich", F1)
-    cols = delta_columns(gu, 0, 3)
+    cols = boxed_delta(gu, 0, 3)
     assert all(cols[w] == {w: F1.one} for w in range(27))
 
 
@@ -123,7 +125,7 @@ def test_delta_recursion_matches_shuffle_sum():
                   make_preset("hecke_gl", F1, d=2)):
         for n in range(6):
             for a in range(n + 1):
-                assert delta_columns(space, a, n - a) == \
+                assert boxed_delta(space, a, n - a) == \
                     shuffle_sum_columns(space, a, n - a), (space.kind, a, n - a)
 
 
@@ -137,15 +139,15 @@ def test_coassociativity():
             if space.power(n) > 300:
                 continue
             left = compose_split(
-                space, delta_columns(space, a + b, c), delta_columns(space, a, b),
+                space, boxed_delta(space, a + b, c), boxed_delta(space, a, b),
                 0, True, space.power(c))
             for w in range(space.power(n)):
                 lhs = compose_split(
-                    space, delta_columns(space, a + b, c),
-                    delta_columns(space, a, b), w, True, space.power(c))
+                    space, boxed_delta(space, a + b, c),
+                    boxed_delta(space, a, b), w, True, space.power(c))
                 rhs = compose_split(
-                    space, delta_columns(space, a, b + c),
-                    delta_columns(space, b, c), w, False, space.power(b + c))
+                    space, boxed_delta(space, a, b + c),
+                    boxed_delta(space, b, c), w, False, space.power(b + c))
                 assert lhs == rhs, (space.kind, a, b, c, w)
         del left
 
@@ -177,7 +179,7 @@ def test_gamma_block_for_scalar_is_qint():
     q = F4.gen
     sc = make_braiding("scalar", {"d": 2, "q": q}, F4)
     for n in (1, 2, 3):
-        block = delta_columns(sc, n, 1)
+        block = boxed_delta(sc, n, 1)
         # the block symmetrizer is concatenation after the coproduct component;
         # for the scalar braiding every shuffle lift scales by q^length
         coeff = q_int(n + 1, q)
@@ -405,7 +407,7 @@ def test_nichols_dims_fill_zeros_above_the_top_degree():
     d3 = rack_space(3, lambda i, j: (2 * i - j) % 3, budget=8)
     assert nichols_dims(d3, 8) == [1, 3, 4, 3, 1, 0, 0, 0, 0]
     # B is generated in degree 1: nothing above the first zero is computed
-    assert len(d3._memo["nichols"]) == 6
+    assert len(d3._memo["nichols"][0]) == 6
 
 
 def test_nichols_dims_check_the_hilbert_series_is_palindromic(monkeypatch):
@@ -416,8 +418,7 @@ def test_nichols_dims_check_the_hilbert_series_is_palindromic(monkeypatch):
     def one_rank_too_many(space, n):
         out = list(levels(space, n))
         if n == 3:
-            images, coords = out[3]
-            out[3] = (images + [{}], coords)
+            out[3] += 1
         return out
 
     d4 = make_preset("d4_rack", F1, degree_budget=9)
@@ -473,7 +474,7 @@ def test_delta_multiplicativity_spot_check(seed=17):
             acc = {k: v for k, v in out.items() if v}
         for a in range(1, n):
             expected = acc.get((a, n - a), {})
-            got = delta_columns(gu, a, n - a)[word_index(word, 3)]
+            got = boxed_delta(gu, a, n - a)[word_index(word, 3)]
             assert got == expected
 
 
@@ -488,7 +489,7 @@ def test_budget_guard():
 def _component_kernel(space, a, n):
     """ker Delta^(a, n-a) from its constraint rows, the transposed columns."""
     rows = {}
-    for word, col in enumerate(delta_columns(space, a, n - a)):
+    for word, col in enumerate(boxed_delta(space, a, n - a)):
         for r, val in col.items():
             rows.setdefault(r, {})[word] = val
     size = space.power(n)
@@ -593,7 +594,7 @@ def test_pair_blocks_hold_the_support_of_every_column(space):
 def test_columns_word_by_word_match_the_delta_lists(space):
     # the block braiding applied by its braid word to each unit vector, as
     # has_primitives does for the component it cannot read from degree n-1
-    one = space.field.one
+    one = space.field.raw_one
     for n in range(2, 6):
         for a in range(1, n):
             braid = {r: space.braiding_block_apply(n - a, 1, {r: one})
@@ -607,7 +608,7 @@ def common_kernel(space, n):
     """E_n by the oracle: every component's constraint rows in one system."""
     rows = {}
     for a in range(1, n):
-        for word, col in enumerate(delta_columns(space, a, n - a)):
+        for word, col in enumerate(boxed_delta(space, a, n - a)):
             for r, val in col.items():
                 rows.setdefault((a, r), {})[word] = val
     size = space.power(n)
@@ -664,8 +665,8 @@ def certified_primitives(space, n):
     `primitive_space` passes to the route rule in this order (on T(V) every
     component has d^n constraint rows), whichever route the rule picks."""
     size = space.power(n)
-    return Subspace(size, linalg.certified_kernel(
-        [delta_columns(space, a, n - a) for a in range(1, n)], size, space.field))
+    return Subspace(size, [boxed(row, space.field) for row in linalg.certified_kernel(
+        [delta_columns(space, a, n - a) for a in range(1, n)], size, space.field)])
 
 
 def test_modular_route_lifts_past_one_prime_by_crt(monkeypatch):
@@ -698,6 +699,30 @@ def test_modular_route_adds_primes_until_the_lift_is_certified(monkeypatch):
     assert "exact" not in seen and len(set(seen)) > 5
 
 
+def test_modular_route_stops_after_its_last_prime(monkeypatch):
+    # a lift that never settles, as a fault in the CRT step would make it:
+    # past MAX_PRIMES primes the exact route gives the rows, within seconds
+    space = make_preset("gurevich", F1)
+    expected = [common_kernel(space, n) for n in (2, 3)]
+    primes, reduction = [], linalg.Reduction
+
+    def counted(field, index):
+        primes.append(index)
+        assert len(primes) <= 4 * linalg.MAX_PRIMES, "the modular route does not stop"
+        return reduction(field, index)
+
+    monkeypatch.setattr(linalg, "Reduction", counted)
+    monkeypatch.setattr(linalg, "rational_lift", lambda u, modulus: None)
+    seen = route_spy(monkeypatch)
+    start = time.perf_counter()
+    for n, e_n in zip((2, 3), expected):
+        primes.clear()
+        seen.clear()
+        assert e_n.dim and certified_primitives(space, n) == e_n
+        assert len(primes) == linalg.MAX_PRIMES and seen[-1] == "exact", n
+    assert time.perf_counter() - start < 5
+
+
 def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
     expected = [primitive_space(make_preset("d4_rack", F1), n) for n in (3, 4)]
     space = make_preset("d4_rack", F1)
@@ -714,11 +739,11 @@ def test_modular_route_falls_back_to_the_exact_route(monkeypatch):
 def test_certificate_rejects_a_corrupted_lift(monkeypatch):
     space, n = make_preset("gurevich", F1), 3
     maps = [delta_columns(space, a, n - a) for a in range(1, n)]
-    rows = [dict(row) for row in common_kernel(space, n).rows]
-    assert linalg._annihilated(maps, rows)
-    col, val = next((c, v) for c, v in rows[0].items() if not v.is_one())
+    rows = [unboxed(row, F1) for row in common_kernel(space, n).rows]
+    assert linalg._annihilated(maps, rows, F1)
+    col, val = next((c, v) for c, v in rows[0].items() if v != 1)
     rows[0][col] = val + val
-    assert not linalg._annihilated(maps, rows)
+    assert not linalg._annihilated(maps, rows, F1)
 
     # end to end: the first non-unit coefficient lifted is tripled once; the
     # certificate rejects that lift and the next prime's lift passes it
@@ -814,6 +839,19 @@ def test_nichols_dims_of_the_affine_racks_of_order_5():
         rack_space(5, lambda i, j, w=w: (w * j + (1 - w) * i) % 5, len(series)),
         series, 10.0) for w in (2, 3))
     assert elapsed < 10.0, elapsed
+
+
+@pytest.mark.parametrize("w, top", [(3, 8), (5, 7)], ids=["Aff(7, 3)", "Aff(7, 5)"])
+def test_nichols_dims_of_the_affine_racks_of_order_7(w, top):
+    # Grana; Andruskiewitsch-Grana: Aff(7, 3) and Aff(7, 5) share the series
+    # [6]^6 [7] of total 326592 and top degree 36; its first degrees
+    series = series_product([q_number(6)] * 6 + [q_number(7)])
+    assert sum(series) == 326592 and len(series) == 37
+    assert series[:9] == [1, 7, 28, 84, 210, 462, 918, 1673, 2828]
+    space = rack_space(7, lambda i, j: (w * j + (1 - w) * i) % 7, top)
+    start = time.perf_counter()
+    assert nichols_dims(space, top) == series[:top + 1]
+    assert time.perf_counter() - start < 5.0
 
 
 def cartan_a_series(rank, order):

@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 
 from braidcalc.errors import BadParams, InternalCheckError, NotACoideal
 from braidcalc import linalg, tower as tower_mod
-from braidcalc.linalg import Subspace
+from braidcalc.linalg import Subspace, unboxed
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
 from braidcalc.tensorbialg import (
-    delta_columns,
     has_primitives,
     nichols_dims,
     primitive_space,
@@ -29,6 +28,7 @@ from braidcalc.tower import (
 )
 from oracles import (
     all_at_once_kernel,
+    boxed_delta,
     coproduct_kernel,
     delta_injectivity_ladder,
     ideal_closure_dn,
@@ -259,10 +259,10 @@ def test_kernel_equality_across_bidegrees():
     level = 3
     if all(delta_injectivity_ladder(qb, level - 1).values()):
         kernels = []
-        from braidcalc.linalg import kernel_basis
+        from oracles import kernel_basis
 
         for a in range(1, level):
-            cols = delta_columns(space, a, level - a)
+            cols = boxed_delta(space, a, level - a)
             rows = {}
             for word in range(space.power(level)):
                 red = reduce_bidegree(qb, cols[word], a, level - a)
@@ -370,7 +370,7 @@ def test_stacked_and_one_at_a_time_kernels_agree():
             shrunk = coproduct_kernel(space, n, parts, qb.dims, reduce)
             stacked = all_at_once_kernel(
                 [{w: space.field.one} for w in range(size)],
-                [lambda x, a=a: reduce(matvec(delta_columns(space, a, n - a), x),
+                [lambda x, a=a: reduce(matvec(boxed_delta(space, a, n - a), x),
                                        a, n - a) for a in parts])
             assert Subspace.from_rows(size, stacked) == \
                 Subspace.from_rows(size, shrunk) == \
@@ -390,7 +390,7 @@ def test_closure_rejects_generators_that_are_not_braiding_stable():
         ideal_closure_dn(d4, {2: [row]}, 3)
     # unchecked, the two closures of the row agree
     closed = IdealTower(d4, 3)
-    _close_components(closed, {2: [row]}, 3)
+    _close_components(closed, {2: [unboxed(row, F1)]}, 3)  # the closure's raw rows
     assert closed.dims == ideal_closure_dn(d4, {2: [row]}, 3, verify="off").dims
 
 
@@ -409,7 +409,7 @@ def test_light_check_catches_a_non_primitive_word(monkeypatch):
         if prims and tower.generators:
             # add to the first primitive a normal word it lacks
             extra = next(w for w in tower.levels[n][0] if w not in prims[0])
-            prims = [{**prims[0], extra: tower.space.field.one}] + prims[1:]
+            prims = [{**prims[0], extra: tower.space.field.raw_one}] + prims[1:]
         return prims
 
     for space, cutoff in _mutation_cases():
