@@ -102,10 +102,10 @@ def _twist(space: BraidedSpace, n: int, scales, word, vec: dict) -> dict:
     return vec_axpy({}, scales[len(word)], space.apply_word(n, word, vec), 0, space.field)
 
 
-def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table) -> dict:
-    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k RREF,
-    all raw."""
-    zs = zeta_space(space, n, zeta, require_primitive=False)
+def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table, zs=None) -> dict:
+    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k the
+    RREF rows of the zeta space zs (looked up unless given), all raw."""
+    zs = zeta_space(space, n, zeta, require_primitive=False) if zs is None else zs
     coords = zs.coordinates(vec)
     if coords is None:
         raise NotInZetaSpace(
@@ -171,12 +171,13 @@ def check_pi_su(space: BraidedSpace, n: int) -> bool:
         primitive_space(space, n)
 
 
-def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict) -> dict:
-    """[x] = b_n(Pi(x)), a vector in V, of scalars or raw coefficients as x."""
+def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict, zs=None) -> dict:
+    """[x] = b_n(Pi(x)), a vector in V, of scalars or raw coefficients as x;
+    zs is the degree-n zeta space, looked up unless given."""
     fld = bracket.space.field
     if holds_scalars(vec, fld):
-        return boxed(induced_bracket(bracket, n, zeta, unboxed(vec, fld)), fld)
-    return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords))
+        return boxed(induced_bracket(bracket, n, zeta, unboxed(vec, fld), zs), fld)
+    return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords, zs))
 
 
 def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
@@ -225,11 +226,11 @@ def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     return bracket.value(2, coords)
 
 
-def _apply_first_slice(space, bracket, n, zeta, vec):
+def _apply_first_slice(space, bracket, n, zeta, vec, zs):
     """(V (x) [-]) on a vector of V^(x)(n+1): slice off the first letter."""
     def inner(sl):
         try:
-            return induced_bracket(bracket, n, zeta, sl)
+            return induced_bracket(bracket, n, zeta, sl, zs)
         except NotInZetaSpace:
             raise NotInZetaSpace(
                 "first-factor slice left the degree-%d zeta space; "
@@ -256,10 +257,10 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     # PL1: [s_i x] = [x] for the generators s_i = zeta^(-1) c_i, which is
     # invariance under the twisted symmetric-group action
     def pl1(row):
-        base = induced_bracket(bracket, n, zeta, row)
+        base = induced_bracket(bracket, n, zeta, row, zs)
         for i in range(1, n):
             try:
-                value = induced_bracket(bracket, n, zeta, _twist(space, n, scales, (i,), row))
+                value = induced_bracket(bracket, n, zeta, _twist(space, n, scales, (i,), row), zs)
             except NotInZetaSpace:
                 raise InternalCheckError(
                     "twisted action left the zeta space (degree %d)" % n)
@@ -273,14 +274,14 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
         total: dict = {}
         for i in range(1, n + 2):
             moved = _twist(space, n + 1, scales, tuple(range(1, i)), row)
-            inner_val = _apply_first_slice(space, bracket, n, zeta, moved)
+            inner_val = _apply_first_slice(space, bracket, n, zeta, moved, zs)
             if inner_val:
                 vec_axpy(total, one, _pair_bracket(bracket, inner_val), 0, fld)
         return not total
 
     # PL3: compatibility of the binary and n-ary brackets on the mixed space
     def pl3(row):
-        inner_val = _apply_first_slice(space, bracket, n, zeta, row)
+        inner_val = _apply_first_slice(space, bracket, n, zeta, row, zs)
         lhs = _pair_bracket(bracket, inner_val) if inner_val else {}
         rhs: dict = {}
         for i in range(1, n + 1):
@@ -291,7 +292,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
             if not collapsed:
                 continue
             try:
-                value = induced_bracket(bracket, n, zeta, collapsed)
+                value = induced_bracket(bracket, n, zeta, collapsed, zs)
             except NotInZetaSpace:
                 raise NotInZetaSpace(
                     "middle-bracket image left the degree-%d zeta space" % n)

@@ -185,24 +185,23 @@ class BraidedSpace:
     def braiding_block_apply(self, p: int, q: int, vec: dict) -> dict:
         """c_T^{p,q}: V^(x)p (x) V^(x)q -> V^(x)q (x) V^(x)p on a sparse vector
         (the empty braid word when p or q is 0)."""
-        return self.apply_word(p + q, self._block_word(p, q), vec)
-
-    def _block_word(self, p: int, q: int):
-        key = ("block", p, q)
-        word = self._memo.get(key)
+        word = self._memo.get(("block", p, q))
         if word is None:
             # one-line form: the first p positions map past the last q strands
-            chi = tuple(pos + q if pos < p else pos - p for pos in range(p + q))
-            word = self._memo[key] = matsumoto_lift(chi).letters
-        return word
+            word = self._memo["block", p, q] = matsumoto_lift(tuple(
+                pos + q if pos < p else pos - p for pos in range(p + q))).letters
+        return self.apply_word(p + q, word, vec)
 
-    def braiding_block_matrix(self, p: int, q: int):
-        """Columns of the block braiding, raw; memoized."""
-        key = ("blockmat", p, q)
-        mat = self._memo.get(key)
+    def braiding_block_matrix(self, p: int):
+        """Columns of c^(p,1), p >= 1, raw, memoized: c^(p,1) = c_1 (Id (x) c^(p-1,1)),
+        so column y w (y a letter) is c_1 of y (x) column w of c^(p-1,1)."""
+        mat = self._memo.get(("blockmat", p))
         if mat is None:
-            mat = self._memo[key] = [self.braiding_block_apply(p, q, {w: self.field.raw_one})
-                                     for w in range(self.power(p + q))]
+            size, one = self.power(p), self.field.raw_one
+            tail = self.braiding_block_matrix(p - 1) if p > 1 else [{x: one} for x in range(size)]
+            mat = self._memo["blockmat", p] = [
+                self.apply_generator(p + 1, 1, {y * size + t: s for t, s in col.items()})
+                for y in range(self.dim) for col in tail]
         return mat
 
     # -- lazily computed metadata ---------------------------------------------

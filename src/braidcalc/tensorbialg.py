@@ -52,7 +52,7 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
     cols = space._memo.get(key)
     if cols is None:
         cols = space._memo[key] = (
-            _delta_block(space, a, b, range(space.power(n)), space.braiding_block_matrix(b, 1))
+            _delta_block(space, a, b, range(space.power(n)), space.braiding_block_matrix(b))
             if a and b else [{w: space.field.raw_one} for w in range(space.power(n))])
     return cols
 
@@ -122,7 +122,7 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
 
     def component(words, a):
         block = ({w: space.braiding_block_apply(n - 1, 1, {w: one}) for w in words}
-                 if a == 1 else space.braiding_block_matrix(n - a, 1))
+                 if a == 1 else space.braiding_block_matrix(n - a))
         return _delta_block(space, a, n - a, words, block)
 
     return any(primitive_kernel(space, (component(words, a) for a in order), len(words))
@@ -162,7 +162,7 @@ def _nichols_levels(space: BraidedSpace, upto: int) -> list:
     memo = space._memo.setdefault("nichols", [[1], ([{}], [])])
     dims, fld = memo[0], space.field
     d, dd, one, minus = space.dim, space.dim * space.dim, fld.raw_one, fld.raw(-fld.one)
-    block = space.braiding_block_matrix(1, 1)
+    block = space.braiding_block_matrix(1)
     while len(dims) <= upto:
         images, coords = memo[1]
         width = len(images) * d

@@ -19,14 +19,18 @@ The symmetric-algebra step adjoins the quotient's primitives of degree >= 2:
 the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, well
 defined because J is a braided coideal, solved by `primitive_kernel` on the
 projected columns of the normal words.  Only the first step, on T(V), works
-in d^n coordinates.  The new ideal J' = J + (P) is checked on the new
-generators g alone: (pi'_a (x) pi'_b) Delta(g) = 0, and (pi'_t (x) Id)
-c(x (x) g) = 0 and its mirror for each letter x; J was checked when it was
-built, and Delta and c are multiplicative, so J' is a braided coideal.  The
-theory guarantees it, so a failure in the step is an InternalCheckError.
-Iterating the step yields the towers whose stabilisation count is the
-strongness degree (combinatorial rank); degree n of the limit is exact
-after n-1 steps, so the limit itself is never materialised.
+in d^n coordinates.  Up to the first degree with primitives one component
+suffices: below it A_k = B^k (A_1 = V, then induction), so the primitives
+are ker(A_n -> B^n), the kernel of (pi_(n-1) (x) Id) Delta^(n-1,1), which is
+injective on B^n (Andruskiewitsch-Schneider 2002).  The new ideal
+J' = J + (P) is checked on the new generators g alone:
+(pi'_a (x) pi'_b) Delta(g) = 0, and (pi'_t (x) Id) c(x (x) g) = 0 and its
+mirror for each letter x; J was checked when it was built, and Delta and c
+are multiplicative, so J' is a braided coideal.  The theory guarantees it,
+so a failure in the step is an InternalCheckError.  Iterating the step
+yields the towers whose stabilisation count is the strongness degree
+(combinatorial rank); degree n of the limit is exact after n-1 steps, so
+the limit itself is never materialised.
 
 Certification of a strongness-degree verdict at a degree cutoff D uses three
 sound routes: a scalar braiding with regular mark is already strongly graded;
@@ -206,10 +210,8 @@ def _verify_braiding_stability(tower: IdealTower, new) -> None:
         dim_t = space.power(t)
         for row in rows:
             for x in range(d):
-                left = space.braiding_block_apply(
-                    1, t, {x * dim_t + w: s for w, s in row.items()})
-                right = space.braiding_block_apply(
-                    t, 1, {w * d + x: s for w, s in row.items()})
+                left = space.braiding_block_apply(1, t, {x * dim_t + w: s for w, s in row.items()})
+                right = space.braiding_block_apply(t, 1, {w * d + x: s for w, s in row.items()})
                 if _project(tower, left, t, 1) or _project(tower, right, 1, t):
                     raise NotACoideal(t, boxed(row, space.field))
 
@@ -245,18 +247,17 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
 
 # -- quotient primitives and the symmetric-algebra step -----------------------
 
-def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
-    """Degree-n primitives of the quotient, each lifted to its combination
-    of the normal words N_n, raw."""
+def _lifted_primitives(tower: IdealTower, n: int, below_first: bool = False) -> list[dict]:
+    """Degree-n primitives of the quotient lifted to the normal words N_n, raw;
+    below_first (no degree 2..n-1 has any): from the component (n-1, 1) alone."""
     space = tower.space
     if tower.levels[n] is None:
         # T(V) up to degree n: the plain primitives
         return [unboxed(row, space.field) for row in primitive_space(space, n).rows]
     words = tower.levels[n][0]
+    parts = [n - 1] if below_first else cheapest_first(range(1, n), tower.dims, n)
     rows = primitive_kernel(space, ([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
-                                     for w in words]
-                                    for a in cheapest_first(range(1, n), tower.dims, n)),
-                            len(words))
+                                     for w in words] for a in parts), len(words))
     return [{words[i]: s for i, s in row.items()} for row in rows]
 
 
@@ -267,7 +268,7 @@ def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTow
     """
     new_gens = {}
     for n in range(2, tower.cutoff + 1):
-        prims = _lifted_primitives(tower, n)
+        prims = _lifted_primitives(tower, n, below_first=not new_gens)
         if prims and n <= _assert_no_new_below:
             raise InternalCheckError(
                 "iterate %d of the tower has primitives in degree %d, "
@@ -296,9 +297,8 @@ def tower_iterates(space: BraidedSpace, cutoff: int, max_steps=None):
     iterates, done = space._memo.get(key) or (
         (IdealTower.tensor_algebra(space, cutoff),), False)
     while not done and (max_steps is None or len(iterates) <= max_steps):
-        tower = iterates[-1]
-        nxt = symmetric_step(tower, _assert_no_new_below=len(iterates))
-        done = nxt is tower
+        nxt = symmetric_step(iterates[-1], _assert_no_new_below=len(iterates))
+        done = nxt is iterates[-1]
         if not done:
             iterates += (nxt,)
             if len(iterates) > cutoff + 3:

@@ -14,7 +14,10 @@ J_a (x) V^b + V^a (x) J_b factor by factor, closes generators by
 concatenation in d^n and checks the coideal and braiding-stability
 properties there.  The library holds each tower as its quotient by normal
 words; its on-demand components must equal these.  `quotient_primitives`
-reads a normal-word tower's primitives back in d^n, with J_n added.
+reads a normal-word tower's primitives back in d^n, with J_n added, and
+`quotient_primitive_rows` solves them over the normal words from every
+coproduct component, where the library's step solves one component up to
+the first degree with primitives.
 
 `pi_zeta`, the symmetrization Pi applied to one zeta-space vector, is read
 off the library's table of Pi on the zeta space's rows; the library itself
@@ -515,6 +518,18 @@ def quotient_primitives(tower, n):
     ech = echelon_of(tower.components[n])
     ech.add_rows(boxed(row, space.field) for row in _lifted_primitives(tower, n))
     return Subspace.from_echelon(ech)
+
+
+def quotient_primitive_rows(tower, n):
+    """The lifted degree-n primitives of a normal-word tower's quotient as
+    canonical rows over its normal words N_n (every word while J_n = 0):
+    the kernel of every component Delta^(a, n-a), 0 < a < n, reduced modulo
+    J_a (x) V^b + V^a (x) J_b in d^n, with no shortcut below the first
+    degree that has primitives."""
+    space = tower.space
+    basis = [{w: space.field.one} for w in tower._words(n)]
+    return Subspace.from_rows(space.power(n), coproduct_kernel(
+        space, n, range(1, n), tower.dims, partial(reduce_bidegree, tower), basis)).rows
 
 
 def tower_iterates_dn(space, cutoff):

@@ -246,6 +246,23 @@ def test_braiding_block_conventions():
     assert out == basis(fl, 1, 0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_preset("gurevich", F1),
+    lambda: make_preset("hecke_gl", F4, d=3, q=F4.gen),
+    lambda: make_preset("hecke_gl", F1, d=2, q=3),
+    lambda: make_preset("d4_rack", F1),
+    lambda: make_preset("cartan_An", field_make(3), n=2, t=3),
+], ids=["gurevich", "hecke_gl_zeta4", "hecke_gl_3", "d4_rack", "cartan_An"])
+def test_block_matrix_columns_are_the_block_braiding_words(build):
+    # c^(p,1) = c_1 (Id (x) c^(p-1,1)), one generator per column, against
+    # the Matsumoto lift of the block permutation, in raw coefficients
+    space = build()
+    one = space.field.raw_one
+    for p in range(1, 5):
+        assert space.braiding_block_matrix(p) == [
+            space.braiding_block_apply(p, 1, {w: one}) for w in range(space.power(p + 1))], p
+
+
 def test_block_composition_is_bijective():
     for space in (make_preset("gurevich", F1), make_preset("d4_rack", F1)):
         for p, q in ((1, 2), (2, 1), (2, 2)):

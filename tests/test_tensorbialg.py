@@ -373,9 +373,9 @@ def test_has_primitives_builds_columns_only_for_the_blocks_it_solves(monkeypatch
         lists.append(a + b)
         return build(space, a, b)
 
-    def counted_matrices(space, p, q):
-        matrices.append(p + q)
-        return block_matrix(space, p, q)
+    def counted_matrices(space, p):
+        matrices.append(p + 1)
+        return block_matrix(space, p)
 
     def counted_columns(space, a, b, words, block):
         if a + b == 5:

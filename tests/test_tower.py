@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 
 from braidcalc.errors import BadParams, InternalCheckError, NotACoideal
 from braidcalc import linalg, tower as tower_mod
-from braidcalc.linalg import Subspace, unboxed
+from braidcalc.linalg import Subspace, boxed, unboxed
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
 from braidcalc.tensorbialg import (
@@ -32,6 +32,7 @@ from oracles import (
     coproduct_kernel,
     delta_injectivity_ladder,
     ideal_closure_dn,
+    quotient_primitive_rows,
     quotient_primitives,
     reduce_bidegree,
     symmetrizer_rank,
@@ -43,6 +44,7 @@ from test_tensorbialg import (certified_primitives, corrupt_lift, nichols_spaces
 F1 = field_make(1)
 F3 = field_make(3)
 F4 = field_make(4)
+F6 = field_make(6)
 
 
 def w(space, *letters):
@@ -404,8 +406,8 @@ def test_light_check_catches_a_non_primitive_word(monkeypatch):
 
     real = tower_mod._lifted_primitives
 
-    def mutated(tower, n):
-        prims = real(tower, n)
+    def mutated(tower, n, below_first=False):
+        prims = real(tower, n, below_first)
         if prims and tower.generators:
             # add to the first primitive a normal word it lacks
             extra = next(w for w in tower.levels[n][0] if w not in prims[0])
@@ -419,6 +421,30 @@ def test_light_check_catches_a_non_primitive_word(monkeypatch):
             symmetric_step(first)
         monkeypatch.undo()
         assert symmetric_step(first).added, space.kind
+
+
+def test_a_primitive_at_or_below_the_step_count_bound_trips_the_check(monkeypatch):
+    # iterate k has no primitives in degree <= k + 1; an extra row from the
+    # one-component route in such a degree must stop the step
+    real = tower_mod._lifted_primitives
+    for space, cutoff in _mutation_cases():
+        tripped = []
+        for k, tower in enumerate(tower_iterates(space, cutoff)[1:], 1):
+            def mutated(tower, n, below_first=False):
+                prims = real(tower, n, below_first)
+                if below_first and n <= k + 1 and tower.levels[n] is not None:
+                    prims = prims + [{tower.levels[n][0][0]: tower.space.field.raw_one}]
+                return prims
+
+            if all(tower.levels[n] is None for n in range(2, k + 2)):
+                continue
+            monkeypatch.setattr(tower_mod, "_lifted_primitives", mutated)
+            with pytest.raises(InternalCheckError, match="step-count guarantee"):
+                symmetric_step(tower, _assert_no_new_below=k + 1)
+            monkeypatch.undo()
+            symmetric_step(tower, _assert_no_new_below=k + 1)
+            tripped.append(k)
+        assert tripped, space.kind
 
 
 def test_light_check_catches_a_dropped_lower_generator():
@@ -568,3 +594,59 @@ def test_the_route_rule_reads_the_braiding(monkeypatch, build, exact):
     primitive_space(space, 3)
     sdeg(space, 4)
     assert seen and (set(seen) == {"exact"} if exact else "exact" not in seen)
+
+
+def assert_the_step_rows_match_the_oracle(space, cutoff):
+    """Every degree of every iterate: the step's rows are the all-components
+    oracle's, and it solves the one component (n - 1, 1) exactly up to the
+    first degree with primitives."""
+    real, delta = tower_mod._lifted_primitives, tower_mod.delta_columns
+    parts, seen = set(), []
+
+    def spied_delta(space, a, b):
+        parts.add(a)
+        return delta(space, a, b)
+
+    def spied(tower, n, below_first=False):
+        parts.clear()
+        rows = real(tower, n, below_first)
+        seen.append((tower, n, below_first, set(parts), rows))
+        return rows
+
+    iterates = tower_iterates(space, cutoff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower_mod, "_lifted_primitives", spied)
+        mp.setattr(tower_mod, "delta_columns", spied_delta)
+        for tower in iterates:
+            symmetric_step(tower)
+    for tower in iterates:
+        steps = [(n, below, used, rows) for t, n, below, used, rows in seen if t is tower]
+        assert [n for n, *_ in steps] == list(range(2, cutoff + 1))
+        for n, below, used, rows in steps:
+            assert below == all(not r for m, _, _, r in steps if m < n), n
+            if below and tower.levels[n] is not None:
+                assert used == ({n - 1} if tower.dim(n) else set()), n
+            assert [boxed(r, space.field) for r in rows] == quotient_primitive_rows(tower, n), n
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(property_spaces())
+def test_step_rows_match_the_all_components_oracle(space):
+    assert_the_step_rows_match_the_oracle(space, 4 if space.dim >= 3 else 5)
+
+
+def test_step_rows_match_the_oracle_above_a_later_iterates_primitives():
+    # the second step adjoins primitives of degree 4 or 5 and solves the
+    # degrees above from every component; on the Q(zeta_6) space the one
+    # component (5, 1) alone has a kernel of dimension 1 in degree 6, where
+    # the quotient has no primitives
+    z = F6.gen
+    for space, cutoff, added in (
+            (make_preset("d4_rack", F1), 5, {4: 2}), (make_preset("twodim_sdeg2", F1), 6, {4: 1}),
+            (make_braiding("diagonal", {"q": [[z ** 4, z], [z ** 2, z ** 3]]}, F6), 6, {5: 1})):
+        iterates = tower_iterates(space, cutoff)
+        assert iterates[2].added == added
+        assert_the_step_rows_match_the_oracle(space, cutoff)
+        if space.field is F6:
+            assert (len(_lifted_primitives(iterates[1], 6)),
+                    len(_lifted_primitives(iterates[1], 6, True))) == (0, 1)
