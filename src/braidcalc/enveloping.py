@@ -17,15 +17,19 @@ echelon whose pivots sit in blocks of degree <= n form a basis of the span's
 intersection with T_(n); dimensions of the standard filtration of U and of
 its associated graded fall out by counting pivots.  Those rows have no entry
 before their pivot, so the injectivity verdict back-substitutes only the
-rows of T_(1), the ones it reads.  The primitive check reads only canonical
-remainders modulo the span, which `Echelon.reduce` gives on any echelon, so
-it back-substitutes nothing.
+rows of T_(1), the ones it reads.  The primitive check solves on the normal
+words, the free columns of T_(N), each its own remainder rho.  A span row is
+x g y, g in the span G of the primitives u - b(u); a validated bracket gives
+c(V (x) G) in G (x) V, so each term of Delta(x g y) has a spanned product in
+one factor: (rho (x) rho) Delta-bar vanishes on the span, and rho maps the
+solutions over all words onto those over the free words.  `Echelon.reduce`
+gives rho on any echelon, so nothing is back-substituted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -137,6 +141,8 @@ class FilteredQuotient:
     """Span of the explicit ideal products inside T_(N + slack)."""
 
     def __init__(self, bracket: BracketTable, cutoff: int, slack: int):
+        if not bracket.validated:
+            raise BadParams("validate the bracket before building the filtration")
         space = bracket.space
         top = cutoff + slack
         space.check_budget(top)
@@ -151,7 +157,6 @@ class FilteredQuotient:
             self.offsets[k] = self.ncols
             self.ncols += space.power(k)
         self.echelon = Echelon(self.ncols, space.field)
-        self.unconstrained = []
         self.history = {n: [] for n in range(0, cutoff + 1)}
         self._build()
 
@@ -161,11 +166,7 @@ class FilteredQuotient:
         space = self.bracket.space
         d, fld = space.dim, space.field
         gens = []  # (degree t, top part, minus the bracket part over V), raw
-        for t in range(2, self.top + 1):
-            if t > self.bracket.cutoff:
-                if has_primitives(space, t):
-                    self.unconstrained.append(t)
-                continue
+        for t in range(2, min(self.top, self.bracket.cutoff) + 1):
             prims = primitive_space(space, t)
             vecs = self.bracket.entries.get(t) or [{}] * prims.dim
             for k, row in enumerate(prims.rows):
@@ -197,6 +198,13 @@ class FilteredQuotient:
 
     # -- reported data ----------------------------------------------------------
 
+    @cached_property
+    def unconstrained(self) -> list:
+        """The degrees above the bracket's cutoff, up to top, with nonzero
+        primitives, whose products the span leaves out; decided on first read."""
+        space = self.bracket.space
+        return [t for t in range(self.bracket.cutoff + 1, self.top + 1) if has_primitives(space, t)]
+
     def ideal_dim(self, n: int) -> int:
         """Dimension of (computed ideal) intersect T_(n)."""
         return self.history[n][-1]
@@ -221,6 +229,31 @@ class FilteredQuotient:
         scalars or of raw coefficients."""
         return self.echelon.reduce(mixed_vec)
 
+    def primitives(self, n: int) -> list:
+        """A basis of the primitives of T_(n) modulo the span in degrees >= 1,
+        raw, over the normal words: the free columns, each its own remainder."""
+        space, offsets = self.bracket.space, self.offsets
+        fld, pivots = space.field, set(self.echelon.pivots)
+        rho = cache(lambda col: self.reduce({col: fld.raw_one}))
+        # unknowns: the free words of degrees 1..n, the last first, so that
+        # `left_kernel` eliminates them from degree 1 up; the image of each is
+        # its inner coproduct components pushed into quotient (x) quotient
+        unknowns = [(k, w) for k in range(n, 0, -1) for w in reversed(range(space.power(k)))
+                    if offsets[k] + w not in pivots]
+        images = []
+        for k, w in unknowns:
+            img: dict = {}
+            for a in range(1, k):
+                b = k - a
+                for col, val in delta_columns(space, a, b)[w].items():
+                    u, v = divmod(col, space.power(b))
+                    rv = rho(offsets[b] + v)
+                    for c1, s1 in vec_axpy({}, val, rho(offsets[a] + u), 0, fld).items():
+                        vec_axpy(img, s1, rv, c1 * self.ncols, fld)
+            images.append(img)
+        return [{offsets[unknowns[i][0]] + unknowns[i][1]: v for i, v in sol.items()}
+                for sol in left_kernel(images, field=fld)]
+
     def vector_in_V_cap_ideal(self):
         """A nonzero element of V caught in the computed ideal, if any."""
         for row in self.span_rows_in(1):
@@ -235,8 +268,6 @@ class FilteredQuotient:
 
 def enveloping_filtration(bracket: BracketTable, cutoff: int,
                           slack: int = 2) -> FilteredQuotient:
-    if not bracket.validated:
-        raise BadParams("validate the bracket before building the filtration")
     return FilteredQuotient(bracket, cutoff, slack)
 
 
@@ -311,41 +342,10 @@ def lie_check(bracket: BracketTable, cutoff: int, slack: int = 2,
 def primitive_check(bracket: BracketTable, cutoff: int, slack: int = 2,
                     filtration: FilteredQuotient = None) -> bool:
     """Whether the primitives of the truncated quotient are exactly the image
-    of V: solves the coproduct-primitivity system inside T_(N)/(ideal)."""
+    of V: d of them, and no vector of V in the span, so that the words of V
+    are free, hence d independent primitives among them."""
     fq = filtration or enveloping_filtration(bracket, cutoff, slack)
-    space = bracket.space
-    d, fld = space.dim, space.field
-    one = fld.raw_one
-    # quotient reduction of T_(cutoff) basis vectors modulo the span, raw
-    rho_cache: dict[int, dict] = {}
-
-    def rho(k, w):
-        col = fq.offsets[k] + w
-        if col not in rho_cache:
-            rho_cache[col] = fq.reduce({col: one})
-        return rho_cache[col]
-
-    # unknowns: basis vectors of degrees 1..cutoff, the last first, so that
-    # `left_kernel` eliminates them from degree 1 up; the image of each is
-    # its inner coproduct components pushed into quotient (x) quotient
-    unknowns = [(k, w) for k in range(1, cutoff + 1) for w in range(space.power(k))][::-1]
-    images = []
-    for k, w in unknowns:
-        img: dict = {}
-        for a in range(1, k):
-            b = k - a
-            for col, val in delta_columns(space, a, b)[w].items():
-                u, v = divmod(col, space.power(b))
-                rv = rho(b, v)
-                for c1, s1 in vec_axpy({}, val, rho(a, u), 0, fld).items():
-                    vec_axpy(img, s1, rv, c1 * fq.ncols, fld)
-        images.append(img)
-    solutions = left_kernel(images, field=fld)
-    # span of the solutions in the quotient
-    img_ech, v_ech = Echelon(fq.ncols, fld), Echelon(fq.ncols, fld)
-    img_ech.add_rows(matvec({idx: rho(*unknowns[idx]) for idx in sol}, sol, fld)
-                     for sol in solutions)
-    return img_ech.rank == d and v_ech.add_rows(rho(1, j) for j in range(d)) == d
+    return len(fq.primitives(cutoff)) == bracket.space.dim and fq.vector_in_V_cap_ideal() is None
 
 
 class HeckePresentation(NamedTuple):

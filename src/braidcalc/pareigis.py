@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from functools import partial
+from functools import cache, partial
 
 from .errors import (BadParams, DegreeBudgetExceeded, InternalCheckError, NotInZetaSpace,
                      RootOrderMismatch)
@@ -102,17 +102,6 @@ def _twist(space: BraidedSpace, n: int, scales, word, vec: dict) -> dict:
     return vec_axpy({}, scales[len(word)], space.apply_word(n, word, vec), 0, space.field)
 
 
-def _combine(space: BraidedSpace, n: int, zeta, vec: dict, table, zs=None) -> dict:
-    """sum_k vec[p_k] table(...)[k] for vec = sum_k vec[p_k] r_k, r_k the
-    RREF rows of the zeta space zs (looked up unless given), all raw."""
-    zs = zeta_space(space, n, zeta, require_primitive=False) if zs is None else zs
-    coords = zs.coordinates(vec)
-    if coords is None:
-        raise NotInZetaSpace(
-            "vector is outside the degree-%d zeta-eigenspace" % n)
-    return matvec(table(space, n, zeta), coords, space.field)
-
-
 def _pi_rows(space: BraidedSpace, n: int, zeta) -> list:
     """Pi(r_k) = C_(n-1) ... C_1 r_k for each RREF row r_k of the zeta space,
     raw."""
@@ -171,13 +160,22 @@ def check_pi_su(space: BraidedSpace, n: int) -> bool:
         primitive_space(space, n)
 
 
-def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict, zs=None) -> dict:
-    """[x] = b_n(Pi(x)), a vector in V, of scalars or raw coefficients as x;
-    zs is the degree-n zeta space, looked up unless given."""
-    fld = bracket.space.field
+def induced_bracket(bracket: BracketTable, n: int, zeta, vec: dict, zs=None,
+                    table=None) -> dict:
+    """[x] = b_n(Pi(x)), a vector in V, of scalars or raw coefficients as x.
+    For x = sum_k x[p_k] r_k, r_k the RREF rows of the degree-n zeta space
+    zs, Pi(x) has the coordinates sum_k x[p_k] table()[k] over E_n; zs and
+    the table function are looked up unless given, and the table is read
+    only once x is known to lie in zs."""
+    space, fld = bracket.space, bracket.space.field
     if holds_scalars(vec, fld):
-        return boxed(induced_bracket(bracket, n, zeta, unboxed(vec, fld), zs), fld)
-    return bracket.value(n, _combine(bracket.space, n, zeta, vec, _pi_coords, zs))
+        return boxed(induced_bracket(bracket, n, zeta, unboxed(vec, fld), zs, table), fld)
+    zs = zeta_space(space, n, zeta, require_primitive=False) if zs is None else zs
+    coords = zs.coordinates(vec)
+    if coords is None:
+        raise NotInZetaSpace("vector is outside the degree-%d zeta-eigenspace" % n)
+    pi = _pi_coords(space, n, zeta) if table is None else table()
+    return bracket.value(n, matvec(pi, coords, fld))
 
 
 def mixed_zeta_space(space: BraidedSpace, n: int, zeta) -> Subspace:
@@ -226,11 +224,11 @@ def _pair_bracket(bracket: BracketTable, vec: dict) -> dict:
     return bracket.value(2, coords)
 
 
-def _apply_first_slice(space, bracket, n, zeta, vec, zs):
+def _apply_first_slice(space, bracket, n, zeta, vec, zs, table):
     """(V (x) [-]) on a vector of V^(x)(n+1): slice off the first letter."""
     def inner(sl):
         try:
-            return induced_bracket(bracket, n, zeta, sl, zs)
+            return induced_bracket(bracket, n, zeta, sl, zs, table)
         except NotInZetaSpace:
             raise NotInZetaSpace(
                 "first-factor slice left the degree-%d zeta space; "
@@ -251,16 +249,18 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
     _require_primitive_root(zeta, n)
     space.check_budget(n + 1)
     zs = zeta_space(space, n, zeta)
+    table = cache(partial(_pi_coords, space, n, zeta))  # read on first use
     fld = space.field
     one, scales = fld.raw_one, [fld.raw(zeta.inv() ** k) for k in range(n + 1)]
 
     # PL1: [s_i x] = [x] for the generators s_i = zeta^(-1) c_i, which is
     # invariance under the twisted symmetric-group action
     def pl1(row):
-        base = induced_bracket(bracket, n, zeta, row, zs)
+        base = induced_bracket(bracket, n, zeta, row, zs, table)
         for i in range(1, n):
             try:
-                value = induced_bracket(bracket, n, zeta, _twist(space, n, scales, (i,), row), zs)
+                moved = _twist(space, n, scales, (i,), row)
+                value = induced_bracket(bracket, n, zeta, moved, zs, table)
             except NotInZetaSpace:
                 raise InternalCheckError(
                     "twisted action left the zeta space (degree %d)" % n)
@@ -274,14 +274,14 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
         total: dict = {}
         for i in range(1, n + 2):
             moved = _twist(space, n + 1, scales, tuple(range(1, i)), row)
-            inner_val = _apply_first_slice(space, bracket, n, zeta, moved, zs)
+            inner_val = _apply_first_slice(space, bracket, n, zeta, moved, zs, table)
             if inner_val:
                 vec_axpy(total, one, _pair_bracket(bracket, inner_val), 0, fld)
         return not total
 
     # PL3: compatibility of the binary and n-ary brackets on the mixed space
     def pl3(row):
-        inner_val = _apply_first_slice(space, bracket, n, zeta, row, zs)
+        inner_val = _apply_first_slice(space, bracket, n, zeta, row, zs, table)
         lhs = _pair_bracket(bracket, inner_val) if inner_val else {}
         rhs: dict = {}
         for i in range(1, n + 1):
@@ -292,7 +292,7 @@ def verify_PL(bracket: BracketTable, n: int, zeta=None) -> dict:
             if not collapsed:
                 continue
             try:
-                value = induced_bracket(bracket, n, zeta, collapsed, zs)
+                value = induced_bracket(bracket, n, zeta, collapsed, zs, table)
             except NotInZetaSpace:
                 raise NotInZetaSpace(
                     "middle-bracket image left the degree-%d zeta space" % n)

@@ -42,6 +42,10 @@ all-at-once system it replaces (`all_at_once_kernel`, and the mixed zeta
 space with every twisted conjugate applied to every carrier row) is kept
 here, as is the braiding-stability check of an enveloping filtration's
 ideal span, a theorem the library does not need to test.
+
+`primitive_check_all_words` solves the primitive check of an enveloping
+filtration over every word of T_(N) and reads the solutions back through
+their remainders, where the library solves over the normal words alone.
 """
 
 import itertools
@@ -49,10 +53,10 @@ import itertools
 from functools import cache, partial
 
 from braidcalc.errors import (BadParams, DegreeBudgetExceeded,
-                              InternalCheckError, NotACoideal)
+                              InternalCheckError, NotACoideal, NotInZetaSpace)
 from braidcalc.linalg import (Echelon, Subspace, apply_slot, boxed, left_kernel, matvec,
                               stacked_kernel, unboxed, vec_axpy)
-from braidcalc.pareigis import _combine, _pi_rows, _twist, induced_bracket, zeta_space
+from braidcalc.pareigis import _pi_rows, _twist, induced_bracket, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
 from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
@@ -594,6 +598,36 @@ def filtration_braiding_stable(fq) -> bool:
     return True
 
 
+def primitive_check_all_words(fq, cutoff: int):
+    """The primitives of T_(cutoff) modulo the ideal span of a
+    FilteredQuotient, solved over every word of degrees 1..cutoff and read
+    back through the remainders: their span in T_(top), and whether it is
+    the image of V (dimension d, and V meets the span only in 0)."""
+    space = fq.bracket.space
+    one, d = space.field.one, space.dim
+
+    def rho(k, w):
+        return fq.reduce({fq.offsets[k] + w: one})
+
+    unknowns = [(k, w) for k in range(1, cutoff + 1) for w in range(space.power(k))]
+    images = []
+    for k, w in unknowns:
+        img = {}
+        for a in range(1, k):
+            b = k - a
+            for col, val in boxed_delta(space, a, b)[w].items():
+                u, v = divmod(col, space.power(b))
+                right = rho(b, v)
+                for c1, s1 in rho(a, u).items():
+                    vec_axpy(img, val * s1, right, c1 * fq.ncols)
+        images.append(img)
+    span = Subspace.from_rows(fq.ncols, (
+        matvec({i: rho(*unknowns[i]) for i in sol}, sol)
+        for sol in left_kernel(images, one=one)))
+    image_of_v = Subspace.from_rows(fq.ncols, (rho(1, j) for j in range(d)))
+    return span, span.dim == d and image_of_v.dim == d
+
+
 def all_at_once_kernel(basis, maps):
     """{x in span(basis) : f(x) = 0 for every f in maps} from one left kernel
     of every map's images stacked, keyed (map, column): the single system
@@ -634,7 +668,11 @@ def mixed_zeta_space_all_at_once(space, n, zeta):
 
 def pi_zeta(space, n: int, zeta, vec: dict) -> dict:
     """The full symmetrization sum over S_n applied to a zeta-space vector."""
-    return boxed(_combine(space, n, zeta, unboxed(vec, space.field), _pi_rows), space.field)
+    fld = space.field
+    coords = zeta_space(space, n, zeta, require_primitive=False).coordinates(unboxed(vec, fld))
+    if coords is None:
+        raise NotInZetaSpace("vector is outside the degree-%d zeta-eigenspace" % n)
+    return boxed(matvec(_pi_rows(space, n, zeta), coords, fld), fld)
 
 
 def perm_act(space, n: int, zeta, sigma, vec: dict) -> dict:

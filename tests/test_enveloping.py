@@ -4,6 +4,7 @@ import pytest
 
 from braidcalc.enveloping import (
     BracketTable,
+    FilteredQuotient,
     enveloping_filtration,
     hecke_presentation,
     lie_check,
@@ -12,14 +13,16 @@ from braidcalc.enveloping import (
     symmetric_algebra_dims,
     validate_bracket,
 )
-from braidcalc.errors import DomainMismatch, IrregularMark, NotABracket
+from braidcalc.errors import BadParams, DomainMismatch, IrregularMark, NotABracket
 from braidcalc.fixtures import preset_bracket
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
+from braidcalc.linalg import Subspace
 from braidcalc.tensorbialg import primitive_space
-from oracles import filtration_braiding_stable
+from oracles import filtration_braiding_stable, primitive_check_all_words
 
 F1 = field_make(1)
+F3 = field_make(3)
 F4 = field_make(4)
 
 
@@ -119,6 +122,77 @@ def test_unconstrained_degrees_skip_vanishing_primitives():
         [False, True, True, False, True]
     fq = enveloping_filtration(BracketTable.zero(space(), 2), 4, 2)
     assert fq.unconstrained == [3, 4, 6]
+
+
+def test_filtration_decides_unconstrained_degrees_on_first_read(monkeypatch):
+    import braidcalc.enveloping as enveloping_mod
+
+    calls = []
+    real = enveloping_mod.has_primitives
+
+    def counted(space, t):
+        calls.append(t)
+        return real(space, t)
+
+    monkeypatch.setattr(enveloping_mod, "has_primitives", counted)
+    gu, table = gurevich_with_bracket()
+    fq = enveloping_filtration(table, 4, 2)
+    pbw_check(table, 4, 2, filtration=fq)
+    primitive_check(table, 4, 2, filtration=fq)
+    assert calls == []
+    assert fq.unconstrained == [3, 4, 5, 6]
+    assert calls == [3, 4, 5, 6]
+    assert fq.unconstrained == [3, 4, 5, 6]
+    assert calls == [3, 4, 5, 6]
+
+
+def test_filtered_quotient_refuses_an_unvalidated_table():
+    # the primitive check solves on the normal words, which needs the
+    # braiding-compatibility law a validated table carries
+    fl = make_braiding("flip", {"d": 3}, F1)
+    table = BracketTable(fl, {2: [{1: F1.one}, {}, {}]})
+    for build in (lambda: FilteredQuotient(table, 3, 1),
+                  lambda: enveloping_filtration(table, 3, 1),
+                  lambda: primitive_check(table, 3, 1)):
+        with pytest.raises(BadParams, match="validate the bracket"):
+            build()
+
+
+def _zero_in_degree_2(space):
+    return validate_bracket(space, BracketTable(
+        space, {2: [{}] * primitive_space(space, 2).dim}))
+
+
+def _primitive_check_cases():
+    """(name, bracket, cutoff, slack, verdict): the Jacobi-breaking bracket
+    on the flip, zero degree-2 tables that leave primitives of degree >= 3
+    unconstrained, and the two Lie brackets, gurevich also at slack 0 with
+    no product degree built."""
+    fl = make_braiding("flip", {"d": 3}, F1)
+    one = F1.one
+    jacobi_breaking = validate_bracket(
+        fl, BracketTable(fl, {2: [{2: one}, {0: -one}, {0: one}]}))
+    return [
+        ("flip_jacobi_breaking", jacobi_breaking, 4, 2, False),
+        ("twodim_sdeg2_zero", _zero_in_degree_2(make_preset("twodim_sdeg2", F1)), 4, 1, False),
+        ("cartan_An_zero", _zero_in_degree_2(make_preset("cartan_An", F3, n=2, t=3)), 4, 1,
+         False),
+        ("gurevich", gurevich_with_bracket()[1], 4, 2, True),
+        ("sl2_flip", sl2_with_bracket()[1], 4, 2, True),
+        ("gurevich_degree_1", gurevich_with_bracket()[1], 1, 0, True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_primitive_check_solves_on_normal_words_as_on_all_words(case):
+    # the span solved over the free words equals the remainders of the span
+    # solved over every word, and the verdicts agree
+    name, table, cutoff, slack, verdict = _primitive_check_cases()[case]
+    fq = enveloping_filtration(table, cutoff, slack)
+    span, oracle_verdict = primitive_check_all_words(fq, cutoff)
+    solved = Subspace.from_rows(fq.ncols, fq.primitives(cutoff), table.space.field)
+    assert solved == span, name
+    assert primitive_check(table, cutoff, slack, filtration=fq) is oracle_verdict is verdict, name
 
 
 def test_classical_sl2_pbw():

@@ -377,6 +377,28 @@ def test_verify_pl_reduces_each_bracketed_vector_once(monkeypatch):
     assert len(reductions) == len(brackets) == 224
 
 
+def test_verify_pl_reads_the_pi_table_once(monkeypatch):
+    # the table of Pi on the zeta space is fetched on the first bracketed
+    # vector and handed down; with no vector to bracket it is never read
+    import braidcalc.pareigis as pareigis
+
+    calls = []
+    real = pareigis._pi_coords
+
+    def counted(space, n, zeta):
+        calls.append(n)
+        return real(space, n, zeta)
+
+    monkeypatch.setattr(pareigis, "_pi_coords", counted)
+    reads = []
+    for space, n, zeta, bracket in PI_CASES:
+        calls.clear()
+        assert verify_PL(bracket, n, zeta) == {"pl1": True, "pl2": True, "pl3": True}
+        reads.append(len(calls))
+        assert calls == ([n] if zeta_space(space, n, zeta).dim else []), (space.kind, n)
+    assert 0 in reads and 1 in reads
+
+
 # ---------------------------------------------------------------------------
 # the mixed zeta space, condition by condition, against all conditions at once
 # ---------------------------------------------------------------------------
