@@ -37,7 +37,7 @@ from .errors import BadParams, DomainMismatch, InternalCheckError, IrregularMark
 from .linalg import (Echelon, Subspace, apply_slot, boxed, holds_scalars, left_kernel, matvec,
                      unboxed, vec_axpy)
 from .spaces import BraidedSpace
-from .tensorbialg import delta_columns, has_primitives, primitive_space
+from .tensorbialg import component_columns, has_primitives, primitive_space
 from .tower import tower_iterates
 
 
@@ -53,9 +53,7 @@ class BracketTable:
 
     def __init__(self, space: BraidedSpace, entries: dict, validated=False):
         self.space = space
-        self.entries = {
-            n: [dict(v) for v in vecs] for n, vecs in sorted(entries.items())
-        }
+        self.entries = {n: [dict(v) for v in vecs] for n, vecs in sorted(entries.items())}
         for n in self.entries:
             if n < 2:
                 raise BadParams("brackets are defined on degrees >= 2")
@@ -96,10 +94,8 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
     for n, vecs in table.entries.items():
         prims = primitive_space(space, n)
         if len(vecs) != prims.dim:
-            raise DomainMismatch(
-                "degree %d table has %d columns, primitive space has dimension %d"
-                % (n, len(vecs), prims.dim)
-            )
+            raise DomainMismatch("degree %d table has %d columns, primitive space has "
+                                 "dimension %d" % (n, len(vecs), prims.dim))
         entries[n] = vecs
         if prims.dim == 0:
             continue
@@ -108,9 +104,8 @@ def validate_bracket(space: BraidedSpace, table: BracketTable) -> BracketTable:
         def bracket_of(where, sl):
             coords = prims.coordinates(sl)
             if coords is None:
-                raise InternalCheckError(
-                    "block braiding left the primitive space (degree %d%s)"
-                    % (n, where))
+                raise InternalCheckError("block braiding left the primitive space "
+                                         "(degree %d%s)" % (n, where))
             return table.value(n, coords)
 
         for k, row in enumerate(prims.rows):
@@ -206,8 +201,9 @@ class FilteredQuotient:
         return [t for t in range(self.bracket.cutoff + 1, self.top + 1) if has_primitives(space, t)]
 
     def ideal_dim(self, n: int) -> int:
-        """Dimension of (computed ideal) intersect T_(n)."""
-        return self.history[n][-1]
+        """Dimension of (computed ideal) intersect T_(n): its pivots from offsets[n] on."""
+        pivots = self.echelon.pivots
+        return len(pivots) - bisect_left(pivots, self.offsets[n])
 
     @property
     def dims_U(self):
@@ -245,7 +241,7 @@ class FilteredQuotient:
             img: dict = {}
             for a in range(1, k):
                 b = k - a
-                for col, val in delta_columns(space, a, b)[w].items():
+                for col, val in component_columns(space, a, b, (w,))[0].items():
                     u, v = divmod(col, space.power(b))
                     rv = rho(offsets[b] + v)
                     for c1, s1 in vec_axpy({}, val, rho(offsets[a] + u), 0, fld).items():
@@ -256,7 +252,7 @@ class FilteredQuotient:
 
     def vector_in_V_cap_ideal(self):
         """A nonzero element of V caught in the computed ideal, if any."""
-        for row in self.span_rows_in(1):
+        for row in self.span_rows_in(1) if self.top else ():  # T_(0) holds no V
             off = self.offsets[1]
             vec = {c - off: v for c, v in row.items() if c >= off}
             if any(c < off for c in row):
@@ -323,11 +319,9 @@ def pbw_check(bracket: BracketTable, cutoff: int, slack: int = 2,
        all(stab[n] for n in range(2, cutoff + 1)):
         return PbwVerdict("pbw_consistent", cutoff, slack, gr_dims, s_dims,
                           theta_bound_ok=theta_ok)
-    return PbwVerdict(
-        "inconclusive_at_cutoff", cutoff, slack, gr_dims, s_dims,
-        theta_bound_ok=theta_ok,
-        detail="ideal spans not stabilised or above the symmetric bound; "
-               "raise the slack or the cutoff")
+    return PbwVerdict("inconclusive_at_cutoff", cutoff, slack, gr_dims, s_dims,
+                      theta_bound_ok=theta_ok, detail="ideal spans not stabilised or above "
+                      "the symmetric bound; raise the slack or the cutoff")
 
 
 def lie_check(bracket: BracketTable, cutoff: int, slack: int = 2,
@@ -366,8 +360,7 @@ def hecke_presentation(bracket: BracketTable):
         raise IrregularMark("Hecke mark %s is not regular" % (info["mark"],))
     for n, vecs in bracket.entries.items():
         if n > 2 and any(v for v in vecs):
-            raise DomainMismatch(
-                "Hecke presentations need a bracket supported in degree 2")
+            raise DomainMismatch("Hecke presentations need a bracket supported in degree 2")
     q = info["mark"]
     d = space.dim
     one = space.field.one
@@ -381,8 +374,7 @@ def hecke_presentation(bracket: BracketTable):
         image_rows.append(img)
     image = Subspace.from_rows(size, (r for r in image_rows if r))
     if not (image == prims):
-        raise InternalCheckError(
-            "image of (c - q Id) differs from the degree-2 primitives")
+        raise InternalCheckError("image of (c - q Id) differs from the degree-2 primitives")
     relations = []
     for rel_top in image_rows:
         b_val = bracket.value(2, prims.coordinates(rel_top))

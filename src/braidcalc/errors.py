@@ -49,9 +49,7 @@ class DegreeBudgetExceeded(WorkbenchError):
     def __init__(self, requested, budget):
         self.requested = requested
         self.budget = budget
-        super().__init__(
-            "degree %d exceeds the configured budget %d" % (requested, budget)
-        )
+        super().__init__("degree %d exceeds the configured budget %d" % (requested, budget))
 
 
 class NotACoideal(WorkbenchError):
@@ -67,10 +65,8 @@ class NotABracket(WorkbenchError):
     def __init__(self, degree, witness, message=""):
         self.degree = degree
         self.witness = witness
-        super().__init__(
-            "bracket compatibility fails in degree %d%s"
-            % (degree, (": " + message) if message else "")
-        )
+        super().__init__("bracket compatibility fails in degree %d%s"
+                         % (degree, (": " + message) if message else ""))
 
 
 class DomainMismatch(WorkbenchError):

@@ -49,10 +49,8 @@ FACTORIAL_CAP = 6
 def _require_primitive_root(zeta, n):
     order = root_order(zeta)
     if order != n:
-        raise RootOrderMismatch(
-            "zeta has multiplicative order %s, needed a primitive %d-th root"
-            % (order, n)
-        )
+        raise RootOrderMismatch("zeta has multiplicative order %s, needed a primitive "
+                                "%d-th root" % (order, n))
 
 
 def _eigen_fixpoint(space: BraidedSpace, degree: int, zeta) -> Subspace:

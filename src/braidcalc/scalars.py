@@ -205,9 +205,8 @@ class CycloField:
         if n == 2:
             return self.from_rational(-QONE)
         if self.order % n:
-            raise RootOrderMismatch(
-                "no primitive %d-th root of unity in Q(zeta_%d)" % (n, self.order)
-            )
+            raise RootOrderMismatch("no primitive %d-th root of unity in Q(zeta_%d)"
+                                    % (n, self.order))
         if gcd(power, n) != 1:
             raise BadParams("power %d is not coprime to %d" % (power, n))
         return self.gen ** ((self.order // n) * power)
@@ -265,10 +264,8 @@ class CycloScalar:
     def _coerce(self, other):
         if isinstance(other, CycloScalar):
             if other.field.order != self.field.order:
-                raise FieldMismatch(
-                    "operands live in Q(zeta_%d) and Q(zeta_%d)"
-                    % (self.field.order, other.field.order)
-                )
+                raise FieldMismatch("operands live in Q(zeta_%d) and Q(zeta_%d)"
+                                    % (self.field.order, other.field.order))
             return other
         if isinstance(other, _RATIONAL):
             return self.field.from_rational(other)

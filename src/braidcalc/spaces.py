@@ -35,9 +35,7 @@ class BraidWord:
         letters = tuple(letters)
         for ell in letters:
             if ell == 0 or abs(ell) > strand_count - 1:
-                raise BadParams(
-                    "letter %d out of range for %d strands" % (ell, strand_count)
-                )
+                raise BadParams("letter %d out of range for %d strands" % (ell, strand_count))
         self.strand_count = strand_count
         self.letters = letters
 
@@ -251,9 +249,7 @@ class BraidedSpace:
         return {"mark": q, "regular": is_regular_exact(q)}
 
     def __repr__(self):
-        return "BraidedSpace(kind=%s, d=%d, m=%d)" % (
-            self.kind, self.dim, self.field.order,
-        )
+        return "BraidedSpace(kind=%s, d=%d, m=%d)" % (self.kind, self.dim, self.field.order)
 
 
 # -- constructors and presets -------------------------------------------------

@@ -21,21 +21,25 @@ echelon of the D-images, each tagged with its product, gives r_(n+1) =
 dim B^(n+1) from its pivots, picks N_(n+1), and leaves each other product
 as its coordinates in N_(n+1): the tables R of the next degree.
 
-Primitive spaces are the intersections of the kernels of all inner coproduct
-components, solved one at a time and cheapest first (component a costs
-dims[a] * dims[n-a] constraint rows), each on the kernel the ones before it
-leave.  `primitive_kernel`, behind every primitive space here and in the
-tower, reads the route off the braiding: exact on a monomial one over a
-field of degree < 3, where it beats the modular detour; else mod p.
+Primitives P(A)_n, of T(V) and of the tower's quotients A, follow one rule,
+`primitive_rows`: components (n-1, 1), ..., (1, n-1) in turn, each on the
+kernel the ones before leave.  By coassociativity, (Id (x) Delta^(b',b-b'))
+Delta^(a,b) = (Delta^(a,b') (x) Id) Delta^(a+b',b-b'), so on x that each
+(a', n-a'), a' > a, kills, Delta^(a,b)(x) lies in A_a (x) P(A)_b, zero iff
+zero at the pivots of P(A)_b's RREF: (a, b), b >= 2, reads the rows whose
+right factor is one, none if P(A)_b = 0.  `primitive_kernel` picks the
+route: exact on a monomial braiding over a field of degree < 3, else mod p.
 `has_primitives` decides E_n != 0 on blocks of words read off the pair table
 alone: rewriting one adjacent pair (i, j) into a pair in the support of
 c(x_i (x) x_j) stays in the block.  Each component is a sum of braid lifts,
 so it maps a block's words into the block, and E_n is the direct sum of the
 block kernels.  The blocks are solved smallest first up to the first
-nonzero kernel, and only their words get columns, from the degree n-1 lists.
+nonzero kernel, and only their words get columns (`component_columns`).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import BadParams, InternalCheckError
 from .linalg import Echelon, Subspace, boxed, certified_kernel, matvec, stacked_kernel, vec_axpy
@@ -57,19 +61,21 @@ def delta_columns(space: BraidedSpace, a: int, b: int):
     return cols
 
 
-def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict]:
+def _delta_block(space: BraidedSpace, a: int, b: int, words, block, keep=None) -> list[dict]:
     """Columns of Delta^(a,b), a, b > 0, for the given degree-n words: column
     w'x is column w' of Delta^(a,b-1) with x appended, plus column w' of
-    Delta^(a-1,b) with x braided past its right factor by block[r] = c^(b,1) e_r."""
-    d, fld = space.dim, space.field
-    dim_b = space.power(b)
-    dim_b1 = dim_b * d
+    Delta^(a-1,b) with x braided past its right factor by block[r] = c^(b,1) e_r;
+    with keep, only the rows whose right factor lies in keep."""
+    d, fld, dim_b, dim_b1 = space.dim, space.field, space.power(b), space.power(b + 1)
     appended = delta_columns(space, a, b - 1)
     braided = delta_columns(space, a - 1, b)
+    if keep is not None:
+        block = [{k: s for k, s in col.items() if k % dim_b in keep} for col in block]
     cols = []
     for w in words:
         prefix, x = divmod(w, d)
-        acc = {t * d + x: s for t, s in appended[prefix].items()}
+        acc = {t * d + x: s for t, s in appended[prefix].items()
+               if keep is None or (t * d + x) % dim_b in keep}
         for t, s in braided[prefix].items():
             u, v = divmod(t, dim_b)
             vec_axpy(acc, s, block[v * d + x], u * dim_b1, fld)
@@ -77,10 +83,15 @@ def _delta_block(space: BraidedSpace, a: int, b: int, words, block) -> list[dict
     return cols
 
 
-def cheapest_first(parts, dims, n: int) -> list:
-    """The parts by the dims[a] * dims[n-a] constraint rows of component a,
-    dims[k] the dimension of the degree-k target, fewest first."""
-    return sorted(parts, key=lambda a: dims[a] * dims[n - a])
+def component_columns(space: BraidedSpace, a: int, b: int, words) -> list[dict]:
+    """Columns of Delta^(a,b), a, b > 0, for the given degree-(a+b) words:
+    the memoized ones when the component is built, else these words' own."""
+    cols = space._memo.get(("delta", a, b))
+    if cols is not None:
+        return [cols[w] for w in words]
+    block = ({w: space.braiding_block_apply(a + b - 1, 1, {w: space.field.raw_one})
+              for w in words} if a == 1 else space.braiding_block_matrix(b))
+    return _delta_block(space, a, b, words, block)
 
 
 def primitive_kernel(space: BraidedSpace, maps, count: int) -> list[dict]:
@@ -92,6 +103,14 @@ def primitive_kernel(space: BraidedSpace, maps, count: int) -> list[dict]:
     return certified_kernel(maps, count, space.field)
 
 
+def primitive_rows(space: BraidedSpace, n: int, count: int, columns, pivots) -> list[dict]:
+    """RREF rows, raw, of P(A)_n over count unknowns: columns(a, b, keep)
+    gives the (a, b) component, keyed i * dim A_b + j, at the j in keep (all
+    for None), and pivots(b) the pivots of P(A)_b's RREF."""
+    return primitive_kernel(space, chain([columns(n - 1, 1, None)], (
+        columns(n - b, b, keep) for b in range(2, n) if (keep := set(pivots(b))))), count)
+
+
 def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     """Degree-n primitives: the intersection of ker Delta^(a, n-a), a = 1..n-1."""
     space.check_budget(n)
@@ -101,9 +120,10 @@ def primitive_space(space: BraidedSpace, n: int) -> Subspace:
     key = ("primitives", n)
     cached = space._memo.get(key)
     if cached is None:
-        dims = [space.power(k) for k in range(n + 1)]
-        rows = primitive_kernel(space, (delta_columns(space, a, n - a) for a in
-                                        cheapest_first(range(1, n), dims, n)), size)
+        def columns(a, b, keep):  # memoized whole; built for this degree alone when cut
+            return delta_columns(space, a, b) if keep is None else _delta_block(
+                space, a, b, range(size), space.braiding_block_matrix(b), keep)
+        rows = primitive_rows(space, n, size, columns, lambda b: primitive_space(space, b).pivots)
         cached = space._memo[key] = Subspace(size, [boxed(r, space.field) for r in rows])
     return cached
 
@@ -117,15 +137,8 @@ def has_primitives(space: BraidedSpace, n: int) -> bool:
         return False
     if ("primitives", n) in space._memo:
         return space._memo["primitives", n].dim > 0
-    one = space.field.raw_one
-    order = cheapest_first(range(1, n), [space.power(k) for k in range(n + 1)], n)
-
-    def component(words, a):
-        block = ({w: space.braiding_block_apply(n - 1, 1, {w: one}) for w in words}
-                 if a == 1 else space.braiding_block_matrix(n - a))
-        return _delta_block(space, a, n - a, words, block)
-
-    return any(primitive_kernel(space, (component(words, a) for a in order), len(words))
+    return any(primitive_kernel(space, (component_columns(space, a, n - a, words)
+                                        for a in range(1, n)), len(words))
                for words in _pair_blocks(space, n))
 
 
@@ -227,8 +240,7 @@ def nichols_dims(space: BraidedSpace, upto: int):
         if not dims[-1]:
             series = dims[:-1]
             if series != series[::-1] and _rigid(space):
-                raise InternalCheckError(
-                    "the Hilbert series %r of a finite-dimensional Nichols "
-                    "algebra is not palindromic" % series)
+                raise InternalCheckError("the Hilbert series %r of a finite-dimensional "
+                                         "Nichols algebra is not palindromic" % series)
             return dims + [0] * (upto - n)
     return dims

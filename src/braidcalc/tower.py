@@ -17,12 +17,12 @@ adds no rank in its own degree lies in the ideal of the others.
 
 The symmetric-algebra step adjoins the quotient's primitives of degree >= 2:
 the kernel of (pi_a (x) pi_b) Delta^(a,n-a), 0 < a < n, on span N_n, well
-defined because J is a braided coideal, solved by `primitive_kernel` on the
-projected columns of the normal words.  Only the first step, on T(V), works
-in d^n coordinates.  Up to the first degree with primitives one component
-suffices: below it A_k = B^k (A_1 = V, then induction), so the primitives
-are ker(A_n -> B^n), the kernel of (pi_(n-1) (x) Id) Delta^(n-1,1), which is
-injective on B^n (Andruskiewitsch-Schneider 2002).  The new ideal
+defined because J is a braided coideal, by the rule of
+`tensorbialg.primitive_rows`, which holds in the braided bialgebra A by the
+same coassociativity: (a, b), b >= 2, reads the rows whose right factor is a
+pivot of A's own P(A)_b, in N_b index order (normal words ascend, so that is
+word order).  Below the first degree with primitives (n-1, 1) alone is left,
+injective on B^n there (Andruskiewitsch-Schneider 2002).  The new ideal
 J' = J + (P) is checked on the new generators g alone:
 (pi'_a (x) pi'_b) Delta(g) = 0, and (pi'_t (x) Id) c(x (x) g) = 0 and its
 mirror for each letter x; J was checked when it was built, and Delta and c
@@ -48,15 +48,14 @@ from .errors import BadParams, DegreeBudgetExceeded, InternalCheckError, NotACoi
 from .linalg import (Echelon, Subspace, boxed, holds_scalars, left_kernel, matvec, unboxed,
                      vec_axpy)
 from .spaces import BraidedSpace
-from .tensorbialg import (cheapest_first, delta_columns, nichols_dims, primitive_kernel,
-                          primitive_space)
+from .tensorbialg import component_columns, nichols_dims, primitive_rows, primitive_space
 
 
 class IdealTower:
     """The graded quotient bialgebra T(V,c)/J in degrees 0..cutoff."""
 
     __slots__ = ("space", "cutoff", "levels", "generators", "added", "_pi",
-                 "_components")
+                 "_components", "_pivots")
 
     def __init__(self, space: BraidedSpace, cutoff: int):
         self.space = space
@@ -68,6 +67,7 @@ class IdealTower:
         self.added = {}  # {degree: dimension adjoined by the step that built it}
         self._pi = [{} for _ in range(cutoff + 1)]  # {word: pi_n(word)}
         self._components = None
+        self._pivots = {}  # {degree: pivots of the quotient primitives' RREF}
 
     @classmethod
     def tensor_algebra(cls, space: BraidedSpace, cutoff: int) -> "IdealTower":
@@ -121,11 +121,8 @@ class IdealTower:
             [self._pi_word(n, w) for w in range(size)], field=fld)])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IdealTower)
-            and self.cutoff == other.cutoff
-            and self.levels == other.levels
-        )
+        return isinstance(other, IdealTower) and \
+            (self.cutoff, self.levels) == (other.cutoff, other.levels)
 
     def __repr__(self):
         return "IdealTower(cutoff=%d, dims=%r)" % (self.cutoff, self.dims)
@@ -138,15 +135,20 @@ class SdegVerdict(NamedTuple):
     certificate: str
 
 
-def _project(tower: IdealTower, vec: dict, a: int, b: int) -> dict:
-    """(pi_a (x) pi_b) of a raw degree-(a+b) vector, keyed i * dim A_b + j."""
+def _project(tower: IdealTower, vec: dict, a: int, b: int, keep=None) -> dict:
+    """(pi_a (x) pi_b) of a raw degree-(a+b) vector, keyed i * dim A_b + j,
+    at the j in keep if given; a right factor of level None (T(V)) is copied."""
     dim_b, width, fld = tower.space.power(b), tower.dim(b), tower.space.field
     right: dict[int, dict] = {}
     for t, s in vec.items():
         u, v = divmod(t, dim_b)
-        vec_axpy(right.setdefault(u, {}), s, tower._pi_word(b, v), 0, fld)
+        if tower.levels[b] is None:
+            right.setdefault(u, {})[v] = s
+        else:
+            vec_axpy(right.setdefault(u, {}), s, tower._pi_word(b, v), 0, fld)
     out: dict = {}
     for u, tail in right.items():
+        tail = tail if keep is None else {j: s for j, s in tail.items() if j in keep}
         for i, s in tower._pi_word(a, u).items():
             vec_axpy(out, s, tail, i * width, fld)
     return out
@@ -191,11 +193,13 @@ def _close_components(tower: IdealTower, generators, upto: int) -> None:
 
 
 def _verify_coideal(tower: IdealTower, new) -> None:
-    """(pi_a (x) pi_b) Delta^(a, n-a)(g) = 0 for every new generator g."""
+    """(pi_a (x) pi_b) Delta^(a, n-a)(g) = 0 for every new generator g, on
+    the columns of the generators' words alone unless memoized."""
     fld = tower.space.field
     for n, rows in new.items():
+        support = sorted(set().union(*rows))
         for a in range(1, n):
-            cols = delta_columns(tower.space, a, n - a)
+            cols = dict(zip(support, component_columns(tower.space, a, n - a, support)))
             for row in rows:
                 if _project(tower, matvec(cols, row, fld), a, n - a):
                     raise NotACoideal(n, boxed(row, fld))
@@ -247,18 +251,27 @@ def ideal_closure(space: BraidedSpace, generators, cutoff: int,
 
 # -- quotient primitives and the symmetric-algebra step -----------------------
 
-def _lifted_primitives(tower: IdealTower, n: int, below_first: bool = False) -> list[dict]:
-    """Degree-n primitives of the quotient lifted to the normal words N_n, raw;
-    below_first (no degree 2..n-1 has any): from the component (n-1, 1) alone."""
+def _lifted_primitives(tower: IdealTower, n: int) -> list[dict]:
+    """The quotient's degree-n primitives lifted to N_n, raw; pivots memoized."""
     space = tower.space
     if tower.levels[n] is None:
         # T(V) up to degree n: the plain primitives
         return [unboxed(row, space.field) for row in primitive_space(space, n).rows]
     words = tower.levels[n][0]
-    parts = [n - 1] if below_first else cheapest_first(range(1, n), tower.dims, n)
-    rows = primitive_kernel(space, ([_project(tower, delta_columns(space, a, n - a)[w], a, n - a)
-                                     for w in words] for a in parts), len(words))
+    rows = primitive_rows(space, n, len(words), lambda a, b, keep: [
+        _project(tower, col, a, b, keep) for col in component_columns(space, a, b, words)],
+        lambda b: _primitive_pivots(tower, b))
+    tower._pivots[n] = tuple(map(min, rows))
     return [{words[i]: s for i, s in row.items()} for row in rows]
+
+
+def _primitive_pivots(tower: IdealTower, b: int) -> tuple:
+    """The pivots of the quotient's degree-b primitives' RREF, memoized."""
+    if tower.levels[b] is None:
+        return primitive_space(tower.space, b).pivots
+    if b not in tower._pivots:
+        _lifted_primitives(tower, b)
+    return tower._pivots[b]
 
 
 def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTower:
@@ -268,12 +281,11 @@ def symmetric_step(tower: IdealTower, _assert_no_new_below: int = 0) -> IdealTow
     """
     new_gens = {}
     for n in range(2, tower.cutoff + 1):
-        prims = _lifted_primitives(tower, n, below_first=not new_gens)
+        prims = _lifted_primitives(tower, n)
         if prims and n <= _assert_no_new_below:
-            raise InternalCheckError(
-                "iterate %d of the tower has primitives in degree %d, "
-                "violating the step-count guarantee" % (_assert_no_new_below - 1, n)
-            )
+            raise InternalCheckError("iterate %d of the tower has primitives in degree %d, "
+                                     "violating the step-count guarantee"
+                                     % (_assert_no_new_below - 1, n))
         if prims:
             new_gens[n] = prims
     if not new_gens:
@@ -324,19 +336,16 @@ def sdeg(space: BraidedSpace, cutoff: int) -> SdegVerdict:
             raise InternalCheckError("scalar regular braiding must be a fixpoint")
     elif hecke and hecke["regular"]:
         if value > 1:
-            raise InternalCheckError(
-                "Hecke braiding with regular mark exceeded strongness degree 1"
-            )
+            raise InternalCheckError("Hecke braiding with regular mark exceeded "
+                                     "strongness degree 1")
         certificate = "Hecke braiding with regular mark: degree at most one, attained"
     else:
         final_dims = iterates[-1].dims
         vanish = next((n for n in range(2, cutoff + 1) if final_dims[n] == 0), None)
         if vanish is not None:
-            certificate = (
-                "graded component %d of the final iterate vanishes; the quotient "
-                "is strongly graded as an algebra, so all higher degrees vanish "
-                "and the cutoff is exhaustive" % vanish
-            )
+            certificate = ("graded component %d of the final iterate vanishes; the quotient "
+                           "is strongly graded as an algebra, so all higher degrees vanish "
+                           "and the cutoff is exhaustive" % vanish)
     status = "certified" if certificate else "lower_bound_at_cutoff"
     return SdegVerdict(value, status, trace, certificate)
 

@@ -58,7 +58,7 @@ from braidcalc.linalg import (Echelon, Subspace, apply_slot, boxed, left_kernel,
                               stacked_kernel, unboxed, vec_axpy)
 from braidcalc.pareigis import _pi_rows, _twist, induced_bracket, zeta_space
 from braidcalc.spaces import matsumoto_lift, word_index, word_letters
-from braidcalc.tensorbialg import cheapest_first, delta_columns, primitive_space
+from braidcalc.tensorbialg import delta_columns, primitive_space
 from braidcalc.tower import _lifted_primitives
 
 
@@ -79,7 +79,8 @@ def coproduct_kernel(space, n: int, parts, dims, reduce=None, basis=None):
 
     return stacked_kernel(space.power(n) if basis is None else basis,
                           (partial(component, a, boxed_delta(space, a, n - a))
-                           for a in cheapest_first(parts, dims, n)), space.field.one)
+                           for a in sorted(parts, key=lambda a: dims[a] * dims[n - a])),
+                          space.field.one)
 
 
 def perm_length(sigma) -> int:

@@ -233,6 +233,21 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cutoffs_below_two_report_verdicts(tmp_path, capsys):
+    # cutoff + slack < 2 once ended in a traceback; every pair the parser
+    # accepts gives a verdict
+    jobfile = tmp_path / "job.txt"
+    jobfile.write_text("[field]\nm = 1\n[space]\nkind = preset\nname = twodim_sdeg2\n"
+                       "[bracket]\ndegree = 2\nvalues = [[0, 0], [0, 0]]\n"
+                       "[tasks]\npbw = 1, 0\nlie_check = 0, 0\n")
+    assert main(["--input", str(jobfile), "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    pbw, lie = json.loads(captured.out)["tasks"]
+    assert (pbw["result"]["status"], pbw["result"]["gr_dims"]) == ("pbw_consistent", [1, 2])
+    assert lie["result"]["status"] == "is_lie_up_to"
+
+
 def test_main_task_filter_and_output(tmp_path, capsys):
     jobfile = tmp_path / "job.txt"
     jobfile.write_text(TWODIM_JOB)

@@ -226,6 +226,23 @@ def test_filtration_stabilization_flags():
     assert not any(fq0.stabilized[n] for n in range(2, 5))
 
 
+@pytest.mark.parametrize("cutoff, slack", [(c, s) for c in range(4) for s in range(3)])
+def test_every_small_cutoff_and_slack_gives_a_verdict(cutoff, slack):
+    # below top 2 the filtration records no history, and T_(0) has no
+    # degree-1 block; the ideal dimensions are counted off the pivots
+    for space, table in (gurevich_with_bracket(), sl2_with_bracket()):
+        fq = enveloping_filtration(table, cutoff, slack)
+        assert [fq.ideal_dim(n) for n in range(cutoff + 1)] == \
+            [hist[-1] if hist else 0 for hist in fq.history.values()]
+        pbw = pbw_check(table, cutoff, slack, filtration=fq)
+        assert pbw.gr_dims == [1, 3, 6, 10][:cutoff + 1] == pbw.s_dims[:cutoff + 1]
+        assert pbw.status == ("inconclusive_at_cutoff" if slack == 0 and cutoff >= 2
+                              else "pbw_consistent")
+        assert lie_check(table, cutoff, slack, filtration=fq).status == "is_lie_up_to"
+        # T_(0) holds no vector of V, so none of its primitives is one
+        assert primitive_check(table, cutoff, slack, filtration=fq) == (cutoff > 0)
+
+
 def test_braiding_stability_of_the_ideal_spans():
     for space, table in (gurevich_with_bracket(), sl2_with_bracket()):
         fq = enveloping_filtration(table, 3, 1)

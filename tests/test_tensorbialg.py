@@ -756,12 +756,15 @@ def test_certificate_rejects_a_corrupted_lift(monkeypatch):
             return 3 * value
         return value
 
+    # E_2, which the degree-3 solve reads for its pivots, before the spies
+    fresh = make_preset("gurevich", F1)
+    primitive_space(fresh, 2)
     verdicts, annihilated = [], linalg._annihilated
     monkeypatch.setattr(linalg, "rational_lift", corrupt_once)
     monkeypatch.setattr(linalg, "_annihilated",
                         lambda *args: verdicts.append(annihilated(*args)) or verdicts[-1])
     seen = route_spy(monkeypatch)
-    assert primitive_space(make_preset("gurevich", F1), n) == common_kernel(space, n)
+    assert primitive_space(fresh, n) == common_kernel(space, n)
     assert corrupted and verdicts == [False, True] and "exact" not in seen
 
 

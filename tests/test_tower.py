@@ -6,19 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 
 from braidcalc.errors import BadParams, InternalCheckError, NotACoideal
-from braidcalc import linalg, tower as tower_mod
+from braidcalc import linalg, tensorbialg, tower as tower_mod
 from braidcalc.linalg import Subspace, boxed, unboxed
 from braidcalc.scalars import field_make
 from braidcalc.spaces import make_braiding, make_preset, word_index
 from braidcalc.tensorbialg import (
+    component_columns,
     has_primitives,
     nichols_dims,
+    primitive_kernel,
     primitive_space,
 )
 from braidcalc.tower import (
     IdealTower,
     _close_components,
     _lifted_primitives,
+    _project,
     ideal_closure,
     is_quadratic,
     nichols_via_tower,
@@ -406,8 +409,8 @@ def test_light_check_catches_a_non_primitive_word(monkeypatch):
 
     real = tower_mod._lifted_primitives
 
-    def mutated(tower, n, below_first=False):
-        prims = real(tower, n, below_first)
+    def mutated(tower, n):
+        prims = real(tower, n)
         if prims and tower.generators:
             # add to the first primitive a normal word it lacks
             extra = next(w for w in tower.levels[n][0] if w not in prims[0])
@@ -424,15 +427,15 @@ def test_light_check_catches_a_non_primitive_word(monkeypatch):
 
 
 def test_a_primitive_at_or_below_the_step_count_bound_trips_the_check(monkeypatch):
-    # iterate k has no primitives in degree <= k + 1; an extra row from the
-    # one-component route in such a degree must stop the step
+    # iterate k has no primitives in degree <= k + 1, where the step reads
+    # (n - 1, 1) alone; an extra row in such a degree must stop the step
     real = tower_mod._lifted_primitives
     for space, cutoff in _mutation_cases():
         tripped = []
         for k, tower in enumerate(tower_iterates(space, cutoff)[1:], 1):
-            def mutated(tower, n, below_first=False):
-                prims = real(tower, n, below_first)
-                if below_first and n <= k + 1 and tower.levels[n] is not None:
+            def mutated(tower, n):
+                prims = real(tower, n)
+                if n <= k + 1 and tower.levels[n] is not None:
                     prims = prims + [{tower.levels[n][0][0]: tower.space.field.raw_one}]
                 return prims
 
@@ -558,7 +561,7 @@ def assert_the_route_changes_no_rows(space, cutoff):
     for n in range(2, cutoff + 1) if len(iterates) > 1 else ():
         rows = _lifted_primitives(iterates[1], n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tower_mod, "primitive_kernel", lambda space, maps, count:
+            mp.setattr(tensorbialg, "primitive_kernel", lambda space, maps, count:
                        linalg.certified_kernel(maps, count, space.field))
             assert _lifted_primitives(iterates[1], n) == rows, n
 
@@ -596,36 +599,64 @@ def test_the_route_rule_reads_the_braiding(monkeypatch, build, exact):
     assert seen and (set(seen) == {"exact"} if exact else "exact" not in seen)
 
 
-def assert_the_step_rows_match_the_oracle(space, cutoff):
-    """Every degree of every iterate: the step's rows are the all-components
-    oracle's, and it solves the one component (n - 1, 1) exactly up to the
-    first degree with primitives."""
-    real, delta = tower_mod._lifted_primitives, tower_mod.delta_columns
-    parts, seen = set(), []
+def spy_on_the_rule(mp, module):
+    """Patch module's `primitive_rows` to log, for each call, its degree n,
+    the b of each component (n - b, b) it reads, in order, and its rows."""
+    real, seen = tensorbialg.primitive_rows, []
 
-    def spied_delta(space, a, b):
-        parts.add(a)
-        return delta(space, a, b)
-
-    def spied(tower, n, below_first=False):
-        parts.clear()
-        rows = real(tower, n, below_first)
-        seen.append((tower, n, below_first, set(parts), rows))
+    def spied(space, n, count, columns, pivots):
+        read = []
+        rows = real(space, n, count,
+                    lambda a, b, keep: read.append(b) or columns(a, b, keep), pivots)
+        seen.append((n, read, rows))
         return rows
 
+    mp.setattr(module, "primitive_rows", spied)
+    return seen
+
+
+def assert_the_rule_reads(n, read, rows, nonzero):
+    """The components read are (n - 1, 1), then (n - b, b) for each b in
+    2..n-1 with P_b != 0 (nonzero(b)), up to the first that leaves no kernel."""
+    expected = [1] + [b for b in range(2, n) if nonzero(b)]
+    assert read == expected[:len(read)] and (read == expected or not rows), (n, read, expected)
+
+
+def assert_the_step_rows_match_the_oracle(space, cutoff):
+    """On T(V) and in every degree of every iterate: the rows are the
+    all-components oracle's, and the components read follow the rule."""
+    space._memo.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_on_the_rule(mp, tensorbialg)
+        for n in range(2, cutoff + 1):
+            primitive_space(space, n)
+    assert [n for n, *_ in seen] == list(range(2, cutoff + 1))
+    tensor = IdealTower.tensor_algebra(space, cutoff)
+    for n, read, rows in seen:
+        assert_the_rule_reads(n, read, rows, lambda b: primitive_space(space, b).dim)
+        assert [boxed(r, space.field) for r in rows] == quotient_primitive_rows(tensor, n), n
+
+    real, steps = tower_mod._lifted_primitives, []
     iterates = tower_iterates(space, cutoff)
     with pytest.MonkeyPatch.context() as mp:
+        seen = spy_on_the_rule(mp, tower_mod)
+
+        def spied(tower, n):
+            start = len(seen)
+            rows = real(tower, n)
+            steps.append((tower, n, [c for c in seen[start:] if c[0] == n], rows))
+            return rows
+
         mp.setattr(tower_mod, "_lifted_primitives", spied)
-        mp.setattr(tower_mod, "delta_columns", spied_delta)
         for tower in iterates:
             symmetric_step(tower)
     for tower in iterates:
-        steps = [(n, below, used, rows) for t, n, below, used, rows in seen if t is tower]
-        assert [n for n, *_ in steps] == list(range(2, cutoff + 1))
-        for n, below, used, rows in steps:
-            assert below == all(not r for m, _, _, r in steps if m < n), n
-            if below and tower.levels[n] is not None:
-                assert used == ({n - 1} if tower.dim(n) else set()), n
+        mine = [(n, calls, rows) for t, n, calls, rows in steps if t is tower]
+        assert [n for n, *_ in mine] == list(range(2, cutoff + 1))
+        for n, calls, rows in mine:
+            if tower.levels[n] is not None:
+                (_, read, raw), = calls
+                assert_the_rule_reads(n, read, raw, lambda b: _lifted_primitives(tower, b))
             assert [boxed(r, space.field) for r in rows] == quotient_primitive_rows(tower, n), n
 
 
@@ -648,5 +679,38 @@ def test_step_rows_match_the_oracle_above_a_later_iterates_primitives():
         assert iterates[2].added == added
         assert_the_step_rows_match_the_oracle(space, cutoff)
         if space.field is F6:
-            assert (len(_lifted_primitives(iterates[1], 6)),
-                    len(_lifted_primitives(iterates[1], 6, True))) == (0, 1)
+            # (5, 1) alone leaves a kernel of dimension 1 in degree 6, which
+            # (1, 5), read at the pivots of iterate 1's P_5, removes
+            tower = iterates[1]
+            words = tower.levels[6][0]
+            first = [_project(tower, col, 5, 1) for col in component_columns(space, 5, 1, words)]
+            assert (len(_lifted_primitives(tower, 6)),
+                    len(primitive_kernel(space, [first], len(words)))) == (0, 1)
+
+
+@pytest.mark.parametrize("build, cutoff", [
+    (lambda: make_preset("gurevich", F1), 5),
+    (lambda: make_preset("hecke_gl", F4, d=3, q=F4.gen), 4),
+], ids=["gurevich", "hecke_gl_zeta4"])
+def test_step_rows_match_the_oracle_on_the_modular_route(monkeypatch, build, cutoff):
+    space = build()
+    seen = route_spy(monkeypatch)
+    assert_the_step_rows_match_the_oracle(space, cutoff)
+    assert seen and "exact" not in seen
+
+
+def test_lifted_primitives_called_alone_read_the_lower_degrees_from_the_tower():
+    # a fresh copy of an iterate has no memo: the top degree alone fills in
+    # the pivots of each lower degree it reads, with the oracle's rows
+    z = F6.gen
+    for space, cutoff in ((make_preset("d4_rack", F1), 5), (make_preset("twodim_sdeg2", F1), 6),
+                          (make_braiding("diagonal", {"q": [[z ** 4, z], [z ** 2, z ** 3]]}, F6), 6)):
+        for tower in tower_iterates(space, cutoff)[1:]:
+            fresh = ideal_closure(space, {}, cutoff, base=tower)
+            assert fresh == tower and not fresh._pivots
+            rows = _lifted_primitives(fresh, cutoff)
+            assert [boxed(r, space.field) for r in rows] == \
+                quotient_primitive_rows(tower, cutoff), space.kind
+            assert set(fresh._pivots) <= {n for n in range(2, cutoff + 1)
+                                          if tower.levels[n] is not None}
+            assert rows == _lifted_primitives(tower, cutoff)
